@@ -429,6 +429,24 @@ mod tests {
         }
     }
 
+    /// Placements pinned from the commit that still kept a global-index
+    /// serial stage 2 beside the span-local pooled one: the reference for
+    /// every thread count now that one span-local body serves them all.
+    #[test]
+    fn stage2_matches_golden_placements() {
+        for threads in [1usize, 2, 3, 4] {
+            let hier = Hierarchical::new(6, 8).with_threads(threads);
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            // Cold, warm, moved cuts, changed block count.
+            for (seed, n) in [(17u64, 300usize), (17, 300), (23, 300), (5, 257)] {
+                for &rank in hier.place(&random_costs(n, seed), 24).as_slice() {
+                    h = (h ^ rank as u64).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            assert_eq!(h, 0x8b5e_85b5_e334_6e7c, "threads={threads}: got {h:#018x}");
+        }
+    }
+
     #[test]
     fn uneven_rank_count_clamps_last_node_window() {
         // 3 nodes of 16 would need 48 ranks; give 40 so the last window is

@@ -288,10 +288,10 @@ pub fn run_sharded(
 }
 
 /// [`run_sharded`] with the simulator's worker-pool knob dialed to
-/// `threads` (1 = the untouched serial path). The parallel phase kernels
-/// follow the slot-ownership rule, so every virtual number in the returned
-/// fingerprint must be bit-identical to the serial run's — the `--threads`
-/// bench arm asserts it before reporting any speedup.
+/// `threads` (1 = each kernel's single task, run inline). The rank-range
+/// kernels follow the slot-ownership rule, so every virtual number in the
+/// returned fingerprint must be bit-identical to the 1-thread run's — the
+/// `--threads` bench arm asserts it before reporting any speedup.
 pub fn run_sharded_threaded(
     mesh: &AmrMesh,
     ranks: usize,

@@ -32,8 +32,8 @@
 //! `crates/core/tests/zero_alloc_sharded.rs`).
 
 // Legacy single-threaded module: stage-1 scratch uses `Cell`-free interior
-// state but the trace handle plumbing is `Rc`-based. Stage 2's parallel path
-// touches only `Send` data (`Disjoint` slices + per-node pools), so the
+// state but the trace handle plumbing is `Rc`-based. Stage 2's pool tasks
+// touch only `Send` data (`Disjoint` slices + per-node pools), so the
 // workspace-wide `disallowed_types` thread-safety guard is waived here.
 #![allow(clippy::disallowed_types)]
 
@@ -49,10 +49,7 @@ use std::cell::RefCell;
 struct NodePool {
     /// Span start the order vector was built for (warm-reuse key).
     base: usize,
-    /// Whether `order` holds span-local indices (the parallel path) rather
-    /// than global block indices (the serial path). Part of the warm-reuse
-    /// key so switching thread counts can never misread a stale order.
-    local: bool,
+    /// Span-local block indices, kept nearly sorted between calls.
     order: Vec<usize>,
     slots: Vec<Slot>,
 }
@@ -85,8 +82,9 @@ pub struct Hierarchical {
     num_shards: usize,
     ranks_per_node: usize,
     pools: RefCell<Pools>,
-    /// Worker pool for parallel stage 2; `None` runs stage 2 serially.
-    exec: Option<WorkerPool>,
+    /// Worker pool stage 2 runs on, one task per node (a one-thread pool
+    /// runs them inline, in node order).
+    exec: WorkerPool,
 }
 
 impl Hierarchical {
@@ -99,20 +97,17 @@ impl Hierarchical {
             num_shards,
             ranks_per_node,
             pools: RefCell::new(Pools::default()),
-            exec: None,
+            exec: WorkerPool::new(1),
         }
     }
 
-    /// Run stage 2 (per-node LPT) on `threads` worker threads. Each node's
-    /// span/rank-window subproblem is rebased to span-local indices and
-    /// solved independently; `lpt_heap` breaks sort ties by block index,
-    /// which is invariant under the common rebasing shift, so placements are
-    /// bitwise identical to the serial path at any thread count (pinned by
-    /// `parallel_stage2_is_bitwise_identical_to_serial`). `threads <= 1`
-    /// keeps the serial path.
+    /// Run stage 2 (per-node LPT) on `threads` threads. Each node's
+    /// span/rank-window subproblem is independent and writes only its own
+    /// span of the assignment, so placements are bitwise identical at any
+    /// thread count (pinned by `stage2_matches_golden_placements`).
     pub fn with_threads(mut self, threads: usize) -> Hierarchical {
         assert!(threads >= 1, "at least one thread");
-        self.exec = (threads > 1).then(|| WorkerPool::new(threads));
+        self.exec = WorkerPool::new(threads);
         self
     }
 
@@ -289,69 +284,42 @@ impl PlacementPolicy for Hierarchical {
 
         // Stage 2: per node, LPT its contiguous block span onto its rank
         // window with warm per-node order reuse. Node spans are disjoint, so
-        // the parallel path hands each task its own span of `assignment`
-        // (via `Disjoint`) and a span-local view of `costs`.
+        // each task gets its own span of `assignment` (via `Disjoint`) and a
+        // span-local view of `costs`; `lpt_heap` breaks sort ties by block
+        // index, which the common rebasing shift leaves invariant.
         if pools.nodes.len() != nodes {
             pools.nodes.resize_with(nodes, NodePool::default);
         }
-        match &self.exec {
-            Some(exec) => {
-                let Pools {
-                    spans,
-                    cuts,
-                    nodes: node_pools,
-                    ..
-                } = pools;
-                let (spans, cuts) = (&*spans, &*cuts);
-                let rpn = self.ranks_per_node;
-                let out_spans = Disjoint::new(assignment);
-                exec.run_with(node_pools, |i, pool| {
-                    let blo = spans[cuts[i] as usize] as usize;
-                    let bhi = spans[cuts[i + 1] as usize] as usize;
-                    if blo == bhi {
-                        return;
-                    }
-                    let r0 = i * rpn;
-                    let r1 = ((i + 1) * rpn).min(r);
-                    // SAFETY: cuts/spans are non-decreasing, so node block
-                    // spans are pairwise disjoint.
-                    let node_out = unsafe { out_spans.slice(blo, bhi) };
-                    let node_costs = &costs[blo..bhi];
-                    if !pool.local || pool.base != blo || pool.order.len() != bhi - blo {
-                        pool.order.clear();
-                        pool.order.extend(0..bhi - blo);
-                        pool.base = blo;
-                        pool.local = true;
-                    }
-                    pool.slots.clear();
-                    pool.slots
-                        .extend((r0 as u32..r1 as u32).map(|rank| Slot { load: 0.0, rank }));
-                    lpt_heap(node_costs, node_out, &mut pool.order, &mut pool.slots);
-                });
+        let Pools {
+            spans,
+            cuts,
+            nodes: node_pools,
+            ..
+        } = pools;
+        let (spans, cuts) = (&*spans, &*cuts);
+        let rpn = self.ranks_per_node;
+        let out_spans = Disjoint::new(assignment);
+        self.exec.run_with(node_pools, |i, pool| {
+            let blo = spans[cuts[i] as usize] as usize;
+            let bhi = spans[cuts[i + 1] as usize] as usize;
+            if blo == bhi {
+                return;
             }
-            None => {
-                for i in 0..nodes {
-                    let blo = pools.spans[pools.cuts[i] as usize] as usize;
-                    let bhi = pools.spans[pools.cuts[i + 1] as usize] as usize;
-                    if blo == bhi {
-                        continue;
-                    }
-                    let r0 = i * self.ranks_per_node;
-                    let r1 = ((i + 1) * self.ranks_per_node).min(r);
-                    let pool = &mut pools.nodes[i];
-                    if pool.local || pool.base != blo || pool.order.len() != bhi - blo {
-                        pool.order.clear();
-                        pool.order.extend(blo..bhi);
-                        pool.base = blo;
-                        pool.local = false;
-                    }
-                    pool.slots.clear();
-                    pool.slots
-                        .extend((r0 as u32..r1 as u32).map(|rank| Slot { load: 0.0, rank }));
-                    lpt_heap(costs, assignment, &mut pool.order, &mut pool.slots);
-                }
+            let r0 = i * rpn;
+            let r1 = ((i + 1) * rpn).min(r);
+            // SAFETY: cuts/spans are non-decreasing, so node block spans
+            // are pairwise disjoint.
+            let node_out = unsafe { out_spans.slice(blo, bhi) };
+            if pool.base != blo || pool.order.len() != bhi - blo {
+                pool.order.clear();
+                pool.order.extend(0..bhi - blo);
+                pool.base = blo;
             }
-        }
+            pool.slots.clear();
+            pool.slots
+                .extend((r0 as u32..r1 as u32).map(|rank| Slot { load: 0.0, rank }));
+            lpt_heap(&costs[blo..bhi], node_out, &mut pool.order, &mut pool.slots);
+        });
         Ok(ctx.finish(out))
     }
 }
@@ -413,25 +381,9 @@ mod tests {
         assert_eq!(a.as_slice(), b.as_slice());
     }
 
-    #[test]
-    fn parallel_stage2_is_bitwise_identical_to_serial() {
-        for threads in [2usize, 4] {
-            let serial = Hierarchical::new(6, 8);
-            let parallel = Hierarchical::new(6, 8).with_threads(threads);
-            // Repeated calls exercise both cold and warm order paths, and a
-            // changing cost vector moves the stage-1 cuts between calls.
-            for (seed, n) in [(17u64, 300usize), (17, 300), (23, 300), (5, 257)] {
-                let costs = random_costs(n, seed);
-                let a = serial.place(&costs, 24);
-                let b = parallel.place(&costs, 24);
-                assert_eq!(a.as_slice(), b.as_slice(), "threads={threads}");
-            }
-        }
-    }
-
-    /// Placements pinned from the commit that still kept a global-index
-    /// serial stage 2 beside the span-local pooled one: the reference for
-    /// every thread count now that one span-local body serves them all.
+    /// Placements pinned on the commit that still kept a global-index serial
+    /// stage 2 beside the span-local pooled one: the reference for every
+    /// thread count now that one span-local body serves them all.
     #[test]
     fn stage2_matches_golden_placements() {
         for threads in [1usize, 2, 3, 4] {

@@ -46,7 +46,7 @@ use super::cut::{greedy_cut_partition, CutWeights};
 use super::PlacementPolicy;
 use crate::engine::{PlacementCtx, PlacementError, PlacementReport};
 use crate::placement::Placement;
-use amr_mesh::pool::{Disjoint, WorkerPool};
+use amr_mesh::pool::{task_range, Disjoint, WorkerPool};
 use amr_mesh::{AmrMesh, NeighborGraph};
 
 const UNSET: u32 = u32::MAX;
@@ -70,8 +70,8 @@ pub struct Multilevel {
     /// Stop coarsening once the graph has at most
     /// `max(coarsest_per_rank · num_ranks, greedy_threshold)` vertices.
     pub coarsest_per_rank: usize,
-    /// Worker pool for the HEM proposal sweeps; `None` runs them serially.
-    exec: Option<WorkerPool>,
+    /// Worker pool the HEM proposal sweeps run on.
+    exec: WorkerPool,
 }
 
 impl std::fmt::Debug for Multilevel {
@@ -81,7 +81,7 @@ impl std::fmt::Debug for Multilevel {
             .field("refine_passes", &self.refine_passes)
             .field("greedy_threshold", &self.greedy_threshold)
             .field("coarsest_per_rank", &self.coarsest_per_rank)
-            .field("threads", &self.exec.as_ref().map_or(1, |p| p.threads()))
+            .field("threads", &self.exec.threads())
             .finish()
     }
 }
@@ -93,7 +93,7 @@ impl Default for Multilevel {
             refine_passes: 2,
             greedy_threshold: 128,
             coarsest_per_rank: 4,
-            exec: None,
+            exec: WorkerPool::new(1),
         }
     }
 }
@@ -103,12 +103,12 @@ impl Multilevel {
         Multilevel::default()
     }
 
-    /// Run the HEM proposal sweeps on `threads` OS threads (1 = serial).
+    /// Run the HEM proposal sweeps on `threads` OS threads.
     /// Matching resolution, contraction, and refinement stay serial — they
     /// are the cheap, order-sensitive parts; the result is identical at any
     /// thread count.
     pub fn with_threads(mut self, threads: usize) -> Multilevel {
-        self.exec = (threads > 1).then(|| WorkerPool::new(threads));
+        self.exec = WorkerPool::new(threads);
         self
     }
 
@@ -555,25 +555,22 @@ impl Multilevel {
                 }
                 best
             };
-            match &self.exec {
-                Some(pool) if n >= PARALLEL_MIN_VERTICES => {
-                    let t_n = pool.threads().min(n).max(1);
-                    let out = Disjoint::new(proposal);
-                    pool.run(t_n, |t| {
-                        let (lo, hi) = (t * n / t_n, (t + 1) * n / t_n);
-                        // SAFETY: tasks own pairwise-disjoint vertex ranges.
-                        let out = unsafe { out.slice(lo, hi) };
-                        for v in lo..hi {
-                            out[v - lo] = propose(v);
-                        }
-                    });
+            // Below the threshold the sweep is one task (run inline).
+            let t_n = if n >= PARALLEL_MIN_VERTICES {
+                self.exec.tasks_for(n)
+            } else {
+                1
+            };
+            let out = Disjoint::new(proposal);
+            self.exec.run(t_n, |t| {
+                let own = task_range(t, t_n, n);
+                // SAFETY: `task_range` tiles `0..n`, so tasks own
+                // pairwise-disjoint vertex ranges.
+                let out = unsafe { out.slice(own.start, own.end) };
+                for (slot, v) in out.iter_mut().zip(own) {
+                    *slot = propose(v);
                 }
-                _ => {
-                    for (v, slot) in proposal.iter_mut().enumerate() {
-                        *slot = propose(v);
-                    }
-                }
-            }
+            });
         }
 
         // Phase 2 — serial in-order resolution: match v with its proposal

@@ -15,7 +15,7 @@
 
 use amr_core::engine::PlacementEngine;
 use amr_core::policies::Hierarchical;
-use amr_mesh::{AmrMesh, Dim, MeshConfig, RefineTag, ShardedMesh};
+use amr_mesh::{AmrMesh, Dim, MeshConfig, RefineTag, ShardedMesh, WorkerPool};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -87,7 +87,8 @@ fn steady_state_sharded_rebalance_and_refresh_are_allocation_free() {
     // the incremental per-shard splice+patch path — including the halo-table
     // rebuild — against staging buffers that have already seen both shapes.
     let mut mesh = AmrMesh::new(MeshConfig::from_cells(Dim::D3, (32, 32, 32), 2));
-    let mut sharded = ShardedMesh::new(&mesh, 4);
+    let pool = WorkerPool::new(1);
+    let mut sharded = ShardedMesh::new(&mesh, 4, &pool);
     let cycle = |mesh: &mut AmrMesh, sharded: &mut ShardedMesh, measure: bool| -> u64 {
         let mut spent = 0u64;
         mesh.adapt(|b| {
@@ -99,7 +100,7 @@ fn steady_state_sharded_rebalance_and_refresh_are_allocation_free() {
         });
         let before = alloc_count();
         assert!(
-            sharded.refresh(mesh),
+            sharded.refresh(mesh, &pool),
             "refine delta must patch, not rebuild"
         );
         spent += alloc_count() - before;
@@ -112,7 +113,7 @@ fn steady_state_sharded_rebalance_and_refresh_are_allocation_free() {
         });
         let before = alloc_count();
         assert!(
-            sharded.refresh(mesh),
+            sharded.refresh(mesh, &pool),
             "coarsen delta must patch, not rebuild"
         );
         spent += alloc_count() - before;

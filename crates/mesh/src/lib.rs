@@ -40,7 +40,7 @@ pub use mesh::{AmrMesh, BlockFate, MeshConfig, RefineTag, RefinementDelta};
 pub use morton::{morton_decode2, morton_decode3, morton_encode2, morton_encode3};
 pub use neighbors::{Neighbor, NeighborGraph, NeighborKind, PatchScratch};
 pub use octant::{Direction, Octant, MAX_LEVEL};
-pub use pool::{Disjoint, WorkerPool};
+pub use pool::{task_range, Disjoint, WorkerPool, MAX_POOL_THREADS};
 pub use sfc::sfc_key;
 pub use sharded::{build_shard, plan_shard_bounds, ShardGraph, ShardedMesh};
 pub use tree::Octree;

@@ -49,10 +49,18 @@ struct Shared {
     done_cv: Condvar,
 }
 
+/// Most threads a [`WorkerPool`] will run a job on. Every phase that uses a
+/// pool splits its work by slot ownership, so a thread past the slot count
+/// only idles; configuration boundaries (e.g. `SimConfig::validate`) reject
+/// larger requests instead of letting thread spawning fail mid-construction.
+pub const MAX_POOL_THREADS: usize = 256;
+
 /// A persistent fork-join pool; see the module docs for the determinism
 /// contract callers must follow.
 pub struct WorkerPool {
-    shared: Arc<Shared>,
+    /// Dispatch state shared with the workers; `None` for a single-thread
+    /// pool, which has nobody to share with and so allocates nothing.
+    shared: Option<Arc<Shared>>,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -63,6 +71,10 @@ impl std::fmt::Debug for WorkerPool {
             .finish()
     }
 }
+
+/// Tasks run under `catch_unwind` outside the lock, so only a bug in the pool
+/// itself can poison its mutex.
+const POISONED: &str = "pool state mutex poisoned";
 
 /// Context shared between the caller and the workers for one dispatch.
 struct Ctx<'a, S, F> {
@@ -108,9 +120,23 @@ unsafe fn trampoline<S: Send, F: Fn(usize, &mut S) + Sync>(data: *const (), work
 impl WorkerPool {
     /// Create a pool that runs jobs on `threads` OS threads total
     /// (`threads - 1` spawned workers plus the calling thread).
-    /// `threads == 1` spawns nothing and every job runs inline.
+    /// `threads == 1` spawns nothing, allocates nothing, and every job runs
+    /// inline: the single-task schedule of whatever kernel is dispatched.
+    ///
+    /// # Panics
+    /// If `threads` exceeds [`MAX_POOL_THREADS`].
     pub fn new(threads: usize) -> WorkerPool {
+        assert!(
+            threads <= MAX_POOL_THREADS,
+            "a worker pool runs at most {MAX_POOL_THREADS} threads (asked for {threads})"
+        );
         let workers = threads.saturating_sub(1);
+        if workers == 0 {
+            return WorkerPool {
+                shared: None,
+                handles: Vec::new(),
+            };
+        }
         let shared = Arc::new(Shared {
             state: Mutex::new(PoolState {
                 generation: 0,
@@ -130,12 +156,21 @@ impl WorkerPool {
                     .expect("spawn pool worker")
             })
             .collect();
-        WorkerPool { shared, handles }
+        WorkerPool {
+            shared: Some(shared),
+            handles,
+        }
     }
 
     /// Total threads that can work on a job, including the caller.
     pub fn threads(&self) -> usize {
         self.handles.len() + 1
+    }
+
+    /// Tasks a slot-ownership kernel should split `n` slots into on this
+    /// pool: one per thread, never more than there are slots, at least one.
+    pub fn tasks_for(&self, n: usize) -> usize {
+        self.threads().min(n).max(1)
     }
 
     /// Process-wide pool sized to the host's available parallelism (capped
@@ -264,19 +299,23 @@ impl WorkerPool {
 
     /// Post `job`, help run it, and wait for all workers to check back in.
     fn dispatch(&self, job: Job) {
+        let shared = self
+            .shared
+            .as_ref()
+            .expect("only pools with workers dispatch");
         {
-            let mut st = self.shared.state.lock().unwrap();
+            let mut st = shared.state.lock().expect(POISONED);
             debug_assert!(st.active == 0, "nested dispatch on the same pool");
             st.generation = st.generation.wrapping_add(1);
             st.job = Some(job);
             st.active = self.handles.len();
-            self.shared.work_cv.notify_all();
+            shared.work_cv.notify_all();
         }
         // The caller is worker 0 and always participates.
         unsafe { (job.call)(job.data, 0) };
-        let mut st = self.shared.state.lock().unwrap();
+        let mut st = shared.state.lock().expect(POISONED);
         while st.active > 0 {
-            st = self.shared.done_cv.wait(st).unwrap();
+            st = shared.done_cv.wait(st).expect(POISONED);
         }
         st.job = None;
     }
@@ -292,10 +331,15 @@ unsafe fn make_unit_slice<'a>(len: usize) -> &'a mut [()] {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock().unwrap();
+        if let Some(shared) = &self.shared {
+            // Never panic in drop: the flag is valid whatever a poisoning
+            // thread was doing, so take the guard either way.
+            let mut st = shared
+                .state
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
             st.shutdown = true;
-            self.shared.work_cv.notify_all();
+            shared.work_cv.notify_all();
         }
         for handle in self.handles.drain(..) {
             let _ = handle.join();
@@ -330,6 +374,22 @@ fn worker_loop(shared: &Shared, index: usize) {
             shared.done_cv.notify_all();
         }
     }
+}
+
+/// The contiguous range of `0..n` that task `t` of `tasks` owns: the one
+/// split every slot-ownership kernel uses. Ranges of consecutive tasks share
+/// their boundary (`(t + 1) * n / tasks` is both task `t`'s end and task
+/// `t + 1`'s start), so together they tile `0..n` exactly once — the
+/// precondition of every [`Disjoint::slice`] call made with them. Checked
+/// here, in debug builds, rather than re-derived at each call site.
+#[inline]
+pub fn task_range(t: usize, tasks: usize, n: usize) -> std::ops::Range<usize> {
+    debug_assert!(t < tasks, "task {t} of {tasks}");
+    let (lo, hi) = (t * n / tasks, (t + 1) * n / tasks);
+    debug_assert!(lo <= hi && hi <= n, "range {lo}..{hi} escapes 0..{n}");
+    debug_assert!(t > 0 || lo == 0, "first range must start the tiling");
+    debug_assert!(t + 1 < tasks || hi == n, "last range must end the tiling");
+    lo..hi
 }
 
 /// Caller-guaranteed disjoint mutable access to one slice from many tasks.
@@ -527,9 +587,31 @@ mod tests {
     }
 
     #[test]
+    fn task_ranges_tile_the_index_space() {
+        for n in [0usize, 1, 7, 16, 257] {
+            for tasks in 1..=9 {
+                let mut next = 0;
+                for t in 0..tasks {
+                    let r = task_range(t, tasks, n);
+                    assert_eq!(r.start, next, "gap or overlap at task {t} of {tasks}");
+                    next = r.end;
+                }
+                assert_eq!(next, n);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most")]
+    fn oversized_pool_is_rejected_before_spawning() {
+        let _ = WorkerPool::new(MAX_POOL_THREADS + 1);
+    }
+
+    #[test]
     fn zero_tasks_and_single_thread_paths_are_inline() {
         let pool = WorkerPool::new(1);
         assert_eq!(pool.threads(), 1);
+        assert!(pool.shared.is_none(), "a lone caller shares nothing");
         pool.run(0, |_| panic!("must not run"));
         let mut states: Vec<u8> = vec![];
         pool.run_with(&mut states, |_, _| panic!("must not run"));

@@ -36,8 +36,7 @@
 //! window boundaries (`starts`) move — recomputed per refresh by binary
 //! search, O(S log n).
 
-use crate::block::{BlockId, MeshBlock};
-use crate::geom::Dim;
+use crate::block::BlockId;
 use crate::mesh::{AmrMesh, BlockFate};
 use crate::neighbors::{build_row, BlockIndex, Neighbor, NeighborGraph};
 use crate::octant::Direction;
@@ -183,54 +182,33 @@ pub fn build_shard(mesh: &AmrMesh, bounds: &[u64], s: usize, g: &mut ShardGraph)
     let hi = keys.partition_point(|&k| k < bounds[s + 1]);
     let dirs = Direction::all(mesh.config().dim);
     let mut row = Vec::with_capacity(32);
-    build_shard_rows(mesh, lo, hi, &dirs, &mut row, g);
+    let index = BlockIndex {
+        blocks: mesh.blocks(),
+        keys,
+        dim: mesh.config().dim,
+    };
+    build_shard_rows(mesh.tree(), &index, lo..hi, &dirs, &mut row, g);
 }
 
-/// Shared row builder: fill `g` with the rows of blocks `lo..hi`.
+/// Shared row builder: fill `g` with the rows of blocks `span`. Takes the
+/// mesh's plain-data parts because pool tasks call it: `AmrMesh` itself is
+/// not `Sync` (it may hold a trace handle), but the tree/blocks/keys
+/// snapshot the rows are a pure function of is.
 fn build_shard_rows(
-    mesh: &AmrMesh,
-    lo: usize,
-    hi: usize,
-    dirs: &[Direction],
-    row: &mut Vec<Neighbor>,
-    g: &mut ShardGraph,
-) {
-    build_shard_rows_parts(
-        mesh.tree(),
-        mesh.blocks(),
-        mesh.sfc_keys(),
-        mesh.config().dim,
-        lo,
-        hi,
-        dirs,
-        row,
-        g,
-    );
-}
-
-/// Row builder over the mesh's plain-data parts. Worker tasks use this form:
-/// `AmrMesh` itself is not `Sync` (it may hold a trace handle), but the
-/// tree/blocks/keys snapshot the rows are a pure function of is.
-#[allow(clippy::too_many_arguments)]
-fn build_shard_rows_parts(
     tree: &Octree,
-    blocks: &[MeshBlock],
-    keys: &[u64],
-    dim: Dim,
-    lo: usize,
-    hi: usize,
+    index: &BlockIndex<'_>,
+    span: std::ops::Range<usize>,
     dirs: &[Direction],
     row: &mut Vec<Neighbor>,
     g: &mut ShardGraph,
 ) {
-    g.start = lo as u32;
-    g.end = hi as u32;
+    g.start = span.start as u32;
+    g.end = span.end as u32;
     g.offsets.clear();
     g.offsets.push(0);
     g.entries.clear();
-    let index = BlockIndex { blocks, keys, dim };
-    for b in &blocks[lo..hi] {
-        build_row(tree, &index, dirs, &b.octant, row);
+    for b in &index.blocks[span] {
+        build_row(tree, index, dirs, &b.octant, row);
         g.entries.extend_from_slice(row);
         g.offsets.push(g.entries.len() as u32);
     }
@@ -239,8 +217,9 @@ fn build_shard_rows_parts(
 
 impl ShardedMesh {
     /// Partition `mesh` into `num_shards` contiguous SFC shards (balanced by
-    /// block count at planning time) and build every shard graph.
-    pub fn new(mesh: &AmrMesh, num_shards: usize) -> ShardedMesh {
+    /// block count at planning time) and build every shard graph on `pool`
+    /// (see [`ShardedMesh::rebuild`]).
+    pub fn new(mesh: &AmrMesh, num_shards: usize, pool: &WorkerPool) -> ShardedMesh {
         let bounds = plan_shard_bounds(mesh, num_shards);
         let mut sharded = ShardedMesh {
             bounds,
@@ -251,30 +230,7 @@ impl ShardedMesh {
                 ..ShardScratch::default()
             },
         };
-        sharded.rebuild(mesh);
-        sharded
-    }
-
-    /// [`ShardedMesh::new`] with the initial per-shard builds distributed
-    /// across `pool` (capped at `threads`); bitwise identical to the serial
-    /// constructor (see [`ShardedMesh::rebuild_on`]).
-    pub fn new_on(
-        mesh: &AmrMesh,
-        num_shards: usize,
-        pool: &WorkerPool,
-        threads: usize,
-    ) -> ShardedMesh {
-        let bounds = plan_shard_bounds(mesh, num_shards);
-        let mut sharded = ShardedMesh {
-            bounds,
-            starts: Vec::with_capacity(num_shards + 1),
-            shards: vec![ShardGraph::default(); num_shards],
-            scratch: ShardScratch {
-                dirs: Direction::all(mesh.config().dim),
-                ..ShardScratch::default()
-            },
-        };
-        sharded.rebuild_on(mesh, pool, threads);
+        sharded.rebuild(mesh, pool);
         sharded
     }
 
@@ -353,33 +309,14 @@ impl ShardedMesh {
 
     /// Recompute every shard window and rebuild every shard graph from
     /// scratch — the fallback when the mesh's stored delta cannot vouch for
-    /// the shards (and the initial build).
-    pub fn rebuild(&mut self, mesh: &AmrMesh) {
-        self.recompute_starts(mesh);
-        if self.scratch.dirs.is_empty() {
-            self.scratch.dirs = Direction::all(mesh.config().dim);
-        }
-        for s in 0..self.shards.len() {
-            let (lo, hi) = (self.starts[s] as usize, self.starts[s + 1] as usize);
-            build_shard_rows(
-                mesh,
-                lo,
-                hi,
-                &self.scratch.dirs,
-                &mut self.scratch.row,
-                &mut self.shards[s],
-            );
-        }
-    }
-
-    /// [`ShardedMesh::rebuild`] with per-shard builds distributed across
-    /// `pool` (capped at `threads`). Shard rows are pure functions of the
-    /// mesh snapshot and every task writes only its own [`ShardGraph`], so
-    /// the result is bitwise identical to the serial rebuild at any thread
-    /// count. Unlike the steady-state serial path, each task allocates its
-    /// own small row scratch — acceptable because rebuilds are the fallback
-    /// (initial build or stale delta), not the per-step path.
-    pub fn rebuild_on(&mut self, mesh: &AmrMesh, pool: &WorkerPool, threads: usize) {
+    /// the shards (and the initial build) — one task per shard on `pool`.
+    /// Shard rows are pure functions of the mesh snapshot and every task
+    /// writes only its own [`ShardGraph`], so the result is the same at any
+    /// thread count (a one-thread pool runs the tasks inline, in order).
+    /// Unlike the steady-state incremental path, each task allocates its own
+    /// small row scratch — acceptable because rebuilds are the fallback, not
+    /// the per-step path.
+    pub fn rebuild(&mut self, mesh: &AmrMesh, pool: &WorkerPool) {
         self.recompute_starts(mesh);
         if self.scratch.dirs.is_empty() {
             self.scratch.dirs = Direction::all(mesh.config().dim);
@@ -391,25 +328,16 @@ impl ShardedMesh {
             ..
         } = self;
         let dirs = &scratch.dirs;
-        let (tree, blocks, keys, dim) = (
-            mesh.tree(),
-            mesh.blocks(),
-            mesh.sfc_keys(),
-            mesh.config().dim,
-        );
-        pool.run_with_capped(threads, shards, |s, g| {
+        let tree = mesh.tree();
+        let index = BlockIndex {
+            blocks: mesh.blocks(),
+            keys: mesh.sfc_keys(),
+            dim: mesh.config().dim,
+        };
+        pool.run_with(shards, |s, g| {
             let mut row = Vec::with_capacity(32);
-            build_shard_rows_parts(
-                tree,
-                blocks,
-                keys,
-                dim,
-                starts[s] as usize,
-                starts[s + 1] as usize,
-                dirs,
-                &mut row,
-                g,
-            );
+            let span = starts[s] as usize..starts[s + 1] as usize;
+            build_shard_rows(tree, &index, span, dirs, &mut row, g);
         });
     }
 
@@ -428,26 +356,14 @@ impl ShardedMesh {
     /// ids renumbered through the fate table; rows whose neighborhoods touch
     /// changed octants are rebuilt; each shard's halo table is refreshed.
     /// All staging goes through pooled scratch (steady state allocates
-    /// nothing). Falls back to [`ShardedMesh::rebuild`] when the stored
+    /// nothing); the splice itself is a single in-order pass over the fate
+    /// table (already O(changed rows)) and stays on the calling thread.
+    /// Falls back to [`ShardedMesh::rebuild`] on `pool` when the stored
     /// delta cannot vouch for the current shards. Returns `true` iff the
     /// incremental path ran.
-    pub fn refresh(&mut self, mesh: &AmrMesh) -> bool {
+    pub fn refresh(&mut self, mesh: &AmrMesh, pool: &WorkerPool) -> bool {
         if !self.delta_vouches(mesh) {
-            self.rebuild(mesh);
-            return false;
-        }
-        self.refresh_incremental(mesh);
-        true
-    }
-
-    /// [`ShardedMesh::refresh`] with the full-rebuild fallback distributed
-    /// across `pool` (see [`ShardedMesh::rebuild_on`]). The incremental path
-    /// itself stays serial: it is a single in-order splice over the fate
-    /// table (already O(changed rows)), and keeping it on one thread
-    /// preserves its zero-allocation staging discipline.
-    pub fn refresh_on(&mut self, mesh: &AmrMesh, pool: &WorkerPool, threads: usize) -> bool {
-        if !self.delta_vouches(mesh) {
-            self.rebuild_on(mesh, pool, threads);
+            self.rebuild(mesh, pool);
             return false;
         }
         self.refresh_incremental(mesh);
@@ -681,7 +597,7 @@ mod tests {
             for k in keys {
                 hash_adapt(&mut mesh, k);
             }
-            let sharded = ShardedMesh::new(&mesh, 1);
+            let sharded = ShardedMesh::new(&mesh, 1, &WorkerPool::new(1));
             assert_matches_oracle(&sharded, &mesh);
             assert_eq!(sharded.shard(0).cross_relations(), 0);
             assert!(sharded.shard(0).halo().is_empty());
@@ -695,7 +611,7 @@ mod tests {
             for k in keys {
                 hash_adapt(&mut mesh, k);
             }
-            let sharded = ShardedMesh::new(&mesh, shards);
+            let sharded = ShardedMesh::new(&mesh, shards, &WorkerPool::new(1));
             assert_matches_oracle(&sharded, &mesh);
             assert!(sharded.total_cross_relations() > 0);
         }
@@ -705,10 +621,10 @@ mod tests {
     fn refresh_tracks_adapt_sequence() {
         for dim in [Dim::D2, Dim::D3] {
             let (mut mesh, keys) = random_mesh_steps(dim, 5, 3);
-            let mut sharded = ShardedMesh::new(&mesh, 4);
+            let mut sharded = ShardedMesh::new(&mesh, 4, &WorkerPool::new(1));
             for k in keys {
                 hash_adapt(&mut mesh, k);
-                let incremental = sharded.refresh(&mesh);
+                let incremental = sharded.refresh(&mesh, &WorkerPool::new(1));
                 assert!(incremental || !mesh.last_delta().changed());
                 assert_matches_oracle(&sharded, &mesh);
             }
@@ -719,11 +635,11 @@ mod tests {
     fn refresh_falls_back_on_stale_delta() {
         let (mut mesh, _) = random_mesh_steps(Dim::D3, 0, 0);
         hash_adapt(&mut mesh, 11);
-        let mut sharded = ShardedMesh::new(&mesh, 4);
+        let mut sharded = ShardedMesh::new(&mesh, 4, &WorkerPool::new(1));
         // A full rebuild resets the delta to identity: refresh cannot vouch
         // for the shards and must fall back (and still be correct).
         mesh.force_full_rebuild();
-        assert!(!sharded.refresh(&mesh));
+        assert!(!sharded.refresh(&mesh, &WorkerPool::new(1)));
         assert_matches_oracle(&sharded, &mesh);
     }
 
@@ -733,7 +649,7 @@ mod tests {
         for k in keys {
             hash_adapt(&mut mesh, k);
         }
-        let resident = ShardedMesh::new(&mesh, 6);
+        let resident = ShardedMesh::new(&mesh, 6, &WorkerPool::new(1));
         let bounds = plan_shard_bounds(&mesh, 6);
         let mut g = ShardGraph::default();
         for s in 0..6 {
@@ -751,7 +667,7 @@ mod tests {
         for k in keys {
             hash_adapt(&mut mesh, k);
         }
-        let sharded = ShardedMesh::new(&mesh, 5);
+        let sharded = ShardedMesh::new(&mesh, 5, &WorkerPool::new(1));
         let oracle = mesh.neighbor_graph();
         for b in 0..mesh.num_blocks() {
             let id = BlockId(b as u32);
@@ -760,27 +676,28 @@ mod tests {
     }
 
     #[test]
-    fn parallel_rebuild_is_bitwise_identical_to_serial() {
-        let pool = WorkerPool::new(4);
-        for threads in [1usize, 2, 4] {
+    fn rebuild_is_bitwise_identical_at_any_thread_count() {
+        let serial_pool = WorkerPool::new(1);
+        for threads in [2usize, 3, 4] {
+            let pool = WorkerPool::new(threads);
             let (mut mesh, keys) = random_mesh_steps(Dim::D3, 3, 29);
             let mut serial: Option<ShardedMesh> = None;
             let mut parallel: Option<ShardedMesh> = None;
             for (i, k) in keys.iter().enumerate() {
                 hash_adapt(&mut mesh, *k);
                 if i == 0 {
-                    serial = Some(ShardedMesh::new(&mesh, 6));
-                    parallel = Some(ShardedMesh::new_on(&mesh, 6, &pool, threads));
+                    serial = Some(ShardedMesh::new(&mesh, 6, &serial_pool));
+                    parallel = Some(ShardedMesh::new(&mesh, 6, &pool));
                 } else {
                     let s = serial.as_mut().unwrap();
                     let p = parallel.as_mut().unwrap();
-                    s.refresh(&mesh);
-                    p.refresh_on(&mesh, &pool, threads);
+                    s.refresh(&mesh, &serial_pool);
+                    p.refresh(&mesh, &pool);
                     if i == 2 {
-                        // Force the parallel full-rebuild fallback too.
+                        // Force the full-rebuild fallback too.
                         mesh.force_full_rebuild();
-                        assert!(!p.refresh_on(&mesh, &pool, threads));
-                        assert!(!s.refresh(&mesh));
+                        assert!(!p.refresh(&mesh, &pool));
+                        assert!(!s.refresh(&mesh, &serial_pool));
                     }
                 }
                 let (s, p) = (serial.as_ref().unwrap(), parallel.as_ref().unwrap());
@@ -800,11 +717,11 @@ mod tests {
     fn more_shards_than_blocks_degenerates_gracefully() {
         let mesh = AmrMesh::new(MeshConfig::from_cells(Dim::D2, (32, 32, 1), 1));
         let n = mesh.num_blocks();
-        let mut sharded = ShardedMesh::new(&mesh, n * 2);
+        let mut sharded = ShardedMesh::new(&mesh, n * 2, &WorkerPool::new(1));
         assert_matches_oracle(&sharded, &mesh);
         let mut mesh = mesh;
         hash_adapt(&mut mesh, 5);
-        sharded.refresh(&mesh);
+        sharded.refresh(&mesh, &WorkerPool::new(1));
         assert_matches_oracle(&sharded, &mesh);
     }
 }

@@ -25,18 +25,16 @@
 //!   the patched graph for surviving relations and zeros the rest, so
 //!   observations persist through AMR instead of resetting every adapt.
 //! - **Deterministic, and invisible to virtual time.** The ledger only
-//!   *reads* simulation state — flushing from worker threads uses the same
-//!   contiguous-ownership rule as [`crate::par`] (each task owns a block
+//!   *reads* simulation state — flushing on the simulator's pool uses the
+//!   same contiguous-ownership rule as [`crate::par`] (each task owns a block
 //!   range, hence a disjoint CSR entry range), and the per-task byte totals
 //!   are `u64` (associative), merged in task order. A run with the ledger on
 //!   is bitwise identical in virtual time to the same run with it off until
 //!   a policy actually consumes the weights (pinned by tests).
 
 use amr_core::cost::CostOrigin;
-use amr_mesh::pool::Disjoint;
-use amr_mesh::{BlockSpec, Dim, NeighborGraph, NeighborKind};
-
-use crate::exec::SimCommunicator;
+use amr_mesh::pool::{task_range, Disjoint, WorkerPool};
+use amr_mesh::{BlockId, BlockSpec, Dim, NeighborGraph, NeighborKind};
 
 /// Per-relation observed-byte accumulator for a flat [`NeighborGraph`].
 #[derive(Debug, Default)]
@@ -54,6 +52,8 @@ pub struct ExchangeByteLedger {
     old_neighbor: Vec<u32>,
     old_bytes: Vec<u64>,
     staged: bool,
+    /// Per-task byte totals of a flush (pooled scratch).
+    partials: Vec<u64>,
     /// Lifetime tallies (reported via trace counters).
     flushes: u64,
     remaps: u64,
@@ -85,83 +85,62 @@ impl ExchangeByteLedger {
     /// Materialize pending rounds/steps into per-relation bytes: every
     /// relation gains `rounds · message_bytes(codim)`, and fine→coarse Face
     /// relations additionally gain `steps · message_bytes(1)/4` of flux
-    /// correction — exactly the per-relation charges `fill_epoch` models.
-    /// Serial; see [`flush_on`](Self::flush_on) for the pooled variant.
-    pub fn flush(&mut self, graph: &NeighborGraph, spec: BlockSpec, dim: Dim) {
-        if self.pending_rounds == 0 && self.pending_steps == 0 {
-            return;
-        }
-        debug_assert_eq!(self.bytes.len(), graph.total_relations());
-        let (rounds, steps) = (self.pending_rounds, self.pending_steps);
-        let mut added = 0u64;
-        let mut entry = 0usize;
-        for (_, nbs) in graph.iter() {
-            for n in nbs {
-                let add = relation_bytes(spec, dim, n.kind, n.level_delta, rounds, steps);
-                self.bytes[entry] = self.bytes[entry].saturating_add(add);
-                added = added.saturating_add(add);
-                entry += 1;
-            }
-        }
-        self.finish_flush(added);
-    }
-
-    /// Pooled [`flush`](Self::flush): tasks own contiguous *block* ranges,
-    /// hence pairwise-disjoint CSR entry ranges (`row_start(lo)..row_start(hi)`),
+    /// correction — exactly the per-relation charges the epoch fill models.
+    ///
+    /// Runs on `pool`: tasks own contiguous *block* ranges, hence
+    /// pairwise-disjoint CSR entry ranges (`row_start(lo)..row_start(hi)`),
     /// so each byte slot has exactly one writer; the per-task `u64` totals
-    /// are associative and merge in task order. Bitwise identical to the
-    /// serial flush at any thread count.
-    pub fn flush_on<C: SimCommunicator>(
-        &mut self,
-        comm: &C,
-        graph: &NeighborGraph,
-        spec: BlockSpec,
-        dim: Dim,
-        partials: &mut Vec<u64>,
-    ) {
+    /// are associative and merge in task order. The same bytes at any
+    /// thread count.
+    pub fn flush(&mut self, pool: &WorkerPool, graph: &NeighborGraph, spec: BlockSpec, dim: Dim) {
         if self.pending_rounds == 0 && self.pending_steps == 0 {
             return;
         }
         debug_assert_eq!(self.bytes.len(), graph.total_relations());
         let (rounds, steps) = (self.pending_rounds, self.pending_steps);
         let n = graph.num_blocks();
-        let t_n = comm.threads().min(n).max(1);
-        partials.clear();
-        partials.resize(t_n, 0);
+        let t_n = pool.tasks_for(n);
+        self.partials.clear();
+        self.partials.resize(t_n, 0);
         let out = Disjoint::new(&mut self.bytes);
-        comm.run_with(partials, |t, total| {
-            let (blo, bhi) = (t * n / t_n, (t + 1) * n / t_n);
-            let (elo, ehi) = (graph.row_start(blo), graph.row_start(bhi));
-            // SAFETY: block ranges are pairwise disjoint and contiguous, so
-            // the CSR entry ranges they map to are as well.
+        pool.run_with(&mut self.partials, |t, total| {
+            let blocks = task_range(t, t_n, n);
+            let (elo, ehi) = (graph.row_start(blocks.start), graph.row_start(blocks.end));
+            // SAFETY: `task_range` tiles `0..n`, so block ranges are pairwise
+            // disjoint and contiguous, and the CSR entry ranges they map to
+            // are as well.
             let out = unsafe { out.slice(elo, ehi) };
-            let mut entry = elo;
-            for b in blo..bhi {
-                for nb in graph.neighbors(amr_mesh::BlockId(b as u32)) {
+            let mut slots = out.iter_mut();
+            for b in blocks {
+                for nb in graph.neighbors(BlockId(b as u32)) {
                     let add = relation_bytes(spec, dim, nb.kind, nb.level_delta, rounds, steps);
-                    out[entry - elo] = out[entry - elo].saturating_add(add);
+                    let slot = slots.next().expect("one slot per relation");
+                    *slot = slot.saturating_add(add);
                     *total = total.saturating_add(add);
-                    entry += 1;
                 }
             }
         });
-        let added = partials.iter().fold(0u64, |a, &p| a.saturating_add(p));
-        self.finish_flush(added);
-    }
-
-    fn finish_flush(&mut self, added: u64) {
         self.pending_rounds = 0;
         self.pending_steps = 0;
         self.flushes += 1;
-        self.observed_total = self.observed_total.saturating_add(added);
+        self.observed_total = self
+            .partials
+            .iter()
+            .fold(self.observed_total, |a, &p| a.saturating_add(p));
     }
 
     /// Stage for a remesh: flush everything pending against the *current*
     /// (about-to-be-patched) graph, then capture its layout so
     /// [`apply_remesh`](Self::apply_remesh) can carry surviving relations'
     /// bytes across. Call before `patch_neighbor_graph`.
-    pub fn prepare_remesh(&mut self, graph: &NeighborGraph, spec: BlockSpec, dim: Dim) {
-        self.flush(graph, spec, dim);
+    pub fn prepare_remesh(
+        &mut self,
+        pool: &WorkerPool,
+        graph: &NeighborGraph,
+        spec: BlockSpec,
+        dim: Dim,
+    ) {
+        self.flush(pool, graph, spec, dim);
         let n = graph.num_blocks();
         self.old_offsets.clear();
         self.old_offsets.push(0);
@@ -275,7 +254,6 @@ fn relation_bytes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::PooledCommunicator;
     use amr_mesh::{AmrMesh, MeshConfig};
 
     fn mesh() -> AmrMesh {
@@ -288,11 +266,12 @@ mod tests {
         let g = m.neighbor_graph();
         let spec = m.config().spec;
         let dim = m.config().dim;
+        let pool = WorkerPool::new(1);
         let mut led = ExchangeByteLedger::default();
         led.begin_run(&g);
         led.note_step(3);
         led.note_step(3);
-        led.flush(&g, spec, dim);
+        led.flush(&pool, &g, spec, dim);
         assert!(led.has_observations());
         let mut entry = 0usize;
         for (_, nbs) in g.iter() {
@@ -305,7 +284,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_flush_is_bitwise_identical() {
+    fn flush_is_bitwise_identical_at_any_thread_count() {
         let m = mesh();
         let g = m.neighbor_graph();
         let spec = m.config().spec;
@@ -313,14 +292,12 @@ mod tests {
         let mut serial = ExchangeByteLedger::default();
         serial.begin_run(&g);
         serial.note_step(3);
-        serial.flush(&g, spec, dim);
-        for threads in [2usize, 4] {
-            let comm = PooledCommunicator::new(threads);
+        serial.flush(&WorkerPool::new(1), &g, spec, dim);
+        for threads in [2usize, 3, 4] {
             let mut par = ExchangeByteLedger::default();
             par.begin_run(&g);
             par.note_step(3);
-            let mut partials = Vec::new();
-            par.flush_on(&comm, &g, spec, dim, &mut partials);
+            par.flush(&WorkerPool::new(threads), &g, spec, dim);
             assert_eq!(serial.bytes(), par.bytes(), "threads = {threads}");
             assert_eq!(serial.observed_total(), par.observed_total());
         }
@@ -331,14 +308,15 @@ mod tests {
         let m = mesh();
         let g = m.neighbor_graph();
         let (spec, dim) = (m.config().spec, m.config().dim);
+        let pool = WorkerPool::new(1);
         let mut led = ExchangeByteLedger::default();
         led.begin_run(&g);
-        led.flush(&g, spec, dim); // nothing pending: no flush recorded
+        led.flush(&pool, &g, spec, dim); // nothing pending: no flush recorded
         assert_eq!(led.flushes(), 0);
         led.note_step(1);
-        led.flush(&g, spec, dim);
+        led.flush(&pool, &g, spec, dim);
         let snapshot: Vec<u64> = led.bytes().to_vec();
-        led.flush(&g, spec, dim); // still nothing new pending
+        led.flush(&pool, &g, spec, dim); // still nothing new pending
         assert_eq!(led.bytes(), &snapshot[..]);
         assert_eq!(led.flushes(), 1);
     }
@@ -348,10 +326,11 @@ mod tests {
         let m = mesh();
         let g = m.neighbor_graph();
         let (spec, dim) = (m.config().spec, m.config().dim);
+        let pool = WorkerPool::new(1);
         let mut led = ExchangeByteLedger::default();
         led.begin_run(&g);
         led.note_step(3);
-        led.prepare_remesh(&g, spec, dim);
+        led.prepare_remesh(&pool, &g, spec, dim);
         let before: Vec<u64> = led.old_bytes.clone();
         let origins: Vec<CostOrigin> = (0..g.num_blocks()).map(CostOrigin::Same).collect();
         led.apply_remesh(Some(&origins), &g);
@@ -364,10 +343,11 @@ mod tests {
         let m = mesh();
         let g = m.neighbor_graph();
         let (spec, dim) = (m.config().spec, m.config().dim);
+        let pool = WorkerPool::new(1);
         let mut led = ExchangeByteLedger::default();
         led.begin_run(&g);
         led.note_step(1);
-        led.prepare_remesh(&g, spec, dim);
+        led.prepare_remesh(&pool, &g, spec, dim);
         led.apply_remesh(None, &g);
         assert!(!led.has_observations());
         assert!(led.bytes().iter().all(|&b| b == 0));
@@ -378,10 +358,11 @@ mod tests {
         let m = mesh();
         let g = m.neighbor_graph();
         let (spec, dim) = (m.config().spec, m.config().dim);
+        let pool = WorkerPool::new(1);
         let mut led = ExchangeByteLedger::default();
         led.begin_run(&g);
         led.note_step(2);
-        led.prepare_remesh(&g, spec, dim);
+        led.prepare_remesh(&pool, &g, spec, dim);
         // Pretend block 0 was replaced: everything touching it resets.
         let origins: Vec<CostOrigin> = (0..g.num_blocks())
             .map(|i| {

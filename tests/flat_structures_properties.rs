@@ -30,7 +30,7 @@
 //!    the out-of-shard neighbor ids.
 
 use amr_tools::mesh::{
-    AmrMesh, Dim, MeshConfig, NeighborGraph, PatchScratch, RefineTag, ShardedMesh,
+    AmrMesh, Dim, MeshConfig, NeighborGraph, PatchScratch, RefineTag, ShardedMesh, WorkerPool,
 };
 use amr_tools::sim::mpi::Op;
 use amr_tools::sim::{MpiWorld, NetworkConfig, Topology};
@@ -187,7 +187,8 @@ proptest! {
         let dim = if dim_3d { Dim::D3 } else { Dim::D2 };
         let cells = if dim_3d { (32, 32, 32) } else { (64, 64, 64) };
         let mut mesh = AmrMesh::new(MeshConfig::from_cells(dim, cells, 2));
-        let mut sharded = ShardedMesh::new(&mesh, num_shards);
+        let pool = WorkerPool::new(1);
+        let mut sharded = ShardedMesh::new(&mesh, num_shards, &pool);
         let mut flat = NeighborGraph::default();
         for step in 0..steps {
             let key = salt.wrapping_add(step as u64);
@@ -201,7 +202,7 @@ proptest! {
                     _ => RefineTag::Keep,
                 }
             });
-            sharded.refresh(&mesh);
+            sharded.refresh(&mesh, &pool);
             let oracle = mesh.neighbor_graph();
             sharded.flatten_into(&mut flat);
             prop_assert_eq!(&flat, &oracle);

@@ -163,11 +163,7 @@ proptest! {
             .map(|_| mix(&mut s) % (1 << 30))
             .collect();
         let place = |threads: usize| {
-            let policy = if threads > 1 {
-                Multilevel::default().with_threads(threads)
-            } else {
-                Multilevel::default()
-            };
+            let policy = Multilevel::default().with_threads(threads);
             let ctx = PlacementCtx::new(&costs, ranks)
                 .with_mesh(&mesh)
                 .with_graph(&graph)
@@ -178,7 +174,7 @@ proptest! {
         };
         let serial = place(1);
         prop_assert!(serial.as_slice().iter().all(|&r| (r as usize) < ranks));
-        for threads in [2usize, 4] {
+        for threads in [2usize, 3, 4] {
             prop_assert_eq!(&place(threads), &serial, "threads = {}", threads);
         }
         // The weighted objective itself is well-defined on the result (no

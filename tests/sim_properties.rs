@@ -263,11 +263,11 @@ fn sharded_run(ranks: usize, steps: u64, seed: u64, num_shards: usize) -> RunRep
     sim.run(&mut workload, &Lpt, RebalanceTrigger::OnMeshChange)
 }
 
-/// Sedov run with the full multi-core surface dialed in: `threads` worker
-/// threads (1 = the untouched serial path), `num_shards` SFC shards, a
-/// random 2D/3D mesh, and a fault timeline. Everything the parallel kernels
-/// touch — epoch fill, compute scatter, ready/finish, shard rebuilds — is
-/// exercised in one run.
+/// Sedov run with the full multi-core surface dialed in: `threads` pool
+/// threads (1 = every kernel's single task, run inline), `num_shards` SFC
+/// shards, a random 2D/3D mesh, and a fault timeline. Everything the
+/// rank-range kernels touch — epoch fill, compute scatter, exchange finish
+/// times, shard rebuilds — is exercised in one run.
 #[allow(clippy::too_many_arguments)]
 fn parallel_run(
     ranks: usize,
@@ -377,17 +377,18 @@ proptest! {
         }
     }
 
-    /// The multi-core tentpole's determinism proof: a run on real worker
-    /// threads must reproduce the serial oracle's virtual time **bit for
-    /// bit** at any thread count. Every parallel kernel follows the
-    /// slot-ownership rule (each per-rank slot has exactly one writing task,
-    /// accumulating in the serial loop's order), so f64 non-associativity
+    /// The multi-core determinism proof: a run on real worker threads must
+    /// reproduce the inline single-task schedule's virtual time **bit for
+    /// bit** at any thread count (the single-task bits are themselves pinned
+    /// by `crates/sim/tests/golden_virtual_time.rs`). Every kernel follows
+    /// the slot-ownership rule (each per-rank slot has exactly one writing
+    /// task, accumulating in global row order), so f64 non-associativity
     /// never gets a chance to bite — across random 2D/3D adapt sequences,
     /// random fault timelines (throttle + NIC degradation, reweight response
     /// armed), and both graph paths. Redistribution/total are excluded as
     /// everywhere else: they charge real placement wall-clock.
     #[test]
-    fn parallel_runs_are_bitwise_identical_to_serial(
+    fn runs_are_bitwise_identical_at_any_thread_count(
         seed in 0u64..500,
         steps in 8u64..14,
         dim2 in any::<bool>(),
@@ -405,7 +406,7 @@ proptest! {
         let timeline = FaultTimeline::with_episode(episode);
         let base = parallel_run(
             ranks, steps, seed, dim2, shards, 1, timeline.clone(), FaultResponse::Reweight);
-        for threads in [2usize, 4] {
+        for threads in [2usize, 3, 4] {
             let rep = parallel_run(
                 ranks, steps, seed, dim2, shards, threads, timeline.clone(),
                 FaultResponse::Reweight);
@@ -594,7 +595,7 @@ proptest! {
     }
 
     /// Ledger-fed runs are deterministic at any worker-thread count: the
-    /// pooled flush writes disjoint entry ranges and merges integer partials
+    /// flush writes disjoint entry ranges and merges integer partials
     /// in task order, and the multilevel policy consuming the weights is
     /// itself thread-invariant — so the whole feedback loop is too.
     #[test]
@@ -603,7 +604,7 @@ proptest! {
         steps in 8u64..14,
     ) {
         let serial = ledger_run(16, steps, seed, 1, true, true);
-        for threads in [2usize, 4] {
+        for threads in [2usize, 3, 4] {
             let rep = ledger_run(16, steps, seed, threads, true, true);
             prop_assert_eq!(serial.phases.compute_ns.to_bits(), rep.phases.compute_ns.to_bits(),
                 "threads = {}", threads);

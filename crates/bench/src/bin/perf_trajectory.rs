@@ -314,8 +314,8 @@ fn main() {
 ///
 /// Interleaves `reps` untraced and traced passes of the identical static
 /// pipeline (same mesh seed, same step count) and compares min-of-reps
-/// simulated-loop wall time. Tracing is a handful of `Cell` stores and ring
-/// writes per step, so it must stay under 2% — with a 250 µs absolute noise
+/// simulated-loop wall time. Tracing is a handful of uncontended-lock records
+/// (a few stores or a ring write each) per step, so it must stay under 2% — with a 250 µs absolute noise
 /// floor, because the `--smoke` sim is only ~4 ms and scheduler jitter on a
 /// single-core runner exceeds 2% of that — or the process panics. CI runs
 /// this arm under `--smoke`, making the overhead bound a regression guard.
@@ -358,7 +358,7 @@ fn run_trace_arm(ranks: usize, steps: u64, reps: usize, out_prefix: &str) {
 
     run_evolving_traced(ranks, 20, false, &trace);
 
-    let spans = trace.sink.snapshot();
+    let spans = trace.snapshot();
     let json_path = format!("{out_prefix}.trace.json");
     let folded_path = format!("{out_prefix}.folded");
     std::fs::write(&json_path, chrome_trace_json(&spans))
@@ -368,9 +368,9 @@ fn run_trace_arm(ranks: usize, steps: u64, reps: usize, out_prefix: &str) {
     eprintln!(
         "wrote {json_path} + {folded_path} ({} spans, {} overwritten in ring)",
         spans.len(),
-        trace.sink.dropped()
+        trace.dropped()
     );
-    eprint!("{}", trace.metrics.render_summary());
+    eprint!("{}", trace.metrics().render_summary());
 }
 
 /// Static workload over a prebuilt mesh with a caller-chosen cost vector,

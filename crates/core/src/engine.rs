@@ -21,10 +21,12 @@
 //! **zero heap allocation** per rebalance: LPT's heap, CDP's DP tables, the
 //! rank-load/selection buffers and the output assignment are all reused.
 
-// Legacy single-threaded module: the engine shares its trace handle with the
-// mesh/simulator over `Rc`. It runs only on the owning thread (parallel
-// phases receive plain-data views, never the engine), so the workspace-wide
-// `disallowed_types` thread-safety guard is waived here.
+// The workspace's one `disallowed_types` waiver. `Scratch` keeps each buffer
+// in its own `RefCell` so nested policies (CPLX → chunked CDP → CDP) can
+// borrow disjoint buffers through the shared `&Scratch` that
+// `PlacementPolicy::place_into(&self, &PlacementCtx, ..)` hands them.
+// `RefCell<Vec<_>>` is `Send`, so `Scratch` and the engine are too (pinned
+// by a test below); no `Rc` or `Cell` remains anywhere in the workspace.
 #![allow(clippy::disallowed_types)]
 
 use crate::cost::CostOrigin;
@@ -811,10 +813,9 @@ impl PlacementEngine {
         graph: Option<&NeighborGraph>,
         edge_weights: Option<&[u64]>,
     ) -> Result<PlacementReport, PlacementError> {
-        // Cheap Rc bump (no allocation) so the span guard doesn't hold a
-        // borrow of `self` across the buffer split below.
-        let trace = self.trace.clone();
-        let _span = trace.as_ref().map(|t| t.span(TracePhase::Place));
+        // The guard borrows only the `trace` field; everything below touches
+        // the other fields directly, so no clone of the handle is needed.
+        let _span = self.trace.as_ref().map(|t| t.span(TracePhase::Place));
         let (head, tail) = self.buffers.split_at_mut(1);
         let (cur, next) = if self.current == 0 {
             (&head[0], &mut tail[0])
@@ -851,12 +852,12 @@ impl PlacementEngine {
         // The new placement may solve a different mesh than the stamped one;
         // identity is the owner's to re-establish.
         self.fingerprint = None;
-        if let Some(t) = &trace {
-            t.metrics.incr(TraceCounter::Rebalances, 1);
+        if let Some(t) = &self.trace {
+            t.incr(TraceCounter::Rebalances, 1);
             if let Some(m) = &report.migration {
-                t.metrics.incr(TraceCounter::BlocksMoved, m.moved as u64);
+                t.incr(TraceCounter::BlocksMoved, m.moved as u64);
             }
-            t.metrics.set(TraceGauge::Imbalance, report.imbalance);
+            t.set(TraceGauge::Imbalance, report.imbalance);
         }
         Ok(report)
     }
@@ -866,6 +867,13 @@ impl PlacementEngine {
 mod tests {
     use super::*;
     use crate::policies::{Baseline, Cdp, ChunkedCdp, Cplx, Lpt};
+
+    #[test]
+    fn engine_and_scratch_are_send() {
+        fn assert_send<T: Send>() {}
+        assert_send::<PlacementEngine>();
+        assert_send::<Scratch>();
+    }
 
     fn costs(n: usize) -> Vec<f64> {
         (0..n).map(|i| 1.0 + (i % 7) as f64 * 0.5).collect()

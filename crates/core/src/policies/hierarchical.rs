@@ -28,21 +28,16 @@
 //! With `num_shards <= 1` the policy delegates verbatim to [`Lpt`], so the
 //! flat engine remains the bitwise oracle (pinned by the cross-validation
 //! property tests). All scratch lives in policy-owned pools behind a
-//! `RefCell`, so steady-state rebalances allocate nothing (proved in
-//! `crates/core/tests/zero_alloc_sharded.rs`).
-
-// Legacy single-threaded module: stage-1 scratch uses `Cell`-free interior
-// state but the trace handle plumbing is `Rc`-based. Stage 2's pool tasks
-// touch only `Send` data (`Disjoint` slices + per-node pools), so the
-// workspace-wide `disallowed_types` thread-safety guard is waived here.
-#![allow(clippy::disallowed_types)]
+//! `Mutex`, so steady-state rebalances allocate nothing (proved in
+//! `crates/core/tests/zero_alloc_sharded.rs`) and the policy is
+//! `Send + Sync`.
 
 use super::lpt::{lpt_heap, Lpt, Slot};
 use super::PlacementPolicy;
 use crate::engine::{PlacementCtx, PlacementError, PlacementReport};
 use crate::placement::Placement;
 use amr_mesh::pool::{Disjoint, WorkerPool};
-use std::cell::RefCell;
+use std::sync::{Mutex, PoisonError};
 
 /// Per-node stage-2 scratch: warm block order + heap storage.
 #[derive(Debug, Default)]
@@ -81,7 +76,7 @@ struct Pools {
 pub struct Hierarchical {
     num_shards: usize,
     ranks_per_node: usize,
-    pools: RefCell<Pools>,
+    pools: Mutex<Pools>,
     /// Worker pool stage 2 runs on, one task per node (a one-thread pool
     /// runs them inline, in node order).
     exec: WorkerPool,
@@ -96,7 +91,7 @@ impl Hierarchical {
         Hierarchical {
             num_shards,
             ranks_per_node,
-            pools: RefCell::new(Pools::default()),
+            pools: Mutex::new(Pools::default()),
             exec: WorkerPool::new(1),
         }
     }
@@ -234,7 +229,9 @@ impl PlacementPolicy for Hierarchical {
 
         let num_shards = self.num_shards;
         let nodes = r.div_ceil(self.ranks_per_node);
-        let mut pools = self.pools.borrow_mut();
+        // Poison-tolerant: every buffer is rebuilt per call except the warm
+        // per-node orders, which an interrupted sort leaves a permutation.
+        let mut pools = self.pools.lock().unwrap_or_else(PoisonError::into_inner);
         let pools = &mut *pools;
 
         // Shard spans: contiguous count-balanced SFC ranges, the placement
@@ -328,6 +325,12 @@ impl PlacementPolicy for Hierarchical {
 mod tests {
     use super::super::test_util::random_costs;
     use super::*;
+
+    #[test]
+    fn hierarchical_is_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Hierarchical>();
+    }
 
     #[test]
     fn single_shard_matches_lpt_bitwise() {

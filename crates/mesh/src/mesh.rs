@@ -374,16 +374,16 @@ impl AmrMesh {
         {
             graph.patch(&self.tree, &self.blocks, &self.keys, d, scratch);
             if let Some(t) = &self.trace {
-                t.metrics.incr(TraceCounter::GraphPatches, 1);
+                t.incr(TraceCounter::GraphPatches, 1);
             }
             true
         } else {
             *graph = self.neighbor_graph();
             if let Some(t) = &self.trace {
-                t.metrics.incr(TraceCounter::GraphFullBuilds, 1);
+                t.incr(TraceCounter::GraphFullBuilds, 1);
                 // Distinct from GraphFullBuilds so callers can tell "the
                 // patch entry point gave up" apart from intentional builds.
-                t.metrics.incr(TraceCounter::GraphPatchFallbacks, 1);
+                t.incr(TraceCounter::GraphPatchFallbacks, 1);
             }
             false
         }
@@ -402,7 +402,7 @@ impl AmrMesh {
     where
         F: Fn(&MeshBlock) -> RefineTag,
     {
-        // Cheap Rc bump (no allocation) so the span guard doesn't hold a
+        // Cheap `Arc` bump (no allocation) so the span guard doesn't hold a
         // borrow of `self` across the mutations below.
         let trace = self.trace.clone();
         let _span = trace.as_ref().map(|t| t.span(TracePhase::Remesh));
@@ -464,13 +464,12 @@ impl AmrMesh {
         }
         self.delta.blocks_after = self.blocks.len();
         if let Some(t) = &trace {
-            t.metrics.incr(TraceCounter::Adapts, 1);
+            t.incr(TraceCounter::Adapts, 1);
             if refined == 0 && coarsened == 0 {
-                t.metrics.incr(TraceCounter::NoopAdapts, 1);
+                t.incr(TraceCounter::NoopAdapts, 1);
             }
-            t.metrics.incr(TraceCounter::BlocksRefined, refined as u64);
-            t.metrics
-                .incr(TraceCounter::BlocksCoarsened, coarsened as u64);
+            t.incr(TraceCounter::BlocksRefined, refined as u64);
+            t.incr(TraceCounter::BlocksCoarsened, coarsened as u64);
         }
         &self.delta
     }
@@ -757,6 +756,12 @@ mod tests {
     }
 
     #[test]
+    fn mesh_is_send() {
+        fn assert_send<T: Send>() {}
+        assert_send::<AmrMesh>();
+    }
+
+    #[test]
     fn patch_fallback_is_reported_via_trace_counter() {
         use amr_telemetry::trace::Counter as TC;
         let mut m = AmrMesh::new(cfg(2, 3));
@@ -773,14 +778,14 @@ mod tests {
             }
         });
         assert!(m.patch_neighbor_graph(&mut graph, &mut scratch));
-        assert_eq!(handle.metrics.counter(TC::GraphPatches), 1);
-        assert_eq!(handle.metrics.counter(TC::GraphPatchFallbacks), 0);
+        assert_eq!(handle.metrics().counter(TC::GraphPatches), 1);
+        assert_eq!(handle.metrics().counter(TC::GraphPatchFallbacks), 0);
         // Invalidate the stored delta: the entry point must degrade to a
         // full rebuild — and say so, distinctly from intentional builds.
         m.force_full_rebuild();
         assert!(!m.patch_neighbor_graph(&mut graph, &mut scratch));
-        assert_eq!(handle.metrics.counter(TC::GraphPatchFallbacks), 1);
-        assert_eq!(handle.metrics.counter(TC::GraphFullBuilds), 1);
+        assert_eq!(handle.metrics().counter(TC::GraphPatchFallbacks), 1);
+        assert_eq!(handle.metrics().counter(TC::GraphFullBuilds), 1);
         assert_eq!(graph, m.neighbor_graph());
     }
 

@@ -31,6 +31,12 @@
 //! pool make batch service bitwise identical to serial service at any
 //! thread count (pinned by unit tests here and a property test against
 //! direct `MacroSim`/engine calls in `tests/`).
+//!
+//! Sessions are `Send` by construction — mesh, engine, simulator and policy
+//! all are, trace handle included — so they cross to pool workers as plain
+//! `Option<Session>` slots and the crate forbids `unsafe` outright.
+
+#![forbid(unsafe_code)]
 
 use amr_core::engine::{MeshFingerprint, PlacementEngine};
 use amr_core::policies::PlacementPolicy;
@@ -389,20 +395,6 @@ impl Session {
     }
 }
 
-/// One session slot, nullable so closed slots are reused.
-///
-/// `Session` is not auto-`Send`: `PlacementEngine` and `MacroSim` carry an
-/// `Option<TraceHandle>` (`Rc`-based) field even though the service never
-/// attaches one.
-struct Slot(Option<Session>);
-
-// SAFETY: the service constructs every engine and simulator itself and
-// never calls `set_trace`, so no slot holds a live `Rc`/`RefCell` shared
-// outside it; `WorkerPool::run_order` hands each slot to exactly one worker
-// per dispatch (distinctness asserted there), and between dispatches slots
-// are touched only by the owning `Service` thread.
-unsafe impl Send for Slot {}
-
 /// LRU of warm engines keyed by mesh fingerprint. Small by design (tens of
 /// entries): a linear scan of a `Vec` beats a hash map at this size and
 /// keeps eviction order trivial — oldest entry at the front, most recently
@@ -445,7 +437,8 @@ impl EngineCache {
 /// The session server. See the crate docs for the architecture.
 pub struct Service {
     pool: WorkerPool,
-    slots: Vec<Slot>,
+    /// One slot per session id, nullable so closed slots are reused.
+    slots: Vec<Option<Session>>,
     cache: EngineCache,
     /// Drain-order scratch, reused across batches.
     order: Vec<usize>,
@@ -501,13 +494,13 @@ impl Service {
             placed_fp,
         };
         self.stats.sessions_opened += 1;
-        match self.slots.iter().position(|s| s.0.is_none()) {
+        match self.slots.iter().position(Option::is_none) {
             Some(i) => {
-                self.slots[i].0 = Some(session);
+                self.slots[i] = Some(session);
                 SessionId(i)
             }
             None => {
-                self.slots.push(Slot(Some(session)));
+                self.slots.push(Some(session));
                 SessionId(self.slots.len() - 1)
             }
         }
@@ -518,7 +511,7 @@ impl Service {
     /// the LRU for the next same-shaped tenant.
     pub fn close_session(&mut self, id: SessionId) {
         let slot = self.slots.get_mut(id.0).expect("invalid session id");
-        let session = slot.0.take().expect("session already closed");
+        let session = slot.take().expect("session already closed");
         self.stats.sessions_closed += 1;
         if let (Some(fp), true) = (session.placed_fp, session.engine.placement().is_some()) {
             let mut engine = session.engine;
@@ -530,7 +523,7 @@ impl Service {
     /// Queue a request on an open session (FIFO within the session).
     pub fn submit(&mut self, id: SessionId, req: Request) {
         let slot = self.slots.get_mut(id.0).expect("invalid session id");
-        let session = slot.0.as_mut().expect("session closed");
+        let session = slot.as_mut().expect("session closed");
         session.queue.push_back(req);
     }
 
@@ -542,11 +535,9 @@ impl Service {
         self.order.clear();
         let mut served = 0usize;
         for (i, slot) in self.slots.iter().enumerate() {
-            if let Some(session) = slot.0.as_ref() {
-                if !session.queue.is_empty() {
-                    self.order.push(i);
-                    served += session.queue.len();
-                }
+            if let Some(session) = slot.as_ref().filter(|s| !s.queue.is_empty()) {
+                self.order.push(i);
+                served += session.queue.len();
             }
         }
         if self.order.is_empty() {
@@ -554,13 +545,13 @@ impl Service {
         }
         let slots = &self.slots;
         self.order.sort_unstable_by(|&a, &b| {
-            let qa = slots[a].0.as_ref().map_or(0, |s| s.queue.len());
-            let qb = slots[b].0.as_ref().map_or(0, |s| s.queue.len());
+            let qa = slots[a].as_ref().map_or(0, |s| s.queue.len());
+            let qb = slots[b].as_ref().map_or(0, |s| s.queue.len());
             qb.cmp(&qa).then(a.cmp(&b))
         });
         self.pool
             .run_order(&self.order, &mut self.slots, |_, slot| {
-                if let Some(session) = slot.0.as_mut() {
+                if let Some(session) = slot {
                     session.process_queue();
                 }
             });
@@ -571,15 +562,12 @@ impl Service {
 
     /// Responses logged so far for `id`, in request order.
     pub fn responses(&self, id: SessionId) -> &[Response] {
-        self.slots[id.0]
-            .0
-            .as_ref()
-            .map_or(&[], |s| &s.responses[..])
+        self.slots[id.0].as_ref().map_or(&[], |s| &s.responses[..])
     }
 
     /// Forget `id`'s logged responses and latencies (keeps capacity).
     pub fn clear_responses(&mut self, id: SessionId) {
-        if let Some(s) = self.slots[id.0].0.as_mut() {
+        if let Some(s) = self.slots[id.0].as_mut() {
             s.responses.clear();
             s.latencies_ns.clear();
         }
@@ -587,20 +575,17 @@ impl Service {
 
     /// The session's current placement, if it has rebalanced.
     pub fn session_placement(&self, id: SessionId) -> Option<&Placement> {
-        self.slots[id.0].0.as_ref()?.engine.placement()
+        self.slots[id.0].as_ref()?.engine.placement()
     }
 
     /// Current block count of the session's mesh epoch.
     pub fn session_blocks(&self, id: SessionId) -> usize {
-        self.slots[id.0]
-            .0
-            .as_ref()
-            .map_or(0, |s| s.mesh.num_blocks())
+        self.slots[id.0].as_ref().map_or(0, |s| s.mesh.num_blocks())
     }
 
     /// Raw fingerprint of the session's current epoch (test plumbing).
     pub fn session_fingerprint(&self, id: SessionId) -> Option<u64> {
-        Some(self.slots[id.0].0.as_ref()?.fingerprint.raw())
+        Some(self.slots[id.0].as_ref()?.fingerprint.raw())
     }
 
     /// Whether the warm-engine LRU currently holds `raw` (test plumbing).
@@ -616,11 +601,9 @@ impl Service {
     /// Drain every session's recorded per-request wall latencies into
     /// `out` (appended; session buffers keep their capacity).
     pub fn take_latencies(&mut self, out: &mut Vec<u64>) {
-        for slot in &mut self.slots {
-            if let Some(s) = slot.0.as_mut() {
-                out.extend_from_slice(&s.latencies_ns);
-                s.latencies_ns.clear();
-            }
+        for s in self.slots.iter_mut().flatten() {
+            out.extend_from_slice(&s.latencies_ns);
+            s.latencies_ns.clear();
         }
     }
 

@@ -1,5 +1,5 @@
 use super::*;
-use amr_core::policies::{Cplx, Lpt};
+use amr_core::policies::{Cplx, Hierarchical, Lpt};
 use amr_workloads::random_refined_mesh;
 
 fn mesh(seed: u64) -> AmrMesh {
@@ -11,6 +11,22 @@ fn mesh(seed: u64) -> AmrMesh {
 
 fn spec(num_ranks: usize) -> SessionSpec {
     SessionSpec::tuned(num_ranks, Box::new(Lpt))
+}
+
+/// Sessions cross to pool workers because every field is `Send` by
+/// construction — no wrapper, no `unsafe impl` — and the pooled
+/// `Hierarchical` policy qualifies as a session policy.
+#[test]
+fn service_is_send_and_hierarchical_is_a_session_policy() {
+    fn assert_send<T: Send>() {}
+    assert_send::<Service>();
+    assert_send::<Session>();
+    let mut svc = Service::new(ServiceConfig::default());
+    let policy: BoxedPolicy = Box::new(Hierarchical::new(2, 4));
+    let id = svc.open_session(mesh(3), SessionSpec::tuned(8, policy));
+    svc.submit(id, Request::Rebalance);
+    assert_eq!(svc.drain(), 1);
+    assert!(matches!(svc.responses(id)[0], Response::Rebalanced { .. }));
 }
 
 #[test]

@@ -43,7 +43,7 @@ use amr_mesh::{
 };
 use amr_telemetry::anomaly::{OnlineDetectorConfig, OnlineThrottleDetector};
 use amr_telemetry::trace::{
-    Counter as TraceCounter, Gauge as TraceGauge, MetricsRegistry, TraceHandle, TracePhase,
+    Counter as TraceCounter, Gauge as TraceGauge, Metrics, TraceHandle, TracePhase,
 };
 use amr_telemetry::{Collector, EventTable, Phase};
 use rand::rngs::StdRng;
@@ -481,13 +481,13 @@ pub struct MacroSim {
     /// `config.observe_exchange_bytes`); owned by the simulator so its
     /// buffers stay warm across runs.
     ledger: crate::ledger::ExchangeByteLedger,
-    /// The always-on feedback plane: the same metrics registry shape the
-    /// trace pipeline uses, but owned by the simulator and updated every
-    /// step whether or not tracing is attached. The rebalance trigger reads
+    /// The always-on feedback plane: the same [`Metrics`] shape the trace
+    /// pipeline uses, but owned by the simulator (plain data, no lock) and
+    /// updated every step whether or not tracing is attached. The rebalance trigger reads
     /// its sync-fraction gauge, and [`CollectiveSelect::Adaptive`] reads the
     /// gauge plus the per-phase histograms — control decisions consume the
     /// run's *measured* signals, not the cost model's estimates.
-    feedback: MetricsRegistry,
+    feedback: Metrics,
 }
 
 impl MacroSim {
@@ -515,14 +515,14 @@ impl MacroSim {
             trace: None,
             pool: WorkerPool::new(config.threads),
             ledger: crate::ledger::ExchangeByteLedger::default(),
-            feedback: MetricsRegistry::new(),
+            feedback: Metrics::default(),
             config,
         })
     }
 
-    /// The live feedback registry (sync-fraction gauge, per-phase
+    /// The live feedback metrics (sync-fraction gauge, per-phase
     /// histograms). Meaningful after (or during) a run; reset at run start.
-    pub fn feedback(&self) -> &MetricsRegistry {
+    pub fn feedback(&self) -> &Metrics {
         &self.feedback
     }
 
@@ -574,8 +574,8 @@ impl MacroSim {
         for step in 0..run.report.steps {
             run.collector.begin_step(step as u32);
             if let Some(t) = &self.trace {
-                t.sink.set_step(step as u32);
-                t.metrics.incr(TraceCounter::Steps, 1);
+                t.set_step(step as u32);
+                t.incr(TraceCounter::Steps, 1);
             }
             let ws = workload.advance(step);
             if ws.mesh_changed {
@@ -602,8 +602,8 @@ impl MacroSim {
         let cfg = &self.config;
         let r = cfg.topology.num_ranks;
         let mut collector = Collector::with_sampling(cfg.telemetry_sampling);
-        // The registry is owned by the simulator so its histogram buffers
-        // stay warm across runs.
+        // The feedback metrics are owned by the simulator so their histogram
+        // buffers stay warm across runs.
         self.feedback.reset();
         let detector = (cfg.fault_response != FaultResponse::Oblivious).then(|| {
             collector.track_step_compute(r);
@@ -630,7 +630,7 @@ impl MacroSim {
             self.ledger.begin_run(g);
         }
         if let Some(t) = &self.trace {
-            t.metrics.set(TraceGauge::Ranks, r as f64);
+            t.set(TraceGauge::Ranks, r as f64);
         }
         let mut run = Run {
             report: RunReport {
@@ -705,10 +705,10 @@ impl MacroSim {
                 };
                 if let Some(t) = &self.trace {
                     if patched {
-                        t.metrics.incr(TraceCounter::GraphPatches, 1);
+                        t.incr(TraceCounter::GraphPatches, 1);
                     } else {
-                        t.metrics.incr(TraceCounter::GraphFullBuilds, 1);
-                        t.metrics.incr(TraceCounter::GraphPatchFallbacks, 1);
+                        t.incr(TraceCounter::GraphFullBuilds, 1);
+                        t.incr(TraceCounter::GraphPatchFallbacks, 1);
                     }
                 }
                 // Remeshing republishes ghost-block metadata across every
@@ -848,10 +848,9 @@ impl MacroSim {
         match &self.trace {
             Some(t) => {
                 let tasks = self.pool.tasks_for(self.config.topology.num_ranks);
-                t.sink.ensure_lanes(tasks, par::LANE_SPAN_CAPACITY);
-                let step = t.sink.step();
-                t.sink
-                    .with_lanes_mut(|lanes| fill.run(&mut run.epoch, Some((lanes, step))));
+                t.ensure_lanes(tasks, par::LANE_SPAN_CAPACITY);
+                let step = t.step();
+                t.with_lanes_mut(|lanes| fill.run(&mut run.epoch, Some((lanes, step))));
             }
             None => fill.run(&mut run.epoch, None),
         }
@@ -953,7 +952,7 @@ impl MacroSim {
             CollectiveSelect::Fixed(a) => a,
             CollectiveSelect::Adaptive
                 if self.feedback.gauge(TraceGauge::SyncFraction) > ADAPTIVE_SYNC_THRESHOLD
-                    && self.feedback.phase_count(TracePhase::Collective) > 0 =>
+                    && self.feedback.phase(TracePhase::Collective).count() > 0 =>
             {
                 collectives::cheapest_algo(
                     cfg.topology.num_ranks,
@@ -982,7 +981,7 @@ impl MacroSim {
                 (run.report.total_ns as u64).saturating_add(last_arrival),
                 completion_ns.saturating_sub(last_arrival),
             );
-            t.metrics.incr(TraceCounter::Collectives, 1);
+            t.incr(TraceCounter::Collectives, 1);
         }
         completion_ns
     }
@@ -1061,9 +1060,9 @@ impl MacroSim {
                 mean_comm,
             );
             if let Some(sf) = sync_fraction {
-                t.metrics.set(TraceGauge::SyncFraction, sf);
+                t.set(TraceGauge::SyncFraction, sf);
             }
-            t.metrics.set(TraceGauge::Blocks, mesh_blocks as f64);
+            t.set(TraceGauge::Blocks, mesh_blocks as f64);
         }
         run.report.total_ns += completion_ns as f64 + run.redist.per_rank_ns;
         run.redist = Redist::default();
@@ -1136,7 +1135,7 @@ impl MacroSim {
         run.report.capacity_updates += 1;
         run.force_rebalance = true;
         if let Some(t) = &self.trace {
-            t.metrics.incr(TraceCounter::CapacityUpdates, 1);
+            t.incr(TraceCounter::CapacityUpdates, 1);
         }
     }
 
@@ -1144,14 +1143,11 @@ impl MacroSim {
     fn finish_run(&self, run: Run, mesh: &AmrMesh) -> RunReport {
         let mut report = run.report;
         if let Some(t) = &self.trace {
-            t.metrics
-                .incr(TraceCounter::NodesPruned, report.nodes_pruned);
+            t.incr(TraceCounter::NodesPruned, report.nodes_pruned);
             if self.config.observe_exchange_bytes {
-                t.metrics
-                    .incr(TraceCounter::LedgerFlushes, self.ledger.flushes());
-                t.metrics
-                    .incr(TraceCounter::LedgerRemaps, self.ledger.remaps());
-                t.metrics.incr(
+                t.incr(TraceCounter::LedgerFlushes, self.ledger.flushes());
+                t.incr(TraceCounter::LedgerRemaps, self.ledger.remaps());
+                t.incr(
                     TraceCounter::LedgerObservedBytes,
                     self.ledger.observed_total(),
                 );
@@ -1187,6 +1183,12 @@ mod tests {
     use super::*;
     use amr_core::policies::{Baseline, Lpt};
     use amr_mesh::{Dim, MeshConfig, RefineTag};
+
+    #[test]
+    fn macrosim_is_send() {
+        fn assert_send<T: Send>() {}
+        assert_send::<MacroSim>();
+    }
 
     /// Minimal synthetic workload: static mesh, fixed skewed costs.
     pub(super) struct StaticWorkload {
@@ -1613,8 +1615,8 @@ mod knob_tests {
     }
 
     /// Tracing observes without perturbing, and the artifacts are populated:
-    /// same virtual phases bit-for-bit, spans in the sink, counters and the
-    /// sync-fraction gauge live in the registry.
+    /// same virtual phases bit-for-bit, spans in the snapshot, counters and
+    /// the sync-fraction gauge live in the metrics.
     #[test]
     fn traced_run_matches_untraced_and_fills_artifacts() {
         use amr_core::policies::Lpt;
@@ -1636,16 +1638,17 @@ mod knob_tests {
             base.phases.comm_ns.to_bits()
         );
         assert_eq!(traced.total_ns.to_bits(), base.total_ns.to_bits());
-        assert_eq!(handle.metrics.counter(TraceCounter::Steps), 10);
-        assert_eq!(handle.metrics.counter(TraceCounter::Collectives), 10);
+        let metrics = handle.metrics();
+        assert_eq!(metrics.counter(TraceCounter::Steps), 10);
+        assert_eq!(metrics.counter(TraceCounter::Collectives), 10);
         // Static mesh + OnMeshChange trigger: only the initial placement.
         assert_eq!(
-            handle.metrics.counter(TraceCounter::Rebalances),
+            metrics.counter(TraceCounter::Rebalances),
             traced.lb_invocations + 1
         );
-        let sf = handle.metrics.gauge(TraceGauge::SyncFraction);
+        let sf = metrics.gauge(TraceGauge::SyncFraction);
         assert!((0.0..1.0).contains(&sf), "sync fraction {sf}");
-        let spans = handle.sink.snapshot();
+        let spans = handle.snapshot();
         assert!(spans.iter().any(|s| s.phase == TracePhase::Collective));
         assert!(spans.iter().any(|s| s.phase == TracePhase::Exchange));
         assert!(spans.iter().any(|s| s.phase == TracePhase::Place));
@@ -1734,7 +1737,7 @@ mod knob_tests {
     }
 
     /// Worker lanes observe epoch fills without perturbing them: a traced
-    /// run matches the untraced one bit for bit, and the sink's snapshot
+    /// run matches the untraced one bit for bit, and the handle's snapshot
     /// carries one host-track `Exchange` span per fill task — one rule at
     /// every thread count, the single-task schedule included.
     #[test]
@@ -1762,9 +1765,8 @@ mod knob_tests {
             );
             // One lane per fill task, each with one span per epoch fill (the
             // static run fills once, after the initial placement).
-            assert_eq!(handle.sink.lane_count(), threads);
+            assert_eq!(handle.lane_count(), threads);
             let fills = handle
-                .sink
                 .snapshot()
                 .iter()
                 .filter(|s| {

@@ -23,10 +23,9 @@
 //! being evaluated per neighbor.
 //!
 //! The kernels receive only plain-data views (`Topology`, `NetworkConfig`,
-//! `Placement`, `GraphView`) — never `&AmrMesh`, which holds an `Rc`-based
-//! trace handle and is not `Sync`. This module is policed by the workspace
-//! `disallowed_types` clippy guard: no `Rc`, `RefCell`, or `Cell`; shared
-//! mutable state crosses the dispatch boundary only through
+//! `Placement`, `GraphView`), never `&AmrMesh`. This module is policed by
+//! the workspace `disallowed_types` clippy guard: no `Rc`, `RefCell`, or
+//! `Cell`; shared mutable state crosses the dispatch boundary only through
 //! [`Disjoint`](amr_mesh::pool::Disjoint) range ownership.
 
 use crate::macrosim::{CommEpoch, ResidentGraph, SimConfig};
@@ -168,9 +167,9 @@ impl EpochFill<'_> {
             let lo = if SOLE { 0 } else { start };
             let owns = |rank: usize| SOLE || (rank >= lo && rank < hi);
             // SAFETY: lanes are indexed by the task id, one task each.
-            let _span = lanes.as_ref().map(|(l, step)| {
+            let lane = lanes.as_ref().map(|(l, step)| {
                 let lane = unsafe { &mut l.slice(t, t + 1)[0] };
-                lane.span(TracePhase::Exchange, *step)
+                (lane.now_ns(), lane, *step)
             });
             // SAFETY: `task_range` tiles `0..r`, so the tasks' rank ranges
             // [lo, hi) are pairwise disjoint; every slice below is indexed
@@ -270,6 +269,9 @@ impl EpochFill<'_> {
                 *svc += network.shm_contention_ns(arrivals) as f64;
                 from.sort_unstable();
                 from.dedup();
+            }
+            if let Some((start_ns, lane, step)) = lane {
+                lane.record_since(TracePhase::Exchange, step, start_ns);
             }
         });
 

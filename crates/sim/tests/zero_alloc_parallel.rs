@@ -12,7 +12,7 @@
 //! point — an allocation on *any* pool thread shows up in the count.)
 
 use amr_mesh::pool::{task_range, Disjoint, WorkerPool};
-use amr_telemetry::trace::{TraceHandle, TracePhase};
+use amr_telemetry::trace::{Counter, TraceHandle, TracePhase};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -45,7 +45,8 @@ fn alloc_count() -> u64 {
 
 /// One warm parallel "epoch": every task accumulates into its owned slice of
 /// a shared buffer (the macrosim fill/compute pattern) and records one host
-/// span into its own lane (the traced-dispatch pattern).
+/// span into its own lane (the traced-dispatch pattern), while the owner
+/// keeps recording through the handle whose worker lanes are checked out.
 fn parallel_epoch(
     pool: &WorkerPool,
     trace: &TraceHandle,
@@ -56,18 +57,21 @@ fn parallel_epoch(
     let t_n = pool.threads();
     let r = buf.len();
     let out = Disjoint::new(buf);
-    trace.sink.set_step(step);
-    trace.sink.with_lanes_mut(|lanes| {
+    trace.set_step(step);
+    trace.with_lanes_mut(|lanes| {
         let lanes = Disjoint::new(lanes);
+        let _owner = trace.span(TracePhase::Place);
+        trace.incr(Counter::Steps, 1);
         pool.run_with(partials, |t, p| {
             let lane = unsafe { &mut lanes.slice(t, t + 1)[0] };
-            let _span = lane.span(TracePhase::Exchange, step);
+            let start_ns = lane.now_ns();
             let own = task_range(t, t_n, r);
             let chunk = unsafe { out.slice(own.start, own.end) };
             for (i, v) in own.zip(chunk) {
                 *v += i as f64 * 0.5 + step as f64;
                 *p += 1;
             }
+            lane.record_since(TracePhase::Exchange, step, start_ns);
         });
     });
 }
@@ -77,8 +81,8 @@ fn steady_state_parallel_dispatch_is_allocation_free() {
     let threads = 4;
     let pool = WorkerPool::new(threads);
     let trace = TraceHandle::new(64);
-    trace.sink.ensure_lanes(threads, 32);
-    assert_eq!(trace.sink.lane_count(), threads);
+    trace.ensure_lanes(threads, 32);
+    assert_eq!(trace.lane_count(), threads);
 
     let mut buf = vec![0.0f64; 257];
     let mut partials = vec![0u64; threads];
@@ -144,9 +148,10 @@ fn steady_state_parallel_dispatch_is_allocation_free() {
         assert_eq!(*v, per_step * rounds as f64 + steps_sum, "slot {i}");
     }
     assert_eq!(partials.iter().sum::<u64>() as usize, buf.len() * rounds);
-    trace.sink.with_lanes_mut(|lanes| {
+    trace.with_lanes_mut(|lanes| {
         for lane in lanes.iter() {
             assert!(lane.dropped() > 0, "lane {} never wrapped", lane.lane());
         }
     });
+    assert_eq!(trace.metrics().counter(Counter::Steps), rounds as u64);
 }

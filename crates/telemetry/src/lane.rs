@@ -1,34 +1,32 @@
-//! Per-worker trace lanes: the multi-thread half of the sharded trace sink.
+//! Span lanes: the one ring buffer behind [`TraceHandle`](crate::trace::TraceHandle).
 //!
-//! [`TraceSink`](crate::trace::TraceSink) is deliberately single-threaded
-//! (`Rc`/`Cell`, no atomics on the record path). Parallel phases instead
-//! record into [`WorkerLane`]s — plain-`&mut` ring buffers, one per worker,
-//! distributed to tasks by the owning thread for the duration of a parallel
-//! region and merged back into every sink snapshot/export. A lane is `Send`
-//! (no interior mutability at all: this module is policed by the
-//! `disallowed_types` clippy guard), its ring is pre-allocated once, and
-//! recording into a warm lane allocates nothing — the same zero-alloc
-//! steady-state guarantee the main ring gives, per worker.
+//! A [`WorkerLane`] is a plain-`&mut` ring of [`SpanRecord`]s with no
+//! interior mutability at all, so it is `Send`, its ring is pre-allocated
+//! once, and recording into a warm lane allocates nothing. The handle keeps
+//! lane 0 (the owner's) behind its lock and records into it one span at a
+//! time; lanes `1..` are checked out of the handle for the duration of a
+//! parallel region, handed to the tasks one each — workers record lock-free
+//! — and merged back into every snapshot/export afterwards.
 //!
-//! Lanes only ever hold **host-track** spans (wall-clock observations of
-//! worker activity). Virtual time and metric counters stay on the owning
-//! thread, which is what keeps traced parallel runs bit-identical to serial
+//! Worker lanes only ever hold **host-track** spans (wall-clock observations
+//! of worker activity). Virtual time and metric counters stay with the
+//! owner, which is what keeps traced parallel runs bit-identical to serial
 //! ones: lanes observe, they never feed anything back into the simulation.
 
 use crate::trace::{SpanRecord, TracePhase, Track};
 use std::time::Instant;
 
-/// One worker's span ring. Created and merged by
-/// [`TraceSink::ensure_lanes`](crate::trace::TraceSink::ensure_lanes) /
-/// [`snapshot_into`](crate::trace::TraceSink::snapshot_into); handed to a
+/// One lane's span ring. Created and merged by
+/// [`TraceHandle::ensure_lanes`](crate::trace::TraceHandle::ensure_lanes) /
+/// [`snapshot_into`](crate::trace::TraceHandle::snapshot_into); handed to a
 /// worker task as `&mut WorkerLane` while a parallel region runs.
 #[derive(Debug)]
 pub struct WorkerLane {
-    /// Lane id stamped on records; the owning sink's main thread is lane 0,
-    /// worker lanes start at 1.
+    /// Lane id stamped on records; the handle's owner lane is 0, worker
+    /// lanes start at 1.
     lane: u16,
-    /// Copy of the owning sink's epoch so host timestamps from every lane
-    /// share one clock origin.
+    /// Copy of the handle's epoch so host timestamps from every lane share
+    /// one clock origin.
     epoch: Instant,
     buf: Vec<SpanRecord>,
     head: usize,
@@ -67,26 +65,20 @@ impl WorkerLane {
         self.len == 0
     }
 
-    /// Ring capacity.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Spans overwritten because the ring was full.
     #[inline]
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
 
-    /// Nanoseconds since the owning sink's epoch.
+    /// Nanoseconds since the handle's epoch.
     #[inline]
     pub fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
 
     /// Record a completed span. Never allocates.
-    pub fn push(&mut self, rec: SpanRecord) {
+    pub(crate) fn push(&mut self, rec: SpanRecord) {
         let cap = self.buf.len();
         if cap == 0 {
             self.dropped += 1;
@@ -115,15 +107,11 @@ impl WorkerLane {
         });
     }
 
-    /// Open a host span on this lane; records itself when dropped.
-    pub fn span(&mut self, phase: TracePhase, step: u32) -> LaneSpan<'_> {
-        let start_ns = self.now_ns();
-        LaneSpan {
-            lane: self,
-            phase,
-            step,
-            start_ns,
-        }
+    /// Record the host-track span that began at `start_ns` (a
+    /// [`now_ns`](Self::now_ns) reading) and ends now.
+    pub fn record_since(&mut self, phase: TracePhase, step: u32, start_ns: u64) {
+        let dur_ns = self.now_ns().saturating_sub(start_ns);
+        self.record_host(phase, step, start_ns, dur_ns);
     }
 
     /// Discard all spans (capacity kept).
@@ -139,24 +127,6 @@ impl WorkerLane {
         for i in 0..self.len {
             out.push(self.buf[(self.head + i) % cap]);
         }
-    }
-}
-
-/// RAII guard from [`WorkerLane::span`].
-#[must_use = "a span guard measures until dropped; binding it to `_` drops it immediately"]
-#[derive(Debug)]
-pub struct LaneSpan<'a> {
-    lane: &'a mut WorkerLane,
-    phase: TracePhase,
-    step: u32,
-    start_ns: u64,
-}
-
-impl Drop for LaneSpan<'_> {
-    fn drop(&mut self) {
-        let dur_ns = self.lane.now_ns().saturating_sub(self.start_ns);
-        self.lane
-            .record_host(self.phase, self.step, self.start_ns, dur_ns);
     }
 }
 
@@ -183,17 +153,18 @@ mod tests {
     }
 
     #[test]
-    fn lane_span_guard_records_on_drop() {
+    fn record_since_closes_a_span_at_now() {
         let mut lane = WorkerLane::with_capacity(1, Instant::now(), 8);
-        {
-            let _g = lane.span(TracePhase::Exchange, 9);
-        }
+        let start_ns = lane.now_ns();
+        lane.record_since(TracePhase::Exchange, 9, start_ns);
         let mut out = Vec::new();
         lane.snapshot_into(&mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].phase, TracePhase::Exchange);
         assert_eq!(out[0].step, 9);
         assert_eq!(out[0].lane, 1);
+        assert_eq!(out[0].start_ns, start_ns);
+        assert!(start_ns + out[0].dur_ns <= lane.now_ns());
     }
 
     #[test]

@@ -19,10 +19,13 @@
 //!   measure of telemetry reliability (Fig. 1a) — and
 //! * anomaly detectors ([`anomaly`]) for the cross-stack failure modes of
 //!   §IV: throttled node clusters, MPI_Wait spikes, variance regimes;
-//! * a structured span-tracing and metrics layer ([`trace`]) — pooled
-//!   ring-buffer spans over a fixed phase taxonomy with Chrome-trace and
+//! * a structured span-tracing and metrics layer ([`trace`]) — one `Send`
+//!   recorder ([`TraceHandle`]) over pooled ring-buffer span lanes
+//!   ([`lane`]) and a fixed phase taxonomy, with Chrome-trace and
 //!   flamegraph exporters, so phase attribution is auditable rather than
 //!   asserted.
+
+#![forbid(unsafe_code)]
 
 pub mod anomaly;
 pub mod chunked;
@@ -45,4 +48,4 @@ pub use lane::WorkerLane;
 pub use query::{Query, QuerySummary};
 pub use record::{EventRecord, Phase, NO_BLOCK};
 pub use table::EventTable;
-pub use trace::{MetricsRegistry, SpanRecord, TraceHandle, TracePhase, TraceSink};
+pub use trace::{Metrics, SpanRecord, TraceHandle, TracePhase};

@@ -7,21 +7,31 @@
 //! built-in per-region timers (Parthenon's kernel regions are the closest
 //! cousin); this module is the simulator-sized equivalent:
 //!
-//! * [`TraceSink`] — a pooled ring buffer of [`SpanRecord`]s with RAII span
-//!   guards over a fixed phase taxonomy ([`TracePhase`]). Steady-state
-//!   recording is allocation-free: the ring is sized once at construction
-//!   and old spans are overwritten, never reallocated (proved in this
-//!   crate's `zero_alloc` test like the placement engine and event arena
-//!   before it).
-//! * [`MetricsRegistry`] — fixed-slot counters and gauges plus a per-phase
-//!   [`LogHistogram`], all behind interior mutability so instrumented code
-//!   publishes through a shared handle without threading `&mut` everywhere.
-//! * [`TraceHandle`] — the cloneable bundle (`Rc<TraceSink>` +
-//!   `Rc<MetricsRegistry>`) that macrosim, the placement engine, and the
-//!   mesh adapt path each hold a copy of.
+//! * [`TraceHandle`] — the one recorder. A cloneable, `Send + Sync` handle
+//!   over plain data behind one mutex: the owner's span lane (a
+//!   [`WorkerLane`] with id 0), the worker lanes (ids `1..`), the step tag
+//!   and a [`Metrics`] block. Macrosim, the placement engine and the mesh
+//!   adapt path each hold a clone and publish into the same state.
+//! * [`Metrics`] — fixed-slot counters and gauges plus a per-phase
+//!   [`LogHistogram`]; plain data whose writers take `&mut self`. The
+//!   handle owns one; the simulator's always-on feedback plane owns another
+//!   with no lock at all.
+//! * [`TracedSpan`] — the RAII guard over the fixed phase taxonomy
+//!   ([`TracePhase`]): on drop it records the span and observes its
+//!   duration into the phase histogram under one lock.
 //! * Exporters to Chrome trace-event JSON ([`chrome_trace_json`], load in
 //!   `chrome://tracing` / Perfetto) and collapsed-stack format
 //!   ([`collapsed_stacks`], feed to `flamegraph.pl`).
+//!
+//! **Locking rule** (DESIGN.md §12). Every record takes the lock once, for a
+//! few stores, and never while caller code runs: a parallel region checks
+//! the worker lanes *out* of the state ([`TraceHandle::with_lanes_mut`]),
+//! hands each task its own `&mut WorkerLane` — workers record lock-free, the
+//! owner lane stays recordable meanwhile — and puts them back afterwards.
+//! The lock is poison-tolerant, so a recorder that panicked never turns
+//! later records into panics. Steady-state recording is allocation-free:
+//! rings are sized once and old spans are overwritten, never reallocated
+//! (proved in this crate's `zero_alloc` test).
 //!
 //! Spans carry a [`Track`]: `Host` spans are wall-clock measurements of the
 //! simulator's own work (placement, graph patching, remeshing); `Virtual`
@@ -29,18 +39,11 @@
 //! never perturbs — a traced run's virtual timeline is bit-identical to an
 //! untraced one (pinned by a property test in `tests/sim_properties.rs`).
 
-// Legacy single-threaded module: the sink/registry are deliberately
-// `Rc`/`Cell`-based (no atomics on the record path) and pinned to the owning
-// thread. Worker threads record into `lane::WorkerLane` (plain `&mut`, Send)
-// instead, so the workspace-wide `disallowed_types` guard is waived only
-// here, not in the parallel lane module.
-#![allow(clippy::disallowed_types)]
-
 use crate::histogram::LogHistogram;
 use crate::lane::WorkerLane;
-use std::cell::{Cell, RefCell};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Fixed phase taxonomy for spans and per-phase histograms. Fixed (rather
@@ -144,221 +147,6 @@ impl Default for SpanRecord {
             start_ns: 0,
             dur_ns: 0,
         }
-    }
-}
-
-/// Fixed-capacity span ring: slots are pre-filled at construction and
-/// overwritten oldest-first once full, so pushing never allocates.
-#[derive(Debug)]
-struct Ring {
-    buf: Vec<SpanRecord>,
-    /// Index of the oldest live record.
-    head: usize,
-    /// Number of live records (≤ `buf.len()`).
-    len: usize,
-}
-
-/// Pooled ring-buffer trace sink. All methods take `&self` (interior
-/// mutability) so a single sink can be shared — via [`TraceHandle`] — by the
-/// simulator, the placement engine, and the mesh without borrow gymnastics.
-///
-/// Not `Sync`: the sink's own record path is single-threaded by design and
-/// `Rc`/`Cell` keep it free of atomics. Parallel phases record through
-/// [`WorkerLane`]s instead — per-worker rings the owning thread checks out
-/// with [`TraceSink::with_lanes_mut`] for the duration of a parallel region
-/// and that every snapshot/export merges back in.
-#[derive(Debug)]
-pub struct TraceSink {
-    epoch: Instant,
-    step: Cell<u32>,
-    dropped: Cell<u64>,
-    ring: RefCell<Ring>,
-    /// Worker lanes (lane ids `1..`), created on demand by `ensure_lanes`.
-    lanes: RefCell<Vec<WorkerLane>>,
-}
-
-impl TraceSink {
-    /// Sink holding up to `capacity` spans; the oldest are overwritten once
-    /// full ([`TraceSink::dropped`] counts the overwrites — a silent-cap
-    /// guard for exporters).
-    pub fn with_capacity(capacity: usize) -> TraceSink {
-        TraceSink {
-            epoch: Instant::now(),
-            step: Cell::new(0),
-            dropped: Cell::new(0),
-            ring: RefCell::new(Ring {
-                buf: vec![SpanRecord::default(); capacity],
-                head: 0,
-                len: 0,
-            }),
-            lanes: RefCell::new(Vec::new()),
-        }
-    }
-
-    /// Make sure at least `workers` worker lanes exist, each with
-    /// `capacity` pre-allocated slots (lane ids `1..=workers`). Existing
-    /// lanes are kept as-is, so calling this every parallel region is free
-    /// after the first call — the steady state allocates nothing.
-    pub fn ensure_lanes(&self, workers: usize, capacity: usize) {
-        let mut lanes = self.lanes.borrow_mut();
-        while lanes.len() < workers {
-            let id = (lanes.len() + 1) as u16;
-            lanes.push(WorkerLane::with_capacity(id, self.epoch, capacity));
-        }
-    }
-
-    /// Number of worker lanes created so far.
-    pub fn lane_count(&self) -> usize {
-        self.lanes.borrow().len()
-    }
-
-    /// Borrow all worker lanes mutably for the duration of a parallel
-    /// region; the caller distributes one `&mut WorkerLane` to each task.
-    pub fn with_lanes_mut<R>(&self, f: impl FnOnce(&mut [WorkerLane]) -> R) -> R {
-        f(&mut self.lanes.borrow_mut())
-    }
-
-    /// Tag subsequent spans with `step` (called once per simulation step).
-    pub fn set_step(&self, step: u32) {
-        self.step.set(step);
-    }
-
-    /// Step tag currently applied to new spans.
-    pub fn step(&self) -> u32 {
-        self.step.get()
-    }
-
-    /// Live span count.
-    pub fn len(&self) -> usize {
-        self.ring.borrow().len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.ring.borrow().buf.len()
-    }
-
-    /// Spans overwritten because a ring was full (main ring + all lanes).
-    pub fn dropped(&self) -> u64 {
-        self.dropped.get() + self.lanes.borrow().iter().map(|l| l.dropped()).sum::<u64>()
-    }
-
-    /// Nanoseconds since the sink was created (host-span clock).
-    #[inline]
-    pub fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// Record a completed span directly (the guard path calls this on drop).
-    pub fn push(&self, rec: SpanRecord) {
-        let mut ring = self.ring.borrow_mut();
-        let cap = ring.buf.len();
-        if cap == 0 {
-            self.dropped.set(self.dropped.get() + 1);
-            return;
-        }
-        if ring.len < cap {
-            let at = (ring.head + ring.len) % cap;
-            ring.buf[at] = rec;
-            ring.len += 1;
-        } else {
-            let at = ring.head;
-            ring.buf[at] = rec;
-            ring.head = (ring.head + 1) % cap;
-            self.dropped.set(self.dropped.get() + 1);
-        }
-    }
-
-    /// Record a span in simulated virtual time.
-    pub fn record_virtual(&self, phase: TracePhase, start_ns: u64, dur_ns: u64) {
-        self.push(SpanRecord {
-            phase,
-            track: Track::Virtual,
-            step: self.step.get(),
-            lane: 0,
-            start_ns,
-            dur_ns,
-        });
-    }
-
-    /// Open a host wall-clock span; it records itself when dropped.
-    pub fn span(&self, phase: TracePhase) -> SpanGuard<'_> {
-        SpanGuard {
-            sink: self,
-            phase,
-            start_ns: self.now_ns(),
-        }
-    }
-
-    /// Copy live spans into `out` (cleared; capacity reused): the main ring
-    /// oldest-first, then each worker lane's spans oldest-first in lane
-    /// order. The merge is a deterministic function of ring contents —
-    /// records carry their lane id, so exporters can still split by worker.
-    pub fn snapshot_into(&self, out: &mut Vec<SpanRecord>) {
-        out.clear();
-        let ring = self.ring.borrow();
-        let cap = ring.buf.len();
-        for i in 0..ring.len {
-            out.push(ring.buf[(ring.head + i) % cap]);
-        }
-        for lane in self.lanes.borrow().iter() {
-            lane.snapshot_into(out);
-        }
-    }
-
-    /// Allocating convenience over [`TraceSink::snapshot_into`].
-    pub fn snapshot(&self) -> Vec<SpanRecord> {
-        let lanes: usize = self.lanes.borrow().iter().map(|l| l.len()).sum();
-        let mut out = Vec::with_capacity(self.len() + lanes);
-        self.snapshot_into(&mut out);
-        out
-    }
-
-    /// Discard all spans, main ring and lanes (capacity and epoch kept).
-    pub fn clear(&self) {
-        let mut ring = self.ring.borrow_mut();
-        ring.head = 0;
-        ring.len = 0;
-        self.dropped.set(0);
-        for lane in self.lanes.borrow_mut().iter_mut() {
-            lane.clear();
-        }
-    }
-}
-
-/// RAII guard for a host span: measures from creation to drop and pushes the
-/// record into the sink. Created via [`TraceSink::span`] /
-/// [`TraceHandle::span`].
-#[must_use = "a span guard measures until dropped; binding it to `_` drops it immediately"]
-#[derive(Debug)]
-pub struct SpanGuard<'a> {
-    sink: &'a TraceSink,
-    phase: TracePhase,
-    start_ns: u64,
-}
-
-impl SpanGuard<'_> {
-    /// Elapsed host time so far (the value recorded at drop).
-    pub fn elapsed_ns(&self) -> u64 {
-        self.sink.now_ns().saturating_sub(self.start_ns)
-    }
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        let dur_ns = self.elapsed_ns();
-        self.sink.push(SpanRecord {
-            phase: self.phase,
-            track: Track::Host,
-            step: self.sink.step(),
-            lane: 0,
-            start_ns: self.start_ns,
-            dur_ns,
-        });
     }
 }
 
@@ -484,93 +272,67 @@ impl Gauge {
     }
 }
 
-/// Fixed-slot metrics registry: counters, gauges, and a per-phase duration
-/// histogram. Everything is pre-allocated at construction; `incr`, `set` and
-/// `observe_phase_ns` are allocation-free (covered by the zero-alloc test).
-#[derive(Debug)]
-pub struct MetricsRegistry {
-    counters: [Cell<u64>; Counter::COUNT],
-    gauges: [Cell<f64>; Gauge::COUNT],
-    phase_ns: RefCell<Vec<LogHistogram>>,
+/// Fixed-slot metrics: counters, gauges, and a per-phase duration histogram.
+/// Plain data — writers take `&mut self`, so an owner needs no interior
+/// mutability (the simulator's feedback plane) and a shared one sits behind
+/// the [`TraceHandle`] lock. Everything is pre-allocated at construction;
+/// `incr`, `set` and `observe_phase_ns` are allocation-free (covered by the
+/// zero-alloc test).
+#[derive(Debug, Clone)]
+pub struct Metrics {
+    counters: [u64; Counter::COUNT],
+    gauges: [f64; Gauge::COUNT],
+    phase_ns: Vec<LogHistogram>,
 }
 
-impl Default for MetricsRegistry {
-    fn default() -> MetricsRegistry {
-        MetricsRegistry::new()
-    }
-}
-
-impl MetricsRegistry {
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry {
-            counters: std::array::from_fn(|_| Cell::new(0)),
-            gauges: std::array::from_fn(|_| Cell::new(0.0)),
-            phase_ns: RefCell::new(
-                (0..TracePhase::COUNT)
-                    .map(|_| LogHistogram::new(8))
-                    .collect(),
-            ),
+impl Default for Metrics {
+    fn default() -> Metrics {
+        Metrics {
+            counters: [0; Counter::COUNT],
+            gauges: [0.0; Gauge::COUNT],
+            phase_ns: vec![LogHistogram::new(8); TracePhase::COUNT],
         }
     }
+}
 
-    /// Add `by` to a counter.
-    pub fn incr(&self, c: Counter, by: u64) {
-        let cell = &self.counters[c as usize];
-        cell.set(cell.get().saturating_add(by));
+impl Metrics {
+    /// Add `by` to a counter (saturating).
+    pub fn incr(&mut self, c: Counter, by: u64) {
+        let slot = &mut self.counters[c as usize];
+        *slot = slot.saturating_add(by);
     }
 
     pub fn counter(&self, c: Counter) -> u64 {
-        self.counters[c as usize].get()
+        self.counters[c as usize]
     }
 
     /// Set a gauge to its latest value.
-    pub fn set(&self, g: Gauge, value: f64) {
-        self.gauges[g as usize].set(value);
+    pub fn set(&mut self, g: Gauge, value: f64) {
+        self.gauges[g as usize] = value;
     }
 
     pub fn gauge(&self, g: Gauge) -> f64 {
-        self.gauges[g as usize].get()
+        self.gauges[g as usize]
     }
 
     /// Record one duration into a phase's histogram.
-    pub fn observe_phase_ns(&self, phase: TracePhase, ns: u64) {
-        self.phase_ns.borrow_mut()[phase.index()].record(ns);
+    pub fn observe_phase_ns(&mut self, phase: TracePhase, ns: u64) {
+        self.phase_ns[phase.index()].record(ns);
     }
 
-    /// Run `f` against a phase's histogram (no copy).
-    pub fn with_phase<R>(&self, phase: TracePhase, f: impl FnOnce(&LogHistogram) -> R) -> R {
-        f(&self.phase_ns.borrow()[phase.index()])
-    }
-
-    /// Observations recorded for a phase so far. The adaptive control plane
-    /// uses this as its warm-up gate: zero means no history to decide from.
-    pub fn phase_count(&self, phase: TracePhase) -> u64 {
-        self.with_phase(phase, |h| h.count())
-    }
-
-    /// Quantile (`0.0..=1.0`) of a phase's recorded durations, in ns
-    /// (log-bucket upper bound; 0 when empty).
-    pub fn phase_quantile_ns(&self, phase: TracePhase, q: f64) -> u64 {
-        self.with_phase(phase, |h| h.quantile(q))
-    }
-
-    /// Largest duration recorded for a phase, in ns (0 when empty).
-    pub fn phase_max_ns(&self, phase: TracePhase) -> u64 {
-        self.with_phase(phase, |h| h.max())
+    /// A phase's duration histogram. The adaptive control plane gates on
+    /// its `count()`: zero means no history to decide from.
+    pub fn phase(&self, phase: TracePhase) -> &LogHistogram {
+        &self.phase_ns[phase.index()]
     }
 
     /// Zero every counter, gauge, and phase histogram in place (capacity
-    /// kept). The simulator's always-on feedback registry resets at the top
-    /// of each run so one run's pressure history can't leak into the next.
-    pub fn reset(&self) {
-        for c in &self.counters {
-            c.set(0);
-        }
-        for g in &self.gauges {
-            g.set(0.0);
-        }
-        let mut hists = self.phase_ns.borrow_mut();
-        for h in hists.iter_mut() {
+    /// kept). The simulator's always-on feedback plane resets at the top of
+    /// each run so one run's pressure history can't leak into the next.
+    pub fn reset(&mut self) {
+        self.counters = [0; Counter::COUNT];
+        self.gauges = [0.0; Gauge::COUNT];
+        for h in &mut self.phase_ns {
             h.reset();
         }
     }
@@ -588,9 +350,8 @@ impl MetricsRegistry {
             let _ = writeln!(out, "  {:<18} {:.4}", g.name(), self.gauge(g));
         }
         out.push_str("phase_ns (count min p50 max):\n");
-        let hists = self.phase_ns.borrow();
         for p in TracePhase::ALL {
-            let h = &hists[p.index()];
+            let h = self.phase(p);
             let _ = writeln!(
                 out,
                 "  {:<18} {} {} {} {}",
@@ -605,44 +366,183 @@ impl MetricsRegistry {
     }
 }
 
-/// The cloneable bundle instrumented components hold: one shared sink, one
-/// shared registry. Cloning is two `Rc` bumps — no allocation — so handing a
-/// copy to the engine, the mesh, and the simulator keeps them all publishing
-/// into the same artifacts.
+/// What the handle's lock guards: plain data only.
+#[derive(Debug)]
+struct State {
+    /// Step tag applied to new owner-lane spans.
+    step: u32,
+    /// The owner's lane (id 0): host spans from [`TracedSpan`] guards plus
+    /// the virtual-time spans.
+    owner: WorkerLane,
+    /// Worker lanes (ids `1..`), created on demand by `ensure_lanes`; empty
+    /// while a parallel region has them checked out.
+    lanes: Vec<WorkerLane>,
+    metrics: Metrics,
+}
+
+/// The cloneable recorder instrumented components hold. Cloning is one `Arc`
+/// bump — no allocation — so handing a copy to the engine, the mesh, the
+/// simulator or another thread keeps them all publishing into the same
+/// artifacts. See the module docs for the locking rule.
 #[derive(Debug, Clone)]
 pub struct TraceHandle {
-    pub sink: Rc<TraceSink>,
-    pub metrics: Rc<MetricsRegistry>,
+    /// Clock origin of every host span, outside the lock so timestamps
+    /// never contend.
+    epoch: Instant,
+    state: Arc<Mutex<State>>,
 }
 
 impl TraceHandle {
-    /// Handle with a fresh sink (ring of `span_capacity`) and registry.
+    /// Handle whose owner lane holds up to `span_capacity` spans; the oldest
+    /// are overwritten once full ([`TraceHandle::dropped`] counts the
+    /// overwrites — a silent-cap guard for exporters).
     pub fn new(span_capacity: usize) -> TraceHandle {
+        let epoch = Instant::now();
         TraceHandle {
-            sink: Rc::new(TraceSink::with_capacity(span_capacity)),
-            metrics: Rc::new(MetricsRegistry::new()),
+            epoch,
+            state: Arc::new(Mutex::new(State {
+                step: 0,
+                owner: WorkerLane::with_capacity(0, epoch, span_capacity),
+                lanes: Vec::new(),
+                metrics: Metrics::default(),
+            })),
         }
     }
 
-    /// Open a host span that, on drop, records into the sink *and* observes
-    /// its duration into the phase histogram.
+    /// Poison-tolerant lock: every update leaves `State` valid at every
+    /// step, so a panicked recorder must not turn later records into panics.
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Make sure at least `workers` worker lanes exist, each with
+    /// `capacity` pre-allocated slots (lane ids `1..=workers`). Existing
+    /// lanes are kept as-is, so calling this every parallel region is free
+    /// after the first call — the steady state allocates nothing.
+    pub fn ensure_lanes(&self, workers: usize, capacity: usize) {
+        let lanes = &mut self.state().lanes;
+        while lanes.len() < workers {
+            let id = (lanes.len() + 1) as u16;
+            lanes.push(WorkerLane::with_capacity(id, self.epoch, capacity));
+        }
+    }
+
+    /// Number of worker lanes created so far.
+    pub fn lane_count(&self) -> usize {
+        self.state().lanes.len()
+    }
+
+    /// Check all worker lanes out for the duration of a parallel region; the
+    /// caller distributes one `&mut WorkerLane` to each task. No lock is
+    /// held while `f` runs, so the owner lane and the metrics stay
+    /// recordable from inside it; the worker lanes are invisible to
+    /// snapshots until they are put back (a panic in `f` drops them, and
+    /// the next `ensure_lanes` recreates them).
+    pub fn with_lanes_mut<R>(&self, f: impl FnOnce(&mut [WorkerLane]) -> R) -> R {
+        let mut lanes = std::mem::take(&mut self.state().lanes);
+        let out = f(&mut lanes);
+        self.state().lanes = lanes;
+        out
+    }
+
+    /// Tag subsequent spans with `step` (called once per simulation step).
+    pub fn set_step(&self, step: u32) {
+        self.state().step = step;
+    }
+
+    /// Step tag currently applied to new spans.
+    pub fn step(&self) -> u32 {
+        self.state().step
+    }
+
+    /// Spans overwritten because a ring was full (owner lane + all worker
+    /// lanes).
+    pub fn dropped(&self) -> u64 {
+        let st = self.state();
+        st.owner.dropped() + st.lanes.iter().map(|l| l.dropped()).sum::<u64>()
+    }
+
+    /// Nanoseconds since the handle was created (host-span clock).
+    #[inline]
+    fn now_ns(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
+    }
+
+    /// Record one owner-lane span and observe it into the phase histogram.
+    fn record(&self, phase: TracePhase, track: Track, start_ns: u64, dur_ns: u64) {
+        let mut st = self.state();
+        let step = st.step;
+        st.owner.push(SpanRecord {
+            phase,
+            track,
+            step,
+            lane: 0,
+            start_ns,
+            dur_ns,
+        });
+        st.metrics.observe_phase_ns(phase, dur_ns);
+    }
+
+    /// Record a span in simulated virtual time.
+    pub fn record_virtual(&self, phase: TracePhase, start_ns: u64, dur_ns: u64) {
+        self.record(phase, Track::Virtual, start_ns, dur_ns);
+    }
+
+    /// Open a host wall-clock span; it records itself when dropped.
     pub fn span(&self, phase: TracePhase) -> TracedSpan<'_> {
         TracedSpan {
             handle: self,
             phase,
-            start_ns: self.sink.now_ns(),
+            start_ns: self.now_ns(),
         }
     }
 
-    /// Record a virtual-time span and observe it into the phase histogram.
-    pub fn record_virtual(&self, phase: TracePhase, start_ns: u64, dur_ns: u64) {
-        self.sink.record_virtual(phase, start_ns, dur_ns);
-        self.metrics.observe_phase_ns(phase, dur_ns);
+    /// Add `by` to a counter.
+    pub fn incr(&self, c: Counter, by: u64) {
+        self.state().metrics.incr(c, by);
+    }
+
+    /// Set a gauge to its latest value.
+    pub fn set(&self, g: Gauge, value: f64) {
+        self.state().metrics.set(g, value);
+    }
+
+    /// A consistent copy of the metrics (allocates; for reports and tests).
+    pub fn metrics(&self) -> Metrics {
+        self.state().metrics.clone()
+    }
+
+    /// Copy live spans into `out` (cleared; capacity reused): the owner lane
+    /// oldest-first, then each worker lane's spans oldest-first in lane
+    /// order. The merge is a deterministic function of ring contents —
+    /// records carry their lane id, so exporters can still split by worker.
+    pub fn snapshot_into(&self, out: &mut Vec<SpanRecord>) {
+        out.clear();
+        let st = self.state();
+        st.owner.snapshot_into(out);
+        for lane in &st.lanes {
+            lane.snapshot_into(out);
+        }
+    }
+
+    /// Allocating convenience over [`TraceHandle::snapshot_into`].
+    pub fn snapshot(&self) -> Vec<SpanRecord> {
+        let mut out = Vec::new();
+        self.snapshot_into(&mut out);
+        out
+    }
+
+    /// Discard all spans, owner lane and worker lanes (capacity, epoch and
+    /// metrics kept).
+    pub fn clear(&self) {
+        let mut st = self.state();
+        st.owner.clear();
+        st.lanes.iter_mut().for_each(WorkerLane::clear);
     }
 }
 
-/// RAII guard from [`TraceHandle::span`]: feeds both the sink and the
-/// per-phase histogram on drop.
+/// RAII guard from [`TraceHandle::span`]: measures from creation to drop,
+/// then feeds both the owner lane and the per-phase histogram.
 #[must_use = "a span guard measures until dropped; binding it to `_` drops it immediately"]
 #[derive(Debug)]
 pub struct TracedSpan<'a> {
@@ -653,40 +553,42 @@ pub struct TracedSpan<'a> {
 
 impl Drop for TracedSpan<'_> {
     fn drop(&mut self) {
-        let dur_ns = self.handle.sink.now_ns().saturating_sub(self.start_ns);
-        self.handle.sink.push(SpanRecord {
-            phase: self.phase,
-            track: Track::Host,
-            step: self.handle.sink.step(),
-            lane: 0,
-            start_ns: self.start_ns,
-            dur_ns,
-        });
-        self.handle.metrics.observe_phase_ns(self.phase, dur_ns);
+        let dur_ns = self.handle.now_ns().saturating_sub(self.start_ns);
+        self.handle
+            .record(self.phase, Track::Host, self.start_ns, dur_ns);
     }
 }
 
 /// Serialize spans as Chrome trace-event JSON (the `chrome://tracing` /
 /// Perfetto "JSON Array Format" with a `traceEvents` wrapper). Host spans go
-/// on tid 1, virtual spans on tid 2, worker-lane spans on tid `16 + lane`;
-/// timestamps are microseconds as the format requires.
+/// on tid 1, virtual spans on tid 2, worker-lane spans on tid `16 + lane`
+/// (named `worker-<lane>`); timestamps are microseconds as the format
+/// requires.
 pub fn chrome_trace_json(spans: &[SpanRecord]) -> String {
+    let tid_of = |s: &SpanRecord| match (s.track, s.lane) {
+        (Track::Host, 0) => 1,
+        (Track::Virtual, _) => 2,
+        (Track::Host, lane) => 16 + lane as u32,
+    };
     let mut out = String::with_capacity(64 + spans.len() * 96);
     out.push_str("{\"traceEvents\":[");
-    out.push_str(
-        "{\"ph\":\"M\",\"pid\":1,\"tid\":1,\"name\":\"thread_name\",\
-         \"args\":{\"name\":\"host\"}},",
-    );
-    out.push_str(
-        "{\"ph\":\"M\",\"pid\":1,\"tid\":2,\"name\":\"thread_name\",\
-         \"args\":{\"name\":\"virtual\"}}",
-    );
-    for s in spans {
-        let tid = match (s.track, s.lane) {
-            (Track::Host, 0) => 1,
-            (Track::Virtual, _) => 2,
-            (Track::Host, lane) => 16 + lane as u32,
+    let mut tids: Vec<u32> = spans.iter().map(tid_of).chain([1, 2]).collect();
+    tids.sort_unstable();
+    tids.dedup();
+    for tid in tids {
+        let name = match tid {
+            1 => "host".to_string(),
+            2 => "virtual".to_string(),
+            t => format!("worker-{}", t - 16),
         };
+        let _ = write!(
+            out,
+            "{{\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"name\":\"thread_name\",\
+             \"args\":{{\"name\":\"{name}\"}}}},"
+        );
+    }
+    out.pop(); // the last metadata event's trailing comma
+    for s in spans {
         let _ = write!(
             out,
             ",{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{:.3},\
@@ -695,7 +597,7 @@ pub fn chrome_trace_json(spans: &[SpanRecord]) -> String {
             s.track.name(),
             s.start_ns as f64 / 1_000.0,
             s.dur_ns as f64 / 1_000.0,
-            tid,
+            tid_of(s),
             s.step
         );
     }
@@ -704,25 +606,65 @@ pub fn chrome_trace_json(spans: &[SpanRecord]) -> String {
 }
 
 /// Serialize spans in collapsed-stack (flamegraph) format: one line per
-/// `track;phase` stack with the summed duration in ns as the sample weight.
-/// Feed straight to `flamegraph.pl` / `inferno-flamegraph`.
+/// `amr;track;phase[;phase..]` stack with the summed *self* time in ns as
+/// the sample weight. Feed straight to `flamegraph.pl` /
+/// `inferno-flamegraph`.
+///
+/// Host spans come from RAII guards, so on one lane they nest like a call
+/// stack: a span whose interval lies inside another's (`splice_index` inside
+/// `remesh`) becomes its child frame and its time is taken out of the
+/// parent's weight — the weights of a stack and its descendants sum to the
+/// outer span. Virtual spans are replayed intervals with no call relation
+/// and stay flat.
 pub fn collapsed_stacks(spans: &[SpanRecord]) -> String {
-    let mut totals = [[0u64; TracePhase::COUNT]; 2];
-    for s in spans {
-        let t = match s.track {
-            Track::Host => 0,
-            Track::Virtual => 1,
-        };
-        let slot = &mut totals[t][s.phase.index()];
-        *slot = slot.saturating_add(s.dur_ns);
+    let end = |s: &SpanRecord| s.start_ns.saturating_add(s.dur_ns);
+    let mut sorted: Vec<&SpanRecord> = spans.iter().collect();
+    sorted.sort_by_key(|s| (s.track == Track::Virtual, s.lane, s.start_ns, !s.dur_ns));
+    // Stack path → summed self time; ordered by track, then phase path, so
+    // children follow their parent.
+    let mut weights: BTreeMap<(bool, Vec<TracePhase>), u64> = BTreeMap::new();
+    // Open spans, outermost first, each with the time its children took.
+    let mut open: Vec<(&SpanRecord, u64)> = Vec::new();
+    let mut close = |open: &mut Vec<(&SpanRecord, u64)>| {
+        let path = open.iter().map(|(s, _)| s.phase).collect();
+        if let Some((s, children_ns)) = open.pop() {
+            let w = weights
+                .entry((s.track == Track::Virtual, path))
+                .or_default();
+            *w = w.saturating_add(s.dur_ns.saturating_sub(children_ns));
+        }
+    };
+    for s in sorted {
+        while let Some((top, _)) = open.last() {
+            let nested = s.track == Track::Host
+                && (top.track, top.lane) == (s.track, s.lane)
+                && end(s) <= end(top);
+            if nested {
+                break;
+            }
+            close(&mut open);
+        }
+        if let Some((_, children_ns)) = open.last_mut() {
+            *children_ns = children_ns.saturating_add(s.dur_ns);
+        }
+        open.push((s, 0));
+    }
+    while !open.is_empty() {
+        close(&mut open);
     }
     let mut out = String::new();
-    for (t, track) in [Track::Host, Track::Virtual].into_iter().enumerate() {
-        for p in TracePhase::ALL {
-            let total = totals[t][p.index()];
-            if total > 0 {
-                let _ = writeln!(out, "amr;{};{} {}", track.name(), p.name(), total);
+    for ((is_virtual, path), total) in weights {
+        if total > 0 {
+            let track = if is_virtual {
+                Track::Virtual
+            } else {
+                Track::Host
+            };
+            let _ = write!(out, "amr;{}", track.name());
+            for p in path {
+                let _ = write!(out, ";{}", p.name());
             }
+            let _ = writeln!(out, " {total}");
         }
     }
     out
@@ -732,50 +674,61 @@ pub fn collapsed_stacks(spans: &[SpanRecord]) -> String {
 mod tests {
     use super::*;
 
+    fn starts(t: &TraceHandle) -> Vec<u64> {
+        t.snapshot().iter().map(|s| s.start_ns).collect()
+    }
+
+    #[test]
+    fn handle_is_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<TraceHandle>();
+        assert_send_sync::<Metrics>();
+    }
+
     #[test]
     fn span_guard_records_on_drop() {
-        let sink = TraceSink::with_capacity(8);
-        sink.set_step(3);
+        let t = TraceHandle::new(8);
+        t.set_step(3);
         {
-            let _g = sink.span(TracePhase::Place);
+            let _g = t.span(TracePhase::Place);
         }
-        let spans = sink.snapshot();
+        let spans = t.snapshot();
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].phase, TracePhase::Place);
         assert_eq!(spans[0].track, Track::Host);
         assert_eq!(spans[0].step, 3);
+        assert_eq!(spans[0].lane, 0);
     }
 
     #[test]
     fn ring_overwrites_oldest_and_counts_drops() {
-        let sink = TraceSink::with_capacity(4);
+        let t = TraceHandle::new(4);
         for i in 0..10u64 {
-            sink.record_virtual(TracePhase::Collective, i, 1);
+            t.record_virtual(TracePhase::Collective, i, 1);
         }
-        assert_eq!(sink.len(), 4);
-        assert_eq!(sink.dropped(), 6);
-        let spans = sink.snapshot();
-        let starts: Vec<u64> = spans.iter().map(|s| s.start_ns).collect();
-        assert_eq!(starts, vec![6, 7, 8, 9]); // oldest first, newest kept
-        sink.clear();
-        assert!(sink.is_empty());
-        assert_eq!(sink.dropped(), 0);
+        assert_eq!(t.dropped(), 6);
+        assert_eq!(starts(&t), vec![6, 7, 8, 9]); // oldest first, newest kept
+        t.clear();
+        assert!(t.snapshot().is_empty());
+        assert_eq!(t.dropped(), 0);
+        // Clearing spans leaves the metrics alone.
+        assert_eq!(t.metrics().phase(TracePhase::Collective).count(), 10);
     }
 
     #[test]
-    fn zero_capacity_sink_drops_everything() {
-        let sink = TraceSink::with_capacity(0);
-        sink.record_virtual(TracePhase::Exchange, 0, 5);
+    fn zero_capacity_handle_drops_everything() {
+        let t = TraceHandle::new(0);
+        t.record_virtual(TracePhase::Exchange, 0, 5);
         {
-            let _g = sink.span(TracePhase::Place);
+            let _g = t.span(TracePhase::Place);
         }
-        assert_eq!(sink.len(), 0);
-        assert_eq!(sink.dropped(), 2);
+        assert!(t.snapshot().is_empty());
+        assert_eq!(t.dropped(), 2);
     }
 
     #[test]
     fn metrics_counters_gauges_histograms() {
-        let m = MetricsRegistry::new();
+        let mut m = Metrics::default();
         m.incr(Counter::Rebalances, 2);
         m.incr(Counter::Rebalances, 1);
         assert_eq!(m.counter(Counter::Rebalances), 3);
@@ -787,9 +740,8 @@ mod tests {
         assert_eq!(m.gauge(Gauge::Imbalance), 1.25);
         m.observe_phase_ns(TracePhase::Place, 1_000);
         m.observe_phase_ns(TracePhase::Place, 3_000);
-        let (count, max) = m.with_phase(TracePhase::Place, |h| (h.count(), h.max()));
-        assert_eq!(count, 2);
-        assert_eq!(max, 3_000);
+        assert_eq!(m.phase(TracePhase::Place).count(), 2);
+        assert_eq!(m.phase(TracePhase::Place).max(), 3_000);
         let summary = m.render_summary();
         assert!(summary.contains("rebalances"));
         assert!(summary.contains("sync_fraction"));
@@ -797,36 +749,96 @@ mod tests {
     }
 
     #[test]
-    fn handle_span_feeds_sink_and_histogram() {
+    fn handle_span_feeds_lane_and_histogram() {
         let t = TraceHandle::new(16);
         {
             let _g = t.span(TracePhase::GraphPatch);
         }
         t.record_virtual(TracePhase::Collective, 100, 50);
-        assert_eq!(t.sink.len(), 2);
-        assert_eq!(
-            t.metrics.with_phase(TracePhase::GraphPatch, |h| h.count()),
-            1
-        );
-        assert_eq!(
-            t.metrics.with_phase(TracePhase::Collective, |h| h.max()),
-            50
-        );
-        // Clones publish into the same sink.
+        t.incr(Counter::Steps, 2);
+        t.set(Gauge::Imbalance, 1.5);
+        assert_eq!(t.snapshot().len(), 2);
+        let m = t.metrics();
+        assert_eq!(m.phase(TracePhase::GraphPatch).count(), 1);
+        assert_eq!(m.phase(TracePhase::Collective).max(), 50);
+        assert_eq!(m.counter(Counter::Steps), 2);
+        assert_eq!(m.gauge(Gauge::Imbalance), 1.5);
+        // Clones publish into the same state.
         let t2 = t.clone();
         t2.record_virtual(TracePhase::Exchange, 0, 1);
-        assert_eq!(t.sink.len(), 3);
+        assert_eq!(t.snapshot().len(), 3);
+    }
+
+    #[test]
+    fn clone_moved_to_another_thread_records_into_the_same_state() {
+        let t = TraceHandle::new(8);
+        let worker = t.clone();
+        std::thread::spawn(move || {
+            let _g = worker.span(TracePhase::Place);
+            worker.incr(Counter::Rebalances, 1);
+        })
+        .join()
+        .expect("recording thread panicked");
+        let spans = t.snapshot();
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].phase, TracePhase::Place);
+        let m = t.metrics();
+        assert_eq!(m.counter(Counter::Rebalances), 1);
+        assert_eq!(m.phase(TracePhase::Place).count(), 1);
+    }
+
+    #[test]
+    fn owner_records_while_worker_lanes_are_checked_out() {
+        let t = TraceHandle::new(8);
+        t.ensure_lanes(2, 4);
+        t.with_lanes_mut(|lanes| {
+            assert_eq!(lanes.len(), 2);
+            lanes[1].record_host(TracePhase::Exchange, 0, 7, 1);
+            // No lock is held across the region: the owner side still
+            // records, and sees no worker lanes until they come back.
+            let _g = t.span(TracePhase::Place);
+            t.incr(Counter::Steps, 1);
+            assert_eq!(t.lane_count(), 0);
+            lanes[0].record_host(TracePhase::Exchange, 0, 9, 1);
+        });
+        assert_eq!(t.lane_count(), 2);
+        let lanes: Vec<u16> = t.snapshot().iter().map(|s| s.lane).collect();
+        assert_eq!(lanes, vec![0, 1, 2]);
+        assert_eq!(t.metrics().counter(Counter::Steps), 1);
+    }
+
+    #[test]
+    fn poisoned_lock_does_not_poison_later_records() {
+        let t = TraceHandle::new(8);
+        let t2 = t.clone();
+        let panicked = std::thread::spawn(move || {
+            let _held = t2.state.lock().expect("first lock");
+            panic!("recorder dies holding the lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(t.state.is_poisoned());
+        t.record_virtual(TracePhase::Exchange, 0, 1);
+        t.incr(Counter::Steps, 1);
+        assert_eq!(t.snapshot().len(), 1);
+        assert_eq!(t.metrics().counter(Counter::Steps), 1);
     }
 
     #[test]
     fn chrome_export_is_wellformed() {
-        let sink = TraceSink::with_capacity(8);
-        sink.set_step(7);
-        sink.record_virtual(TracePhase::Collective, 2_000, 500);
+        let t = TraceHandle::new(8);
+        t.set_step(7);
+        t.record_virtual(TracePhase::Collective, 2_000, 500);
         {
-            let _g = sink.span(TracePhase::Place);
+            let _g = t.span(TracePhase::Place);
         }
-        let json = chrome_trace_json(&sink.snapshot());
+        t.ensure_lanes(3, 4);
+        t.with_lanes_mut(|lanes| {
+            lanes[0].record_host(TracePhase::Exchange, 7, 10, 3);
+            lanes[2].record_host(TracePhase::Exchange, 7, 11, 2);
+            lanes[2].record_host(TracePhase::Exchange, 7, 20, 2);
+        });
+        let json = chrome_trace_json(&t.snapshot());
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.ends_with("\"displayTimeUnit\":\"ms\"}"));
         assert!(json.contains("\"name\":\"collective\""));
@@ -834,96 +846,160 @@ mod tests {
         assert!(json.contains("\"ts\":2.000"));
         assert!(json.contains("\"name\":\"place\""));
         assert!(json.contains("\"step\":7"));
+        // One thread_name event per tid present: host, virtual, and each
+        // worker lane that recorded (lane 2 stayed empty).
+        assert_eq!(json.matches("\"thread_name\"").count(), 4);
+        for (tid, name) in [
+            (1, "host"),
+            (2, "virtual"),
+            (17, "worker-1"),
+            (19, "worker-3"),
+        ] {
+            assert!(json.contains(&format!(
+                "\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":\"{name}\"}}"
+            )));
+        }
+        assert!(!json.contains("worker-2"));
+        assert!(!json.contains(",,") && !json.contains("[,") && !json.contains(",]"));
         // Balanced braces/brackets (cheap well-formedness check without a
         // JSON parser in the dependency-free build).
         let opens = json.matches('{').count();
         let closes = json.matches('}').count();
         assert_eq!(opens, closes);
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+        // No spans at all still names the two fixed tracks.
+        let empty = chrome_trace_json(&[]);
+        assert_eq!(empty.matches("\"thread_name\"").count(), 2);
+        assert!(empty.contains("}}],\"displayTimeUnit\""));
     }
 
     #[test]
     fn collapsed_export_sums_per_stack() {
-        let sink = TraceSink::with_capacity(8);
-        sink.record_virtual(TracePhase::Exchange, 0, 30);
-        sink.record_virtual(TracePhase::Exchange, 50, 12);
-        sink.record_virtual(TracePhase::Collective, 100, 5);
-        let folded = collapsed_stacks(&sink.snapshot());
+        let t = TraceHandle::new(8);
+        t.record_virtual(TracePhase::Exchange, 0, 30);
+        t.record_virtual(TracePhase::Exchange, 50, 12);
+        // Virtual spans never nest, even when one interval contains another.
+        t.record_virtual(TracePhase::Collective, 52, 5);
+        let folded = collapsed_stacks(&t.snapshot());
         let lines: Vec<&str> = folded.lines().collect();
-        assert!(lines.contains(&"amr;virtual;exchange 42"));
-        assert!(lines.contains(&"amr;virtual;collective 5"));
+        assert_eq!(
+            lines,
+            vec!["amr;virtual;exchange 42", "amr;virtual;collective 5"]
+        );
         // Phases with no samples are omitted.
         assert!(!folded.contains("remesh"));
     }
 
     #[test]
+    fn collapsed_export_nests_host_spans_and_sums_to_the_outer_span() {
+        let host = |phase, lane, start_ns, dur_ns| SpanRecord {
+            phase,
+            track: Track::Host,
+            step: 0,
+            lane,
+            start_ns,
+            dur_ns,
+        };
+        // Guards close inner-first, so the ring holds children before
+        // parents: remesh [100, 200) ⊃ splice_index [120, 160), twice; a
+        // sibling place span; and a worker-lane span whose interval lies
+        // inside remesh's but on another lane, so it is nobody's child.
+        let spans = [
+            host(TracePhase::SpliceIndex, 0, 120, 40),
+            host(TracePhase::Remesh, 0, 100, 100),
+            host(TracePhase::Place, 0, 200, 7),
+            host(TracePhase::SpliceIndex, 0, 320, 10),
+            host(TracePhase::Remesh, 0, 300, 50),
+            host(TracePhase::Exchange, 1, 110, 20),
+        ];
+        let folded = collapsed_stacks(&spans);
+        let lines: Vec<&str> = folded.lines().collect();
+        assert_eq!(
+            lines,
+            vec![
+                "amr;host;remesh 100",
+                "amr;host;remesh;splice_index 50",
+                "amr;host;place 7",
+                "amr;host;exchange 20",
+            ]
+        );
+        // Self + descendants == the outer spans; the whole file == host time.
+        let weight = |l: &str| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap();
+        assert_eq!(weight(lines[0]) + weight(lines[1]), 100 + 50);
+        // The live guard path produces the same shape.
+        let t = TraceHandle::new(8);
+        {
+            let _outer = t.span(TracePhase::Remesh);
+            let _inner = t.span(TracePhase::SpliceIndex);
+        }
+        let spans = t.snapshot();
+        let outer = spans[1].dur_ns;
+        let total: u64 = collapsed_stacks(&spans).lines().map(weight).sum();
+        assert_eq!(total, outer);
+    }
+
+    #[test]
     fn snapshot_merges_worker_lanes_behind_the_same_api() {
-        let sink = TraceSink::with_capacity(8);
-        sink.set_step(4);
-        sink.record_virtual(TracePhase::Collective, 100, 5);
-        sink.ensure_lanes(2, 4);
-        assert_eq!(sink.lane_count(), 2);
-        sink.with_lanes_mut(|lanes| {
+        let t = TraceHandle::new(8);
+        t.set_step(4);
+        t.record_virtual(TracePhase::Collective, 100, 5);
+        t.ensure_lanes(2, 4);
+        assert_eq!(t.lane_count(), 2);
+        t.with_lanes_mut(|lanes| {
             lanes[0].record_host(TracePhase::Exchange, 4, 10, 3);
             lanes[1].record_host(TracePhase::Exchange, 4, 11, 2);
             lanes[1].record_host(TracePhase::Exchange, 4, 20, 1);
         });
         // ensure_lanes never shrinks or replaces warm lanes.
-        sink.ensure_lanes(1, 4);
-        assert_eq!(sink.lane_count(), 2);
-        let spans = sink.snapshot();
+        t.ensure_lanes(1, 4);
+        assert_eq!(t.lane_count(), 2);
+        let spans = t.snapshot();
         assert_eq!(spans.len(), 4);
-        assert_eq!(spans[0].lane, 0);
         let lanes: Vec<u16> = spans.iter().map(|s| s.lane).collect();
         assert_eq!(lanes, vec![0, 1, 2, 2]);
         // Lane spans survive into the exporters with their own tids.
         let json = chrome_trace_json(&spans);
         assert!(json.contains("\"tid\":17"));
         assert!(json.contains("\"tid\":18"));
-        sink.clear();
-        assert!(sink.snapshot().is_empty());
-        assert_eq!(sink.dropped(), 0);
+        t.clear();
+        assert!(t.snapshot().is_empty());
+        assert_eq!(t.dropped(), 0);
     }
 
     #[test]
-    fn lane_drops_count_toward_sink_dropped() {
-        let sink = TraceSink::with_capacity(4);
-        sink.ensure_lanes(1, 2);
-        sink.with_lanes_mut(|lanes| {
+    fn lane_drops_count_toward_handle_dropped() {
+        let t = TraceHandle::new(4);
+        t.ensure_lanes(1, 2);
+        t.with_lanes_mut(|lanes| {
             for i in 0..5 {
                 lanes[0].record_host(TracePhase::Exchange, 0, i, 1);
             }
         });
-        assert_eq!(sink.dropped(), 3);
+        assert_eq!(t.dropped(), 3);
     }
 
     #[test]
-    fn registry_query_surface_and_reset() {
-        let m = MetricsRegistry::new();
-        assert_eq!(m.phase_count(TracePhase::Collective), 0);
-        assert_eq!(m.phase_max_ns(TracePhase::Collective), 0);
+    fn metrics_query_surface_and_reset() {
+        let mut m = Metrics::default();
+        assert_eq!(m.phase(TracePhase::Collective).count(), 0);
+        assert_eq!(m.phase(TracePhase::Collective).max(), 0);
         m.observe_phase_ns(TracePhase::Collective, 1_000);
         m.observe_phase_ns(TracePhase::Collective, 9_000);
         m.observe_phase_ns(TracePhase::Exchange, 500);
         m.set(Gauge::SyncFraction, 0.42);
         m.incr(Counter::Steps, 3);
-        assert_eq!(m.phase_count(TracePhase::Collective), 2);
-        assert_eq!(m.phase_count(TracePhase::Exchange), 1);
-        assert_eq!(m.phase_max_ns(TracePhase::Collective), 9_000);
-        let p50 = m.phase_quantile_ns(TracePhase::Collective, 0.5);
+        assert_eq!(m.phase(TracePhase::Collective).count(), 2);
+        assert_eq!(m.phase(TracePhase::Exchange).count(), 1);
+        assert_eq!(m.phase(TracePhase::Collective).max(), 9_000);
+        let p50 = m.phase(TracePhase::Collective).quantile(0.5);
         assert!((1_000..9_000).contains(&p50), "p50 = {p50}");
-        // Helpers agree with the raw accessor.
-        assert_eq!(
-            m.phase_quantile_ns(TracePhase::Collective, 1.0),
-            m.with_phase(TracePhase::Collective, |h| h.quantile(1.0))
-        );
         m.reset();
-        assert_eq!(m.phase_count(TracePhase::Collective), 0);
+        assert_eq!(m.phase(TracePhase::Collective).count(), 0);
         assert_eq!(m.gauge(Gauge::SyncFraction), 0.0);
         assert_eq!(m.counter(Counter::Steps), 0);
         // Still records after the wipe.
         m.observe_phase_ns(TracePhase::Collective, 7);
-        assert_eq!(m.phase_count(TracePhase::Collective), 1);
+        assert_eq!(m.phase(TracePhase::Collective).count(), 1);
     }
 
     #[test]

@@ -17,6 +17,8 @@
 //! * [`exchange`] — helpers turning a mesh + placement into the explicit
 //!   per-round message list `commbench` feeds the micro-simulator.
 
+#![forbid(unsafe_code)]
+
 pub mod cooling;
 pub mod distributions;
 pub mod exchange;

@@ -484,11 +484,11 @@ proptest! {
         prop_assert_eq!(traced.capacity_updates, base.capacity_updates);
         // And the trace really observed the run: per-step spans landed and
         // the counters line up with the report.
-        prop_assert!(!handle.sink.is_empty());
-        prop_assert_eq!(handle.metrics.counter(TraceCounter::Steps), steps);
-        prop_assert_eq!(handle.metrics.counter(TraceCounter::Collectives), steps);
-        prop_assert_eq!(
-            handle.metrics.counter(TraceCounter::Rebalances), traced.lb_invocations + 1);
+        prop_assert!(!handle.snapshot().is_empty());
+        let metrics = handle.metrics();
+        prop_assert_eq!(metrics.counter(TraceCounter::Steps), steps);
+        prop_assert_eq!(metrics.counter(TraceCounter::Collectives), steps);
+        prop_assert_eq!(metrics.counter(TraceCounter::Rebalances), traced.lb_invocations + 1);
     }
 
     /// A single throttle episode is flagged — exactly the throttled node,

@@ -3,8 +3,10 @@
 //! Wall-clock time of each policy's `place()` call at 1–2 blocks per rank,
 //! from 512 up to 128K ranks. The paper reports CPLX staying near ~10 ms up
 //! to 16K ranks and ~100 ms at 128K, against its 50 ms redistribution
-//! budget; zonal/chunked parallelism is the escape hatch at the largest
-//! scales (already built into `ChunkedCdp`).
+//! budget; zonal/chunked decomposition is the escape hatch at the largest
+//! scales (already built into `ChunkedCdp`). Here chunks and zones are
+//! solved in sequence: what the tables show is smaller DPs and sorts, not
+//! threads.
 //!
 //! ```text
 //! cargo run -p amr-bench --release --bin fig7c_overhead -- \

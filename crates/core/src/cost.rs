@@ -10,7 +10,6 @@
 //! counts are level-invariant, so cost carries over directly).
 
 use amr_mesh::{BlockFate, RefinementDelta};
-use serde::{Deserialize, Serialize};
 
 /// A source of per-block costs in SFC order, consumed by placement policies.
 pub trait CostModel {
@@ -41,7 +40,7 @@ impl CostModel for UniformCost {
 
 /// How a block of the *new* mesh relates to blocks of the *old* mesh after
 /// an adaptation step. Drives cost-estimate inheritance across refinement.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CostOrigin {
     /// Same block as old index `i` (possibly with a new `BlockId`).
     Same(usize),
@@ -89,7 +88,7 @@ pub fn origins_from_delta(delta: &RefinementDelta, out: &mut Vec<CostOrigin>) {
 }
 
 /// EWMA estimator of per-block compute cost from telemetry.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TelemetryCostModel {
     costs: Vec<f64>,
     /// EWMA smoothing factor in (0, 1]: weight of the newest observation.

@@ -10,7 +10,6 @@
 //! * per-block costs and the rank count (always),
 //! * the mesh snapshot and its [`NeighborGraph`] (mesh-aware policies:
 //!   RCB, greedy edge-cut),
-//! * a node-topology hint (`ranks_per_node`),
 //! * the *previous* placement plus the [`CostOrigin`] remap of the newest
 //!   adaptation — used to charge migration to redistribution, and
 //! * a [`Scratch`] arena of reusable buffers.
@@ -177,8 +176,10 @@ pub struct PlacementReport {
 ///
 /// Interior mutability (`RefCell`) lets a shared `&Scratch` serve nested
 /// policies (CPLX → chunked CDP → CDP) — each buffer is borrowed only while
-/// the owning stage runs. `Scratch` is intentionally `!Sync`: parallel
-/// fan-out paths (rayon chunking, zonal) run their sub-solves cold.
+/// the owning stage runs. Nothing here is shared between threads: chunked
+/// CDP solves its chunks one after another on the `cdp_*` buffers, and
+/// [`Zonal`](crate::policies::Zonal) hands each zone a bare context (the
+/// warm LPT order describes the whole mesh, not a zone).
 #[derive(Debug, Default)]
 pub struct Scratch {
     /// CDP prefix sums (`W`).
@@ -330,7 +331,6 @@ pub struct PlacementCtx<'a> {
     num_ranks: usize,
     mesh: Option<&'a AmrMesh>,
     graph: Option<&'a NeighborGraph>,
-    ranks_per_node: Option<usize>,
     prev: Option<&'a Placement>,
     origins: Option<&'a [CostOrigin]>,
     scratch: Option<&'a Scratch>,
@@ -346,7 +346,6 @@ impl<'a> PlacementCtx<'a> {
             num_ranks,
             mesh: None,
             graph: None,
-            ranks_per_node: None,
             prev: None,
             origins: None,
             scratch: None,
@@ -365,12 +364,6 @@ impl<'a> PlacementCtx<'a> {
     /// policies).
     pub fn with_graph(mut self, graph: &'a NeighborGraph) -> Self {
         self.graph = Some(graph);
-        self
-    }
-
-    /// Attach the node topology hint (ranks per node).
-    pub fn with_topology(mut self, ranks_per_node: usize) -> Self {
-        self.ranks_per_node = Some(ranks_per_node);
         self
     }
 
@@ -435,11 +428,6 @@ impl<'a> PlacementCtx<'a> {
     /// The neighbor graph, if attached.
     pub fn graph(&self) -> Option<&'a NeighborGraph> {
         self.graph
-    }
-
-    /// Ranks per node, if attached.
-    pub fn ranks_per_node(&self) -> Option<usize> {
-        self.ranks_per_node
     }
 
     /// The previous placement, if attached.

@@ -14,8 +14,8 @@
 //!   minimization, ignoring locality (4/3-optimal, Graham 1969);
 //! * [`policies::Cdp`] — Contiguous-DP: optimal makespan among contiguous
 //!   (locality-preserving) partitions with chunk sizes ⌊n/r⌋/⌈n/r⌉;
-//! * [`policies::ChunkedCdp`] — the paper's parallel, hierarchically chunked
-//!   CDP for large rank counts;
+//! * [`policies::ChunkedCdp`] — the paper's hierarchically chunked CDP for
+//!   large rank counts (chunks solved in sequence here);
 //! * [`policies::Cplx`] — the tunable hybrid: CDP placement, then LPT
 //!   rebalancing of the `X%` most-over/under-loaded ranks. `X=0` ≡ CDP,
 //!   `X=100` ≡ LPT.

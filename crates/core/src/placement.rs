@@ -15,13 +15,12 @@
 
 use crate::engine::PlacementError;
 use amr_mesh::{BlockSpec, Dim, NeighborGraph};
-use serde::{Deserialize, Serialize};
 
 /// Rank identifier (dense, 0-based).
 pub type RankId = u32;
 
 /// A block→rank assignment for one mesh snapshot.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
     ranks: Vec<RankId>,
     num_ranks: usize,
@@ -206,7 +205,7 @@ impl Placement {
 /// Message-locality classification of a placement over a neighbor graph.
 ///
 /// Counts are directed relations (each block counts its sends).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LocalityStats {
     /// Same-rank relations: `memcpy`, not MPI messages.
     pub intra_rank_msgs: u64,

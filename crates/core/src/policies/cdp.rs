@@ -16,6 +16,7 @@
 //!   `(ranks used, H-chunks used)` because the prefix length is then
 //!   determined — this is what makes the restricted DP fast.
 
+use super::chunked::{chunked_assign, ChunkedCdp};
 use super::{validate_inputs, PlacementPolicy};
 use crate::engine::{PlacementCtx, PlacementError, PlacementReport};
 use crate::placement::Placement;
@@ -38,70 +39,20 @@ fn prefix_sums(costs: &[f64]) -> Vec<f64> {
 
 /// Expand per-rank segment lengths into a block→rank assignment.
 fn lengths_to_placement(lengths: &[usize], num_ranks: usize) -> Placement {
-    let mut out = Placement::new(Vec::new(), num_ranks);
-    lengths_into(&mut out, lengths, num_ranks);
-    out
-}
-
-/// Expand per-rank segment lengths into `out`, reusing its storage.
-pub(crate) fn lengths_into(out: &mut Placement, lengths: &[usize], num_ranks: usize) {
-    let ranks = out.reset(num_ranks);
-    ranks.clear();
-    ranks.reserve(lengths.iter().sum());
-    for (rank, &len) in lengths.iter().enumerate() {
-        ranks.extend(std::iter::repeat_n(rank as u32, len));
-    }
-}
-
-/// The sequential restricted-CDP assignment shared by [`Cdp`] and
-/// [`super::ChunkedCdp`]'s small-rank path: solve into `out`, through the
-/// context's scratch when attached.
-pub(crate) fn cdp_assign(ctx: &PlacementCtx, out: &mut Placement) {
-    let r = ctx.num_ranks();
-    match ctx.scratch() {
-        Some(s) => {
-            let mut lengths = s.cdp_lengths.borrow_mut();
-            Cdp::solve_lengths_into(
-                ctx.costs(),
-                r,
-                &mut s.cdp_prefix.borrow_mut(),
-                &mut s.cdp_dp.borrow_mut(),
-                &mut s.cdp_next.borrow_mut(),
-                &mut s.cdp_parent.borrow_mut(),
-                &mut lengths,
-            );
-            lengths_into(out, &lengths, r);
-        }
-        None => {
-            let lengths = Cdp::solve_lengths(ctx.costs(), r);
-            lengths_into(out, &lengths, r);
-        }
-    }
+    let ranks = lengths
+        .iter()
+        .enumerate()
+        .flat_map(|(rank, &len)| std::iter::repeat_n(rank as u32, len))
+        .collect();
+    Placement::new(ranks, num_ranks)
 }
 
 impl Cdp {
-    /// The restricted DP over chunk sizes `{L, L+1}`; returns per-rank
-    /// segment lengths. Split out so [`super::ChunkedCdp`] can reuse it on
-    /// sub-ranges (its rayon path needs per-chunk owned output).
-    pub(crate) fn solve_lengths(costs: &[f64], num_ranks: usize) -> Vec<usize> {
-        let mut lengths = Vec::new();
-        Cdp::solve_lengths_into(
-            costs,
-            num_ranks,
-            &mut Vec::new(),
-            &mut Vec::new(),
-            &mut Vec::new(),
-            &mut Vec::new(),
-            &mut lengths,
-        );
-        lengths
-    }
-
-    /// [`Cdp::solve_lengths`] with caller-provided working memory: `w` holds
-    /// prefix sums, `dp`/`next` the rolling DP rows, `parent` the bit-packed
-    /// backtrack choices, and `lengths` receives the result. All buffers are
-    /// cleared and refilled; repeated solves at steady-state sizes allocate
-    /// nothing.
+    /// The restricted DP over chunk sizes `{L, L+1}` with caller-provided
+    /// working memory: `w` holds prefix sums, `dp`/`next` the rolling DP
+    /// rows, `parent` the bit-packed backtrack choices, and `lengths`
+    /// receives the per-rank segment lengths. All buffers are cleared and
+    /// refilled; repeated solves at steady-state sizes allocate nothing.
     pub(crate) fn solve_lengths_into(
         costs: &[f64],
         num_ranks: usize,
@@ -219,7 +170,8 @@ impl PlacementPolicy for Cdp {
         out: &mut Placement,
     ) -> Result<PlacementReport, PlacementError> {
         ctx.validate()?;
-        cdp_assign(ctx, out);
+        // Plain CDP is the chunking whose one chunk holds every rank.
+        chunked_assign(&ChunkedCdp::new(ctx.num_ranks()), ctx, out);
         Ok(ctx.finish(out))
     }
 }

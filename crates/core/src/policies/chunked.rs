@@ -1,23 +1,25 @@
-//! Hierarchically chunked, parallel CDP (§V-C, "Scaling CDP With Chunking").
+//! Hierarchically chunked CDP (§V-C, "Scaling CDP With Chunking").
 //!
 //! Plain CDP's placement overhead "became noticeable at 4096 ranks". The
 //! paper's fix: divide blocks into `c` contiguous chunks of approximately
 //! equal cost, then apply CDP *independently* to each chunk using a subset
-//! of ranks — at 4096 ranks with chunk size 512 this creates 8
-//! parallel-processed chunks. Chunking may miss the globally optimal CDP
-//! solution, but the output only seeds CPLX, so the approximation "has
-//! minimal impact".
+//! of ranks — at 4096 ranks with chunk size 512 this creates 8 chunks.
+//! Chunking may miss the globally optimal CDP solution, but the output only
+//! seeds CPLX, so the approximation "has minimal impact".
 //!
-//! Parallelism uses rayon's `par_iter` over chunks, mirroring the paper's
-//! parallel implementation.
+//! The paper solves its chunks in parallel; here they are solved one after
+//! another on one set of scratch buffers. The wall-time win this repo
+//! measures (`ablation_chunking`: 38.6 ms → 1–5 ms; `fig7c_overhead`) is
+//! algorithmic — `c` DPs over `r/c` ranks each cost `1/c` of one DP over
+//! `r` ranks — not threads.
 
-use super::cdp::{cdp_assign, Cdp};
+use super::cdp::Cdp;
 use super::PlacementPolicy;
-use crate::engine::{PlacementCtx, PlacementError, PlacementReport};
+use crate::engine::{PlacementCtx, PlacementError, PlacementReport, Scratch};
 use crate::placement::Placement;
-use rayon::prelude::*;
+use std::ops::Range;
 
-/// Chunked parallel CDP.
+/// Chunked CDP.
 #[derive(Debug, Clone, Copy)]
 pub struct ChunkedCdp {
     /// Target number of ranks handled by one chunk (the paper used 512).
@@ -38,90 +40,82 @@ impl ChunkedCdp {
         assert!(ranks_per_chunk >= 1);
         ChunkedCdp { ranks_per_chunk }
     }
-
-    /// Partition ranks as evenly as possible into `c` chunks, and blocks into
-    /// contiguous runs whose cost share is proportional to each chunk's rank
-    /// share. Returns `(block_range, rank_range)` per chunk.
-    fn split(
-        &self,
-        costs: &[f64],
-        num_ranks: usize,
-    ) -> Vec<(std::ops::Range<usize>, std::ops::Range<usize>)> {
-        let c = num_ranks.div_ceil(self.ranks_per_chunk);
-        let total: f64 = costs.iter().sum();
-        let n = costs.len();
-
-        // Rank ranges: as even as possible.
-        let base_ranks = num_ranks / c;
-        let extra_ranks = num_ranks % c;
-
-        let mut out = Vec::with_capacity(c);
-        let mut rank_start = 0usize;
-        let mut block_start = 0usize;
-        let mut cost_acc = 0.0f64;
-        let mut cost_target = 0.0f64;
-        for chunk in 0..c {
-            let nranks = base_ranks + usize::from(chunk < extra_ranks);
-            let rank_range = rank_start..rank_start + nranks;
-            rank_start += nranks;
-
-            let block_end = if chunk == c - 1 {
-                n
-            } else {
-                // Advance until this chunk's cumulative cost share matches
-                // its rank share; leave at least one block per remaining
-                // rank so downstream CDP stays well-formed when possible.
-                cost_target += total * nranks as f64 / num_ranks as f64;
-                let mut end = block_start;
-                while end < n && (cost_acc < cost_target || total == 0.0 && end < block_start) {
-                    cost_acc += costs[end];
-                    end += 1;
-                }
-                if total == 0.0 {
-                    // Zero-cost mesh: fall back to count-proportional split.
-                    end = n * rank_range.end / num_ranks;
-                }
-                end.min(n)
-            };
-            out.push((block_start..block_end, rank_range));
-            block_start = block_end;
-        }
-        out
-    }
 }
 
-/// The chunked-CDP assignment shared by [`ChunkedCdp`], [`super::Cplx`] and
-/// [`super::Blend`] (which all seed from it): solve into `out` without
-/// computing a report. The small-rank path reuses the context's scratch; the
-/// parallel fan-out allocates per-chunk results (rayon workers cannot share
-/// the single-threaded scratch).
+/// Split `num_ranks` ranks into `groups` windows as even as possible, and
+/// the blocks into contiguous runs whose cumulative cost share matches each
+/// window's rank share (count-proportional on a zero-cost mesh). Yields
+/// `(block_range, rank_range)` per group, in order, allocating nothing.
+pub(crate) fn cost_share_split(
+    costs: &[f64],
+    num_ranks: usize,
+    groups: usize,
+) -> impl Iterator<Item = (Range<usize>, Range<usize>)> + '_ {
+    let n = costs.len();
+    let total: f64 = costs.iter().sum();
+    let (base, extra) = (num_ranks / groups, num_ranks % groups);
+    let (mut rank_start, mut block_start) = (0usize, 0usize);
+    let (mut acc, mut target) = (0.0f64, 0.0f64);
+    (0..groups).map(move |g| {
+        let nranks = base + usize::from(g < extra);
+        let ranks = rank_start..rank_start + nranks;
+        rank_start = ranks.end;
+        let block_end = if g == groups - 1 {
+            n
+        } else if total == 0.0 {
+            n * ranks.end / num_ranks
+        } else {
+            target += total * nranks as f64 / num_ranks as f64;
+            let mut end = block_start;
+            while end < n && acc < target {
+                acc += costs[end];
+                end += 1;
+            }
+            end
+        };
+        let blocks = block_start..block_end;
+        block_start = block_end;
+        (blocks, ranks)
+    })
+}
+
+/// The CDP assignment every member of the family seeds from ([`Cdp`] as
+/// the one-chunk case, [`ChunkedCdp`], [`super::Cplx`], [`super::Blend`]):
+/// solve each chunk in turn on the context's CDP scratch (a local one when
+/// none is attached) and append its ranks to `out`, computing no report.
 pub(crate) fn chunked_assign(cfg: &ChunkedCdp, ctx: &PlacementCtx, out: &mut Placement) {
     let costs = ctx.costs();
     let num_ranks = ctx.num_ranks();
-    if num_ranks <= cfg.ranks_per_chunk {
-        cdp_assign(ctx, out);
-        return;
-    }
-    let splits = cfg.split(costs, num_ranks);
-    // Solve each chunk independently, in parallel.
-    let per_chunk: Vec<Vec<usize>> = splits
-        .par_iter()
-        .map(|(blocks, ranks)| Cdp::solve_lengths(&costs[blocks.clone()], ranks.len()))
-        .collect();
-    // Stitch: chunk k's rank-local lengths map onto its global rank range.
-    let ranks_out = out.reset(num_ranks);
-    ranks_out.clear();
-    ranks_out.resize(costs.len(), 0);
-    for ((blocks, rank_range), lengths) in splits.iter().zip(&per_chunk) {
-        let mut b = blocks.start;
-        for (local_rank, &len) in lengths.iter().enumerate() {
-            let rank = (rank_range.start + local_rank) as u32;
-            for _ in 0..len {
-                ranks_out[b] = rank;
-                b += 1;
-            }
+    let local;
+    let s = match ctx.scratch() {
+        Some(s) => s,
+        None => {
+            local = Scratch::new();
+            &local
         }
-        debug_assert_eq!(b, blocks.end);
+    };
+    let mut w = s.cdp_prefix.borrow_mut();
+    let mut dp = s.cdp_dp.borrow_mut();
+    let mut next = s.cdp_next.borrow_mut();
+    let mut parent = s.cdp_parent.borrow_mut();
+    let mut lengths = s.cdp_lengths.borrow_mut();
+    let assignment = out.reset(num_ranks);
+    assignment.clear();
+    assignment.reserve(costs.len());
+    let chunks = num_ranks.div_ceil(cfg.ranks_per_chunk);
+    for (blocks, ranks) in cost_share_split(costs, num_ranks, chunks) {
+        Cdp::solve_lengths_into(
+            &costs[blocks],
+            ranks.len(),
+            &mut w,
+            &mut dp,
+            &mut next,
+            &mut parent,
+            &mut lengths,
+        );
+        for (rank, &len) in ranks.zip(lengths.iter()) {
+            assignment.extend(std::iter::repeat_n(rank as u32, len));
+        }
     }
 }
 
@@ -189,13 +183,5 @@ mod tests {
         let p = ChunkedCdp::new(16).place(&costs, 64);
         assert_eq!(p.counts_per_rank().iter().sum::<usize>(), 128);
         assert!(p.is_contiguous());
-    }
-
-    #[test]
-    fn deterministic_despite_parallelism() {
-        let costs = random_costs(2048, 21);
-        let a = ChunkedCdp::new(128).place(&costs, 1024);
-        let b = ChunkedCdp::new(128).place(&costs, 1024);
-        assert_eq!(a, b);
     }
 }

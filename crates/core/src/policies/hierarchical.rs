@@ -69,9 +69,8 @@ struct Pools {
 
 /// Two-stage hierarchical placement policy; see the module docs.
 ///
-/// `ranks_per_node` is carried by the policy (not read from the context)
-/// because [`crate::engine::PlacementEngine::rebalance_with`] does not
-/// attach topology; construct it with the simulated machine's value.
+/// `ranks_per_node` is carried by the policy ([`PlacementCtx`] has no
+/// topology input); construct it with the simulated machine's value.
 #[derive(Debug)]
 pub struct Hierarchical {
     num_shards: usize,

@@ -6,18 +6,19 @@
 //! placement independently and in parallel" (after Zheng et al.'s periodic
 //! hierarchical load balancing). [`Zonal`] wraps *any* inner policy: blocks
 //! (in SFC order) and ranks are split into `zones` contiguous groups with
-//! cost-proportional block shares, and the inner policy runs per zone on a
-//! rayon worker.
+//! cost-proportional block shares (the same split [`super::ChunkedCdp`]
+//! uses), and the inner policy runs on each zone in turn.
 //!
 //! Unlike [`super::ChunkedCdp`] — which chunks only the CDP stage — zonal
 //! wrapping also confines LPT/CPLX rebalancing inside each zone, trading a
-//! little global balance for an `O(zones)` wall-time speedup and bounded
-//! migration distance.
+//! little global balance for bounded migration distance and a smaller
+//! problem per solve. Zones are solved in sequence, so the wall-time win is
+//! algorithmic (`zones` sorts/DPs of `1/zones` the size), not threads.
 
+use super::chunked::cost_share_split;
 use super::PlacementPolicy;
 use crate::engine::{PlacementCtx, PlacementError, PlacementReport};
 use crate::placement::Placement;
-use rayon::prelude::*;
 
 /// Run an inner policy independently per zone.
 #[derive(Debug, Clone, Copy)]
@@ -36,7 +37,7 @@ impl<P> Zonal<P> {
     }
 }
 
-impl<P: PlacementPolicy + Sync> PlacementPolicy for Zonal<P> {
+impl<P: PlacementPolicy> PlacementPolicy for Zonal<P> {
     fn name(&self) -> String {
         format!("zonal{}-{}", self.zones, self.inner.name())
     }
@@ -55,54 +56,16 @@ impl<P: PlacementPolicy + Sync> PlacementPolicy for Zonal<P> {
             // (scratch, prev, mesh) and its report stands as ours.
             return self.inner.place_into(ctx, out);
         }
-        let n = costs.len();
-        let total: f64 = costs.iter().sum();
-
-        // Rank shares per zone (as even as possible), then block boundaries
-        // at matching cumulative-cost fractions.
-        let base = num_ranks / zones;
-        let extra = num_ranks % zones;
-        let mut splits: Vec<(std::ops::Range<usize>, std::ops::Range<usize>)> =
-            Vec::with_capacity(zones);
-        let mut rank_start = 0usize;
-        let mut block_start = 0usize;
-        let mut acc = 0.0f64;
-        let mut target = 0.0f64;
-        for z in 0..zones {
-            let nranks = base + usize::from(z < extra);
-            let rank_range = rank_start..rank_start + nranks;
-            rank_start += nranks;
-            let block_end = if z == zones - 1 {
-                n
-            } else if total == 0.0 {
-                n * rank_range.end / num_ranks
-            } else {
-                target += total * nranks as f64 / num_ranks as f64;
-                let mut end = block_start;
-                while end < n && acc < target {
-                    acc += costs[end];
-                    end += 1;
-                }
-                end
-            };
-            splits.push((block_start..block_end, rank_range));
-            block_start = block_end;
-        }
-
-        // Per-zone solves run on rayon workers and cannot share the
-        // single-threaded scratch; they allocate their own placements.
-        let zone_placements: Vec<Placement> = splits
-            .par_iter()
-            .map(|(blocks, ranks)| self.inner.place(&costs[blocks.clone()], ranks.len()))
-            .collect();
-
+        // Each zone is a bare sub-problem (costs + ranks): the context's
+        // mesh, prev and warm scratch describe the whole mesh, not a zone.
+        let mut zone_out = Placement::default();
         let assignment = out.reset(num_ranks);
         assignment.clear();
-        assignment.resize(n, 0);
-        for ((blocks, ranks), zp) in splits.iter().zip(&zone_placements) {
-            for (local, global) in blocks.clone().enumerate() {
-                assignment[global] = ranks.start as u32 + zp.rank_of(local);
-            }
+        for (blocks, ranks) in cost_share_split(costs, num_ranks, zones) {
+            let zone_ctx = PlacementCtx::new(&costs[blocks], ranks.len());
+            self.inner.place_into(&zone_ctx, &mut zone_out)?;
+            let local = zone_out.as_slice().iter();
+            assignment.extend(local.map(|&r| ranks.start as u32 + r));
         }
         Ok(ctx.finish(out))
     }
@@ -111,7 +74,7 @@ impl<P: PlacementPolicy + Sync> PlacementPolicy for Zonal<P> {
 #[cfg(test)]
 mod tests {
     use super::super::test_util::random_costs;
-    use super::super::{Cplx, Lpt};
+    use super::super::{Cplx, Lpt, Rcb};
     use super::*;
 
     #[test]
@@ -161,10 +124,13 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_despite_parallelism() {
-        let costs = random_costs(4096, 5);
-        let a = Zonal::new(16, Cplx::new(25)).place(&costs, 512);
-        let b = Zonal::new(16, Cplx::new(25)).place(&costs, 512);
-        assert_eq!(a, b);
+    fn mesh_needing_inner_returns_typed_error() {
+        // Zones are bare (costs, ranks) sub-problems, so a mesh-aware inner
+        // policy must surface `NeedsMesh` — not panic inside `place()`.
+        let costs = random_costs(32, 6);
+        let ctx = PlacementCtx::new(&costs, 8);
+        let mut out = Placement::default();
+        let err = Zonal::new(2, Rcb).place_into(&ctx, &mut out).unwrap_err();
+        assert!(matches!(err, PlacementError::NeedsMesh { .. }), "{err}");
     }
 }

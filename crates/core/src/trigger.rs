@@ -7,8 +7,6 @@
 //! production-faithful "on mesh change" default, plus periodic and
 //! imbalance-threshold variants for ablations.
 
-use serde::{Deserialize, Serialize};
-
 /// Inputs available when deciding whether to rebalance at a step boundary.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TriggerContext {
@@ -29,7 +27,7 @@ pub struct TriggerContext {
 }
 
 /// When to invoke redistribution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RebalanceTrigger {
     /// Whenever the mesh structure changes (the AMR default).
     OnMeshChange,

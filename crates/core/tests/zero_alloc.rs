@@ -50,8 +50,9 @@ fn alloc_count() -> u64 {
 #[test]
 fn steady_state_rebalance_is_allocation_free() {
     // 160 blocks on 64 ranks: n % r = 32 > 0, so the restricted CDP runs its
-    // real DP (no divisible-case short circuit) and ChunkedCdp at 512
-    // ranks/chunk takes the sequential scratch path.
+    // real DP (no divisible-case short circuit). ChunkedCdp at 512
+    // ranks/chunk is one chunk; `Cplx::with_chunking(50, 8)` is eight, each
+    // solved on the same scratch.
     let num_ranks = 64;
     let costs: Vec<f64> = (0..160).map(|i| 1.0 + (i % 13) as f64 * 0.37).collect();
     let mut shifted = costs.clone();
@@ -63,6 +64,7 @@ fn steady_state_rebalance_is_allocation_free() {
         Box::new(ChunkedCdp::default()),
         Box::new(Cplx::new(50)),
         Box::new(Cplx::new(100)),
+        Box::new(Cplx::with_chunking(50, 8)),
     ];
 
     for policy in &policies {

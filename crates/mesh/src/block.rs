@@ -7,13 +7,10 @@
 
 use crate::geom::{Aabb, Dim};
 use crate::octant::Octant;
-use serde::{Deserialize, Serialize};
 
 /// Dense, SFC-ordered block identifier. `BlockId(i)` is the `i`-th leaf in
 /// depth-first (Z-order) traversal order.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct BlockId(pub u32);
 
 impl BlockId {
@@ -32,7 +29,7 @@ impl std::fmt::Display for BlockId {
 /// Static per-block parameters shared by all blocks of a mesh: cell counts,
 /// ghost width, and number of physical field variables. These determine
 /// boundary-exchange message sizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockSpec {
     /// Cells per axis inside a block (e.g. 16 for the paper's `16³` blocks).
     pub cells_per_axis: u32,
@@ -79,7 +76,7 @@ impl BlockSpec {
 }
 
 /// A mesh block: a leaf octant plus its dense ID and physical bounds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeshBlock {
     pub id: BlockId,
     pub octant: Octant,

@@ -4,14 +4,12 @@
 //! *physical* (floating-point) coordinates; integer octant coordinates live in
 //! [`crate::octant`].
 
-use serde::{Deserialize, Serialize};
-
 /// Spatial dimensionality of the mesh.
 ///
 /// Block-structured AMR codes run 2D and 3D problems; the paper's evaluation
 /// is 3D (Sedov Blast Wave 3D) but the octree/SFC machinery is
 /// dimension-generic (Fig. 5 illustrates the 2D case).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dim {
     /// Two dimensions: quadtree, up to 8 neighbors (4 faces + 4 vertices).
     D2,
@@ -46,7 +44,7 @@ impl Dim {
 }
 
 /// A point in physical coordinates. The `z` component is 0 in 2D.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Point {
     pub x: f64,
     pub y: f64,
@@ -83,7 +81,7 @@ impl Point {
 }
 
 /// Axis-aligned bounding box in physical coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Aabb {
     pub lo: Point,
     pub hi: Point,

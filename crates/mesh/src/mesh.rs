@@ -27,10 +27,9 @@ use crate::octant::Octant;
 use crate::sfc::sfc_key;
 use crate::tree::{Coverage, Octree, NORM_LEVEL};
 use amr_telemetry::trace::{Counter as TraceCounter, TraceHandle, TracePhase};
-use serde::{Deserialize, Serialize};
 
 /// Static configuration of an AMR mesh.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MeshConfig {
     pub dim: Dim,
     /// Root grid (initial blocks per axis). One initial block per root.

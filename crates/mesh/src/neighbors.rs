@@ -27,11 +27,10 @@ use crate::mesh::{BlockFate, RefinementDelta};
 use crate::octant::{Direction, Octant};
 use crate::sfc::sfc_key;
 use crate::tree::{Coverage, Octree};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Classification of a shared boundary surface.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum NeighborKind {
     /// Codimension-1 contact (largest messages).
     Face,
@@ -69,7 +68,7 @@ impl NeighborKind {
 
 /// One directed neighbor relation: the owning block sends a ghost-zone
 /// message to `block` across a `kind` surface.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Neighbor {
     /// The neighboring block.
     pub block: BlockId,
@@ -86,7 +85,7 @@ const PARALLEL_BUILD_MIN_LEAVES: usize = 8192;
 /// the block with `BlockId(i)` are `entries[offsets[i]..offsets[i+1]]`,
 /// sorted by neighbor block id. Relations are symmetric as sets of block
 /// pairs (kinds match; level deltas are negated).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NeighborGraph {
     /// Row boundaries; `offsets.len() == num_blocks + 1` (empty graph: `[0]`
     /// or empty).

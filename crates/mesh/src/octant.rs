@@ -6,7 +6,6 @@
 //! scale these by the root grid, see [`crate::tree`]).
 
 use crate::geom::{Aabb, Dim, Point};
-use serde::{Deserialize, Serialize};
 
 /// Maximum refinement level supported. 20 levels × up to 2 root bits keeps
 /// normalized coordinates within Morton's 21-bit-per-axis budget.
@@ -15,7 +14,7 @@ pub const MAX_LEVEL: u8 = 20;
 /// A direction towards a neighboring octant: each component is -1, 0 or +1,
 /// not all zero. In 3D there are 26 such directions (6 faces, 12 edges,
 /// 8 vertices); in 2D, 8 (4 faces a.k.a. edges-of-squares, 4 vertices).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Direction {
     pub dx: i8,
     pub dy: i8,
@@ -73,7 +72,7 @@ impl Direction {
 
 /// A node of the refinement tree, identified by `(level, x, y, z)` where the
 /// coordinates index the lattice of level-`level` octants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Octant {
     pub level: u8,
     pub x: u32,

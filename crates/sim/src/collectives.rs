@@ -20,11 +20,9 @@
 //! depends on payload size, scale, and hop latency — the diversity the
 //! adaptive control plane selects over.
 
-use serde::{Deserialize, Serialize};
-
 /// Allreduce algorithm: how ranks combine and redistribute the reduction
 /// payload once everyone has arrived.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CollectiveAlgo {
     /// Reduce-and-broadcast over a binomial tree: `⌈log₂ r⌉` levels, each
     /// moving the full payload. Latency-optimal for small vectors — the
@@ -130,7 +128,7 @@ pub fn cheapest_algo(
 }
 
 /// How the per-step collective is chosen ([`crate::macrosim::SimConfig`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CollectiveSelect {
     /// A fixed algorithm. `Fixed(BinomialTree)` (the default) is the
     /// pre-existing behavior, bit for bit.

@@ -18,13 +18,12 @@
 //! loop ([`crate::health`], `amr_telemetry::anomaly`) has to catch.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Static fault-injection configuration: node throttling that holds for the
 /// whole run, plus ever-present OS jitter. For mid-run onset/recovery wrap
 /// it in a [`FaultTimeline`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultConfig {
     /// Nodes whose ranks compute `throttle_factor`× slower.
     pub throttled_nodes: BTreeSet<usize>,
@@ -114,7 +113,7 @@ fn apply_jitter<R: Rng>(base: f64, jitter: f64, rng: &mut R) -> f64 {
 /// How the simulated run reacts when the online detector flags a node
 /// (§IV-A's operational spectrum, from ignoring the fault to blacklisting
 /// the machine).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FaultResponse {
     /// Ignore detector verdicts; placement stays fault-oblivious.
     #[default]
@@ -130,7 +129,7 @@ pub enum FaultResponse {
 
 /// One step-bounded fault episode: the named nodes degrade at `onset_step`
 /// and recover at `recovery_step` (exclusive; `u64::MAX` = never).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultEpisode {
     /// First step (inclusive) on which the episode is active.
     pub onset_step: u64,
@@ -225,7 +224,7 @@ impl FaultEpisode {
 /// step-bounded episodes. With no episodes this is exactly the base config
 /// (same multipliers, same RNG consumption), so zero-fault runs reproduce
 /// the static-fault behavior bit for bit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultTimeline {
     /// Faults present for the entire run (plus the jitter model).
     pub base: FaultConfig,

@@ -116,8 +116,6 @@ pub struct SimConfig {
     pub use_measured_costs: bool,
     /// EWMA smoothing for the telemetry cost model.
     pub cost_alpha: f64,
-    /// The paper's placement computation budget (50 ms), for reporting.
-    pub placement_budget_ns: u64,
     /// Coupling between a sender's compute time and its boundary-send
     /// dispatch time. 0.0 models the fully tuned sends-first schedule
     /// (§IV-B: sends dispatched before compute); 1.0 models the untuned
@@ -196,7 +194,6 @@ impl SimConfig {
             per_block_telemetry: false,
             use_measured_costs: true,
             cost_alpha: 0.5,
-            placement_budget_ns: 50_000_000,
             send_coupling: 0.05,
             exchanges_per_step: 3,
             overlap_efficiency: 0.0,

@@ -24,10 +24,9 @@ use crate::network::NetworkConfig;
 use crate::topology::Topology;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Scheduling order of tasks within a rank's window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskOrder {
     /// Dispatch boundary sends before running compute — the §IV-B
     /// "prioritizing sends" mitigation.
@@ -38,7 +37,7 @@ pub enum TaskOrder {
 }
 
 /// One point-to-point message of a round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Message {
     pub src: u32,
     pub dst: u32,

@@ -29,7 +29,6 @@ use crate::collectives::tree_depth;
 use crate::events::{CalendarQueue, EventArena, EventId};
 use crate::network::NetworkConfig;
 use crate::topology::Topology;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
@@ -37,7 +36,7 @@ use std::collections::{BinaryHeap, HashMap, VecDeque};
 pub type SimTime = u64;
 
 /// One operation of a rank's program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// Busy compute for the given duration.
     Compute(u64),

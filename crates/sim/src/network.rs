@@ -15,10 +15,8 @@
 //!   "MPI_Wait spikes"); the paper's drain-queue mitigation makes the stall
 //!   invisible to the sender.
 
-use serde::{Deserialize, Serialize};
-
 /// Latency/bandwidth parameters for one communication path.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathParams {
     /// One-way message latency (ns).
     pub latency_ns: u64,
@@ -54,7 +52,7 @@ impl PathParams {
 }
 
 /// Full network model configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkConfig {
     /// Intra-node shared-memory path.
     pub shm: PathParams,

@@ -1,11 +1,9 @@
 //! Run reports: the phase decomposition the paper's Fig. 6a plots.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-run phase totals, expressed as *mean time per rank* in nanoseconds so
 /// that the components sum to (approximately) the run's wall time:
 /// `compute + comm + sync + redist ≈ total`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseBreakdown {
     /// Physics/mesh kernels.
     pub compute_ns: f64,
@@ -59,7 +57,7 @@ impl PhaseBreakdown {
 }
 
 /// Message-volume totals by locality class, accumulated over a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MessageTotals {
     /// Same-rank memcpys (not MPI-visible).
     pub intra: u64,

@@ -4,10 +4,8 @@
 //! node decides whether their messages ride the shared-memory path or the
 //! fabric — the distinction behind the local/remote split of Fig. 6c.
 
-use serde::{Deserialize, Serialize};
-
 /// A flat nodes × ranks-per-node topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Topology {
     /// Total MPI ranks.
     pub num_ranks: usize,
@@ -68,7 +66,7 @@ impl Topology {
 /// spare *physical* machine, so fault state — which is attached to physical
 /// machines — stops applying to those ranks. The state migration this
 /// implies is charged by the simulator as fabric traffic.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeMap {
     /// Physical machine hosting each logical node.
     phys: Vec<usize>,

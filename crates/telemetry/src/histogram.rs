@@ -9,10 +9,8 @@
 //! which is how production telemetry systems keep collection overhead
 //! constant per event.
 
-use serde::{Deserialize, Serialize};
-
 /// Exponentially binned histogram of nanosecond durations.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogHistogram {
     /// Sub-bins per power of two (resolution; 1 = pure octaves).
     sub_bins: u32,

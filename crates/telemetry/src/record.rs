@@ -7,15 +7,13 @@
 //! and sorted by rank* — exactly the layout [`crate::table::EventTable`]
 //! maintains.
 
-use serde::{Deserialize, Serialize};
-
 /// Sentinel for records not attributable to a single block (collectives,
 /// redistribution, whole-rank phases).
 pub const NO_BLOCK: u32 = u32::MAX;
 
 /// Execution phases distinguished by the paper's runtime decomposition
 /// (Fig. 6a) plus the finer-grained MPI states used in tuning (§IV-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum Phase {
     /// Physics/mesh compute kernels on a block.
@@ -75,7 +73,7 @@ impl std::fmt::Display for Phase {
 }
 
 /// One telemetry measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventRecord {
     /// Simulation timestep the measurement belongs to.
     pub step: u32,

@@ -10,10 +10,9 @@
 
 use amr_mesh::{AmrMesh, MeshConfig};
 use amr_sim::{Workload, WorkloadStep};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the cooling workload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CoolingConfig {
     pub mesh: MeshConfig,
     pub total_steps: u64,

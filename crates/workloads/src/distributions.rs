@@ -9,10 +9,9 @@
 //! costs stay physical.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A block-cost distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CostDistribution {
     /// Exponential with the given mean.
     Exponential { mean: f64 },

@@ -14,10 +14,9 @@
 use amr_core::cost::{origins_from_delta, CostOrigin};
 use amr_mesh::{Aabb, AmrMesh, BlockId, MeshConfig, Point, RefineTag};
 use amr_sim::{Workload, WorkloadStep};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the interface workload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct InterfaceConfig {
     pub mesh: MeshConfig,
     pub total_steps: u64,

@@ -16,10 +16,9 @@
 
 use crate::sedov::{SedovConfig, SedovWorkload};
 use amr_mesh::{Dim, MeshConfig};
-use serde::{Deserialize, Serialize};
 
 /// Paper-reported Table I row, kept for paper-vs-measured comparisons.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PaperRow {
     pub ranks: usize,
     pub mesh_cells: (u32, u32, u32),

@@ -24,7 +24,6 @@
 use amr_core::cost::{origins_from_delta, CostOrigin};
 use amr_mesh::{Aabb, AmrMesh, BlockId, MeshConfig, Point, RefineTag};
 use amr_sim::{Workload, WorkloadStep};
-use serde::{Deserialize, Serialize};
 
 /// SplitMix64-based deterministic lognormal sample with σ = `sigma`.
 fn lognormal_hash(key: u64, sigma: f64) -> f64 {
@@ -40,7 +39,7 @@ fn lognormal_hash(key: u64, sigma: f64) -> f64 {
 }
 
 /// Configuration of a Sedov run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SedovConfig {
     /// Mesh geometry (use [`MeshConfig::from_cells`] with Table I sizes).
     pub mesh: MeshConfig,

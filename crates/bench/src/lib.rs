@@ -29,8 +29,15 @@
 //! | `ablation_variability` | compute variability vs placement benefit     |
 //! | `ablation_blend`       | the naive CDP/LPT blend dead end (§V-D)      |
 //!
+//! One scale experiment nothing else covers: `scale_hier`, the 2^20-rank
+//! hierarchical trajectory (streamed per-node CSR, two-stage placement,
+//! sharded macrosim at 1 and N threads).
+//!
 //! Criterion benches (`benches/`) cover placement-policy throughput, mesh
 //! operations, telemetry ingest/query/codec/pushdown and simulator rounds.
+//! Every binary here prints a table and none is a gate: end-to-end wall-clock
+//! timing lives in the repo benchmark (`benchmark/`, `BENCHMARK.json`), and
+//! behavioural guards live in `cargo test` (`tests/behaviour_guards.rs`).
 //!
 //! This library hosts the shared plumbing: a tiny `--key value` argument
 //! parser (no CLI dependency), the CPLX policy roster, and fixed-width
@@ -38,9 +45,6 @@
 
 use amr_core::policies::{Baseline, Cplx, PlacementPolicy};
 use std::collections::HashMap;
-
-pub mod e2e;
-pub mod service_load;
 
 /// Parse `--key value` (and bare `--flag`) command-line arguments.
 ///
@@ -186,11 +190,6 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Format nanoseconds as engineering-friendly milliseconds.
-pub fn fmt_ms(ns: f64) -> String {
-    format!("{:.2}", ns / 1e6)
-}
-
 /// Format nanoseconds as seconds.
 pub fn fmt_s(ns: f64) -> String {
     format!("{:.3}", ns / 1e9)
@@ -250,7 +249,6 @@ mod tests {
 
     #[test]
     fn formatters() {
-        assert_eq!(fmt_ms(2_500_000.0), "2.50");
         assert_eq!(fmt_s(1_500_000_000.0), "1.500");
         assert_eq!(fmt_pct_delta(78.4, 100.0), "-21.6%");
         assert_eq!(fmt_pct_delta(1.0, 0.0), "n/a");

@@ -649,16 +649,23 @@ mod tests {
         for k in keys {
             hash_adapt(&mut mesh, k);
         }
-        let resident = ShardedMesh::new(&mesh, 6, &WorkerPool::new(1));
-        let bounds = plan_shard_bounds(&mesh, 6);
+        let resident = ShardedMesh::new(&mesh, 8, &WorkerPool::new(1));
+        let bounds = plan_shard_bounds(&mesh, 8);
         let mut g = ShardGraph::default();
-        for s in 0..6 {
+        let mut largest = 0;
+        for s in 0..8 {
             build_shard(&mesh, &bounds, s, &mut g);
             assert_eq!(g.range(), resident.shard(s).range());
             assert_eq!(g.entries, resident.shard(s).entries);
             assert_eq!(g.offsets, resident.shard(s).offsets);
             assert_eq!(g.halo, resident.shard(s).halo);
+            largest = largest.max(g.num_blocks() + g.total_relations());
         }
+        // The per-node memory story: rows + relations of the largest shard
+        // bound the reused buffer's capacity, and at 8 shards that is under
+        // half of what the resident global graph holds.
+        let global = resident.num_blocks() + resident.total_relations();
+        assert!(2 * largest < global, "largest shard {largest} vs {global}");
     }
 
     #[test]

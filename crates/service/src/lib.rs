@@ -207,8 +207,8 @@ pub struct ServiceStats {
 }
 
 /// Deterministic skewed per-block cost pattern shared by the service, its
-/// tests and the load bench (mirrors the macrosim bench's `skewed_costs`,
-/// refreshed in place so steady-state epochs don't allocate).
+/// tests, `tests/behaviour_guards.rs` and `examples/trace_export.rs`
+/// (refreshed in place so steady-state epochs don't allocate).
 pub fn session_costs(n: usize, out: &mut Vec<f64>) {
     out.clear();
     out.extend((0..n).map(|i| 1.0e6 * (1.0 + 0.37 * (i % 13) as f64)));
@@ -560,14 +560,17 @@ impl Service {
         served
     }
 
-    /// Responses logged so far for `id`, in request order.
+    /// Responses logged so far for `id`, in request order. This and the
+    /// accessors below read an id this service never issued as a closed
+    /// session: empty, `None` or `0`.
     pub fn responses(&self, id: SessionId) -> &[Response] {
-        self.slots[id.0].as_ref().map_or(&[], |s| &s.responses[..])
+        let session = self.slots.get(id.0).and_then(Option::as_ref);
+        session.map_or(&[], |s| &s.responses[..])
     }
 
     /// Forget `id`'s logged responses and latencies (keeps capacity).
     pub fn clear_responses(&mut self, id: SessionId) {
-        if let Some(s) = self.slots[id.0].as_mut() {
+        if let Some(s) = self.slots.get_mut(id.0).and_then(Option::as_mut) {
             s.responses.clear();
             s.latencies_ns.clear();
         }
@@ -575,17 +578,18 @@ impl Service {
 
     /// The session's current placement, if it has rebalanced.
     pub fn session_placement(&self, id: SessionId) -> Option<&Placement> {
-        self.slots[id.0].as_ref()?.engine.placement()
+        self.slots.get(id.0)?.as_ref()?.engine.placement()
     }
 
     /// Current block count of the session's mesh epoch.
     pub fn session_blocks(&self, id: SessionId) -> usize {
-        self.slots[id.0].as_ref().map_or(0, |s| s.mesh.num_blocks())
+        let session = self.slots.get(id.0).and_then(Option::as_ref);
+        session.map_or(0, |s| s.mesh.num_blocks())
     }
 
     /// Raw fingerprint of the session's current epoch (test plumbing).
     pub fn session_fingerprint(&self, id: SessionId) -> Option<u64> {
-        Some(self.slots[id.0].as_ref()?.fingerprint.raw())
+        Some(self.slots.get(id.0)?.as_ref()?.fingerprint.raw())
     }
 
     /// Whether the warm-engine LRU currently holds `raw` (test plumbing).

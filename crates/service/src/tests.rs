@@ -29,6 +29,25 @@ fn service_is_send_and_hierarchical_is_a_session_policy() {
     assert!(matches!(svc.responses(id)[0], Response::Rebalanced { .. }));
 }
 
+/// An id minted by another service (or any id past the slot table) reads
+/// exactly like a closed session instead of indexing out of bounds.
+#[test]
+fn foreign_session_ids_read_as_closed() {
+    let mut minting = Service::new(ServiceConfig::default());
+    let ids: Vec<SessionId> = (0..3)
+        .map(|s| minting.open_session(mesh(s), spec(8)))
+        .collect();
+    minting.close_session(ids[0]);
+    let mut empty = Service::new(ServiceConfig::default());
+    for (svc, id) in [(&mut minting, ids[0]), (&mut empty, ids[2])] {
+        assert!(svc.responses(id).is_empty());
+        svc.clear_responses(id);
+        assert!(svc.session_placement(id).is_none());
+        assert_eq!(svc.session_blocks(id), 0);
+        assert_eq!(svc.session_fingerprint(id), None);
+    }
+}
+
 #[test]
 fn fifo_order_and_mixed_traffic_in_one_batch() {
     let mut svc = Service::new(ServiceConfig::default());

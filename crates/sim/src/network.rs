@@ -132,8 +132,8 @@ impl NetworkConfig {
     /// few links (strict-locality placements funnel chunk-boundary exchange
     /// onto SFC-adjacent node pairs) exhausts the window and stalls; the
     /// same volume spread across many links stays under it. The window is
-    /// sized against the `perf_trajectory --network` arm's per-link volumes
-    /// (see DESIGN.md §16).
+    /// sized against the per-link volumes of the Fig. 7a guard in
+    /// `tests/behaviour_guards.rs` (see DESIGN.md §16).
     pub fn congested() -> NetworkConfig {
         NetworkConfig {
             fabric_credit_bytes: 2 << 20,

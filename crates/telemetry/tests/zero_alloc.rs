@@ -3,8 +3,8 @@
 //! recording spans (host guards and virtual records), bumping counters,
 //! setting gauges, and observing per-phase histograms never touch the heap —
 //! with the worker lanes home or checked out for a parallel region — the
-//! guarantee that makes the < 2% tracing-overhead budget of
-//! `perf_trajectory --trace` credible.
+//! guarantee that makes the < 2% tracing-overhead budget (measured as the
+//! repo benchmark's `bench.trace_overhead_pct`) credible.
 //!
 //! This file must stay a single-test binary: the counting allocator is
 //! process-global, so a concurrently running sibling test would pollute the

@@ -167,7 +167,7 @@ mod tests {
     fn large_mesh_reaches_target_beyond_root_budget() {
         // A target just past the uniform level-1 forest forces at least one
         // level-2 hot sphere; the full 2^20-rank scale is exercised by the
-        // perf-trajectory hierarchical arm, not in unit tests.
+        // `scale_hier` bench binary, not in unit tests.
         let target = 300_000;
         let m = large_refined_mesh(target, 7);
         assert!(m.num_blocks() >= target);

@@ -120,12 +120,19 @@ impl Placement {
 
     /// Total cost per rank under the given block costs.
     pub fn rank_loads(&self, costs: &[f64]) -> Vec<f64> {
+        let mut loads = Vec::new();
+        self.rank_loads_into(costs, &mut loads);
+        loads
+    }
+
+    /// [`Placement::rank_loads`] into a reused buffer (cleared and refilled).
+    fn rank_loads_into(&self, costs: &[f64], loads: &mut Vec<f64>) {
         assert_eq!(costs.len(), self.ranks.len());
-        let mut loads = vec![0.0; self.num_ranks];
+        loads.clear();
+        loads.resize(self.num_ranks, 0.0);
         for (b, &r) in self.ranks.iter().enumerate() {
             loads[r as usize] += costs[b];
         }
-        loads
     }
 
     /// Makespan: the maximum per-rank load. The straggler's load, which
@@ -136,13 +143,19 @@ impl Placement {
 
     /// Imbalance factor: makespan / mean load. 1.0 is perfect balance.
     pub fn imbalance(&self, costs: &[f64]) -> f64 {
-        let loads = self.rank_loads(costs);
+        self.imbalance_with(costs, &mut Vec::new())
+    }
+
+    /// [`Placement::imbalance`] with the per-rank loads staged in a
+    /// caller-pooled buffer (cleared and refilled), for per-step callers.
+    pub fn imbalance_with(&self, costs: &[f64], loads: &mut Vec<f64>) -> f64 {
+        self.rank_loads_into(costs, loads);
         let total: f64 = loads.iter().sum();
         if total == 0.0 {
             return 1.0;
         }
         let mean = total / self.num_ranks as f64;
-        loads.into_iter().fold(0.0f64, f64::max) / mean
+        loads.iter().copied().fold(0.0f64, f64::max) / mean
     }
 
     /// Is the assignment contiguous in SFC order — does each rank own one

@@ -98,10 +98,6 @@ impl Cdp {
         let stride = ht + 1;
         parent.clear();
         parent.resize((r * stride).div_ceil(64), 0);
-        let set_parent = |buf: &mut [u64], k: usize, h: usize| {
-            let bit = (k - 1) * stride + h;
-            buf[bit / 64] |= 1 << (bit % 64);
-        };
         let get_parent = |buf: &[u64], k: usize, h: usize| -> bool {
             let bit = (k - 1) * stride + h;
             buf[bit / 64] & (1 << (bit % 64)) != 0
@@ -109,36 +105,51 @@ impl Cdp {
 
         dp[0] = 0.0; // zero ranks, zero chunks
         for k in 1..=r {
-            // Feasible h range for k ranks: can't exceed total H chunks or k;
-            // must leave enough remaining ranks for remaining H chunks.
+            // Feasible band of h for k ranks: can't exceed total H chunks or
+            // k; must leave enough remaining ranks for remaining H chunks.
+            // Every band cell is reachable (finite) and is written below, and
+            // a row reads its predecessor only inside the predecessor's band
+            // (the two edge cells, which have one option each, are peeled),
+            // so the rolling rows need no reset: the band is at most
+            // min(ht, r - ht) + 1 of a row's ht + 1 cells.
             let h_min = ht.saturating_sub(r - k);
             let h_max = ht.min(k);
-            next.iter_mut().for_each(|v| *v = inf);
-            for h in h_min..=h_max {
-                let i = k * low + h; // prefix length after k ranks
-                                     // Option A: rank k-1 takes a low chunk (length `low`).
-                if h < k {
-                    let prev = dp[h];
-                    if prev < inf {
-                        let seg = w[i] - w[i - low];
-                        let val = prev.max(seg);
-                        if val < next[h] {
-                            next[h] = val;
-                        }
-                    }
+            let base = k * low; // prefix length after k ranks is base + h
+            let row = (k - 1) * stride;
+            if h_min == 0 {
+                // No high chunk yet: rank k-1 takes a low one.
+                next[0] = dp[0].max(w[base] - w[base - low]);
+            }
+            if h_max == k {
+                // All high so far: rank k-1 takes a high one.
+                next[k] = dp[k - 1].max(w[base + k] - w[base + k - (low + 1)]);
+                parent[(row + k) / 64] |= 1 << ((row + k) % 64);
+            }
+            // Interior cells choose between a low chunk (from `dp[h]`) and a
+            // high one (from `dp[h - 1]`) over equal-length windows, with no
+            // data-dependent branch: high wins only when strictly better, and
+            // its parent bit is OR-ed either way, one register-held word of
+            // the bit array at a time.
+            let lo = h_min.max(1);
+            let len = h_max.min(k - 1) + 1 - lo;
+            let w_end = &w[base + lo..][..len];
+            let w_low = &w[base + lo - low..][..len];
+            let w_high = &w[base + lo - low - 1..][..len];
+            let (dp_low, dp_high) = (&dp[lo..][..len], &dp[lo - 1..][..len]);
+            let cells = &mut next[lo..][..len];
+            let mut j = 0;
+            while j < len {
+                let bit = row + lo + j;
+                let run = (64 - bit % 64).min(len - j);
+                let mut word = 0u64;
+                for i in j..j + run {
+                    let a = dp_low[i].max(w_end[i] - w_low[i]);
+                    let b = dp_high[i].max(w_end[i] - w_high[i]);
+                    cells[i] = if b < a { b } else { a };
+                    word |= ((b < a) as u64) << (i - j);
                 }
-                // Option B: rank k-1 takes a high chunk (length `low+1`).
-                if h >= 1 {
-                    let prev = dp[h - 1];
-                    if prev < inf {
-                        let seg = w[i] - w[i - (low + 1)];
-                        let val = prev.max(seg);
-                        if val < next[h] {
-                            next[h] = val;
-                            set_parent(parent, k, h);
-                        }
-                    }
-                }
+                parent[bit / 64] |= word << (bit % 64);
+                j += run;
             }
             std::mem::swap(dp, next);
         }
@@ -224,6 +235,7 @@ mod tests {
     use super::super::test_util::random_costs;
     use super::super::{Baseline, PlacementPolicy};
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn uniform_costs_match_baseline_counts() {
@@ -357,6 +369,88 @@ mod tests {
     fn deterministic() {
         let costs = random_costs(100, 7);
         assert_eq!(Cdp.place(&costs, 13), Cdp.place(&costs, 13));
+    }
+
+    /// The scalar recurrence `solve_lengths_into` ran before its row went
+    /// branch-free, kept as the oracle: whole-row resets, both options
+    /// guarded per cell, the high chunk taken (and its parent bit set) only
+    /// when strictly better.
+    fn reference_lengths(costs: &[f64], r: usize) -> Vec<usize> {
+        let (n, inf) = (costs.len(), f64::INFINITY);
+        let (low, ht) = (n / r, n % r);
+        if ht == 0 {
+            return vec![low; r];
+        }
+        let w = prefix_sums(costs);
+        let (mut dp, mut next) = (vec![inf; ht + 1], vec![inf; ht + 1]);
+        let mut parent = vec![false; r * (ht + 1)];
+        dp[0] = 0.0;
+        for k in 1..=r {
+            next.iter_mut().for_each(|v| *v = inf);
+            for h in ht.saturating_sub(r - k)..=ht.min(k) {
+                let i = k * low + h;
+                if h < k && dp[h] < inf {
+                    let val = dp[h].max(w[i] - w[i - low]);
+                    if val < next[h] {
+                        next[h] = val;
+                    }
+                }
+                if h >= 1 && dp[h - 1] < inf {
+                    let val = dp[h - 1].max(w[i] - w[i - (low + 1)]);
+                    if val < next[h] {
+                        next[h] = val;
+                        parent[(k - 1) * (ht + 1) + h] = true;
+                    }
+                }
+            }
+            std::mem::swap(&mut dp, &mut next);
+        }
+        let mut lengths = vec![low; r];
+        let mut h = ht;
+        for k in (1..=r).rev() {
+            if parent[(k - 1) * (ht + 1) + h] {
+                lengths[k - 1] += 1;
+                h -= 1;
+            }
+        }
+        lengths
+    }
+
+    proptest! {
+        /// Equal `lengths`, not just equal makespan, where the tie rule and
+        /// the band edges bite — over one chunk and several solved back to
+        /// back on one set of rolling rows, as `chunked_assign` drives them.
+        #[test]
+        fn branch_free_row_reproduces_the_scalar_recurrence(
+            chunks in prop::collection::vec(
+                (1usize..300, 0usize..4, 0usize..300, 0usize..4, 0usize..4, any::<u64>()),
+                1..5,
+            )
+        ) {
+            let (mut w, mut dp, mut next) = (Vec::new(), Vec::new(), Vec::new());
+            let (mut parent, mut lengths) = (Vec::new(), Vec::new());
+            for (r, q, rem, shape, kind, seed) in chunks {
+                let n = match shape {
+                    0 => rem % r,         // n < r: low == 0
+                    1 => q * r + 1,       // one high chunk
+                    2 => q * r + r - 1,   // one low chunk
+                    _ => q * r + rem % r, // anything, divisible included
+                };
+                let costs: Vec<f64> = random_costs(n, seed)
+                    .into_iter()
+                    .map(|c| match kind {
+                        0 => 1.0,              // all equal: every cell ties
+                        1 => 0.0,              // all zero
+                        2 => c.floor() % 3.0,  // few distinct values, zeros among them
+                        _ => c,
+                    })
+                    .collect();
+                Cdp::solve_lengths_into(
+                    &costs, r, &mut w, &mut dp, &mut next, &mut parent, &mut lengths,
+                );
+                prop_assert_eq!(&lengths, &reference_lengths(&costs, r), "r {} costs {:?}", r, costs);
+            }
+        }
     }
 }
 

@@ -45,6 +45,13 @@ pub enum RebalanceTrigger {
 }
 
 impl RebalanceTrigger {
+    /// Does [`should_rebalance`](RebalanceTrigger::should_rebalance) read
+    /// [`TriggerContext::imbalance`]? Callers skip pricing it (a pass over
+    /// every block and rank) for a trigger that would discard it.
+    pub fn reads_imbalance(&self) -> bool {
+        matches!(self, RebalanceTrigger::MeshChangeOrImbalance(_))
+    }
+
     /// Should redistribution run now?
     pub fn should_rebalance(&self, ctx: &TriggerContext) -> bool {
         match *self {
@@ -97,6 +104,26 @@ mod tests {
         assert!(t.should_rebalance(&ctx(3, false, 1.6)));
         assert!(!t.should_rebalance(&ctx(3, false, 1.4)));
         assert!(t.should_rebalance(&ctx(3, true, 1.0)));
+    }
+
+    #[test]
+    fn only_the_imbalance_trigger_reads_imbalance() {
+        // A trigger that claims not to read the field must decide the same
+        // whatever it holds.
+        for t in [
+            RebalanceTrigger::OnMeshChange,
+            RebalanceTrigger::Periodic(3),
+            RebalanceTrigger::MeshChangeOrImbalance(1.5),
+            RebalanceTrigger::SyncFractionAbove(0.2),
+            RebalanceTrigger::Never,
+        ] {
+            let moved = (0..8).any(|k| {
+                let (step, changed) = (k / 2, k % 2 == 1);
+                t.should_rebalance(&ctx(step, changed, 1.0))
+                    != t.should_rebalance(&ctx(step, changed, f64::INFINITY))
+            });
+            assert_eq!(moved, t.reads_imbalance(), "{t:?}");
+        }
     }
 
     #[test]

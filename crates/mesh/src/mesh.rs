@@ -17,12 +17,12 @@
 //! single merge walk that copies surviving blocks and splices changed spans.
 //! The walk also fills [`RefinementDelta::remap`] — the old→new [`BlockId`]
 //! fate of every pre-adapt block — which downstream consumers use to patch
-//! the neighbor graph ([`NeighborGraph::patch`]) and remap placement state
-//! instead of rebuilding from scratch.
+//! the neighbor graph ([`AmrMesh::patch_neighbor_graph`]) and remap
+//! placement state instead of rebuilding from scratch.
 
 use crate::block::{BlockId, BlockSpec, MeshBlock};
 use crate::geom::{Aabb, Dim};
-use crate::neighbors::{NeighborGraph, PatchScratch};
+use crate::neighbors::{fill_root_runs, root_shift, BlockIndex, NeighborGraph, PatchScratch};
 use crate::octant::Octant;
 use crate::sfc::sfc_key;
 use crate::tree::{Coverage, Octree, NORM_LEVEL};
@@ -186,6 +186,11 @@ pub struct AmrMesh {
     /// SFC key of each block, parallel to `blocks` and strictly ascending;
     /// `id_of` is a binary search over this array (no per-leaf hash map).
     keys: Vec<u64>,
+    /// Per-root runs of `keys` (`neighbors::fill_root_runs`), refreshed with
+    /// the index: cover classification searches one root's run, not the
+    /// whole array. Kept here, not rebuilt per graph repair — a streamed
+    /// per-shard build would otherwise pay O(blocks) per shard.
+    root_runs: Vec<u32>,
     /// Last adapt's changeset (pooled; see [`AmrMesh::last_delta`]).
     delta: RefinementDelta,
     // Pooled scratch so steady-state adapts allocate nothing.
@@ -246,6 +251,7 @@ impl AmrMesh {
             tree,
             blocks: Vec::new(),
             keys: Vec::new(),
+            root_runs: Vec::new(),
             delta: RefinementDelta::default(),
             tags_scratch: Vec::new(),
             coarsen_scratch: Vec::new(),
@@ -292,6 +298,18 @@ impl AmrMesh {
     #[inline]
     pub fn sfc_keys(&self) -> &[u64] {
         &self.keys
+    }
+
+    /// The maintained cover index (blocks, keys, per-root runs) that graph
+    /// repairs and shard builds classify candidate cells against.
+    #[inline]
+    pub(crate) fn cover_index(&self) -> BlockIndex<'_> {
+        BlockIndex {
+            blocks: &self.blocks,
+            keys: &self.keys,
+            runs: &self.root_runs,
+            dim: self.config.dim,
+        }
     }
 
     /// Look up a block by ID.
@@ -371,7 +389,7 @@ impl AmrMesh {
             && graph.num_blocks() == d.blocks_before
             && self.blocks.len() == d.blocks_after
         {
-            graph.patch(&self.tree, &self.blocks, &self.keys, d, scratch);
+            graph.patch(&self.tree, &self.cover_index(), d, scratch);
             if let Some(t) = &self.trace {
                 t.incr(TraceCounter::GraphPatches, 1);
             }
@@ -554,6 +572,7 @@ impl AmrMesh {
         self.leaves_scratch = within;
         debug_assert_eq!(self.blocks.len(), self.tree.num_leaves());
         debug_assert!(self.keys.windows(2).all(|w| w[0] < w[1]));
+        fill_root_runs(&self.keys, dim, &mut self.root_runs);
     }
 
     /// Recompute SFC-ordered block IDs and physical bounds from scratch
@@ -573,6 +592,7 @@ impl AmrMesh {
             });
             self.keys.push(sfc_key(o, self.config.dim));
         }
+        fill_root_runs(&self.keys, self.config.dim, &mut self.root_runs);
     }
 
     /// Rebuild the block index from scratch, discarding the incremental
@@ -598,9 +618,23 @@ impl AmrMesh {
         if self.keys.len() != self.blocks.len() {
             return Err("key array out of sync with blocks".into());
         }
+        let runs = &self.root_runs;
+        if runs.first() != Some(&0)
+            || runs.last() != Some(&(self.keys.len() as u32))
+            || runs.windows(2).any(|w| w[0] > w[1])
+        {
+            return Err("root runs do not tile the block index".into());
+        }
         for (i, b) in self.blocks.iter().enumerate() {
             if b.id.index() != i {
                 return Err(format!("block {i} has id {}", b.id));
+            }
+            let root = (self.keys[i] >> root_shift(self.config.dim)) as usize;
+            if !runs
+                .get(root..root + 2)
+                .is_some_and(|w| (w[0] as usize..w[1] as usize).contains(&i))
+            {
+                return Err(format!("block {} lies outside its root's run", b.id));
             }
             if !self.tree.is_leaf(&b.octant) {
                 return Err(format!("block {} is not a tree leaf", b.id));

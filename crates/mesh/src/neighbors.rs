@@ -17,16 +17,17 @@
 //!
 //! Construction does not hash: leaves arrive in SFC (ascending Morton key)
 //! order, so coverage classification of a candidate cell is one binary
-//! search over the leaf key array. Large meshes build rows in parallel with
-//! scoped threads over contiguous leaf chunks and merge the per-chunk rows
-//! into the CSR arrays with a prefix sum.
+//! search over the keys of the cell's own level-0 root, never over the whole
+//! leaf array. Large meshes build rows in parallel with scoped threads over
+//! contiguous leaf chunks and merge the per-chunk rows into the CSR arrays
+//! with a prefix sum.
 
 use crate::block::{BlockId, MeshBlock};
 use crate::geom::Dim;
 use crate::mesh::{BlockFate, RefinementDelta};
 use crate::octant::{Direction, Octant};
 use crate::sfc::sfc_key;
-use crate::tree::{Coverage, Octree};
+use crate::tree::{Coverage, Octree, NORM_LEVEL};
 use std::collections::HashMap;
 
 /// Classification of a shared boundary surface.
@@ -97,6 +98,7 @@ pub struct NeighborGraph {
 /// Where a same-level candidate cell sits relative to the (SFC-sorted) leaf
 /// array — the binary-search replacement for `Octree::coverage` plus the
 /// `HashMap<Octant, BlockId>` id lookup.
+#[derive(Debug, PartialEq)]
 pub(crate) enum Cover {
     /// The cell is leaf number `i` (same level).
     Leaf(u32),
@@ -106,35 +108,72 @@ pub(crate) enum Cover {
     Subdivided,
 }
 
+/// Bits of an SFC key below the root octant: `key >> root_shift(dim)` is the
+/// Morton code of the level-0 root containing the cell.
+#[inline]
+pub(crate) fn root_shift(dim: Dim) -> u32 {
+    dim.rank() as u32 * NORM_LEVEL as u32
+}
+
+/// Fill `runs` with the per-root leaf runs of a strictly ascending key array:
+/// the leaves under the root with Morton code `c` are
+/// `keys[runs[c]..runs[c + 1]]` (leaves of one root are SFC-contiguous, and
+/// roots appear in code order). Codes of a non-power-of-two root grid are
+/// sparse; a code without a root gets an empty run. O(leaves + roots), with
+/// at most 32³ roots.
+pub(crate) fn fill_root_runs(keys: &[u64], dim: Dim, runs: &mut Vec<u32>) {
+    let shift = root_shift(dim);
+    runs.clear();
+    for (i, &k) in keys.iter().enumerate() {
+        let root = (k >> shift) as usize;
+        if runs.len() <= root {
+            runs.resize(root + 1, i as u32);
+        }
+    }
+    runs.push(keys.len() as u32);
+}
+
 /// Binary-search cover classification over a strictly ascending SFC key
 /// array — the shared core of the leaf-slice builder ([`LeafIndex`]) and the
 /// block-array patcher ([`BlockIndex`]).
 pub(crate) trait CoverIndex {
     fn keys(&self) -> &[u64];
+    /// Per-root runs of `keys` (see [`fill_root_runs`]).
+    fn root_runs(&self) -> &[u32];
     fn octant(&self, i: u32) -> Octant;
     fn dim(&self) -> Dim;
 
-    /// Classify an in-lattice cell. Correctness of the `Err` arm: leaves
+    /// Classify an in-lattice cell by searching only the leaves of its own
+    /// root — a neighbor lookup never leaves the local forest root, so its
+    /// cost tracks that root's refinement, not the mesh size. The root's
+    /// first leaf shares the root's lower corner, hence its key, which is
+    /// `<=` the key of every cell inside the root: the search cannot fall
+    /// off the front of the run. Correctness of the `Err` arm: leaves
     /// tile the domain, so if `cell`'s key is absent the leaf with the
     /// greatest smaller key is the (unique) coarser leaf whose key range
     /// contains it; if the key is present at a coarser level, that leaf's
     /// lower corner coincides with `cell`'s, making it an ancestor.
     #[inline]
     fn classify(&self, cell: &Octant) -> Cover {
-        match self.keys().binary_search(&sfc_key(cell, self.dim())) {
+        let key = sfc_key(cell, self.dim());
+        let root = (key >> root_shift(self.dim())) as usize;
+        let runs = self.root_runs();
+        let (lo, hi) = (runs[root] as usize, runs[root + 1] as usize);
+        match self.keys()[lo..hi].binary_search(&key) {
             Ok(i) => {
-                let found = self.octant(i as u32).level;
+                let i = (lo + i) as u32;
+                let found = self.octant(i).level;
                 if found == cell.level {
-                    Cover::Leaf(i as u32)
+                    Cover::Leaf(i)
                 } else if found < cell.level {
-                    Cover::CoveredBy(i as u32)
+                    Cover::CoveredBy(i)
                 } else {
                     Cover::Subdivided
                 }
             }
             Err(pos) => {
-                debug_assert!(pos > 0, "in-lattice cell below every leaf key");
-                let i = (pos - 1) as u32;
+                debug_assert!(pos > 0, "in-lattice cell below its root's first leaf");
+                let i = (lo + pos - 1) as u32;
                 debug_assert!(
                     cell.level > self.octant(i).level
                         && cell.ancestor_at(self.octant(i).level) == self.octant(i),
@@ -150,6 +189,7 @@ pub(crate) trait CoverIndex {
 struct LeafIndex<'a> {
     leaves: &'a [Octant],
     keys: Vec<u64>,
+    runs: Vec<u32>,
     dim: Dim,
 }
 
@@ -160,7 +200,14 @@ impl<'a> LeafIndex<'a> {
             keys.windows(2).all(|w| w[0] < w[1]),
             "leaves must arrive in strict SFC order"
         );
-        LeafIndex { leaves, keys, dim }
+        let mut runs = Vec::new();
+        fill_root_runs(&keys, dim, &mut runs);
+        LeafIndex {
+            leaves,
+            keys,
+            runs,
+            dim,
+        }
     }
 }
 
@@ -168,6 +215,10 @@ impl CoverIndex for LeafIndex<'_> {
     #[inline]
     fn keys(&self) -> &[u64] {
         &self.keys
+    }
+    #[inline]
+    fn root_runs(&self) -> &[u32] {
+        &self.runs
     }
     #[inline]
     fn octant(&self, i: u32) -> Octant {
@@ -179,12 +230,13 @@ impl CoverIndex for LeafIndex<'_> {
     }
 }
 
-/// Cover index borrowing a mesh's maintained block array and key array
-/// (no per-call key computation) — the patch path's (and the sharded
-/// builder's) view of the mesh.
+/// Cover index borrowing a mesh's maintained block, key and root-run arrays
+/// (nothing computed per call) — the patch path's (and the sharded
+/// builder's) view of the mesh, handed out by `AmrMesh::cover_index`.
 pub(crate) struct BlockIndex<'a> {
     pub(crate) blocks: &'a [MeshBlock],
     pub(crate) keys: &'a [u64],
+    pub(crate) runs: &'a [u32],
     pub(crate) dim: Dim,
 }
 
@@ -192,6 +244,10 @@ impl CoverIndex for BlockIndex<'_> {
     #[inline]
     fn keys(&self) -> &[u64] {
         self.keys
+    }
+    #[inline]
+    fn root_runs(&self) -> &[u32] {
+        self.runs
     }
     #[inline]
     fn octant(&self, i: u32) -> Octant {
@@ -203,9 +259,9 @@ impl CoverIndex for BlockIndex<'_> {
     }
 }
 
-/// Pooled scratch for [`NeighborGraph::patch`]: the staging CSR arrays swap
-/// with the graph's own on every patch, so after the first call both sides
-/// run allocation-free at steady state.
+/// Pooled scratch for `AmrMesh::patch_neighbor_graph`: the staging CSR
+/// arrays swap with the graph's own on every patch, so after the first call
+/// both sides run allocation-free at steady state.
 #[derive(Debug, Clone, Default)]
 pub struct PatchScratch {
     /// Per-new-block flag: row must be rebuilt (vs copied + renumbered).
@@ -220,10 +276,14 @@ impl NeighborGraph {
     /// given in SFC order (defining the `BlockId` of each leaf). Dispatches
     /// to the parallel row builder for large meshes.
     pub fn build(tree: &Octree, leaves: &[Octant]) -> NeighborGraph {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        if leaves.len() >= PARALLEL_BUILD_MIN_LEAVES && threads > 1 {
+        // Leaf count first: `available_parallelism` is a syscall plus cgroup
+        // file reads, wasted on every mesh too small to use the answer.
+        let threads = if leaves.len() >= PARALLEL_BUILD_MIN_LEAVES {
+            std::thread::available_parallelism().map_or(1, |n| n.get())
+        } else {
+            1
+        };
+        if threads > 1 {
             NeighborGraph::build_parallel(tree, leaves, threads.min(8))
         } else {
             NeighborGraph::build_serial(tree, leaves)
@@ -239,7 +299,7 @@ impl NeighborGraph {
         let mut entries = Vec::with_capacity(leaves.len() * dirs.len());
         let mut row: Vec<Neighbor> = Vec::with_capacity(32);
         for leaf in leaves {
-            build_row(tree, &index, &dirs, leaf, &mut row);
+            build_row(tree, &index, dirs, leaf, &mut row);
             entries.extend_from_slice(&row);
             offsets.push(entries.len() as u32);
         }
@@ -313,7 +373,7 @@ impl NeighborGraph {
             let (counts, entries) = part;
             let mut row: Vec<Neighbor> = Vec::with_capacity(32);
             for leaf in &leaves[bounds[t]..bounds[t + 1]] {
-                build_row(tree, &index, &dirs, leaf, &mut row);
+                build_row(tree, &index, dirs, leaf, &mut row);
                 entries.extend_from_slice(&row);
                 counts.push(row.len() as u32);
             }
@@ -350,7 +410,7 @@ impl NeighborGraph {
         let mut entries = Vec::new();
         for leaf in leaves {
             let mut seen: HashMap<BlockId, Neighbor> = HashMap::new();
-            for dir in &dirs {
+            for dir in dirs {
                 let Some(nb_cell) = tree.lattice_neighbor(leaf, *dir) else {
                     continue;
                 };
@@ -463,7 +523,7 @@ impl NeighborGraph {
     }
 
     /// Repair `self` — the graph of the *pre-adapt* mesh — into the graph of
-    /// the post-adapt mesh described by (`tree`, `blocks`, `keys`, `delta`),
+    /// the post-adapt mesh described by (`tree`, `index`, `delta`),
     /// rebuilding only the rows whose neighborhoods touch changed octants.
     ///
     /// Affected rows are (a) every new block inside a changed region and
@@ -482,11 +542,10 @@ impl NeighborGraph {
     /// nothing. [`NeighborGraph::build`] is the oracle; callers unsure the
     /// graph matches `delta.blocks_before` should use
     /// `AmrMesh::patch_neighbor_graph`, which falls back to it.
-    pub fn patch(
+    pub(crate) fn patch(
         &mut self,
         tree: &Octree,
-        blocks: &[MeshBlock],
-        keys: &[u64],
+        index: &BlockIndex<'_>,
         delta: &RefinementDelta,
         scratch: &mut PatchScratch,
     ) {
@@ -496,13 +555,9 @@ impl NeighborGraph {
             "patch: graph does not match the pre-adapt mesh"
         );
         assert_eq!(delta.remap.len(), delta.blocks_before, "patch: stale delta");
+        let blocks = index.blocks;
         assert_eq!(blocks.len(), delta.blocks_after, "patch: stale block array");
         let n_new = blocks.len();
-        let index = BlockIndex {
-            blocks,
-            keys,
-            dim: tree.dim(),
-        };
         let dirs = Direction::all(tree.dim());
 
         // Phase 1: mark affected new rows.
@@ -541,13 +596,8 @@ impl NeighborGraph {
                 BlockFate::Same(new) => {
                     debug_assert_eq!(new.index(), emitted);
                     if scratch.affected[new.index()] {
-                        build_row(
-                            tree,
-                            &index,
-                            &dirs,
-                            &blocks[new.index()].octant,
-                            &mut scratch.row,
-                        );
+                        let leaf = &blocks[new.index()].octant;
+                        build_row(tree, index, dirs, leaf, &mut scratch.row);
                         scratch.entries.extend_from_slice(&scratch.row);
                     } else {
                         let r = self.offsets[old] as usize..self.offsets[old + 1] as usize;
@@ -564,7 +614,7 @@ impl NeighborGraph {
                 BlockFate::Refined { first, count } => {
                     debug_assert_eq!(first.index(), emitted);
                     for child in &blocks[first.index()..first.index() + count as usize] {
-                        build_row(tree, &index, &dirs, &child.octant, &mut scratch.row);
+                        build_row(tree, index, dirs, &child.octant, &mut scratch.row);
                         scratch.entries.extend_from_slice(&scratch.row);
                         scratch.offsets.push(scratch.entries.len() as u32);
                     }
@@ -573,13 +623,8 @@ impl NeighborGraph {
                 BlockFate::Coarsened(new) => {
                     // Only the first sibling emits the parent's row.
                     if new.index() == emitted {
-                        build_row(
-                            tree,
-                            &index,
-                            &dirs,
-                            &blocks[new.index()].octant,
-                            &mut scratch.row,
-                        );
+                        let leaf = &blocks[new.index()].octant;
+                        build_row(tree, index, dirs, leaf, &mut scratch.row);
                         scratch.entries.extend_from_slice(&scratch.row);
                         scratch.offsets.push(scratch.entries.len() as u32);
                         emitted += 1;
@@ -863,6 +908,65 @@ mod tests {
         let legacy = NeighborGraph::build_legacy(&tree, &leaves);
         assert_eq!(csr, legacy);
         csr.check_symmetry().unwrap();
+    }
+
+    /// Per-root `classify` against the whole-array search it replaced, for
+    /// every in-lattice cell of every level down to one below the deepest
+    /// leaf (so all three outcomes and both match arms occur).
+    fn assert_per_root_classify_matches_whole_array(tree: &Octree) {
+        let leaves = tree.leaves_sorted();
+        let index = LeafIndex::new(&leaves, tree.dim());
+        let whole_array = |cell: &Octant| match index.keys.binary_search(&sfc_key(cell, index.dim))
+        {
+            Ok(i) if leaves[i].level == cell.level => Cover::Leaf(i as u32),
+            Ok(i) if leaves[i].level > cell.level => Cover::Subdivided,
+            Ok(i) => Cover::CoveredBy(i as u32),
+            Err(pos) => Cover::CoveredBy(pos as u32 - 1),
+        };
+        let (rx, ry, rz) = tree.roots();
+        let deepest = leaves.iter().map(|o| o.level).max().unwrap();
+        let mut first_of_root_via_err = false;
+        for level in 0..=deepest + 1 {
+            let nz = match tree.dim() {
+                Dim::D2 => 1,
+                Dim::D3 => rz << level,
+            };
+            for z in 0..nz {
+                for y in 0..ry << level {
+                    for x in 0..rx << level {
+                        let cell = Octant::new(level, x, y, z);
+                        let got = index.classify(&cell);
+                        assert_eq!(got, whole_array(&cell), "{cell:?}");
+                        if let Cover::CoveredBy(i) = got {
+                            first_of_root_via_err |= index.runs.contains(&i)
+                                && index.keys[i as usize] != sfc_key(&cell, index.dim);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            first_of_root_via_err,
+            "Err arm never hit a root's first leaf"
+        );
+    }
+
+    #[test]
+    fn per_root_classify_matches_whole_array_search() {
+        // Non-cubic, non-power-of-two root grid: Morton root codes are sparse.
+        let mut tree = Octree::uniform_roots(Dim::D3, (3, 2, 5));
+        tree.refine(&Octant::new(0, 2, 1, 4));
+        tree.refine(&Octant::new(1, 5, 3, 9));
+        tree.refine(&Octant::new(0, 0, 0, 0));
+        assert_per_root_classify_matches_whole_array(&tree);
+        let mut tree = Octree::uniform_roots(Dim::D2, (5, 3, 1));
+        tree.refine(&Octant::new(0, 4, 2, 0));
+        tree.refine(&Octant::new(1, 8, 4, 0));
+        assert_per_root_classify_matches_whole_array(&tree);
+        let mut tree = Octree::uniform_roots_periodic(Dim::D3, (2, 3, 2));
+        tree.refine(&Octant::new(0, 0, 0, 0));
+        tree.refine(&Octant::new(1, 0, 0, 0));
+        assert_per_root_classify_matches_whole_array(&tree);
     }
 
     #[test]

@@ -33,7 +33,7 @@ impl Direction {
 
     /// Number of nonzero components: 1 = face, 2 = edge, 3 = vertex.
     #[inline]
-    pub fn codim(&self) -> u8 {
+    pub const fn codim(&self) -> u8 {
         (self.dx != 0) as u8 + (self.dy != 0) as u8 + (self.dz != 0) as u8
     }
 
@@ -48,25 +48,45 @@ impl Direction {
     }
 
     /// All directions for the given dimensionality, faces first, then edges,
-    /// then vertices (deterministic order).
-    pub fn all(dim: Dim) -> Vec<Direction> {
-        let zrange: &[i8] = match dim {
-            Dim::D2 => &[0],
-            Dim::D3 => &[-1, 0, 1],
-        };
-        let mut dirs = Vec::with_capacity(dim.max_directions());
-        for &dz in zrange {
-            for dy in [-1i8, 0, 1] {
-                for dx in [-1i8, 0, 1] {
-                    if dx == 0 && dy == 0 && dz == 0 {
-                        continue;
-                    }
-                    dirs.push(Direction { dx, dy, dz });
-                }
-            }
+    /// then vertices (deterministic order): one static table per
+    /// dimensionality, so graph builds, patches and tree edits borrow it
+    /// instead of allocating and sorting a fresh list.
+    pub fn all(dim: Dim) -> &'static [Direction] {
+        const D2: [Direction; 8] = Direction::table(&[0]);
+        const D3: [Direction; 26] = Direction::table(&[-1, 0, 1]);
+        match dim {
+            Dim::D2 => &D2,
+            Dim::D3 => &D3,
         }
-        dirs.sort_by_key(|d| d.codim());
-        dirs
+    }
+
+    /// The `N` directions with `dz` drawn from `zs`, by ascending codimension
+    /// and z-major / x-minor within one.
+    const fn table<const N: usize>(zs: &[i8]) -> [Direction; N] {
+        let mut out = [Direction {
+            dx: 0,
+            dy: 0,
+            dz: 0,
+        }; N];
+        let (mut n, mut codim) = (0, 1);
+        while codim <= 3 {
+            let mut i = 0;
+            while i < zs.len() * 9 {
+                let d = Direction {
+                    dx: (i % 3) as i8 - 1,
+                    dy: (i / 3 % 3) as i8 - 1,
+                    dz: zs[i / 9],
+                };
+                if d.codim() == codim {
+                    out[n] = d;
+                    n += 1;
+                }
+                i += 1;
+            }
+            codim += 1;
+        }
+        assert!(n == N, "direction table size");
+        out
     }
 }
 
@@ -264,11 +284,27 @@ mod tests {
         assert_eq!((faces, edges, verts), (6, 12, 8));
         // Faces are listed first for deterministic prioritization.
         assert!(d3[..6].iter().all(|d| d.codim() == 1));
+        // The static table keeps the order of the list it replaced: a stable
+        // sort by codimension of the z-major enumeration.
+        let mut listed = Vec::new();
+        for dz in [-1i8, 0, 1] {
+            for dy in [-1i8, 0, 1] {
+                for dx in [-1i8, 0, 1] {
+                    if (dx, dy, dz) != (0, 0, 0) {
+                        listed.push(Direction::new(dx, dy, dz));
+                    }
+                }
+            }
+        }
+        listed.sort_by_key(|d| d.codim());
+        assert_eq!(d3, &listed[..]);
+        listed.retain(|d| d.dz == 0);
+        assert_eq!(Direction::all(Dim::D2), &listed[..]);
     }
 
     #[test]
     fn direction_opposite() {
-        for d in Direction::all(Dim::D3) {
+        for &d in Direction::all(Dim::D3) {
             let o = d.opposite();
             assert_eq!(o.opposite(), d);
             assert_eq!(d.codim(), o.codim());

@@ -19,11 +19,12 @@
 //!   its rows reference and a count of cross-shard relations.
 //! * [`ShardedMesh::refresh`] repairs all shards from the
 //!   [`RefinementDelta`] of the latest adapt using the same
-//!   affected-row analysis as [`NeighborGraph::patch`]: unaffected rows are
-//!   copied with ids renumbered through the fate table, affected rows are
-//!   rebuilt, and everything stages through pooled scratch so steady-state
-//!   refreshes allocate nothing. [`AmrMesh::neighbor_graph`] stays the
-//!   correctness oracle (see `flatten_into` and the property tests).
+//!   affected-row analysis as [`AmrMesh::patch_neighbor_graph`]: unaffected
+//!   rows are copied with ids renumbered through the fate table, affected
+//!   rows are rebuilt, and everything stages through pooled scratch so
+//!   steady-state refreshes allocate nothing. [`AmrMesh::neighbor_graph`]
+//!   stays the correctness oracle (see `flatten_into` and the property
+//!   tests).
 //!
 //! ## Why shard boundaries never split a changed span
 //!
@@ -129,8 +130,6 @@ impl ShardGraph {
 /// each shard's own, so steady-state refreshes run allocation-free.
 #[derive(Debug, Clone, Default)]
 struct ShardScratch {
-    /// Direction table (fixed per mesh dimensionality, filled once).
-    dirs: Vec<Direction>,
     /// Per-new-block flag: row must be rebuilt (vs copied + renumbered).
     affected: Vec<bool>,
     /// Shard windows of the pre-adapt index, saved before recomputation.
@@ -180,14 +179,8 @@ pub fn build_shard(mesh: &AmrMesh, bounds: &[u64], s: usize, g: &mut ShardGraph)
     let keys = mesh.sfc_keys();
     let lo = keys.partition_point(|&k| k < bounds[s]);
     let hi = keys.partition_point(|&k| k < bounds[s + 1]);
-    let dirs = Direction::all(mesh.config().dim);
     let mut row = Vec::with_capacity(32);
-    let index = BlockIndex {
-        blocks: mesh.blocks(),
-        keys,
-        dim: mesh.config().dim,
-    };
-    build_shard_rows(mesh.tree(), &index, lo..hi, &dirs, &mut row, g);
+    build_shard_rows(mesh.tree(), &mesh.cover_index(), lo..hi, &mut row, g);
 }
 
 /// Shared row builder: fill `g` with the rows of blocks `span`. Takes the
@@ -198,10 +191,10 @@ fn build_shard_rows(
     tree: &Octree,
     index: &BlockIndex<'_>,
     span: std::ops::Range<usize>,
-    dirs: &[Direction],
     row: &mut Vec<Neighbor>,
     g: &mut ShardGraph,
 ) {
+    let dirs = Direction::all(index.dim);
     g.start = span.start as u32;
     g.end = span.end as u32;
     g.offsets.clear();
@@ -225,10 +218,7 @@ impl ShardedMesh {
             bounds,
             starts: Vec::with_capacity(num_shards + 1),
             shards: vec![ShardGraph::default(); num_shards],
-            scratch: ShardScratch {
-                dirs: Direction::all(mesh.config().dim),
-                ..ShardScratch::default()
-            },
+            scratch: ShardScratch::default(),
         };
         sharded.rebuild(mesh, pool);
         sharded
@@ -318,26 +308,13 @@ impl ShardedMesh {
     /// the per-step path.
     pub fn rebuild(&mut self, mesh: &AmrMesh, pool: &WorkerPool) {
         self.recompute_starts(mesh);
-        if self.scratch.dirs.is_empty() {
-            self.scratch.dirs = Direction::all(mesh.config().dim);
-        }
-        let ShardedMesh {
-            starts,
-            shards,
-            scratch,
-            ..
-        } = self;
-        let dirs = &scratch.dirs;
+        let ShardedMesh { starts, shards, .. } = self;
         let tree = mesh.tree();
-        let index = BlockIndex {
-            blocks: mesh.blocks(),
-            keys: mesh.sfc_keys(),
-            dim: mesh.config().dim,
-        };
+        let index = mesh.cover_index();
         pool.run_with(shards, |s, g| {
             let mut row = Vec::with_capacity(32);
             let span = starts[s] as usize..starts[s + 1] as usize;
-            build_shard_rows(tree, &index, span, dirs, &mut row, g);
+            build_shard_rows(tree, &index, span, &mut row, g);
         });
     }
 
@@ -352,9 +329,10 @@ impl ShardedMesh {
 
     /// Bring every shard up to date with the mesh after the most recent
     /// [`AmrMesh::adapt`]: the per-shard analogue of
-    /// [`NeighborGraph::patch`]. Unaffected rows are copied with neighbor
-    /// ids renumbered through the fate table; rows whose neighborhoods touch
-    /// changed octants are rebuilt; each shard's halo table is refreshed.
+    /// [`AmrMesh::patch_neighbor_graph`]. Unaffected rows are copied with
+    /// neighbor ids renumbered through the fate table; rows whose
+    /// neighborhoods touch changed octants are rebuilt; each shard's halo
+    /// table is refreshed.
     /// All staging goes through pooled scratch (steady state allocates
     /// nothing); the splice itself is a single in-order pass over the fate
     /// table (already O(changed rows)) and stays on the calling thread.
@@ -435,11 +413,8 @@ impl ShardedMesh {
         // Phase 2: walk old ids globally (new ids come out ascending) and
         // emit each shard's rows into the staging arrays; when a shard's
         // window fills, swap the staging in and refresh its halo.
-        let index = BlockIndex {
-            blocks: mesh.blocks(),
-            keys: mesh.sfc_keys(),
-            dim: mesh.config().dim,
-        };
+        let index = mesh.cover_index();
+        let dirs = Direction::all(index.dim);
         let tree = mesh.tree();
         let blocks = mesh.blocks();
         scratch.offsets.clear();
@@ -474,13 +449,8 @@ impl ShardedMesh {
                 BlockFate::Same(new) => {
                     debug_assert_eq!(new.index(), emitted);
                     if scratch.affected[new.index()] {
-                        build_row(
-                            tree,
-                            &index,
-                            &scratch.dirs,
-                            &blocks[new.index()].octant,
-                            &mut scratch.row,
-                        );
+                        let leaf = &blocks[new.index()].octant;
+                        build_row(tree, &index, dirs, leaf, &mut scratch.row);
                         scratch.entries.extend_from_slice(&scratch.row);
                     } else {
                         // A surviving block keeps its key, so its old row
@@ -503,7 +473,7 @@ impl ShardedMesh {
                 BlockFate::Refined { first, count } => {
                     debug_assert_eq!(first.index(), emitted);
                     for child in &blocks[first.index()..first.index() + count as usize] {
-                        build_row(tree, &index, &scratch.dirs, &child.octant, &mut scratch.row);
+                        build_row(tree, &index, dirs, &child.octant, &mut scratch.row);
                         scratch.entries.extend_from_slice(&scratch.row);
                         scratch.offsets.push(scratch.entries.len() as u32);
                     }
@@ -512,13 +482,8 @@ impl ShardedMesh {
                 }
                 BlockFate::Coarsened(new) => {
                     if new.index() == emitted {
-                        build_row(
-                            tree,
-                            &index,
-                            &scratch.dirs,
-                            &blocks[new.index()].octant,
-                            &mut scratch.row,
-                        );
+                        let leaf = &blocks[new.index()].octant;
+                        build_row(tree, &index, dirs, leaf, &mut scratch.row);
                         scratch.entries.extend_from_slice(&scratch.row);
                         scratch.offsets.push(scratch.entries.len() as u32);
                         emitted += 1;

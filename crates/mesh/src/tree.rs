@@ -266,7 +266,7 @@ impl Octree {
         let mut refined = 0;
         // Balance first: any neighbor covered by a coarser leaf must be
         // refined before `o`'s children (level o.level+1) appear.
-        for dir in Direction::all(self.dim) {
+        for &dir in Direction::all(self.dim) {
             if let Some(nb) = self.lattice_neighbor(o, dir) {
                 if let Coverage::CoveredBy(coarse) = self.coverage(&nb) {
                     // 2:1 balance guarantees coarse.level == o.level - 1.
@@ -301,7 +301,7 @@ impl Octree {
         // superset only for those actually touching parent, so restrict to
         // leaves within neighbor cells that touch parent (all of them do, by
         // construction of the lattice neighbor).
-        for dir in Direction::all(self.dim) {
+        for &dir in Direction::all(self.dim) {
             if let Some(nb) = self.lattice_neighbor(parent, dir) {
                 for leaf in self.touching_leaves_in(&nb, dir) {
                     if leaf.level > parent.level + 1 {
@@ -389,7 +389,7 @@ impl Octree {
         }
         // 2:1 balance.
         for leaf in &self.leaves {
-            for dir in Direction::all(self.dim) {
+            for &dir in Direction::all(self.dim) {
                 if let Some(nb) = self.lattice_neighbor(leaf, dir) {
                     match self.coverage(&nb) {
                         Coverage::CoveredBy(c) => {

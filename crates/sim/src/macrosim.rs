@@ -350,8 +350,16 @@ pub(crate) struct CommEpoch {
     pub(crate) service_ns: Vec<f64>,
     /// Intra-rank memcpy time per rank.
     pub(crate) memcpy_ns: Vec<f64>,
-    /// Ranks that send to each rank (for the arrival/wait model).
-    pub(crate) senders: Vec<Vec<u32>>,
+    /// Ranks that send to each rank (for the arrival/wait model), as one
+    /// flat array of per-rank segments: rank `d`'s segment is
+    /// `senders[sender_off[d]..sender_off[d + 1]]`, of which the first
+    /// `sender_len[d]` entries are live — sorted and distinct once the fill
+    /// is done ([`CommEpoch::senders_of`]). `sender_off` has `r + 1` entries.
+    pub(crate) senders: Vec<u32>,
+    pub(crate) sender_off: Vec<u32>,
+    pub(crate) sender_len: Vec<u32>,
+    /// Fill scratch: the node hosting each rank.
+    pub(crate) node_of: Vec<u32>,
     /// Flux-correction traffic (fine→coarse face pairs, §II-B): per-rank
     /// dispatch+service time per step.
     pub(crate) flux_ns: Vec<f64>,
@@ -375,9 +383,15 @@ pub(crate) struct CommEpoch {
 }
 
 impl CommEpoch {
+    /// The ranks that send to `rank`, ascending.
+    #[inline]
+    pub(crate) fn senders_of(&self, rank: usize) -> &[u32] {
+        &self.senders[self.sender_off[rank] as usize..][..self.sender_len[rank] as usize]
+    }
+
     /// Clear the per-rank aggregates and size them for `r` ranks, keeping
-    /// every buffer's capacity (epochs are refilled in place; the nested
-    /// `senders` rows likewise keep theirs). The fill overwrites `counts`.
+    /// every buffer's capacity (epochs are refilled in place). The fill
+    /// sizes `senders` and overwrites `node_of` and `counts`.
     pub(crate) fn reset(&mut self, r: usize) {
         for v in [
             &mut self.dispatch_ns,
@@ -395,10 +409,10 @@ impl CommEpoch {
         self.blocks_per_rank.resize(r, 0);
         self.shm_in.clear();
         self.shm_in.resize(r, 0);
-        self.senders.resize_with(r, Vec::new);
-        for s in &mut self.senders {
-            s.clear();
-        }
+        self.sender_off.clear();
+        self.sender_off.resize(r + 1, 0);
+        self.sender_len.clear();
+        self.sender_len.resize(r, 0);
     }
 }
 
@@ -448,6 +462,10 @@ struct Run {
     cost_spare: Vec<f64>,
     compute: Vec<f64>,
     finish: Vec<f64>,
+    /// Per-rank send-dispatch times of the current step ([`par::finish_times`]).
+    send_at: Vec<f64>,
+    /// Per-rank loads behind the trigger's imbalance factor.
+    loads: Vec<f64>,
     rank_mult: Vec<f64>,
     measured: Vec<f64>,
     arrivals: Vec<u64>,
@@ -657,6 +675,8 @@ impl MacroSim {
             cost_spare: Vec::new(),
             compute: vec![0.0; r],
             finish: vec![0.0; r],
+            send_at: vec![0.0; r],
+            loads: Vec::new(),
             rank_mult: vec![0.0; r],
             measured: Vec::new(),
             arrivals: Vec::with_capacity(r),
@@ -755,10 +775,19 @@ impl MacroSim {
             .engine
             .placement()
             .filter(|p| p.num_blocks() == run.cost_model.len());
+        // O(blocks + ranks) per step, so priced only for a trigger that
+        // reads it; without a comparable placement the rebalance is forced
+        // below whatever the trigger says.
+        let imbalance = match comparable {
+            Some(p) if trigger.reads_imbalance() => {
+                p.imbalance_with(run.cost_model.costs(), &mut run.loads)
+            }
+            _ => f64::INFINITY,
+        };
         let ctx = TriggerContext {
             step,
             mesh_changed: ws.mesh_changed,
-            imbalance: comparable.map_or(f64::INFINITY, |p| p.imbalance(run.cost_model.costs())),
+            imbalance,
             // The previous step's measured sync share (0.0 at step 0): the
             // trace-driven trigger reacts to what the run actually lost,
             // congestion and fault stalls included.
@@ -915,6 +944,7 @@ impl MacroSim {
             &run.epoch,
             &run.compute,
             &run.nic_slow,
+            &mut run.send_at,
             &mut run.finish,
         );
     }
@@ -991,7 +1021,7 @@ impl MacroSim {
         let cfg = &self.config;
         let r = cfg.topology.num_ranks;
         let counts = &run.epoch.counts;
-        let msgs_per_rank = (counts.local + counts.remote) as u32 / r as u32;
+        let msgs_per_rank = mean_msgs_per_rank(counts.local + counts.remote, r);
         let mut step_phases = PhaseBreakdown::default();
         for rank in 0..r {
             let comm = run.finish[rank] - run.compute[rank];
@@ -1159,6 +1189,13 @@ impl MacroSim {
     }
 }
 
+/// Mean MPI messages per rank per round, for the telemetry rows. Divides in
+/// `u64` and narrows after: a round at the 2²⁴-rank scale carries more than
+/// 2³² messages, which truncating first would wrap.
+fn mean_msgs_per_rank(msgs: u64, ranks: usize) -> u32 {
+    u32::try_from(msgs / ranks as u64).unwrap_or(u32::MAX)
+}
+
 /// The cost vector handed to the policy: the model's measured (EWMA) costs,
 /// or — the production default the paper's §V-A3 change (1) replaces — "every
 /// block costs 1", staged in `uniform`.
@@ -1180,6 +1217,14 @@ mod tests {
     use super::*;
     use amr_core::policies::{Baseline, Lpt};
     use amr_mesh::{Dim, MeshConfig, RefineTag};
+
+    #[test]
+    fn mean_msgs_per_rank_divides_before_narrowing() {
+        assert_eq!(mean_msgs_per_rank(59_640, 512), 116);
+        // Past 2^32 messages the old `as u32 / r as u32` wrapped to 1.
+        assert_eq!(mean_msgs_per_rank((1 << 32) + (1 << 24), 1 << 24), 257);
+        assert_eq!(mean_msgs_per_rank(u64::MAX, 1), u32::MAX);
+    }
 
     #[test]
     fn macrosim_is_send() {

@@ -84,6 +84,65 @@ impl EpochCounts {
     }
 }
 
+/// What one message of a class costs under the network model: every term the
+/// fill charges per relation, evaluated once per fill instead of once per
+/// relation (the model functions divide and saturate). `service` and `tail`
+/// are indexed by `same_node as usize`.
+#[derive(Debug, Clone, Copy, Default)]
+struct MsgCost {
+    bytes: u64,
+    /// Intra-rank copy: memcpy at memory bandwidth (use shm bandwidth).
+    memcpy: f64,
+    dispatch: f64,
+    service: [f64; 2],
+    tail: [f64; 2],
+}
+
+impl MsgCost {
+    fn new(network: &NetworkConfig, bytes: u64) -> MsgCost {
+        MsgCost {
+            bytes,
+            memcpy: bytes as f64 / network.shm.bytes_per_ns,
+            dispatch: network.dispatch_ns(bytes) as f64,
+            service: [false, true].map(|local| network.service_ns(bytes, local) as f64),
+            tail: [false, true].map(|local| network.transfer_ns(bytes, local) as f64),
+        }
+    }
+}
+
+/// Append `src` to a rank's sender segment (`seg[..*len]` is live) unless it
+/// repeats the last entry. A rank's blocks are SFC-contiguous, so one
+/// sender's messages arrive in runs: skipping repeats keeps the live part
+/// near its final size, and the sort + [`dedup_sorted`] pass resolves the
+/// rest (no per-rank hash/tree set in the hot loop).
+#[inline]
+fn push_sender(seg: &mut [u32], len: &mut u32, src: u32) {
+    let n = *len as usize;
+    if n > 0 && seg[n - 1] == src {
+        return;
+    }
+    assert!(
+        n < seg.len(),
+        "sender segment overflow: capacity {} assumes a symmetric neighbor graph",
+        seg.len()
+    );
+    seg[n] = src;
+    *len += 1;
+}
+
+/// Compact the distinct values of a sorted slice to its front; returns how
+/// many there are.
+fn dedup_sorted(v: &mut [u32]) -> usize {
+    let mut kept = 0;
+    for i in 0..v.len() {
+        if kept == 0 || v[i] != v[kept - 1] {
+            v[kept] = v[i];
+            kept += 1;
+        }
+    }
+    kept
+}
+
 /// Inputs of one epoch fill: the per-rank communication aggregates of a
 /// (mesh, placement) pair under a topology and network model.
 pub(crate) struct EpochFill<'a> {
@@ -111,18 +170,24 @@ impl EpochFill<'_> {
         }
     }
 
-    /// Boundary pass, flux pass, and the per-destination contention/sort
-    /// pass, as `t_n` tasks owning the rank ranges of [`task_range`]
-    /// (`SOLE` ⇔ `t_n == 1`).
+    /// One traversal of the graph — boundary exchange and flux correction
+    /// per relation — then the per-destination contention/sort pass, as
+    /// `t_n` tasks owning the rank ranges of [`task_range`] (`SOLE` ⇔
+    /// `t_n == 1`).
     ///
-    /// Each task scans both graph passes in full and applies src-slot
-    /// updates (dispatch, memcpy, flux-send, message-class counters) when it
-    /// owns `src`, dst-slot updates (service, transfer tail, senders, shm
-    /// fan-in, flux receive) when it owns `dst`. A slot's contributions
-    /// therefore arrive from exactly one task, in global row order. The
-    /// final contention + `senders` sort/dedup pass touches only dst-owned
-    /// slots, so no barrier is needed between passes: one dispatch runs all
-    /// three.
+    /// Each task scans every row and applies src-slot updates (dispatch,
+    /// memcpy, flux-send, message-class counters) when it owns `src`,
+    /// dst-slot updates (service, transfer tail, senders, shm fan-in, flux
+    /// receive) when it owns `dst`. A slot's contributions therefore arrive
+    /// from exactly one task, in global row order, src term before dst term
+    /// — the order `flux_ns` mixes whole and fractional nanoseconds in, so a
+    /// rank-major traversal would move virtual time. The final contention +
+    /// sender sort/dedup pass touches only dst-owned slots, so no barrier is
+    /// needed between passes: one dispatch runs both.
+    ///
+    /// What a relation costs comes from a table priced once per fill
+    /// ([`MsgCost`] per neighbor kind, plus the flux payload) and a
+    /// rank → node table, so the loop body is loads, adds and compares.
     fn run_tasks<const SOLE: bool>(
         &self,
         t_n: usize,
@@ -141,24 +206,49 @@ impl EpochFill<'_> {
         let r = topology.num_ranks;
         let nodes = topology.num_nodes();
         let congestion = network.congestion_enabled();
-        let link_of =
-            |src: usize, dst: usize| topology.node_of(src) * nodes + topology.node_of(dst);
+
+        let mut by_kind = [MsgCost::default(); 3];
+        for codim in 1..=dim.rank() as u8 {
+            by_kind[NeighborKind::from_codim(codim) as usize] =
+                MsgCost::new(network, spec.message_bytes(dim, codim));
+        }
+        // Flux correction: every fine block sends conserved-flux data for
+        // each face shared with a coarser neighbor — small messages, one
+        // round per step (§II-B). The payload is the fine face restricted
+        // onto the coarse grid: a quarter of a face exchange.
+        let flux_cost = MsgCost::new(network, spec.message_bytes(dim, 1) / 4);
 
         e.reset(r);
-        for b in 0..placement.num_blocks() {
-            e.blocks_per_rank[placement.rank_of(b) as usize] += 1;
+        e.node_of.clear();
+        e.node_of
+            .extend((0..r).map(|rank| topology.node_of(rank) as u32));
+        // Sender segment capacities from row lengths alone. The graph is
+        // symmetric, so the relations into a rank's blocks number exactly
+        // the relations out of them: rank `d` receives at most Σ deg(b) over
+        // its blocks pushes, and `sender_off[d]..sender_off[d + 1]` of the
+        // flat array is room for all of them.
+        graph.for_each_row(|block, nbs| {
+            let rank = placement.rank_of(block.index()) as usize;
+            e.blocks_per_rank[rank] += 1;
+            e.sender_off[rank + 1] += nbs.len() as u32;
+        });
+        for rank in 0..r {
+            e.sender_off[rank + 1] += e.sender_off[rank];
         }
+        e.senders.resize(e.sender_off[r] as usize, 0);
         e.partials.resize_with(t_n, EpochCounts::default);
         for p in e.partials.iter_mut() {
             p.reset(if congestion { nodes * nodes } else { 0 });
         }
 
+        let (node_of, off) = (&e.node_of[..], &e.sender_off[..]);
         let dispatch = Disjoint::new(&mut e.dispatch_ns);
         let service = Disjoint::new(&mut e.service_ns);
         let memcpy = Disjoint::new(&mut e.memcpy_ns);
         let flux = Disjoint::new(&mut e.flux_ns);
         let tail = Disjoint::new(&mut e.transfer_tail_ns);
         let senders = Disjoint::new(&mut e.senders);
+        let sender_len = Disjoint::new(&mut e.sender_len);
         let shm = Disjoint::new(&mut e.shm_in);
         let lanes = lanes.map(|(l, step)| (Disjoint::new(l), step));
 
@@ -171,17 +261,21 @@ impl EpochFill<'_> {
                 let lane = unsafe { &mut l.slice(t, t + 1)[0] };
                 (lane.now_ns(), lane, *step)
             });
+            // Owned ranks' segments are one contiguous piece of `senders`.
+            let seg_lo = off[lo] as usize;
             // SAFETY: `task_range` tiles `0..r`, so the tasks' rank ranges
-            // [lo, hi) are pairwise disjoint; every slice below is indexed
-            // only by owned ranks (rk - lo).
-            let (dispatch, service, memcpy, flux, tail, senders, shm) = unsafe {
+            // [lo, hi) are pairwise disjoint, and `off` ascends, so their
+            // segment ranges [off[lo], off[hi]) are too; every slice below is
+            // indexed only by owned ranks (rk - lo) or their segments.
+            let (dispatch, service, memcpy, flux, tail, senders, sender_len, shm) = unsafe {
                 (
                     dispatch.slice(lo, hi),
                     service.slice(lo, hi),
                     memcpy.slice(lo, hi),
                     flux.slice(lo, hi),
                     tail.slice(lo, hi),
-                    senders.slice(lo, hi),
+                    senders.slice(seg_lo, off[hi] as usize),
+                    sender_len.slice(lo, hi),
                     shm.slice(lo, hi),
                 )
             };
@@ -189,14 +283,19 @@ impl EpochFill<'_> {
             graph.for_each_row(|block, nbs| {
                 let src = placement.rank_of(block.index()) as usize;
                 let src_owned = owns(src);
+                let src_node = node_of[src];
                 for n in nbs {
                     let dst = placement.rank_of(n.block.index()) as usize;
+                    let cost = &by_kind[n.kind as usize];
+                    // Only fine→coarse faces carry flux fix-ups.
+                    let fluxes = n.level_delta == -1 && n.kind == NeighborKind::Face;
                     if dst == src {
                         if src_owned {
                             p.intra += 1;
-                            // memcpy at memory bandwidth (use shm bandwidth).
-                            let bytes = spec.message_bytes(dim, n.kind.codim());
-                            memcpy[src - lo] += bytes as f64 / network.shm.bytes_per_ns;
+                            memcpy[src - lo] += cost.memcpy;
+                            if fluxes {
+                                flux[src - lo] += flux_cost.memcpy;
+                            }
                         }
                         continue;
                     }
@@ -204,71 +303,39 @@ impl EpochFill<'_> {
                     if !src_owned && !dst_owned {
                         continue;
                     }
-                    let bytes = spec.message_bytes(dim, n.kind.codim());
-                    let local = topology.same_node(src, dst);
+                    let local = node_of[dst] == src_node;
                     if src_owned {
-                        p.count_sent(local, || link_of(src, dst), bytes);
-                        dispatch[src - lo] += network.dispatch_ns(bytes) as f64;
+                        let link = || src_node as usize * nodes + node_of[dst] as usize;
+                        p.count_sent(local, link, cost.bytes);
+                        dispatch[src - lo] += cost.dispatch;
+                        if fluxes {
+                            p.flux += 1;
+                            flux[src - lo] += flux_cost.dispatch;
+                            p.count_sent(local, link, flux_cost.bytes);
+                        }
                     }
                     if dst_owned {
+                        let d = dst - lo;
                         if local {
-                            shm[dst - lo] += 1;
+                            shm[d] += 1;
                         }
-                        service[dst - lo] += network.service_ns(bytes, local) as f64;
-                        let tl = network.transfer_ns(bytes, local) as f64;
-                        if tl > tail[dst - lo] {
-                            tail[dst - lo] = tl;
+                        service[d] += cost.service[local as usize];
+                        if cost.tail[local as usize] > tail[d] {
+                            tail[d] = cost.tail[local as usize];
                         }
-                        // A rank's blocks are SFC-contiguous, so one sender's
-                        // messages arrive in runs: skipping repeats of the
-                        // last sender keeps these rows near their final size.
-                        // The sort+dedup pass below resolves the rest (no
-                        // per-rank hash/tree set in the hot loop).
-                        let from = &mut senders[dst - lo];
-                        if from.last() != Some(&(src as u32)) {
-                            from.push(src as u32);
+                        let seg = off[dst] as usize - seg_lo..off[dst + 1] as usize - seg_lo;
+                        push_sender(&mut senders[seg], &mut sender_len[d], src as u32);
+                        if fluxes {
+                            flux[d] += flux_cost.service[local as usize];
                         }
                     }
                 }
             });
-            // Flux correction: every fine block sends conserved-flux data
-            // for each face shared with a coarser neighbor — small messages,
-            // one round per step (§II-B). The payload is the fine face
-            // restricted onto the coarse grid: a quarter of a face exchange.
-            graph.for_each_row(|block, nbs| {
-                let src = placement.rank_of(block.index()) as usize;
-                let src_owned = owns(src);
-                for n in nbs {
-                    if n.level_delta != -1 || n.kind != NeighborKind::Face {
-                        continue; // only fine→coarse faces carry flux fix-ups
-                    }
-                    let bytes = spec.message_bytes(dim, 1) / 4;
-                    let dst = placement.rank_of(n.block.index()) as usize;
-                    if dst == src {
-                        if src_owned {
-                            flux[src - lo] += bytes as f64 / network.shm.bytes_per_ns;
-                        }
-                        continue;
-                    }
-                    let dst_owned = owns(dst);
-                    if !src_owned && !dst_owned {
-                        continue;
-                    }
-                    let local = topology.same_node(src, dst);
-                    if src_owned {
-                        p.flux += 1;
-                        flux[src - lo] += network.dispatch_ns(bytes) as f64;
-                        p.count_sent(local, || link_of(src, dst), bytes);
-                    }
-                    if dst_owned {
-                        flux[dst - lo] += network.service_ns(bytes, local) as f64;
-                    }
-                }
-            });
-            for (svc, (&arrivals, from)) in service.iter_mut().zip(shm.iter().zip(senders)) {
-                *svc += network.shm_contention_ns(arrivals) as f64;
-                from.sort_unstable();
-                from.dedup();
+            for (k, (svc, len)) in service.iter_mut().zip(sender_len).enumerate() {
+                *svc += network.shm_contention_ns(shm[k]) as f64;
+                let seg = &mut senders[off[lo + k] as usize - seg_lo..][..*len as usize];
+                seg.sort_unstable();
+                *len = dedup_sorted(seg) as u32;
             }
             if let Some((start_ns, lane, step)) = lane {
                 lane.record_since(TracePhase::Exchange, step, start_ns);
@@ -300,23 +367,25 @@ impl EpochFill<'_> {
     /// merged per-link byte matrix into per-rank stalls. A rank's round is
     /// gated by its node's most congested outgoing link (the send side
     /// blocks for credit returns) and incoming link (retransmits delay the
-    /// service tail). [`NetworkConfig::congestion_ns`] is monotone, so
-    /// taking the byte max first equals maxing the stalls — and prices each
-    /// worst link exactly once. Pure integer maxima over the merged matrix:
-    /// identical at any thread count.
+    /// service tail) — a function of the node, so each node's row and column
+    /// are scanned once and the stalls broadcast to its ranks.
+    /// [`NetworkConfig::congestion_ns`] is monotone, so taking the byte max
+    /// first equals maxing the stalls — and prices each worst link exactly
+    /// once. Pure integer maxima over the merged matrix: identical at any
+    /// thread count.
     fn fill_congestion(&self, e: &mut CommEpoch) {
         let nodes = self.topology.num_nodes();
         let link_bytes = &e.counts.link_bytes;
-        for rank in 0..self.topology.num_ranks {
-            let sn = self.topology.node_of(rank);
+        for node in 0..nodes {
             let mut worst_out = 0u64;
             let mut worst_in = 0u64;
             for peer in 0..nodes {
-                worst_out = worst_out.max(link_bytes[sn * nodes + peer]);
-                worst_in = worst_in.max(link_bytes[peer * nodes + sn]);
+                worst_out = worst_out.max(link_bytes[node * nodes + peer]);
+                worst_in = worst_in.max(link_bytes[peer * nodes + node]);
             }
-            e.cong_send_ns[rank] = self.network.congestion_ns(worst_out) as f64;
-            e.cong_recv_ns[rank] = self.network.congestion_ns(worst_in) as f64;
+            let ranks = self.topology.ranks_on_node(node);
+            e.cong_send_ns[ranks.clone()].fill(self.network.congestion_ns(worst_out) as f64);
+            e.cong_recv_ns[ranks].fill(self.network.congestion_ns(worst_in) as f64);
         }
     }
 }
@@ -377,20 +446,34 @@ fn scatter_owned<const SOLE: bool>(
 /// Boundary-exchange finish times: each rank's ready time (compute +
 /// dispatch + memcpy) followed by its arrival-constrained finish, fused per
 /// owned rank — a rank's `finish` reads its own ready time plus *other*
-/// ranks' `compute` and epoch dispatch times (read-only shared). Per-rank
-/// NIC slowdowns (1.0 on healthy timelines — multiplying by 1.0 is
-/// bit-exact) stretch the fabric-facing terms: dispatch, service, flux, and
-/// the transfer tail. Memcpys don't ride the NIC.
+/// ranks' send times (read-only shared). Per-rank NIC slowdowns (1.0 on
+/// healthy timelines — multiplying by 1.0 is bit-exact) stretch the
+/// fabric-facing terms: dispatch, service, flux, and the transfer tail.
+/// Memcpys don't ride the NIC.
+///
+/// `send_at` is pooled scratch: when each rank's last boundary send is
+/// dispatched this step. It depends on the sender alone, so it is priced
+/// once per rank on the calling thread (O(ranks)) rather than once per
+/// (receiver, sender) pair inside the tasks.
 pub(crate) fn finish_times(
     pool: &WorkerPool,
     cfg: &SimConfig,
     e: &CommEpoch,
     compute: &[f64],
     nic_slow: &[f64],
+    send_at: &mut [f64],
     finish: &mut [f64],
 ) {
     let xs = cfg.exchanges_per_step as f64;
     let r = compute.len();
+    // With the tuned sends-first schedule, dispatch times are only weakly
+    // coupled to the sender's compute (§IV-B/§IV-D).
+    for (s, at) in send_at.iter_mut().enumerate() {
+        *at = cfg.send_coupling * compute[s]
+            + xs * e.dispatch_ns[s] * nic_slow[s]
+            + xs * e.cong_send_ns[s] * nic_slow[s];
+    }
+    let send_at = &*send_at;
     let t_n = pool.tasks_for(r);
     let finish = Disjoint::new(finish);
     pool.run(t_n, |t| {
@@ -405,19 +488,15 @@ pub(crate) fn finish_times(
                 + xs * (e.dispatch_ns[rank] * nic_slow[rank] + e.memcpy_ns[rank])
                 + e.flux_ns[rank] * nic_slow[rank]
                 + xs * e.cong_send_ns[rank] * nic_slow[rank];
-            // Last inbound message ~ slowest sender's dispatch + tail. With
-            // the tuned sends-first schedule, dispatch times are only weakly
-            // coupled to the sender's compute (§IV-B/§IV-D).
+            // Last inbound message ~ slowest sender's dispatch + tail.
+            let senders = e.senders_of(rank);
             let mut arrival = 0.0f64;
-            for &s in &e.senders[rank] {
-                let a = cfg.send_coupling * compute[s as usize]
-                    + xs * e.dispatch_ns[s as usize] * nic_slow[s as usize]
-                    + xs * e.cong_send_ns[s as usize] * nic_slow[s as usize];
-                if a > arrival {
-                    arrival = a;
+            for &s in senders {
+                if send_at[s as usize] > arrival {
+                    arrival = send_at[s as usize];
                 }
             }
-            if !e.senders[rank].is_empty() {
+            if !senders.is_empty() {
                 arrival += e.transfer_tail_ns[rank] * nic_slow[rank];
             }
             // Async masking: independent work from co-resident blocks hides
@@ -431,4 +510,67 @@ pub(crate) fn finish_times(
                 + xs * e.cong_recv_ns[rank] * nic_slow[rank];
         }
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use amr_mesh::{AmrMesh, MeshConfig, RefineTag};
+    use std::collections::BTreeSet;
+
+    #[test]
+    fn sender_segments_hold_each_ranks_sorted_distinct_senders() {
+        let mut mesh = AmrMesh::new(MeshConfig::from_cells(Dim::D3, (64, 64, 64), 2));
+        mesh.adapt(|b| match b.id.index() % 5 {
+            0 => RefineTag::Refine,
+            _ => RefineTag::Keep,
+        });
+        let (n, r) = (mesh.num_blocks(), 24);
+        // Scattered: SFC-adjacent blocks land on different ranks, so no
+        // rank's blocks (or inbound sender runs) are contiguous.
+        let placement = Placement::new((0..n).map(|b| (b * 7 % r) as u32).collect(), r);
+        let graph = ResidentGraph::Flat(mesh.neighbor_graph());
+        for threads in [1, 3] {
+            let pool = WorkerPool::new(threads);
+            let fill = EpochFill {
+                pool: &pool,
+                topology: &Topology::new(r, 4),
+                network: &NetworkConfig::tuned(),
+                spec: mesh.config().spec,
+                dim: Dim::D3,
+                placement: &placement,
+                graph: &graph,
+            };
+            let mut e = CommEpoch::default();
+            fill.run(&mut e, None);
+            assert_eq!(e.partials.len(), threads);
+            // Segments tile the flat array...
+            assert_eq!((e.sender_off[0], e.sender_off.len()), (0, r + 1));
+            assert_eq!(e.sender_off[r] as usize, e.senders.len());
+            for rank in 0..r {
+                let (mut want, mut degree) = (BTreeSet::new(), 0);
+                graph.for_each_row(|block, nbs| {
+                    if placement.rank_of(block.index()) as usize == rank {
+                        degree += nbs.len() as u32;
+                        want.extend(nbs.iter().map(|n| placement.rank_of(n.block.index())));
+                    }
+                });
+                want.remove(&(rank as u32));
+                // ...each as wide as the symmetric-degree bound, holding
+                // exactly the rank's distinct senders in ascending order.
+                assert_eq!(e.sender_off[rank + 1] - e.sender_off[rank], degree);
+                assert!(e.sender_len[rank] <= degree);
+                assert!(e.senders_of(rank).iter().copied().eq(want), "rank {rank}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sender segment overflow")]
+    fn sender_segment_overflow_is_a_hard_failure() {
+        let (mut seg, mut len) = ([0u32; 2], 0);
+        for src in [3, 3, 1, 2] {
+            push_sender(&mut seg, &mut len, src);
+        }
+    }
 }

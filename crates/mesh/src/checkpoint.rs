@@ -23,7 +23,6 @@ use crate::geom::{Aabb, Dim, Point};
 use crate::mesh::{AmrMesh, MeshConfig};
 use crate::octant::Octant;
 use crate::tree::Octree;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Magic bytes of the checkpoint format.
 pub const MAGIC: &[u8; 4] = b"AMRM";
@@ -53,26 +52,37 @@ impl std::fmt::Display for RestoreError {
 
 impl std::error::Error for RestoreError {}
 
+/// Fixed-size header after magic + version: dim, roots, max_level, periodic,
+/// spec, domain, leaf count.
+const HEADER_BYTES: usize = 1 + 12 + 1 + 1 + 16 + 48 + 8;
+/// One leaf: level, x, y, z.
+const LEAF_BYTES: usize = 1 + 4 + 4 + 4;
+
 /// Serialize a mesh snapshot.
-pub fn save(mesh: &AmrMesh) -> Bytes {
+pub fn save(mesh: &AmrMesh) -> Vec<u8> {
     let cfg = mesh.config();
     let n = mesh.num_blocks();
-    let mut buf = BytesMut::with_capacity(64 + n * 13);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u8(match cfg.dim {
+    let mut buf = Vec::with_capacity(8 + HEADER_BYTES + n * LEAF_BYTES);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.push(match cfg.dim {
         Dim::D2 => 2,
         Dim::D3 => 3,
     });
-    buf.put_u32_le(cfg.roots.0);
-    buf.put_u32_le(cfg.roots.1);
-    buf.put_u32_le(cfg.roots.2);
-    buf.put_u8(cfg.max_level);
-    buf.put_u8(cfg.periodic as u8);
-    buf.put_u32_le(cfg.spec.cells_per_axis);
-    buf.put_u32_le(cfg.spec.ghost_width);
-    buf.put_u32_le(cfg.spec.num_vars);
-    buf.put_u32_le(cfg.spec.bytes_per_value);
+    let spec = cfg.spec;
+    for v in [cfg.roots.0, cfg.roots.1, cfg.roots.2] {
+        buf.extend_from_slice(&v.to_le_bytes());
+    }
+    buf.push(cfg.max_level);
+    buf.push(cfg.periodic as u8);
+    for v in [
+        spec.cells_per_axis,
+        spec.ghost_width,
+        spec.num_vars,
+        spec.bytes_per_value,
+    ] {
+        buf.extend_from_slice(&v.to_le_bytes());
+    }
     for v in [
         cfg.domain.lo.x,
         cfg.domain.lo.y,
@@ -81,67 +91,83 @@ pub fn save(mesh: &AmrMesh) -> Bytes {
         cfg.domain.hi.y,
         cfg.domain.hi.z,
     ] {
-        buf.put_f64_le(v);
+        buf.extend_from_slice(&v.to_le_bytes());
     }
-    buf.put_u64_le(n as u64);
+    buf.extend_from_slice(&(n as u64).to_le_bytes());
     for b in mesh.blocks() {
-        buf.put_u8(b.octant.level);
-        buf.put_u32_le(b.octant.x);
-        buf.put_u32_le(b.octant.y);
-        buf.put_u32_le(b.octant.z);
+        buf.push(b.octant.level);
+        for v in [b.octant.x, b.octant.y, b.octant.z] {
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
     }
-    buf.freeze()
+    buf
+}
+
+/// Little-endian cursor over the unread bytes. The caller checks lengths
+/// before reading; a short buffer is a bug here and panics.
+struct Cursor<'a>(&'a [u8]);
+
+impl Cursor<'_> {
+    fn take<const N: usize>(&mut self) -> [u8; N] {
+        let (head, rest) = self.0.split_first_chunk::<N>().expect("length checked");
+        self.0 = rest;
+        *head
+    }
+
+    fn u8(&mut self) -> u8 {
+        self.take::<1>()[0]
+    }
+
+    fn u32(&mut self) -> u32 {
+        u32::from_le_bytes(self.take())
+    }
 }
 
 /// Restore a mesh snapshot, revalidating all structural invariants.
-pub fn restore(mut buf: &[u8]) -> Result<AmrMesh, RestoreError> {
-    if buf.remaining() < 4 + 4 {
+pub fn restore(buf: &[u8]) -> Result<AmrMesh, RestoreError> {
+    let mut buf = Cursor(buf);
+    if buf.0.len() < 4 + 4 {
         return Err(RestoreError::Truncated);
     }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    if &buf.take::<4>() != MAGIC {
         return Err(RestoreError::BadMagic);
     }
-    let version = buf.get_u32_le();
+    let version = buf.u32();
     if version != VERSION {
         return Err(RestoreError::BadVersion(version));
     }
-    // Fixed-size header after magic+version: 1 + 12 + 1 + 1 + 16 + 48 + 8.
-    if buf.remaining() < 87 {
+    if buf.0.len() < HEADER_BYTES {
         return Err(RestoreError::Truncated);
     }
-    let dim = match buf.get_u8() {
+    let dim = match buf.u8() {
         2 => Dim::D2,
         3 => Dim::D3,
         d => return Err(RestoreError::InvalidMesh(format!("bad dim {d}"))),
     };
-    let roots = (buf.get_u32_le(), buf.get_u32_le(), buf.get_u32_le());
-    let max_level = buf.get_u8();
-    let periodic = buf.get_u8() != 0;
+    let roots = (buf.u32(), buf.u32(), buf.u32());
+    let max_level = buf.u8();
+    let periodic = buf.u8() != 0;
     let spec = BlockSpec {
-        cells_per_axis: buf.get_u32_le(),
-        ghost_width: buf.get_u32_le(),
-        num_vars: buf.get_u32_le(),
-        bytes_per_value: buf.get_u32_le(),
+        cells_per_axis: buf.u32(),
+        ghost_width: buf.u32(),
+        num_vars: buf.u32(),
+        bytes_per_value: buf.u32(),
     };
-    let vals: Vec<f64> = (0..6).map(|_| buf.get_f64_le()).collect();
+    let vals: [f64; 6] = std::array::from_fn(|_| f64::from_le_bytes(buf.take()));
     let domain = Aabb::new(
         Point::new(vals[0], vals[1], vals[2]),
         Point::new(vals[3], vals[4], vals[5]),
     );
-    let n = buf.get_u64_le() as usize;
-    if buf.remaining() < n * 13 {
+    // The leaf count is unvalidated input: hold it to what the buffer
+    // carries before sizing anything from it.
+    let n = usize::try_from(u64::from_le_bytes(buf.take())).map_err(|_| RestoreError::Truncated)?;
+    let need = n.checked_mul(LEAF_BYTES).ok_or(RestoreError::Truncated)?;
+    if buf.0.len() < need {
         return Err(RestoreError::Truncated);
     }
-    let mut leaves = Vec::with_capacity(n);
-    for _ in 0..n {
-        let level = buf.get_u8();
-        let x = buf.get_u32_le();
-        let y = buf.get_u32_le();
-        let z = buf.get_u32_le();
-        leaves.push(Octant::new(level, x, y, z));
-    }
+    let leaves = (0..n)
+        .map(|_| Octant::new(buf.u8(), buf.u32(), buf.u32(), buf.u32()))
+        .collect();
     let config = MeshConfig {
         dim,
         roots,
@@ -218,6 +244,16 @@ mod tests {
         match restore(&bytes) {
             Err(RestoreError::InvalidMesh(_)) => {}
             other => panic!("expected InvalidMesh, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn oversized_leaf_count_is_truncation_not_allocation() {
+        let mut bytes = save(&refined_mesh());
+        let count_at = 8 + HEADER_BYTES - 8;
+        for n in [u64::MAX, u64::MAX / LEAF_BYTES as u64, 1 << 40] {
+            bytes[count_at..count_at + 8].copy_from_slice(&n.to_le_bytes());
+            assert_eq!(restore(&bytes).unwrap_err(), RestoreError::Truncated);
         }
     }
 

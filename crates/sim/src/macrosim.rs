@@ -45,7 +45,7 @@ use amr_telemetry::anomaly::{OnlineDetectorConfig, OnlineThrottleDetector};
 use amr_telemetry::trace::{
     Counter as TraceCounter, Gauge as TraceGauge, Metrics, TraceHandle, TracePhase,
 };
-use amr_telemetry::{Collector, EventTable, Phase};
+use amr_telemetry::{Collector, EventTable, Phase, NO_BLOCK};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -284,7 +284,12 @@ pub struct RunReport {
     pub halo_exchange_ns: f64,
     /// Halo (ghost) blocks of the final epoch, summed over shards.
     pub final_halo_blocks: u64,
-    /// Collected telemetry.
+    /// Collected telemetry, in canonical `(step, rank, phase, block)` order.
+    /// A pure function of virtual time except for the `duration_ns` of its
+    /// `Redistribution` rows: those carry the *host* wall clock the
+    /// placement took (`redist.per_rank_ns += wall`), so two runs of one
+    /// configuration differ there and nowhere else — compare or hash tables
+    /// with those durations masked (`tests/golden_telemetry.rs`).
     pub telemetry: EventTable,
 }
 
@@ -683,6 +688,13 @@ impl MacroSim {
             coll_wait: Vec::with_capacity(r),
         };
         self.fill_epoch(&mut run);
+        // Room for the sampled steps' rows, so ingest grows no column
+        // mid-run on a static mesh. Reserved last: ahead of the topology
+        // build it displaces that build's transient buffers and the peak
+        // RSS of a large static run reads 0.7 MB higher.
+        let block_rows = initial_blocks * cfg.per_block_telemetry as usize;
+        let rows = reserved_rows(steps, cfg.telemetry_sampling, r, block_rows);
+        run.collector.reserve(rows);
         Ok(run)
     }
 
@@ -915,14 +927,11 @@ impl MacroSim {
         if cfg.per_block_telemetry {
             // In block order, ahead of this step's rank-level rows: the
             // collector's per-rank compute series accumulates in that order.
-            for (b, &t) in run.measured.iter().enumerate() {
-                run.collector.record_block(
-                    placement.rank_of(b),
-                    b as u32,
-                    Phase::Compute,
-                    t as u64,
-                );
-            }
+            let owners = placement.as_slice().iter().zip(&run.measured);
+            let rows = owners
+                .enumerate()
+                .map(|(b, (&rank, &t))| (rank, b as u32, t as u64));
+            run.collector.record_phase(Phase::Compute, rows, 0, 0);
         }
         // With capacities applied, deflate observations back to intrinsic
         // block cost — otherwise the fault inflation would be counted twice
@@ -1024,42 +1033,35 @@ impl MacroSim {
         let msgs_per_rank = mean_msgs_per_rank(counts.local + counts.remote, r);
         let mut step_phases = PhaseBreakdown::default();
         for rank in 0..r {
-            let comm = run.finish[rank] - run.compute[rank];
-            let sync = run.coll_wait[rank] as f64;
             step_phases.compute_ns += run.compute[rank];
-            step_phases.comm_ns += comm;
-            step_phases.sync_ns += sync;
-            run.collector
-                .record_rank(rank as u32, Phase::Compute, run.compute[rank] as u64);
-            if run.epoch.flux_ns[rank] > 0.0 {
-                run.collector.record_rank(
-                    rank as u32,
-                    Phase::FluxCorrection,
-                    run.epoch.flux_ns[rank] as u64,
-                );
-            }
-            run.collector.record_comm_rank(
-                rank as u32,
-                Phase::BoundaryComm,
-                comm as u64,
-                msgs_per_rank,
-                0,
-            );
-            run.collector
-                .record_rank(rank as u32, Phase::Synchronization, sync as u64);
+            step_phases.comm_ns += run.finish[rank] - run.compute[rank];
+            step_phases.sync_ns += run.coll_wait[rank] as f64;
         }
         step_phases.redist_ns = run.redist.per_rank_ns * r as f64;
+        // One column append per phase, in ascending `Phase` order behind the
+        // per-block Compute rows: the collector then seals the step already
+        // in canonical order.
+        let (compute, finish, flux) = (&run.compute, &run.finish, &run.epoch.flux_ns);
+        let (coll_wait, c) = (&run.coll_wait, &mut run.collector);
+        c.record_phase(Phase::Compute, rank_rows(r, |k| compute[k] as u64), 0, 0);
+        let comm = rank_rows(r, |k| (finish[k] - compute[k]) as u64);
+        c.record_phase(Phase::BoundaryComm, comm, msgs_per_rank, 0);
+        let sync = rank_rows(r, |k| coll_wait[k] as f64 as u64);
+        c.record_phase(Phase::Synchronization, sync, 0, 0);
         if run.redist.per_rank_ns > 0.0 {
             // The placement report's migration accounting rides along:
             // moved blocks as the message count, shipped payload as bytes.
-            run.collector.record_comm_rank(
+            c.record(
                 0,
+                NO_BLOCK,
                 Phase::Redistribution,
                 step_phases.redist_ns as u64,
                 run.redist.moved.min(u32::MAX as u64) as u32,
                 run.redist.bytes,
             );
         }
+        let fluxing = rank_rows(r, |k| flux[k] as u64).filter(|&(k, ..)| flux[k as usize] > 0.0);
+        c.record_phase(Phase::FluxCorrection, fluxing, 0, 0);
         let inv_r = 1.0 / r as f64;
         run.report.phases.accumulate(&step_phases.scaled(inv_r));
 
@@ -1189,6 +1191,26 @@ impl MacroSim {
     }
 }
 
+/// Rank-level telemetry rows `(rank, NO_BLOCK, ns(rank))` for ranks `0..r`.
+fn rank_rows(r: usize, ns: impl Fn(usize) -> u64) -> impl Iterator<Item = (u32, u32, u64)> {
+    (0..r).map(move |rank| (rank as u32, NO_BLOCK, ns(rank)))
+}
+
+/// Telemetry rows to reserve ahead of a run: every sampled step's rows (at
+/// most four per rank, the Redistribution row and the block rows), capped.
+/// `steps` can be a service client's number, so the product saturates, and
+/// past [`MAX_RESERVED_ROWS`] the table grows as the rows arrive.
+fn reserved_rows(steps: u64, sampling: u32, ranks: usize, block_rows: usize) -> usize {
+    let rows_per_step = (4 * ranks as u64 + 1).saturating_add(block_rows as u64);
+    let rows = steps
+        .div_ceil(sampling as u64)
+        .saturating_mul(rows_per_step);
+    rows.min(MAX_RESERVED_ROWS) as usize
+}
+
+/// Cap on [`reserved_rows`]: 2²⁰ rows at 33 bytes each.
+const MAX_RESERVED_ROWS: u64 = 1 << 20;
+
 /// Mean MPI messages per rank per round, for the telemetry rows. Divides in
 /// `u64` and narrows after: a round at the 2²⁴-rank scale carries more than
 /// 2³² messages, which truncating first would wrap.
@@ -1224,6 +1246,19 @@ mod tests {
         // Past 2^32 messages the old `as u32 / r as u32` wrapped to 1.
         assert_eq!(mean_msgs_per_rank((1 << 32) + (1 << 24), 1 << 24), 257);
         assert_eq!(mean_msgs_per_rank(u64::MAX, 1), u32::MAX);
+    }
+
+    #[test]
+    fn reserved_rows_saturate_and_cap() {
+        // fault_diagnose's shape: 60 steps of 1 695 block rows on 1 024 ranks.
+        assert_eq!(reserved_rows(60, 1, 1024, 1695), 60 * (4 * 1024 + 1 + 1695));
+        assert_eq!(reserved_rows(60, 16, 512, 0), 4 * (4 * 512 + 1));
+        // A client-sized step count neither overflows nor reserves the earth.
+        assert_eq!(reserved_rows(u64::MAX, 1, 1 << 24, usize::MAX), 1 << 20);
+        assert_eq!(reserved_rows(u64::MAX, u32::MAX, 1, 0), 1 << 20);
+        let w = StaticWorkload::new(2, u64::MAX, 0.0);
+        let run = MacroSim::new(small_config(8)).begin_run(w.mesh(), &Baseline, u64::MAX);
+        assert!(run.is_ok_and(|run| run.collector.is_empty()));
     }
 
     #[test]

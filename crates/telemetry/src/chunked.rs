@@ -21,7 +21,6 @@
 use crate::codec;
 use crate::record::{EventRecord, Phase};
 use crate::table::EventTable;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Per-chunk statistics: the zone map.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,28 +36,28 @@ pub struct ChunkStats {
     pub phase_mask: u8,
 }
 
+/// `(min, max)` of a column; `(T::MAX, T::MIN)` for an empty one.
+fn min_max<T: Copy + Ord>(col: &[T], empty: (T, T)) -> (T, T) {
+    col.iter()
+        .fold(empty, |(lo, hi), &v| (lo.min(v), hi.max(v)))
+}
+
 impl ChunkStats {
+    /// The zone map of `table`, one column at a time.
     fn of(table: &EventTable) -> ChunkStats {
-        let mut s = ChunkStats {
+        let (step_min, step_max) = min_max(table.steps(), (u32::MAX, 0));
+        let (rank_min, rank_max) = min_max(table.ranks(), (u32::MAX, 0));
+        let (duration_min, duration_max) = min_max(table.durations(), (u64::MAX, 0));
+        ChunkStats {
             rows: table.len() as u32,
-            step_min: u32::MAX,
-            step_max: 0,
-            rank_min: u32::MAX,
-            rank_max: 0,
-            duration_min: u64::MAX,
-            duration_max: 0,
-            phase_mask: 0,
-        };
-        for i in 0..table.len() {
-            s.step_min = s.step_min.min(table.steps()[i]);
-            s.step_max = s.step_max.max(table.steps()[i]);
-            s.rank_min = s.rank_min.min(table.ranks()[i]);
-            s.rank_max = s.rank_max.max(table.ranks()[i]);
-            s.duration_min = s.duration_min.min(table.durations()[i]);
-            s.duration_max = s.duration_max.max(table.durations()[i]);
-            s.phase_mask |= 1 << table.phases()[i];
+            step_min,
+            step_max,
+            rank_min,
+            rank_max,
+            duration_min,
+            duration_max,
+            phase_mask: table.phases().iter().fold(0, |mask, &p| mask | 1 << p),
         }
-        s
     }
 }
 
@@ -101,13 +100,15 @@ impl Predicate {
 
     /// Does a single row match?
     pub fn matches(&self, r: &EventRecord) -> bool {
-        self.step
-            .is_none_or(|(lo, hi)| r.step >= lo && r.step <= hi)
-            && self
-                .rank
-                .is_none_or(|(lo, hi)| r.rank >= lo && r.rank <= hi)
-            && self.min_duration_ns.is_none_or(|m| r.duration_ns >= m)
-            && self.phase.is_none_or(|p| r.phase == p)
+        self.test(r.step, r.rank, r.duration_ns, r.phase.code())
+    }
+
+    /// The row test on the four indexed column values.
+    fn test(&self, step: u32, rank: u32, duration_ns: u64, phase: u8) -> bool {
+        self.step.is_none_or(|(lo, hi)| step >= lo && step <= hi)
+            && self.rank.is_none_or(|(lo, hi)| rank >= lo && rank <= hi)
+            && self.min_duration_ns.is_none_or(|m| duration_ns >= m)
+            && self.phase.is_none_or(|p| phase == p.code())
     }
 }
 
@@ -134,20 +135,16 @@ impl ChunkedStore {
     /// the table's current order; sort canonically first for best pruning).
     pub fn build(table: &EventTable, chunk_rows: usize) -> ChunkedStore {
         assert!(chunk_rows > 0);
-        let mut chunks = Vec::new();
-        let mut stats = Vec::new();
-        let mut current = EventTable::new();
-        for r in table.iter() {
-            current.push(r);
-            if current.len() == chunk_rows {
-                stats.push(ChunkStats::of(&current));
-                chunks.push(std::mem::take(&mut current));
-            }
-        }
-        if !current.is_empty() {
-            stats.push(ChunkStats::of(&current));
-            chunks.push(current);
-        }
+        let chunks: Vec<EventTable> = (0..table.len())
+            .step_by(chunk_rows)
+            .map(|at| table.slice(at..table.len().min(at + chunk_rows)))
+            .collect();
+        ChunkedStore::from_chunks(chunks)
+    }
+
+    /// Derive the zone maps of `chunks`.
+    fn from_chunks(chunks: Vec<EventTable>) -> ChunkedStore {
+        let stats = chunks.iter().map(ChunkStats::of).collect();
         ChunkedStore { chunks, stats }
     }
 
@@ -178,11 +175,14 @@ impl ChunkedStore {
                 continue;
             }
             scanned += 1;
-            for r in chunk.iter() {
-                if pred.matches(&r) {
-                    rows.push(r);
-                }
-            }
+            // Test on the typed columns; only matches become records.
+            let (steps, ranks) = (chunk.steps(), chunk.ranks());
+            let (durations, phases) = (chunk.durations(), chunk.phases());
+            rows.extend(
+                (0..chunk.len())
+                    .filter(|&i| pred.test(steps[i], ranks[i], durations[i], phases[i]))
+                    .map(|i| chunk.row(i)),
+            );
         }
         ScanResult {
             rows,
@@ -198,50 +198,46 @@ impl ChunkedStore {
     /// (chunk_len u32, chunk_bytes...) × chunk_count
     /// ```
     /// Zone maps are rebuilt on load (they are derived data).
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_slice(b"AMRC");
-        buf.put_u32_le(1);
-        buf.put_u32_le(self.chunks.len() as u32);
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(b"AMRC");
+        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf.extend_from_slice(&(self.chunks.len() as u32).to_le_bytes());
         for chunk in &self.chunks {
             let bytes = codec::encode(chunk);
-            buf.put_u32_le(bytes.len() as u32);
-            buf.put_slice(&bytes);
+            buf.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+            buf.extend_from_slice(&bytes);
         }
-        buf.freeze()
+        buf
     }
 
     /// Deserialize a chunked buffer.
     pub fn decode(mut buf: &[u8]) -> Result<ChunkedStore, codec::DecodeError> {
-        if buf.remaining() < 12 {
+        let take_u32 = |buf: &mut &[u8]| codec::take(buf).map(u32::from_le_bytes);
+        if buf.len() < 12 {
             return Err(codec::DecodeError::Truncated);
         }
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != b"AMRC" {
+        if &codec::take::<4>(&mut buf)? != b"AMRC" {
             return Err(codec::DecodeError::BadMagic);
         }
-        let version = buf.get_u32_le();
+        let version = take_u32(&mut buf)?;
         if version != 1 {
             return Err(codec::DecodeError::BadVersion(version));
         }
-        let count = buf.get_u32_le() as usize;
-        let mut chunks = Vec::with_capacity(count);
-        let mut stats = Vec::with_capacity(count);
+        let count = take_u32(&mut buf)? as usize;
+        // The count is unvalidated input: every chunk takes at least its
+        // 4-byte length prefix, which bounds what the buffer can hold.
+        let mut chunks = Vec::with_capacity(count.min(buf.len() / 4));
         for _ in 0..count {
-            if buf.remaining() < 4 {
+            let len = take_u32(&mut buf)? as usize;
+            if buf.len() < len {
                 return Err(codec::DecodeError::Truncated);
             }
-            let len = buf.get_u32_le() as usize;
-            if buf.remaining() < len {
-                return Err(codec::DecodeError::Truncated);
-            }
-            let chunk = codec::decode(&buf[..len])?;
-            buf.advance(len);
-            stats.push(ChunkStats::of(&chunk));
-            chunks.push(chunk);
+            let (chunk, rest) = buf.split_at(len);
+            chunks.push(codec::decode(chunk)?);
+            buf = rest;
         }
-        Ok(ChunkedStore { chunks, stats })
+        Ok(ChunkedStore::from_chunks(chunks))
     }
 }
 

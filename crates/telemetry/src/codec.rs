@@ -19,7 +19,6 @@
 
 use crate::record::{EventRecord, Phase};
 use crate::table::EventTable;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Magic bytes identifying the format.
 pub const MAGIC: &[u8; 4] = b"AMRT";
@@ -52,99 +51,94 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+/// Header: magic, version, row count.
+const HEADER_BYTES: usize = 4 + 4 + 8;
+/// Encoded bytes per row, summed over the seven columns.
+const ROW_BYTES: usize = 4 + 4 + 4 + 1 + 8 + 4 + 8;
+
+/// Append a whole column, little-endian.
+fn put_column<T: Copy, const N: usize>(buf: &mut Vec<u8>, col: &[T], le: impl Fn(T) -> [u8; N]) {
+    let at = buf.len();
+    buf.resize(at + col.len() * N, 0);
+    for (dst, &v) in buf[at..].chunks_exact_mut(N).zip(col) {
+        dst.copy_from_slice(&le(v));
+    }
+}
+
+/// Split `N` bytes off the front of `buf`, or report it truncated.
+pub(crate) fn take<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], DecodeError> {
+    let (head, rest) = buf.split_first_chunk().ok_or(DecodeError::Truncated)?;
+    *buf = rest;
+    Ok(*head)
+}
+
+/// Split a whole `rows`-long column off the front of `buf`, which the
+/// caller has checked holds it.
+fn take_column<T, const N: usize>(
+    buf: &mut &[u8],
+    rows: usize,
+    le: impl Fn([u8; N]) -> T,
+) -> Vec<T> {
+    let (col, rest) = buf.split_at(rows * N);
+    *buf = rest;
+    col.chunks_exact(N)
+        .map(|c| le(c.try_into().expect("chunks_exact yields N bytes")))
+        .collect()
+}
+
 /// Encode a table into the binary columnar format.
-pub fn encode(table: &EventTable) -> Bytes {
-    let rows = table.len();
-    let cap = 4 + 4 + 8 + rows * (4 + 4 + 4 + 1 + 8 + 4 + 8);
-    let mut buf = BytesMut::with_capacity(cap);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u64_le(rows as u64);
-    for &v in table.steps() {
-        buf.put_u32_le(v);
-    }
-    for &v in table.ranks() {
-        buf.put_u32_le(v);
-    }
-    for &v in table.blocks() {
-        buf.put_u32_le(v);
-    }
-    buf.put_slice(table.phases());
-    for &v in table.durations() {
-        buf.put_u64_le(v);
-    }
-    for &v in table.msg_counts() {
-        buf.put_u32_le(v);
-    }
-    for &v in table.msg_bytes() {
-        buf.put_u64_le(v);
-    }
-    buf.freeze()
+pub fn encode(table: &EventTable) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(HEADER_BYTES + table.len() * ROW_BYTES);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.extend_from_slice(&(table.len() as u64).to_le_bytes());
+    put_column(&mut buf, table.steps(), u32::to_le_bytes);
+    put_column(&mut buf, table.ranks(), u32::to_le_bytes);
+    put_column(&mut buf, table.blocks(), u32::to_le_bytes);
+    buf.extend_from_slice(table.phases());
+    put_column(&mut buf, table.durations(), u64::to_le_bytes);
+    put_column(&mut buf, table.msg_counts(), u32::to_le_bytes);
+    put_column(&mut buf, table.msg_bytes(), u64::to_le_bytes);
+    buf
 }
 
 /// Decode a binary buffer back into a table.
 pub fn decode(mut buf: &[u8]) -> Result<EventTable, DecodeError> {
-    if buf.remaining() < 16 {
+    if buf.len() < HEADER_BYTES {
         return Err(DecodeError::Truncated);
     }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    if &take::<4>(&mut buf)? != MAGIC {
         return Err(DecodeError::BadMagic);
     }
-    let version = buf.get_u32_le();
+    let version = u32::from_le_bytes(take(&mut buf)?);
     if version != VERSION {
         return Err(DecodeError::BadVersion(version));
     }
-    let rows = buf.get_u64_le() as usize;
-    let need = rows
-        .checked_mul(4 + 4 + 4 + 1 + 8 + 4 + 8)
-        .ok_or(DecodeError::Truncated)?;
-    if buf.remaining() < need {
+    let rows = u64::from_le_bytes(take(&mut buf)?);
+    let rows = usize::try_from(rows).map_err(|_| DecodeError::Truncated)?;
+    let need = rows.checked_mul(ROW_BYTES).ok_or(DecodeError::Truncated)?;
+    if buf.len() < need {
         return Err(DecodeError::Truncated);
     }
-    let mut step = Vec::with_capacity(rows);
-    let mut rank = Vec::with_capacity(rows);
-    let mut block = Vec::with_capacity(rows);
-    let mut phase = Vec::with_capacity(rows);
-    let mut duration = Vec::with_capacity(rows);
-    let mut msg_count = Vec::with_capacity(rows);
-    let mut msg_bytes = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        step.push(buf.get_u32_le());
+    let step = take_column(&mut buf, rows, u32::from_le_bytes);
+    let rank = take_column(&mut buf, rows, u32::from_le_bytes);
+    let block = take_column(&mut buf, rows, u32::from_le_bytes);
+    let phase = take_column(&mut buf, rows, u8::from_le_bytes);
+    if let Some(&bad) = phase.iter().find(|&&p| Phase::from_code(p).is_none()) {
+        return Err(DecodeError::BadPhase(bad));
     }
-    for _ in 0..rows {
-        rank.push(buf.get_u32_le());
-    }
-    for _ in 0..rows {
-        block.push(buf.get_u32_le());
-    }
-    for _ in 0..rows {
-        phase.push(buf.get_u8());
-    }
-    for _ in 0..rows {
-        duration.push(buf.get_u64_le());
-    }
-    for _ in 0..rows {
-        msg_count.push(buf.get_u32_le());
-    }
-    for _ in 0..rows {
-        msg_bytes.push(buf.get_u64_le());
-    }
-    let mut table = EventTable::with_capacity(rows);
-    for i in 0..rows {
-        let ph = Phase::from_code(phase[i]).ok_or(DecodeError::BadPhase(phase[i]))?;
-        table.push(EventRecord {
-            step: step[i],
-            rank: rank[i],
-            block: block[i],
-            phase: ph,
-            duration_ns: duration[i],
-            msg_count: msg_count[i],
-            msg_bytes: msg_bytes[i],
-        });
-    }
-    Ok(table)
+    let duration_ns = take_column(&mut buf, rows, u64::from_le_bytes);
+    let msg_count = take_column(&mut buf, rows, u32::from_le_bytes);
+    let msg_bytes = take_column(&mut buf, rows, u64::from_le_bytes);
+    Ok(EventTable {
+        step,
+        rank,
+        block,
+        phase,
+        duration_ns,
+        msg_count,
+        msg_bytes,
+    })
 }
 
 /// CSV header matching [`to_csv`]'s row layout.

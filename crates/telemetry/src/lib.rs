@@ -9,10 +9,13 @@
 //!   `(timestep, rank, block, phase)` — the dimensions the paper's queries
 //!   group by;
 //! * an in-memory **columnar** store ([`table`]) — struct-of-arrays, cheap
-//!   scans, no per-row allocation;
-//! * a binary codec on `bytes` plus CSV interop ([`codec`]) — mirroring the
-//!   paper's move from plaintext to binary formats when parsing became the
-//!   bottleneck;
+//!   scans, no per-row allocation — that every layer moves a column at a
+//!   time: the [`collector`] appends one column per (step, phase) and seals
+//!   each step rank-major, and the codec, chunked store, views and queries
+//!   read the typed column slices;
+//! * a whole-column binary codec plus CSV interop ([`codec`]) — mirroring
+//!   the paper's move from plaintext to binary formats when parsing became
+//!   the bottleneck;
 //! * a small relational-style query layer ([`query`]) with filters,
 //!   group-bys and aggregates (sum/mean/max/percentiles);
 //! * statistics ([`stats`]) including Pearson correlation — the paper's

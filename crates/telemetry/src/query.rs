@@ -3,8 +3,9 @@
 //! A tiny, composable subset of what the paper ran as SQL on ClickHouse:
 //! predicate filters over the typed columns, group-bys over arbitrary keys,
 //! and per-group aggregates. Queries never copy event data — they refine a
-//! row-index selection over a borrowed table, so chaining filters is cheap
-//! and the final aggregation is a single pass.
+//! row-index selection over a borrowed table (none at all until the first
+//! filter), the built-in filters and group-bys read the typed columns, and
+//! the final aggregation is a single pass.
 //!
 //! ```
 //! use amr_telemetry::{EventRecord, EventTable, Phase, Query};
@@ -38,15 +39,15 @@ pub struct GroupAgg {
 }
 
 impl GroupAgg {
-    fn add(&mut self, r: &EventRecord) {
+    fn add(&mut self, duration_ns: u64, msg_count: u32, msg_bytes: u64) {
         // Saturating: degenerate tables (near-`u64::MAX` durations from a
         // saturated network model) clamp the sums instead of wrapping.
         self.count += 1;
-        self.total_duration_ns = self.total_duration_ns.saturating_add(r.duration_ns);
-        self.max_duration_ns = self.max_duration_ns.max(r.duration_ns);
-        self.total_msg_count = self.total_msg_count.saturating_add(r.msg_count as u64);
-        self.total_msg_bytes = self.total_msg_bytes.saturating_add(r.msg_bytes);
-        self.durations.push(r.duration_ns as f64);
+        self.total_duration_ns = self.total_duration_ns.saturating_add(duration_ns);
+        self.max_duration_ns = self.max_duration_ns.max(duration_ns);
+        self.total_msg_count = self.total_msg_count.saturating_add(msg_count as u64);
+        self.total_msg_bytes = self.total_msg_bytes.saturating_add(msg_bytes);
+        self.durations.push(duration_ns as f64);
     }
 
     /// Mean duration in ns.
@@ -82,83 +83,94 @@ pub struct QuerySummary {
 #[derive(Debug, Clone)]
 pub struct Query<'a> {
     table: &'a EventTable,
-    rows: Vec<usize>,
+    /// Selected row indices, ascending; `None` selects every row.
+    rows: Option<Vec<usize>>,
 }
 
 impl<'a> Query<'a> {
     /// Start a query selecting every row.
     pub fn new(table: &'a EventTable) -> Self {
-        Query {
-            table,
-            rows: (0..table.len()).collect(),
-        }
+        Query { table, rows: None }
+    }
+
+    /// The selected row indices, ascending: every row, or the listed ones.
+    fn rows(&self) -> impl Iterator<Item = usize> + '_ {
+        let (all, listed) = match &self.rows {
+            None => (0..self.table.len(), &[][..]),
+            Some(rows) => (0..0, &rows[..]),
+        };
+        all.chain(listed.iter().copied())
+    }
+
+    /// Keep the selected rows whose index passes `keep`.
+    fn refine(mut self, keep: impl Fn(usize) -> bool) -> Self {
+        self.rows = Some(match self.rows.take() {
+            None => (0..self.table.len()).filter(|&i| keep(i)).collect(),
+            Some(mut rows) => {
+                rows.retain(|&i| keep(i));
+                rows
+            }
+        });
+        self
     }
 
     /// Keep rows with the given phase.
-    pub fn phase(mut self, p: Phase) -> Self {
+    pub fn phase(self, p: Phase) -> Self {
         let phases = self.table.phases();
-        self.rows.retain(|&i| phases[i] == p.code());
-        self
+        self.refine(|i| phases[i] == p.code())
     }
 
     /// Keep rows from the given rank.
-    pub fn rank(mut self, rank: u32) -> Self {
+    pub fn rank(self, rank: u32) -> Self {
         let ranks = self.table.ranks();
-        self.rows.retain(|&i| ranks[i] == rank);
-        self
+        self.refine(|i| ranks[i] == rank)
     }
 
     /// Keep rows whose step lies in `[lo, hi)`.
-    pub fn step_range(mut self, lo: u32, hi: u32) -> Self {
+    pub fn step_range(self, lo: u32, hi: u32) -> Self {
         let steps = self.table.steps();
-        self.rows.retain(|&i| steps[i] >= lo && steps[i] < hi);
-        self
+        self.refine(|i| steps[i] >= lo && steps[i] < hi)
     }
 
     /// Keep rows attributed to the given block.
-    pub fn block(mut self, block: u32) -> Self {
+    pub fn block(self, block: u32) -> Self {
         let blocks = self.table.blocks();
-        self.rows.retain(|&i| blocks[i] == block);
-        self
+        self.refine(|i| blocks[i] == block)
     }
 
     /// Keep rows matching an arbitrary predicate.
-    pub fn filter<F: Fn(&EventRecord) -> bool>(mut self, pred: F) -> Self {
+    pub fn filter<F: Fn(&EventRecord) -> bool>(self, pred: F) -> Self {
         let table = self.table;
-        self.rows.retain(|&i| pred(&table.row(i)));
-        self
+        self.refine(|i| pred(&table.row(i)))
     }
 
     /// Number of selected rows.
     pub fn count(&self) -> usize {
-        self.rows.len()
+        self.rows.as_ref().map_or(self.table.len(), Vec::len)
     }
 
     /// Materialize selected rows.
     pub fn records(&self) -> Vec<EventRecord> {
-        self.rows.iter().map(|&i| self.table.row(i)).collect()
+        self.rows().map(|i| self.table.row(i)).collect()
     }
 
     /// Durations of selected rows in ns (as f64, ready for statistics).
     pub fn durations(&self) -> Vec<f64> {
         let d = self.table.durations();
-        self.rows.iter().map(|&i| d[i] as f64).collect()
+        self.rows().map(|i| d[i] as f64).collect()
     }
 
     /// Sum of selected durations (ns), saturating at `u64::MAX`.
     pub fn total_duration_ns(&self) -> u64 {
         let d = self.table.durations();
-        self.rows
-            .iter()
-            .fold(0u64, |acc, &i| acc.saturating_add(d[i]))
+        self.rows().fold(0u64, |acc, i| acc.saturating_add(d[i]))
     }
 
     /// Sum of selected message counts, saturating at `u64::MAX`.
     pub fn total_msg_count(&self) -> u64 {
         let c = self.table.msg_counts();
-        self.rows
-            .iter()
-            .fold(0u64, |acc, &i| acc.saturating_add(c[i] as u64))
+        self.rows()
+            .fold(0u64, |acc, i| acc.saturating_add(c[i] as u64))
     }
 
     /// Single-pass flat aggregate of the selection — the wire-friendly
@@ -170,7 +182,7 @@ impl<'a> Query<'a> {
         let mc = self.table.msg_counts();
         let mb = self.table.msg_bytes();
         let mut s = QuerySummary::default();
-        for &i in &self.rows {
+        for i in self.rows() {
             s.count += 1;
             s.total_duration_ns = s.total_duration_ns.saturating_add(d[i]);
             s.max_duration_ns = s.max_duration_ns.max(d[i]);
@@ -183,43 +195,72 @@ impl<'a> Query<'a> {
     /// Group selected rows by an arbitrary key.
     pub fn group_by<K: Ord, F: Fn(&EventRecord) -> K>(&self, key: F) -> BTreeMap<K, GroupAgg> {
         let mut out: BTreeMap<K, GroupAgg> = BTreeMap::new();
-        for &i in &self.rows {
+        for i in self.rows() {
             let r = self.table.row(i);
-            out.entry(key(&r)).or_default().add(&r);
+            out.entry(key(&r))
+                .or_default()
+                .add(r.duration_ns, r.msg_count, r.msg_bytes);
+        }
+        out
+    }
+
+    /// Group selected rows by a typed key column: one map lookup per run of
+    /// equal keys (a canonical table's steps and ranks come in runs), the
+    /// aggregates read straight from the value columns.
+    fn group_by_column<K: Ord + Copy>(&self, keys: &[K]) -> BTreeMap<K, GroupAgg> {
+        let d = self.table.durations();
+        let mc = self.table.msg_counts();
+        let mb = self.table.msg_bytes();
+        let mut out: BTreeMap<K, GroupAgg> = BTreeMap::new();
+        let mut rows = self.rows().peekable();
+        while let Some(&first) = rows.peek() {
+            let key = keys[first];
+            let agg = out.entry(key).or_default();
+            while let Some(i) = rows.next_if(|&i| keys[i] == key) {
+                agg.add(d[i], mc[i], mb[i]);
+            }
         }
         out
     }
 
     /// Group by rank.
     pub fn by_rank(&self) -> BTreeMap<u32, GroupAgg> {
-        self.group_by(|r| r.rank)
+        self.group_by_column(self.table.ranks())
     }
 
     /// Group by timestep.
     pub fn by_step(&self) -> BTreeMap<u32, GroupAgg> {
-        self.group_by(|r| r.step)
+        self.group_by_column(self.table.steps())
     }
 
-    /// Group by phase.
+    /// Group by phase: six dense slots, no map on the row path.
     pub fn by_phase(&self) -> BTreeMap<Phase, GroupAgg> {
-        self.group_by(|r| r.phase)
+        let (p, d) = (self.table.phases(), self.table.durations());
+        let (mc, mb) = (self.table.msg_counts(), self.table.msg_bytes());
+        let mut slots: [GroupAgg; Phase::ALL.len()] = Default::default();
+        for i in self.rows() {
+            slots[p[i] as usize].add(d[i], mc[i], mb[i]);
+        }
+        let groups = Phase::ALL.into_iter().zip(slots);
+        groups.filter(|(_, g)| g.count > 0).collect()
     }
 
     /// Group by block.
     pub fn by_block(&self) -> BTreeMap<u32, GroupAgg> {
-        self.group_by(|r| r.block)
+        self.group_by_column(self.table.blocks())
     }
 
     /// Per-rank total durations as a dense vector of seconds (ranks without
     /// rows get 0.0). Convenient for rankwise plots like Fig. 3.
     pub fn per_rank_secs(&self, num_ranks: usize) -> Vec<f64> {
-        let mut out = vec![0.0; num_ranks];
-        for (rank, agg) in self.by_rank() {
-            if (rank as usize) < num_ranks {
-                out[rank as usize] = agg.total_secs();
+        let (ranks, d) = (self.table.ranks(), self.table.durations());
+        let mut total_ns = vec![0u64; num_ranks];
+        for i in self.rows() {
+            if let Some(t) = total_ns.get_mut(ranks[i] as usize) {
+                *t = t.saturating_add(d[i]);
             }
         }
-        out
+        total_ns.into_iter().map(|t| t as f64 * 1e-9).collect()
     }
 
     /// Pearson correlation between two per-group aggregate projections.

@@ -1,22 +1,94 @@
 //! Columnar event storage (struct-of-arrays).
 //!
 //! ClickHouse-style layout at toy scale: one `Vec` per column, so scans for
-//! a single dimension touch only that column's memory, and pushes are
-//! allocation-free after warm-up. Rows can be materialized on demand as
-//! [`EventRecord`]s, but the query layer works directly on columns.
+//! a single dimension touch only that column's memory, and appends are
+//! allocation-free after warm-up. Producers append a phase's rows as whole
+//! columns (a [`StagedStep`], scattered into the table a step at a time),
+//! consumers read the typed column slices; rows can be materialized on
+//! demand as [`EventRecord`]s.
 
 use crate::record::{EventRecord, Phase};
+use std::ops::Range;
 
 /// Columnar table of telemetry events.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EventTable {
-    step: Vec<u32>,
-    rank: Vec<u32>,
+    // Crate-visible so `codec::decode` can name whole columns in a struct
+    // literal; equal lengths and valid phase codes are the builder's duty.
+    pub(crate) step: Vec<u32>,
+    pub(crate) rank: Vec<u32>,
+    pub(crate) block: Vec<u32>,
+    pub(crate) phase: Vec<u8>,
+    pub(crate) duration_ns: Vec<u64>,
+    pub(crate) msg_count: Vec<u32>,
+    pub(crate) msg_bytes: Vec<u64>,
+}
+
+/// Run `$body` once per column, with `$d` / `$s` bound to that column of
+/// `$dst` (mutable) and of `$src`.
+macro_rules! for_columns {
+    ($dst:expr, $src:expr, |$d:ident, $s:ident| $body:expr) => {{
+        let (dst, src): (&mut EventTable, &EventTable) = ($dst, $src);
+        for_columns!(@zip dst, src, $d, $s, $body, step rank block phase duration_ns msg_count msg_bytes);
+    }};
+    (@zip $dst:ident, $src:ident, $d:ident, $s:ident, $body:expr, $($col:ident)*) => {
+        $({
+            let ($d, $s) = (&mut $dst.$col, &$src.$col);
+            $body;
+        })*
+    };
+}
+
+/// One step's rows in emission order, not yet sealed into a table: the three
+/// columns that vary row to row, and per append the values its rows share.
+#[derive(Debug, Default)]
+pub(crate) struct StagedStep {
+    pub(crate) rank: Vec<u32>,
     block: Vec<u32>,
-    phase: Vec<u8>,
     duration_ns: Vec<u64>,
-    msg_count: Vec<u32>,
-    msg_bytes: Vec<u64>,
+    /// `(end row, phase code, msg_count, msg_bytes)` of each append.
+    appends: Vec<(usize, u8, u32, u64)>,
+}
+
+impl StagedStep {
+    /// Room for an append of `rows` rows, sized once from its length.
+    pub(crate) fn reserve(&mut self, rows: usize) {
+        self.rank.reserve(rows);
+        self.block.reserve(rows);
+        self.duration_ns.reserve(rows);
+    }
+
+    /// One row of the append in progress.
+    #[inline]
+    pub(crate) fn push(&mut self, rank: u32, block: u32, duration_ns: u64) {
+        self.rank.push(rank);
+        self.block.push(block);
+        self.duration_ns.push(duration_ns);
+    }
+
+    /// Close the append: the rows pushed since the last one share these.
+    pub(crate) fn end_phase(&mut self, phase: Phase, msg_count: u32, msg_bytes: u64) {
+        self.appends
+            .push((self.rank.len(), phase.code(), msg_count, msg_bytes));
+    }
+
+    /// Drop every row, keeping the buffers.
+    pub(crate) fn clear(&mut self) {
+        self.rank.clear();
+        self.block.clear();
+        self.duration_ns.clear();
+        self.appends.clear();
+    }
+}
+
+/// Append `src.len()` slots to `col` and write `src[i]` into slot `dest[i]`.
+fn scatter<T: Copy + Default>(col: &mut Vec<T>, src: &[T], dest: &[u32]) {
+    let base = col.len();
+    col.resize(base + src.len(), T::default());
+    let slots = &mut col[base..];
+    for (&v, &d) in src.iter().zip(dest) {
+        slots[d as usize] = v;
+    }
 }
 
 impl EventTable {
@@ -27,15 +99,20 @@ impl EventTable {
 
     /// Empty table with row capacity pre-reserved.
     pub fn with_capacity(rows: usize) -> Self {
-        EventTable {
-            step: Vec::with_capacity(rows),
-            rank: Vec::with_capacity(rows),
-            block: Vec::with_capacity(rows),
-            phase: Vec::with_capacity(rows),
-            duration_ns: Vec::with_capacity(rows),
-            msg_count: Vec::with_capacity(rows),
-            msg_bytes: Vec::with_capacity(rows),
-        }
+        let mut table = EventTable::new();
+        table.reserve(rows);
+        table
+    }
+
+    /// Reserve room for `rows` more rows in every column.
+    pub fn reserve(&mut self, rows: usize) {
+        self.step.reserve(rows);
+        self.rank.reserve(rows);
+        self.block.reserve(rows);
+        self.phase.reserve(rows);
+        self.duration_ns.reserve(rows);
+        self.msg_count.reserve(rows);
+        self.msg_bytes.reserve(rows);
     }
 
     /// Number of rows.
@@ -61,6 +138,30 @@ impl EventTable {
         self.msg_bytes.push(r.msg_bytes);
     }
 
+    /// Append `staged` as the rows of `step`, its row `i` landing at offset
+    /// `dest[i]` of the appended rows (`dest` a permutation of them).
+    pub(crate) fn extend_scattered(&mut self, step: u32, staged: &StagedStep, dest: &[u32]) {
+        let base = self.len();
+        self.step.resize(base + dest.len(), step);
+        scatter(&mut self.rank, &staged.rank, dest);
+        scatter(&mut self.block, &staged.block, dest);
+        scatter(&mut self.duration_ns, &staged.duration_ns, dest);
+        self.phase.resize(base + dest.len(), 0);
+        self.msg_count.resize(base + dest.len(), 0);
+        self.msg_bytes.resize(base + dest.len(), 0);
+        let (phases, counts) = (&mut self.phase[base..], &mut self.msg_count[base..]);
+        let bytes = &mut self.msg_bytes[base..];
+        let mut start = 0;
+        for &(end, phase, msg_count, msg_bytes) in &staged.appends {
+            for &d in &dest[start..end] {
+                phases[d as usize] = phase;
+                counts[d as usize] = msg_count;
+                bytes[d as usize] = msg_bytes;
+            }
+            start = end;
+        }
+    }
+
     /// Materialize row `i` as a record.
     pub fn row(&self, i: usize) -> EventRecord {
         EventRecord {
@@ -79,7 +180,8 @@ impl EventTable {
         (0..self.len()).map(move |i| self.row(i))
     }
 
-    // Column accessors (used by the query layer for column-at-a-time scans).
+    // Column accessors (the query layer, views, codec and chunked store all
+    // scan these column-at-a-time).
 
     /// `step` column.
     #[inline]
@@ -119,36 +221,43 @@ impl EventTable {
 
     /// Append all rows of `other`.
     pub fn extend_from(&mut self, other: &EventTable) {
-        self.step.extend_from_slice(&other.step);
-        self.rank.extend_from_slice(&other.rank);
-        self.block.extend_from_slice(&other.block);
-        self.phase.extend_from_slice(&other.phase);
-        self.duration_ns.extend_from_slice(&other.duration_ns);
-        self.msg_count.extend_from_slice(&other.msg_count);
-        self.msg_bytes.extend_from_slice(&other.msg_bytes);
+        for_columns!(self, other, |d, s| d.extend_from_slice(s));
+    }
+
+    /// Copy of the rows in `range`, column range by column range.
+    pub(crate) fn slice(&self, range: Range<usize>) -> EventTable {
+        let mut out = EventTable::new();
+        for_columns!(&mut out, self, |d, s| d
+            .extend_from_slice(&s[range.clone()]));
+        out
     }
 
     /// Sort rows by `(step, rank, phase, block)` — the paper's canonical
     /// layout: "telemetry grouped by timestep and sorted by rank" (Lesson 4).
+    /// Stable, and a table already in order (what a forward-stepping
+    /// [`crate::Collector`] seals) returns after the first pass over the keys.
     pub fn sort_canonical(&mut self) {
-        let mut idx: Vec<usize> = (0..self.len()).collect();
-        idx.sort_by_key(|&i| (self.step[i], self.rank[i], self.phase[i], self.block[i]));
+        let keys = || {
+            let hi = self.step.iter().zip(&self.rank);
+            let lo = self.phase.iter().zip(&self.block);
+            hi.zip(lo).map(|((&step, &rank), (&phase, &block))| {
+                (step as u128) << 72 | (rank as u128) << 40 | (phase as u128) << 32 | block as u128
+            })
+        };
+        if keys().is_sorted() {
+            return;
+        }
+        // The row index breaks ties, so equal keys keep their order.
+        let mut keyed: Vec<(u128, usize)> = keys().zip(0..).collect();
+        keyed.sort_unstable();
+        let idx: Vec<usize> = keyed.into_iter().map(|(_, i)| i).collect();
         self.permute(&idx);
     }
 
     /// Reorder all columns by the given index permutation.
     fn permute(&mut self, idx: &[usize]) {
-        fn apply<T: Copy>(col: &mut Vec<T>, idx: &[usize]) {
-            let old = std::mem::take(col);
-            col.extend(idx.iter().map(|&i| old[i]));
-        }
-        apply(&mut self.step, idx);
-        apply(&mut self.rank, idx);
-        apply(&mut self.block, idx);
-        apply(&mut self.phase, idx);
-        apply(&mut self.duration_ns, idx);
-        apply(&mut self.msg_count, idx);
-        apply(&mut self.msg_bytes, idx);
+        let old = std::mem::take(self);
+        for_columns!(self, &old, |d, s| d.extend(idx.iter().map(|&i| s[i])));
     }
 
     /// Keep only rows matching the predicate (row-index based, used by

@@ -7,7 +7,6 @@
 //! series, and imbalance evolution. They power the experiment binaries and
 //! double as executable documentation of how the diagnosis in §IV worked.
 
-use crate::query::Query;
 use crate::record::Phase;
 use crate::stats;
 use crate::table::EventTable;
@@ -28,30 +27,36 @@ pub struct StragglerEntry {
 }
 
 /// Identify the compute straggler of every (sampled) step.
+///
+/// One pass over the `(step, rank, duration)` projection of the compute
+/// rows, which a canonical table already holds in order.
 pub fn stragglers_by_step(table: &EventTable) -> Vec<StragglerEntry> {
-    let mut per_step: BTreeMap<u32, BTreeMap<u32, u64>> = BTreeMap::new();
-    for i in 0..table.len() {
-        if table.phases()[i] != Phase::Compute.code() {
-            continue;
-        }
-        *per_step
-            .entry(table.steps()[i])
-            .or_default()
-            .entry(table.ranks()[i])
-            .or_insert(0) += table.durations()[i];
-    }
-    per_step
-        .into_iter()
-        .filter(|(_, ranks)| !ranks.is_empty())
-        .map(|(step, ranks)| {
-            let (&rank, &max) = ranks.iter().max_by_key(|(r, d)| (**d, **r)).unwrap();
-            let mean = ranks.values().map(|&d| d as f64).sum::<f64>() / ranks.len() as f64;
+    let compute = Phase::Compute.code();
+    let (steps, ranks, durations) = (table.steps(), table.ranks(), table.durations());
+    let mut rows: Vec<(u32, u32, u64)> = (0..table.len())
+        .filter(|&i| table.phases()[i] == compute)
+        .map(|i| (steps[i], ranks[i], durations[i]))
+        .collect();
+    // One scan on a canonical table: the sort returns on sorted input.
+    rows.sort_unstable_by_key(|&(step, rank, _)| (step, rank));
+    rows.chunk_by(|a, b| a.0 == b.0)
+        .map(|step_rows| {
+            // Per-rank totals in ascending rank order; ties go to the
+            // higher rank.
+            let (mut max, mut sum, mut n) = ((0u64, 0u32), 0.0f64, 0usize);
+            for rank_rows in step_rows.chunk_by(|a, b| a.1 == b.1) {
+                let total: u64 = rank_rows.iter().map(|r| r.2).sum();
+                max = max.max((total, rank_rows[0].1));
+                sum += total as f64;
+                n += 1;
+            }
+            let mean = sum / n as f64;
             StragglerEntry {
-                step,
-                rank,
-                max_compute_ns: max,
+                step: step_rows[0].0,
+                rank: max.1,
+                max_compute_ns: max.0,
                 mean_compute_ns: mean,
-                imbalance: if mean > 0.0 { max as f64 / mean } else { 1.0 },
+                imbalance: if mean > 0.0 { max.0 as f64 / mean } else { 1.0 },
             }
         })
         .collect()
@@ -98,15 +103,40 @@ pub fn straggler_histogram_by_node(
     out
 }
 
+/// Per-phase `(rows, total duration)` of a run of rows, indexed by phase
+/// code. Totals saturate.
+fn phase_totals(phases: &[u8], durations: &[u64]) -> [(usize, u64); Phase::ALL.len()] {
+    let mut slots = [(0usize, 0u64); Phase::ALL.len()];
+    for (&p, &d) in phases.iter().zip(durations) {
+        let slot = &mut slots[p as usize];
+        *slot = (slot.0 + 1, slot.1.saturating_add(d));
+    }
+    slots
+}
+
+/// The phases of `slots` that have rows, with their totals.
+fn present(slots: [(usize, u64); Phase::ALL.len()]) -> impl Iterator<Item = (Phase, u64)> {
+    Phase::ALL
+        .into_iter()
+        .zip(slots)
+        .filter_map(|(p, (rows, total))| (rows > 0).then_some((p, total)))
+}
+
 /// Phase totals (ns) per step, for stacked time-series plots.
 pub fn phase_series(table: &EventTable) -> BTreeMap<u32, BTreeMap<Phase, u64>> {
     let mut out: BTreeMap<u32, BTreeMap<Phase, u64>> = BTreeMap::new();
-    for i in 0..table.len() {
-        let phase = Phase::from_code(table.phases()[i]).expect("valid phase");
-        *out.entry(table.steps()[i])
-            .or_default()
-            .entry(phase)
-            .or_insert(0) += table.durations()[i];
+    // One dense accumulation per run of equal steps (one run per step on a
+    // canonical table), merged into the step's entry.
+    let mut at = 0;
+    for run in table.steps().chunk_by(|a, b| a == b) {
+        let rows = at..at + run.len();
+        at = rows.end;
+        let slots = phase_totals(&table.phases()[rows.clone()], &table.durations()[rows]);
+        let step = out.entry(run[0]).or_default();
+        for (phase, total) in present(slots) {
+            let sum: &mut u64 = step.entry(phase).or_insert(0);
+            *sum = sum.saturating_add(total);
+        }
     }
     out
 }
@@ -133,21 +163,11 @@ pub fn imbalance_summary(table: &EventTable) -> (f64, f64) {
 /// raw telemetry rather than simulator accounting (a cross-check used in
 /// integration tests).
 pub fn phase_fractions(table: &EventTable) -> BTreeMap<Phase, f64> {
-    let q = Query::new(table);
-    let by_phase = q.by_phase();
-    let total: u64 = by_phase.values().map(|g| g.total_duration_ns).sum();
-    by_phase
-        .into_iter()
-        .map(|(p, g)| {
-            (
-                p,
-                if total == 0 {
-                    0.0
-                } else {
-                    g.total_duration_ns as f64 / total as f64
-                },
-            )
-        })
+    let slots = phase_totals(table.phases(), table.durations());
+    // An all-zero table divides by 1: every fraction 0.0.
+    let total = slots.iter().map(|s| s.1).sum::<u64>().max(1) as f64;
+    present(slots)
+        .map(|(p, ns)| (p, ns as f64 / total))
         .collect()
 }
 

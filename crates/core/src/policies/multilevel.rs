@@ -13,7 +13,7 @@
 //!    contract to one coarse vertex (weights summed, parallel edges merged)
 //!    until the graph is small or matching stalls.
 //! 2. **Initial partition** — the shared greedy cut seeding
-//!    ([`cut::greedy_cut_partition`]'s semantics, stamp-sparse gains) on the
+//!    (`cut::greedy_cut_partition`'s semantics, stamp-sparse gains) on the
 //!    coarsest graph, under the balance cap `mean · slack`.
 //! 3. **Uncoarsening + FM refinement** — project the assignment one level
 //!    finer (cut-invariant: intra-pair edges are internal by construction)

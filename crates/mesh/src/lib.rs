@@ -38,7 +38,7 @@ pub use geom::{Aabb, Dim, Point};
 pub use hilbert::{hilbert_index, hilbert_key};
 pub use mesh::{AmrMesh, BlockFate, MeshConfig, RefineTag, RefinementDelta};
 pub use morton::{morton_decode2, morton_decode3, morton_encode2, morton_encode3};
-pub use neighbors::{Neighbor, NeighborGraph, NeighborKind, PatchScratch};
+pub use neighbors::{MeshTopology, Neighbor, NeighborGraph, NeighborKind, PatchScratch};
 pub use octant::{Direction, Octant, MAX_LEVEL};
 pub use pool::{task_range, Disjoint, WorkerPool, MAX_POOL_THREADS};
 pub use sfc::sfc_key;

@@ -24,7 +24,7 @@
 
 use crate::block::{BlockId, MeshBlock};
 use crate::geom::Dim;
-use crate::mesh::{BlockFate, RefinementDelta};
+use crate::mesh::{AmrMesh, BlockFate, RefinementDelta};
 use crate::octant::{Direction, Octant};
 use crate::sfc::sfc_key;
 use crate::tree::{Coverage, Octree, NORM_LEVEL};
@@ -638,6 +638,69 @@ impl NeighborGraph {
         // the next patch's staging storage.
         std::mem::swap(&mut self.offsets, &mut scratch.offsets);
         std::mem::swap(&mut self.entries, &mut scratch.entries);
+    }
+}
+
+/// The neighbor graph of one mesh snapshot, kept by a caller that outlives
+/// its consumers (a service session across `Simulate` requests, an LRU entry
+/// across sessions) so the CSR is built once per snapshot, not once per
+/// consumer — together with what identifies that snapshot *exactly*: the
+/// dimensionality, root grid and boundary semantics of the mesh's tree plus a
+/// copy of its SFC key array. Leaves tile the domain, so the ascending keys and
+/// the root grid determine every leaf's level, hence the whole graph; a
+/// 64-bit digest of the keys would not (it can collide, and it does not see
+/// `periodic`).
+///
+/// The kept graph is exact-size: the serial builder reserves 26 entries per
+/// leaf and a 3-D CSR fills about 60 % of that, which a long-lived value
+/// must not pin.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MeshTopology {
+    dim: Dim,
+    roots: (u32, u32, u32),
+    periodic: bool,
+    keys: Vec<u64>,
+    graph: NeighborGraph,
+}
+
+impl MeshTopology {
+    /// Keep `graph` as the topology of `mesh`'s current snapshot. The caller
+    /// vouches that it is (built by [`AmrMesh::neighbor_graph`] or patched
+    /// up to this snapshot); [`MeshTopology::is_for`] vouches from then on.
+    pub fn new(mesh: &AmrMesh, mut graph: NeighborGraph) -> MeshTopology {
+        debug_assert_eq!(graph.num_blocks(), mesh.num_blocks());
+        graph.offsets.shrink_to_fit();
+        graph.entries.shrink_to_fit();
+        let tree = mesh.tree();
+        MeshTopology {
+            dim: tree.dim(),
+            roots: tree.roots(),
+            periodic: tree.periodic(),
+            keys: mesh.sfc_keys().to_vec(),
+            graph,
+        }
+    }
+
+    /// Is this the topology of `mesh` as it stands? One slice compare over
+    /// the keys, O(blocks).
+    pub fn is_for(&self, mesh: &AmrMesh) -> bool {
+        let tree = mesh.tree();
+        self.dim == tree.dim()
+            && self.roots == tree.roots()
+            && self.periodic == tree.periodic()
+            && self.keys == mesh.sfc_keys()
+    }
+
+    /// The kept graph.
+    #[inline]
+    pub fn graph(&self) -> &NeighborGraph {
+        &self.graph
+    }
+
+    /// Give the graph up (to a consumer that may patch it).
+    #[inline]
+    pub fn into_graph(self) -> NeighborGraph {
+        self.graph
     }
 }
 

@@ -18,8 +18,9 @@
 //!   concatenation), plus a sorted **halo table** of the out-of-shard blocks
 //!   its rows reference and a count of cross-shard relations.
 //! * [`ShardedMesh::refresh`] repairs all shards from the
-//!   [`RefinementDelta`] of the latest adapt using the same
-//!   affected-row analysis as [`AmrMesh::patch_neighbor_graph`]: unaffected
+//!   [`RefinementDelta`](crate::RefinementDelta) of the latest adapt using
+//!   the same affected-row analysis as
+//!   [`AmrMesh::patch_neighbor_graph`]: unaffected
 //!   rows are copied with ids renumbered through the fate table, affected
 //!   rows are rebuilt, and everything stages through pooled scratch so
 //!   steady-state refreshes allocate nothing. [`AmrMesh::neighbor_graph`]

@@ -5,9 +5,12 @@
 //! refinement level, managed with octrees (§II-A). We store only the *leaf*
 //! octants (the mesh blocks) in a hash set; parent/child relations are pure
 //! lattice arithmetic on [`Octant`]s, so no explicit node structure is
-//! needed. A *root grid* of `rx × ry × rz` level-0 octants supports
-//! non-cubic domains such as the paper's `128² × 256` Sedov configurations
-//! (Table I) where each root is one initial block.
+//! needed. The set hashes with a fixed-key multiply-fold (`OctantHasher`),
+//! not std's SipHash: octants are lattice coordinates this process computes,
+//! never keys an outside party chooses (DESIGN §8). A *root grid* of
+//! `rx × ry × rz` level-0 octants supports non-cubic domains such as the
+//! paper's `128² × 256` Sedov configurations (Table I) where each root is one
+//! initial block.
 //!
 //! The tree enforces **2:1 balance**: any two leaves that touch (even only
 //! at a corner) differ by at most one refinement level. Production AMR codes
@@ -17,6 +20,7 @@
 use crate::geom::Dim;
 use crate::octant::{Direction, Octant, MAX_LEVEL};
 use std::collections::{BTreeSet, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Leaves are normalized to this level when computing SFC keys; it bounds the
 /// deepest refinement level the tree supports.
@@ -39,12 +43,50 @@ pub enum Coverage {
     Outside,
 }
 
+/// Hasher of the leaf set: one rotate-xor-multiply per packed word of an
+/// [`Octant`] (`level:x`, then `y:z`), with a fixed key. A `refine` makes up
+/// to ~80 set lookups and SipHash was half of each, buying collision
+/// resistance against adversarial keys — which octants are not: they are
+/// lattice cells derived from in-process meshes, not outside input.
+///
+/// The multiply carries every input bit into the high bits of the state;
+/// `finish` rotates those down, so hashbrown's bucket index (low bits) and
+/// control byte (top 7 bits) each depend on all of `(level, x, y, z)`.
+/// Nothing observable depends on the set's iteration order (`leaves_sorted`
+/// sorts; under `RandomState` the order differed per process).
+#[derive(Debug, Clone, Copy, Default)]
+struct OctantHasher(u64);
+
+impl Hasher for OctantHasher {
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    /// `Octant` hashes through `write_u64` alone; any other key folds a word
+    /// at a time.
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+type LeafSet = HashSet<Octant, BuildHasherDefault<OctantHasher>>;
+
 /// A 2:1-balanced forest of octrees, stored as its leaf set.
 #[derive(Debug, Clone)]
 pub struct Octree {
     dim: Dim,
     roots: (u32, u32, u32),
-    leaves: HashSet<Octant>,
+    leaves: LeafSet,
     periodic: bool,
 }
 
@@ -66,7 +108,10 @@ impl Octree {
                 && rz <= MAX_ROOTS_PER_AXIS,
             "root grid {roots:?} out of supported range"
         );
-        let mut leaves = HashSet::with_capacity((roots.0 * roots.1 * rz) as usize);
+        let mut leaves = LeafSet::with_capacity_and_hasher(
+            (roots.0 * roots.1 * rz) as usize,
+            Default::default(),
+        );
         for z in 0..rz {
             for y in 0..roots.1 {
                 for x in 0..roots.0 {
@@ -522,6 +567,45 @@ mod tests {
         let within = t.leaves_within(&root);
         assert_eq!(within.len(), 7 + 8);
         assert_eq!(t.leaves_within(&c0).len(), 8);
+    }
+
+    /// Every octant of the largest root grid at levels 0–2 (2.4 M octants;
+    /// the benchmark's shapes live there) hashes to its own 64-bit value, and
+    /// the two bit ranges hashbrown reads — the low bits (bucket index) and
+    /// the top 7 (control byte) — each fill within 2× of uniform.
+    #[test]
+    fn octant_hash_is_injective_and_spreads_over_the_bits_hashbrown_reads() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let build = BuildHasherDefault::<OctantHasher>::default();
+        let mut hashes = Vec::new();
+        let mut low = vec![0u32; 1 << 12];
+        let mut top = vec![0u32; 1 << 7];
+        for level in 0..=2u8 {
+            let extent = MAX_ROOTS_PER_AXIS << level;
+            for z in 0..extent {
+                for y in 0..extent {
+                    for x in 0..extent {
+                        let h = build.hash_one(Octant::new(level, x, y, z));
+                        low[(h & 0xFFF) as usize] += 1;
+                        top[(h >> 57) as usize] += 1;
+                        hashes.push(h);
+                    }
+                }
+            }
+        }
+        let n = hashes.len();
+        assert_eq!(n, 32 * 32 * 32 * (1 + 8 + 64));
+        hashes.sort_unstable();
+        hashes.dedup();
+        assert_eq!(hashes.len(), n, "two octants share a hash");
+        for (name, bins) in [("low 12 bits", &low), ("top 7 bits", &top)] {
+            let uniform = n as f64 / bins.len() as f64;
+            let (min, max) = (*bins.iter().min().unwrap(), *bins.iter().max().unwrap());
+            assert!(
+                min as f64 >= uniform / 2.0 && max as f64 <= uniform * 2.0,
+                "{name}: bins hold {min}..={max} against a uniform {uniform:.0}"
+            );
+        }
     }
 
     #[test]

@@ -21,10 +21,15 @@
 //!   keyed by [`MeshFingerprint`] (SFC keys + rank count). A returning
 //!   session with the same fingerprint checks the engine back out with its
 //!   placement still primed — the first rebalance is *warm* (order-reuse,
-//!   zero allocation) instead of cold.
+//!   zero allocation) instead of cold. The same entry carries the
+//!   snapshot's [`MeshTopology`] when the session simulated it, so a
+//!   returning `Simulate` starts from the kept CSR instead of rebuilding it
+//!   (the topology identifies its snapshot exactly and is re-checked where
+//!   it is used; the fingerprint only finds the entry).
 //! * **Telemetry queries.** A session's last simulated epoch keeps its
 //!   [`EventTable`]; [`Request::Query`] runs the `amr-telemetry` query
-//!   engine over it and returns a flat [`QuerySummary`]-shaped response.
+//!   engine over it and returns a flat
+//!   [`QuerySummary`](amr_telemetry::QuerySummary)-shaped response.
 //!
 //! Determinism contract: a session's responses are a pure function of its
 //! own request sequence — the per-session FIFO plus slot ownership in the
@@ -43,7 +48,7 @@ use amr_core::policies::PlacementPolicy;
 use amr_core::trigger::RebalanceTrigger;
 use amr_core::Placement;
 use amr_mesh::pool::WorkerPool;
-use amr_mesh::{AmrMesh, MeshBlock, RefineTag};
+use amr_mesh::{AmrMesh, MeshBlock, MeshTopology, RefineTag};
 use amr_sim::{MacroSim, SimConfig, Workload, WorkloadStep};
 use amr_telemetry::{EventTable, Phase, Query};
 use std::collections::VecDeque;
@@ -202,6 +207,16 @@ pub struct ServiceStats {
     pub warm_hits: u64,
     /// Session opens that built a cold engine.
     pub cold_misses: u64,
+    /// `Simulate` runs that started from a kept [`MeshTopology`] — the
+    /// session's own from an earlier `Simulate` of the same snapshot, or the
+    /// one its LRU entry carried — and built no CSR. Counted where the run
+    /// resolves its graph, folded in at the end of each `drain`.
+    pub topology_hits: u64,
+    /// `Simulate` runs that built their CSR: first sight of a snapshot, an
+    /// `Adapt` since the last run, or a kept topology that was not exactly
+    /// this mesh's. `topology_hits + topology_builds` is the number of
+    /// `Simulate` requests answered [`Response::Simulated`].
+    pub topology_builds: u64,
     /// `drain` calls that dispatched at least one session.
     pub batches: u64,
 }
@@ -262,8 +277,8 @@ impl Workload for EpochWorkload<'_> {
 }
 
 /// One hosted session: a mesh epoch, its costs, a (possibly warm) engine,
-/// a lazily built simulator, the last epoch's telemetry, and the FIFO
-/// request queue with its response/latency logs.
+/// a lazily built simulator, the epoch's kept topology, the last epoch's
+/// telemetry, and the FIFO request queue with its response/latency logs.
 struct Session {
     mesh: AmrMesh,
     costs: Vec<f64>,
@@ -272,6 +287,16 @@ struct Session {
     sim_config: SimConfig,
     engine: PlacementEngine,
     sim: Option<MacroSim>,
+    /// The slot lent to every `Simulate` ([`MacroSim::try_run_lent`]): the
+    /// CSR of the snapshot last simulated (or checked out of the LRU),
+    /// dropped by an `Adapt` that changes the mesh. The simulator re-checks
+    /// it against the mesh before use, so a stale one costs a build, never
+    /// a wrong answer.
+    topology: Option<MeshTopology>,
+    /// This drain's [`ServiceStats::topology_hits`] / `topology_builds`
+    /// (sessions run on pool workers; `drain` folds and clears them).
+    topology_hits: u64,
+    topology_builds: u64,
     telemetry: Option<EventTable>,
     queue: VecDeque<Request>,
     responses: Vec<Response>,
@@ -307,6 +332,7 @@ impl Session {
                 if changed {
                     session_costs(self.mesh.num_blocks(), &mut self.costs);
                     self.fingerprint = MeshFingerprint::of_mesh(&self.mesh, self.num_ranks);
+                    self.topology = None;
                 }
                 Response::Adapted {
                     blocks: self.mesh.num_blocks(),
@@ -351,12 +377,18 @@ impl Session {
                     costs: &self.costs,
                     steps,
                 };
-                match sim.try_run(
+                match sim.try_run_lent(
                     &mut workload,
                     self.policy.as_ref(),
                     RebalanceTrigger::OnMeshChange,
+                    &mut self.topology,
                 ) {
                     Ok(report) => {
+                        if report.topology_reused {
+                            self.topology_hits += 1;
+                        } else {
+                            self.topology_builds += 1;
+                        }
                         let resp = Response::Simulated {
                             total_ns: report.total_ns,
                             steps,
@@ -395,13 +427,21 @@ impl Session {
     }
 }
 
-/// LRU of warm engines keyed by mesh fingerprint. Small by design (tens of
+/// What a closed session leaves for the next same-shaped tenant: its primed
+/// engine and, when it simulated the snapshot the engine placed, that
+/// snapshot's topology. One entry, one key, one capacity.
+struct WarmEntry {
+    engine: PlacementEngine,
+    topology: Option<MeshTopology>,
+}
+
+/// LRU of warm entries keyed by mesh fingerprint. Small by design (tens of
 /// entries): a linear scan of a `Vec` beats a hash map at this size and
 /// keeps eviction order trivial — oldest entry at the front, most recently
 /// parked at the back.
 struct EngineCache {
     capacity: usize,
-    entries: Vec<(MeshFingerprint, PlacementEngine)>,
+    entries: Vec<(MeshFingerprint, WarmEntry)>,
 }
 
 impl EngineCache {
@@ -412,16 +452,16 @@ impl EngineCache {
         }
     }
 
-    /// Remove and return the warm engine for `fp`, if cached.
-    fn checkout(&mut self, fp: MeshFingerprint) -> Option<PlacementEngine> {
+    /// Remove and return the warm entry for `fp`, if cached.
+    fn checkout(&mut self, fp: MeshFingerprint) -> Option<WarmEntry> {
         let i = self.entries.iter().position(|(f, _)| *f == fp)?;
         Some(self.entries.remove(i).1)
     }
 
-    /// Park an engine under `fp`, evicting the least-recently-parked entry
+    /// Park an entry under `fp`, evicting the least-recently-parked one
     /// past capacity. A same-fingerprint entry is replaced (the newer
     /// engine's scratch is at least as warm).
-    fn park(&mut self, fp: MeshFingerprint, engine: PlacementEngine) {
+    fn park(&mut self, fp: MeshFingerprint, entry: WarmEntry) {
         if self.capacity == 0 {
             return;
         }
@@ -430,7 +470,7 @@ impl EngineCache {
         } else if self.entries.len() == self.capacity {
             self.entries.remove(0);
         }
-        self.entries.push((fp, engine));
+        self.entries.push((fp, entry));
     }
 }
 
@@ -462,18 +502,19 @@ impl Service {
     /// Open a session over `mesh`. The warm-engine LRU is consulted with
     /// the (mesh, ranks) fingerprint: a hit hands the parked engine — its
     /// placement still primed — to the new session, so its first
-    /// `Rebalance` runs the warm, allocation-free path.
+    /// `Rebalance` runs the warm, allocation-free path, and the topology
+    /// parked beside it, so its first `Simulate` builds no CSR.
     pub fn open_session(&mut self, mesh: AmrMesh, spec: SessionSpec) -> SessionId {
         let fp = MeshFingerprint::of_mesh(&mesh, spec.num_ranks);
-        let (engine, placed_fp) = match self.cache.checkout(fp) {
-            Some(engine) => {
+        let (engine, topology, placed_fp) = match self.cache.checkout(fp) {
+            Some(WarmEntry { engine, topology }) => {
                 debug_assert_eq!(engine.fingerprint(), Some(fp));
                 self.stats.warm_hits += 1;
-                (engine, Some(fp))
+                (engine, topology, Some(fp))
             }
             None => {
                 self.stats.cold_misses += 1;
-                (PlacementEngine::new(), None)
+                (PlacementEngine::new(), None, None)
             }
         };
         let mut costs = Vec::new();
@@ -486,6 +527,9 @@ impl Service {
             sim_config: spec.sim,
             engine,
             sim: None,
+            topology,
+            topology_hits: 0,
+            topology_builds: 0,
             telemetry: None,
             queue: VecDeque::with_capacity(self.queue_capacity),
             responses: Vec::with_capacity(self.queue_capacity),
@@ -508,23 +552,38 @@ impl Service {
 
     /// Close a session. If its engine holds a primed placement, the engine
     /// is stamped with the fingerprint that placement solves and parked in
-    /// the LRU for the next same-shaped tenant.
-    pub fn close_session(&mut self, id: SessionId) {
-        let slot = self.slots.get_mut(id.0).expect("invalid session id");
-        let session = slot.take().expect("session already closed");
+    /// the LRU for the next same-shaped tenant — with the session's
+    /// topology in the same entry when it describes that snapshot (the mesh
+    /// has not moved on since the placement). Returns `false`, parking
+    /// nothing, for an id that is not an open session of this service
+    /// (foreign, or already closed).
+    pub fn close_session(&mut self, id: SessionId) -> bool {
+        let Some(session) = self.slots.get_mut(id.0).and_then(Option::take) else {
+            return false;
+        };
         self.stats.sessions_closed += 1;
         if let (Some(fp), true) = (session.placed_fp, session.engine.placement().is_some()) {
             let mut engine = session.engine;
             engine.set_fingerprint(Some(fp));
-            self.cache.park(fp, engine);
+            let topology = session
+                .topology
+                .filter(|t| fp == session.fingerprint && t.is_for(&session.mesh));
+            self.cache.park(fp, WarmEntry { engine, topology });
         }
+        true
     }
 
     /// Queue a request on an open session (FIFO within the session).
-    pub fn submit(&mut self, id: SessionId, req: Request) {
-        let slot = self.slots.get_mut(id.0).expect("invalid session id");
-        let session = slot.as_mut().expect("session closed");
-        session.queue.push_back(req);
+    /// Returns `false`, queueing nothing, for an id that is not an open
+    /// session of this service.
+    pub fn submit(&mut self, id: SessionId, req: Request) -> bool {
+        match self.slots.get_mut(id.0).and_then(Option::as_mut) {
+            Some(session) => {
+                session.queue.push_back(req);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Serve every queued request as one batch over the pool; returns the
@@ -555,6 +614,12 @@ impl Service {
                     session.process_queue();
                 }
             });
+        for &i in &self.order {
+            if let Some(session) = &mut self.slots[i] {
+                self.stats.topology_hits += std::mem::take(&mut session.topology_hits);
+                self.stats.topology_builds += std::mem::take(&mut session.topology_builds);
+            }
+        }
         self.stats.requests_served += served as u64;
         self.stats.batches += 1;
         served

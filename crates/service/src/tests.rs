@@ -37,7 +37,10 @@ fn foreign_session_ids_read_as_closed() {
     let ids: Vec<SessionId> = (0..3)
         .map(|s| minting.open_session(mesh(s), spec(8)))
         .collect();
-    minting.close_session(ids[0]);
+    assert!(minting.submit(ids[0], Request::Rebalance));
+    minting.drain();
+    assert!(minting.close_session(ids[0]));
+    assert_eq!(minting.cache_len(), 1);
     let mut empty = Service::new(ServiceConfig::default());
     for (svc, id) in [(&mut minting, ids[0]), (&mut empty, ids[2])] {
         assert!(svc.responses(id).is_empty());
@@ -45,7 +48,123 @@ fn foreign_session_ids_read_as_closed() {
         assert!(svc.session_placement(id).is_none());
         assert_eq!(svc.session_blocks(id), 0);
         assert_eq!(svc.session_fingerprint(id), None);
+        // Nothing queued, nothing parked, no counter moved — and a second
+        // close of the same id is as inert as the first foreign one.
+        let (stats, cached) = (svc.stats(), svc.cache_len());
+        assert!(!svc.submit(id, Request::Rebalance));
+        assert_eq!(svc.drain(), 0);
+        assert!(!svc.close_session(id));
+        assert!(!svc.close_session(id));
+        assert_eq!((svc.stats(), svc.cache_len()), (stats, cached));
     }
+    // The live sessions never noticed.
+    assert!(minting.submit(ids[1], Request::Rebalance));
+    assert_eq!(minting.drain(), 1);
+}
+
+/// `Simulate` resolves its graph from the session's kept topology: built
+/// on first sight of a snapshot and after an `Adapt` that changed it, taken
+/// otherwise — within a session and, through the LRU entry the engine parks
+/// in, across a close and a reopen of the same shape.
+#[test]
+fn simulate_builds_a_snapshots_topology_once() {
+    let mut svc = Service::new(ServiceConfig::default());
+    let m = mesh(29);
+    let simulate = Request::Simulate { steps: 2 };
+    let counts = |svc: &Service| (svc.stats().topology_hits, svc.stats().topology_builds);
+
+    let id = svc.open_session(m.clone(), spec(8));
+    for req in [
+        Request::Rebalance,
+        simulate.clone(),
+        simulate.clone(),
+        Request::Adapt { front: 0.5 },
+        simulate.clone(),
+        simulate.clone(),
+    ] {
+        svc.submit(id, req);
+    }
+    svc.drain();
+    assert!(matches!(
+        svc.responses(id)[3],
+        Response::Adapted { changed: true, .. }
+    ));
+    assert_eq!(counts(&svc), (2, 2), "build, hit, adapt, build, hit");
+    // The engine placed the pre-adapt epoch, the topology describes the
+    // adapted one: the entry parks without it.
+    svc.close_session(id);
+
+    let id = svc.open_session(m.clone(), spec(8));
+    assert_eq!(svc.stats().warm_hits, 1);
+    svc.submit(id, simulate.clone());
+    svc.submit(id, Request::Rebalance);
+    svc.drain();
+    assert_eq!(counts(&svc), (2, 3), "warm engine, no topology beside it");
+    // Placed and simulated the same snapshot: both park in one entry.
+    svc.close_session(id);
+    assert_eq!(svc.cache_len(), 1);
+
+    let id = svc.open_session(m, spec(8));
+    svc.submit(id, simulate.clone());
+    svc.drain();
+    assert_eq!(counts(&svc), (3, 3), "reopened shape builds no CSR");
+    let s = svc.stats();
+    println!(
+        "topology: {} hits / {} builds over {} Simulate requests",
+        s.topology_hits,
+        s.topology_builds,
+        s.topology_hits + s.topology_builds
+    );
+}
+
+/// `MeshFingerprint` hashes keys and rank count only, so a uniform mesh and
+/// its periodic twin share an LRU entry. The parked topology must not be
+/// taken for the twin: its identity is exact, the wrap changes the graph.
+#[test]
+fn periodic_twin_shares_the_engine_entry_but_not_the_topology() {
+    use amr_mesh::{Dim, MeshConfig};
+    let config = MeshConfig::from_cells(Dim::D3, (64, 64, 64), 2);
+    let plain = AmrMesh::new(config.clone());
+    let twin = AmrMesh::new(config.with_periodic());
+    let mut svc = Service::new(ServiceConfig::default());
+
+    let id = svc.open_session(plain, spec(8));
+    svc.submit(id, Request::Rebalance);
+    svc.submit(id, Request::Simulate { steps: 3 });
+    svc.drain();
+    svc.close_session(id);
+    assert_eq!(
+        (svc.stats().topology_hits, svc.stats().topology_builds),
+        (0, 1)
+    );
+
+    let id = svc.open_session(twin.clone(), spec(8));
+    assert_eq!(svc.stats().warm_hits, 1, "one fingerprint, one entry");
+    svc.submit(id, Request::Simulate { steps: 3 });
+    svc.drain();
+    assert_eq!(
+        (svc.stats().topology_hits, svc.stats().topology_builds),
+        (0, 2),
+        "the non-periodic CSR is not the twin's"
+    );
+
+    let mut costs = Vec::new();
+    session_costs(twin.num_blocks(), &mut costs);
+    let mut workload = EpochWorkload {
+        mesh: &twin,
+        costs: &costs,
+        steps: 3,
+    };
+    let direct =
+        MacroSim::new(SimConfig::tuned(8)).run(&mut workload, &Lpt, RebalanceTrigger::OnMeshChange);
+    assert_eq!(
+        svc.responses(id)[0],
+        Response::Simulated {
+            total_ns: direct.total_ns,
+            steps: 3,
+            lb_invocations: direct.lb_invocations,
+        }
+    );
 }
 
 #[test]

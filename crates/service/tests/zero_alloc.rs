@@ -1,7 +1,9 @@
 //! Proof of the warm-hit zero-allocation claim: serving a `Rebalance` on a
 //! session whose engine came warm out of the fingerprint LRU performs **no
 //! heap allocation** — submit, batch dispatch, warm placement, response and
-//! latency logging all ride pre-sized buffers.
+//! latency logging all ride pre-sized buffers. The same reopen then
+//! simulates, and the service's counters say it built no CSR: the topology
+//! came back out of the LRU entry beside the engine.
 //!
 //! This file must stay a single-test binary: the counting allocator is
 //! process-global, so a concurrently running sibling test would pollute the
@@ -44,20 +46,26 @@ fn warm_hit_rebalance_serve_is_allocation_free() {
     let mesh = random_refined_mesh(16, 6.0, 42);
     let mut svc = Service::new(ServiceConfig::default());
 
-    // First tenancy: cold placement, then close to park the warm engine in
-    // the LRU under the mesh's fingerprint.
+    // First tenancy: cold placement and a simulated epoch (which builds the
+    // snapshot's CSR), then close to park the warm engine and that topology
+    // in the LRU under the mesh's fingerprint.
     let id = svc.open_session(
         mesh.clone(),
         SessionSpec::tuned(16, Box::new(amr_core::Lpt)),
     );
     svc.submit(id, Request::Rebalance);
+    svc.submit(id, Request::Simulate { steps: 2 });
     svc.drain();
     assert!(matches!(
         svc.responses(id)[0],
         Response::Rebalanced { warm: false, .. }
     ));
+    let cold_run = svc.responses(id)[1].clone();
+    assert!(matches!(cold_run, Response::Simulated { .. }));
     svc.close_session(id);
     assert_eq!(svc.cache_len(), 1);
+    let stats = svc.stats();
+    assert_eq!((stats.topology_hits, stats.topology_builds), (0, 1));
 
     // Returning tenant: the fingerprint hits the LRU and the engine comes
     // back primed.
@@ -96,5 +104,18 @@ fn warm_hit_rebalance_serve_is_allocation_free() {
     assert_eq!(
         min_delta, 0,
         "warm-hit serve cycle allocated {min_delta} times"
+    );
+
+    // The reopened shape simulates on the parked topology: same answer as
+    // the cold tenancy's run (a new session's simulator starts the same
+    // jitter stream), one more hit, still the one build.
+    svc.submit(id, Request::Simulate { steps: 2 });
+    svc.drain();
+    assert_eq!(svc.responses(id)[0], cold_run);
+    let stats = svc.stats();
+    assert_eq!(
+        (stats.topology_hits, stats.topology_builds),
+        (1, 1),
+        "a warm reopen must build no CSR"
     );
 }

@@ -55,7 +55,7 @@ impl CollectiveAlgo {
 
     /// The post-arrival cost: virtual time from the last rank's arrival to
     /// completion. All arithmetic saturates (degenerate bandwidth pins the
-    /// payload term at `u64::MAX`, see [`payload_ns`]). For
+    /// payload term at `u64::MAX`, see `payload_ns`). For
     /// [`CollectiveAlgo::BinomialTree`] this is exactly the pre-existing
     /// `depth × (hop + payload)` term, keeping every committed baseline
     /// bit-identical.

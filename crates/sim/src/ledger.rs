@@ -26,7 +26,7 @@
 //!   observations persist through AMR instead of resetting every adapt.
 //! - **Deterministic, and invisible to virtual time.** The ledger only
 //!   *reads* simulation state — flushing on the simulator's pool uses the
-//!   same contiguous-ownership rule as [`crate::par`] (each task owns a block
+//!   same contiguous-ownership rule as `crate::par` (each task owns a block
 //!   range, hence a disjoint CSR entry range), and the per-task byte totals
 //!   are `u64` (associative), merged in task order. A run with the ledger on
 //!   is bitwise identical in virtual time to the same run with it off until

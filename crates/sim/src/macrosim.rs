@@ -39,7 +39,8 @@ use amr_core::policies::PlacementPolicy;
 use amr_core::trigger::{RebalanceTrigger, TriggerContext};
 use amr_mesh::pool::{WorkerPool, MAX_POOL_THREADS};
 use amr_mesh::{
-    AmrMesh, BlockId, BlockSpec, Dim, Neighbor, NeighborGraph, PatchScratch, ShardedMesh,
+    AmrMesh, BlockId, BlockSpec, Dim, MeshTopology, Neighbor, NeighborGraph, PatchScratch,
+    ShardedMesh,
 };
 use amr_telemetry::anomaly::{OnlineDetectorConfig, OnlineThrottleDetector};
 use amr_telemetry::trace::{
@@ -159,10 +160,10 @@ pub struct SimConfig {
     /// OS threads the in-process simulator may use, from `1` (the default)
     /// to [`MAX_POOL_THREADS`]. Every rank-range phase — epoch fill, compute
     /// scatter, the fused ready/finish pass, ledger flushes and (sharded
-    /// runs) shard rebuilds — is one kernel in [`crate::par`] run on a
+    /// runs) shard rebuilds — is one kernel in `crate::par` run on a
     /// simulator-owned worker pool of exactly this many threads; at `1` the
     /// pool spawns nothing and runs each kernel's single task inline. The
-    /// slot-ownership rule of [`crate::par`] keeps virtual time **bitwise
+    /// slot-ownership rule of `crate::par` keeps virtual time **bitwise
     /// identical** at any value. The pool is sized by this field, not the
     /// host's core count, so multi-task schedules are genuinely exercised
     /// (timesharing if need be) even on small machines.
@@ -284,6 +285,9 @@ pub struct RunReport {
     pub halo_exchange_ns: f64,
     /// Halo (ghost) blocks of the final epoch, summed over shards.
     pub final_halo_blocks: u64,
+    /// Did the run start from a topology its caller lent
+    /// ([`MacroSim::try_run_lent`]) instead of building the CSR itself?
+    pub topology_reused: bool,
     /// Collected telemetry, in canonical `(step, rank, phase, block)` order.
     /// A pure function of virtual time except for the `duration_ns` of its
     /// `Redistribution` rows: those carry the *host* wall clock the
@@ -590,7 +594,41 @@ impl MacroSim {
         policy: &dyn PlacementPolicy,
         trigger: RebalanceTrigger,
     ) -> Result<RunReport, String> {
-        let mut run = self.begin_run(workload.mesh(), policy, workload.total_steps())?;
+        self.run_steps(workload, policy, trigger, None)
+    }
+
+    /// [`MacroSim::try_run`] for a caller that outlives its runs and keeps
+    /// the mesh topology between them. The run *takes* the topology out of
+    /// `slot` when it is exactly the starting mesh's
+    /// ([`MeshTopology::is_for`]) and the run is flat (`num_shards == 0`);
+    /// anything else — an empty slot, another shape, another `periodic`, a
+    /// sharded run — is dropped and the CSR is built as in `try_run`. On
+    /// `Ok` the slot holds the run's graph, patched through every remesh and
+    /// re-keyed to the workload's final mesh (nothing after a sharded run);
+    /// on `Err` it is empty. The report is bit-identical to `try_run`'s
+    /// except for [`RunReport::topology_reused`]. A simulator nobody lends
+    /// to keeps nothing after a run: retention is the caller's.
+    pub fn try_run_lent(
+        &mut self,
+        workload: &mut dyn Workload,
+        policy: &dyn PlacementPolicy,
+        trigger: RebalanceTrigger,
+        slot: &mut Option<MeshTopology>,
+    ) -> Result<RunReport, String> {
+        self.run_steps(workload, policy, trigger, Some(slot))
+    }
+
+    /// The one run body behind [`MacroSim::try_run`] (`slot` absent) and
+    /// [`MacroSim::try_run_lent`].
+    fn run_steps(
+        &mut self,
+        workload: &mut dyn Workload,
+        policy: &dyn PlacementPolicy,
+        trigger: RebalanceTrigger,
+        mut slot: Option<&mut Option<MeshTopology>>,
+    ) -> Result<RunReport, String> {
+        let lent = slot.as_deref_mut().and_then(Option::take);
+        let mut run = self.begin_run(workload.mesh(), policy, workload.total_steps(), lent)?;
         for step in 0..run.report.steps {
             run.collector.begin_step(step as u32);
             if let Some(t) = &self.trace {
@@ -608,16 +646,18 @@ impl MacroSim {
             self.account(&mut run, workload.mesh().num_blocks(), completion_ns);
             self.respond_to_faults(&mut run);
         }
-        Ok(self.finish_run(run, workload.mesh()))
+        Ok(self.finish_run(run, workload.mesh(), slot))
     }
 
     /// Start a run: clean feedback plane, fault loop armed per config,
-    /// initial placement, resident topology, armed ledger, first epoch.
+    /// initial placement, resident topology (`lent`'s graph when it is this
+    /// mesh's, built otherwise), armed ledger, first epoch.
     fn begin_run(
         &mut self,
         mesh: &AmrMesh,
         policy: &dyn PlacementPolicy,
         steps: u64,
+        lent: Option<MeshTopology>,
     ) -> Result<Run, String> {
         let cfg = &self.config;
         let r = cfg.topology.num_ranks;
@@ -638,8 +678,15 @@ impl MacroSim {
         self.engine
             .rebalance_with(policy, costs, r, Some(mesh), None)
             .map_err(|e| format!("initial placement failed: {e}"))?;
+        let mut topology_reused = false;
         let graph = if cfg.num_shards == 0 {
-            ResidentGraph::Flat(mesh.neighbor_graph())
+            ResidentGraph::Flat(match lent.filter(|t| t.is_for(mesh)) {
+                Some(t) => {
+                    topology_reused = true;
+                    t.into_graph()
+                }
+                None => mesh.neighbor_graph(),
+            })
         } else {
             // Shard rows are pure functions of (tree, range), so how the
             // builds spread over the pool does not change their contents.
@@ -659,6 +706,7 @@ impl MacroSim {
                 initial_blocks,
                 final_blocks: initial_blocks,
                 num_shards: cfg.num_shards,
+                topology_reused,
                 ..RunReport::default()
             },
             collector,
@@ -1168,8 +1216,15 @@ impl MacroSim {
         }
     }
 
-    /// Close a run: end-of-run trace counters, then the finished report.
-    fn finish_run(&self, run: Run, mesh: &AmrMesh) -> RunReport {
+    /// Close a run: end-of-run trace counters, the resident graph handed to
+    /// a lending caller's `slot` keyed to the final `mesh`, then the
+    /// finished report.
+    fn finish_run(
+        &self,
+        run: Run,
+        mesh: &AmrMesh,
+        slot: Option<&mut Option<MeshTopology>>,
+    ) -> RunReport {
         let mut report = run.report;
         if let Some(t) = &self.trace {
             t.incr(TraceCounter::NodesPruned, report.nodes_pruned);
@@ -1187,6 +1242,11 @@ impl MacroSim {
             report.final_halo_blocks = sm.total_halo_blocks() as u64;
         }
         report.telemetry = run.collector.finish();
+        if let Some(slot) = slot {
+            if let ResidentGraph::Flat(graph) = run.graph {
+                *slot = Some(MeshTopology::new(mesh, graph));
+            }
+        }
         report
     }
 }
@@ -1257,7 +1317,7 @@ mod tests {
         assert_eq!(reserved_rows(u64::MAX, 1, 1 << 24, usize::MAX), 1 << 20);
         assert_eq!(reserved_rows(u64::MAX, u32::MAX, 1, 0), 1 << 20);
         let w = StaticWorkload::new(2, u64::MAX, 0.0);
-        let run = MacroSim::new(small_config(8)).begin_run(w.mesh(), &Baseline, u64::MAX);
+        let run = MacroSim::new(small_config(8)).begin_run(w.mesh(), &Baseline, u64::MAX, None);
         assert!(run.is_ok_and(|run| run.collector.is_empty()));
     }
 
@@ -1497,6 +1557,96 @@ mod tests {
         fn total_steps(&self) -> u64 {
             self.steps
         }
+    }
+
+    /// A lent topology is taken only when it is exactly the run's starting
+    /// mesh's and the run is flat; another shape's, the non-periodic twin's
+    /// (equal key arrays!) or any topology on a sharded run is ignored, and
+    /// either way the report is the unlent run's bit for bit.
+    #[test]
+    fn lent_topology_is_taken_only_for_its_own_snapshot() {
+        let trig = RebalanceTrigger::OnMeshChange;
+        let on = |mesh: &AmrMesh| {
+            let costs = (0..mesh.num_blocks())
+                .map(|i| 1.0e6 * (1.0 + 0.5 * (i % 7) as f64))
+                .collect();
+            StaticWorkload {
+                mesh: mesh.clone(),
+                costs,
+                steps: 4,
+            }
+        };
+        let same = |a: &RunReport, b: &RunReport| {
+            assert_eq!(a.total_ns.to_bits(), b.total_ns.to_bits());
+            assert_eq!(a.phases, b.phases);
+            assert_eq!(a.messages, b.messages);
+            assert_eq!(a.telemetry, b.telemetry);
+        };
+        let config = MeshConfig::from_cells(Dim::D3, (64, 64, 64), 2);
+        let plain = AmrMesh::new(config.clone());
+        let periodic = AmrMesh::new(config.with_periodic());
+        let other = AmrMesh::new(MeshConfig::from_cells(Dim::D3, (32, 32, 32), 2));
+        assert_eq!(plain.sfc_keys(), periodic.sfc_keys());
+        let cfg = small_config(16);
+        let unlent = |mesh: &AmrMesh, cfg: &SimConfig| {
+            let rep = MacroSim::new(cfg.clone()).try_run(&mut on(mesh), &Lpt, trig);
+            rep.expect("unlent run")
+        };
+        let lent = |mesh: &AmrMesh, cfg: &SimConfig, slot: &mut Option<MeshTopology>| {
+            let rep = MacroSim::new(cfg.clone()).try_run_lent(&mut on(mesh), &Lpt, trig, slot);
+            rep.expect("lent run")
+        };
+        let base = unlent(&plain, &cfg);
+        assert!(!base.topology_reused);
+        assert_ne!(
+            base.messages,
+            unlent(&periodic, &cfg).messages,
+            "the wrap adds relations, or this test cannot bite"
+        );
+
+        // Empty slot: built, then kept; the same snapshot takes it back.
+        let mut slot = None;
+        let first = lent(&plain, &cfg, &mut slot);
+        assert!(!first.topology_reused);
+        same(&first, &base);
+        let kept = slot.clone().expect("a lending caller gets the graph back");
+        assert!(kept.is_for(&plain) && !kept.is_for(&periodic) && !kept.is_for(&other));
+        assert_eq!(kept.graph(), &plain.neighbor_graph());
+        let again = lent(&plain, &cfg, &mut slot);
+        assert!(again.topology_reused);
+        same(&again, &base);
+        assert_eq!(slot.as_ref(), Some(&kept));
+
+        // Not this mesh's: ignored, and replaced by the run's own.
+        for mesh in [&periodic, &other] {
+            let mut slot = Some(kept.clone());
+            let rep = lent(mesh, &cfg, &mut slot);
+            assert!(!rep.topology_reused);
+            same(&rep, &unlent(mesh, &cfg));
+            let now = slot.expect("re-keyed to the run's mesh");
+            assert!(now.is_for(mesh));
+            assert_eq!(now.graph(), &mesh.neighbor_graph());
+        }
+
+        // A sharded run neither takes nor leaves one.
+        let mut sharded = cfg.clone();
+        sharded.num_shards = 1;
+        let mut slot = Some(kept.clone());
+        let rep = lent(&plain, &sharded, &mut slot);
+        assert!(!rep.topology_reused && slot.is_none());
+        same(&rep, &unlent(&plain, &sharded));
+
+        // A run that remeshes hands back the patched graph, keyed to the
+        // final mesh.
+        let mut w = RefiningWorkload::new(6, 3);
+        let mut slot = Some(MeshTopology::new(w.mesh(), w.mesh().neighbor_graph()));
+        let rep = MacroSim::new(small_config(8))
+            .try_run_lent(&mut w, &Baseline, trig, &mut slot)
+            .expect("refining run");
+        assert!(rep.topology_reused && rep.mesh_change_steps == 1);
+        let now = slot.expect("handed back");
+        assert!(now.is_for(w.mesh()));
+        assert_eq!(now.graph(), &w.mesh().neighbor_graph());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! ClickHouse-style layout at toy scale: one `Vec` per column, so scans for
 //! a single dimension touch only that column's memory, and appends are
 //! allocation-free after warm-up. Producers append a phase's rows as whole
-//! columns (a [`StagedStep`], scattered into the table a step at a time),
+//! columns (a `StagedStep`, scattered into the table a step at a time),
 //! consumers read the typed column slices; rows can be materialized on
 //! demand as [`EventRecord`]s.
 

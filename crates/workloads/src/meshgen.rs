@@ -126,6 +126,24 @@ mod tests {
         }
     }
 
+    /// The octree's leaf set round-trips through its sorted leaves: rebuilt
+    /// by `from_leaves` (which re-hashes every octant and re-validates tiling
+    /// and balance), it holds the same leaves in the same SFC order.
+    #[test]
+    fn random_trees_round_trip_through_from_leaves() {
+        use amr_mesh::Octree;
+        for seed in 0..8 {
+            let mesh = random_refined_mesh(16, 6.0, seed);
+            let tree = mesh.tree();
+            let leaves = tree.leaves_sorted();
+            let rebuilt = Octree::from_leaves(tree.dim(), tree.roots(), leaves.clone()).unwrap();
+            rebuilt.check_invariants().unwrap();
+            assert_eq!(rebuilt.num_leaves(), tree.num_leaves());
+            assert_eq!(rebuilt.leaves_sorted(), leaves);
+            assert!(leaves.iter().all(|o| rebuilt.is_leaf(o)));
+        }
+    }
+
     #[test]
     fn mesh_hits_block_target_range() {
         for ranks in [64usize, 512] {

@@ -1,8 +1,10 @@
 //! Criterion benchmarks for the mesh substrate: SFC keys, refinement with
-//! 2:1 balance, and neighbor-graph construction — the operations on the
-//! redistribution critical path (§V-A's three-step pipeline).
+//! 2:1 balance, and neighbor-graph construction and repair — the operations
+//! on the redistribution critical path (§V-A's three-step pipeline).
 
-use amr_mesh::{sfc_key, AmrMesh, Dim, MeshConfig, Octant, Point, RefineTag};
+use amr_mesh::{sfc_key, AmrMesh, Dim, MeshConfig, Octant, PatchScratch, Point, RefineTag};
+use amr_sim::Workload;
+use amr_workloads::SedovScenario;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 fn refined_mesh(roots: u32) -> AmrMesh {
@@ -63,10 +65,46 @@ fn bench_neighbor_graph(c: &mut Criterion) {
     group.finish();
 }
 
+/// One mid-run remesh of the Table-I 512-rank Sedov blast: repairing the
+/// pre-adapt graph through the adapt's delta against building the post-adapt
+/// graph from scratch, per row of the new graph. (The patch consumes its
+/// input, so a clone of the pre-adapt graph — a ~0.4 MB copy — sits inside
+/// its timed loop.)
+fn bench_graph_patch(c: &mut Criterion) {
+    let mut w = SedovScenario::for_ranks(512, 200).workload();
+    let mut before = w.mesh().neighbor_graph();
+    for step in 0.. {
+        if w.advance(step).mesh_changed {
+            if step >= w.total_steps() / 2 {
+                break;
+            }
+            before = w.mesh().neighbor_graph();
+        }
+    }
+    let mesh = w.mesh();
+    let delta = mesh.last_delta();
+    assert_eq!(before.num_blocks(), delta.blocks_before);
+    let mut group = c.benchmark_group("graph_patch");
+    group.throughput(Throughput::Elements(delta.blocks_after as u64));
+    let mut scratch = PatchScratch::default();
+    group.bench_function("patch", |b| {
+        b.iter(|| {
+            let mut graph = before.clone();
+            assert!(mesh.patch_neighbor_graph(&mut graph, &mut scratch));
+            std::hint::black_box(graph.total_relations())
+        })
+    });
+    group.bench_function("build", |b| {
+        b.iter(|| std::hint::black_box(mesh.neighbor_graph().total_relations()))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_sfc_keys,
     bench_refinement,
-    bench_neighbor_graph
+    bench_neighbor_graph,
+    bench_graph_patch
 );
 criterion_main!(benches);

@@ -4,10 +4,11 @@
 //!    [`Hierarchical`] policy at the same problem size perform no heap
 //!    allocation — stage-1 shard aggregation/cuts and the per-node stage-2
 //!    LPT heaps all live in policy-owned pools, and
-//! 2. a warm `ShardedMesh::refresh` across an oscillating refine/coarsen
-//!    cycle performs no heap allocation — per-shard CSR staging, the
-//!    affected-row flags, and every halo table are pooled and rebuilt in
-//!    place.
+//! 2. a warm `ShardedMesh::refresh`, and a warm
+//!    `AmrMesh::patch_neighbor_graph` of a flat graph beside it, across an
+//!    oscillating refine/coarsen cycle perform no heap allocation — CSR
+//!    staging (inherited and probed rows alike) and every halo table are
+//!    pooled and rebuilt in place.
 //!
 //! This file must stay a single-test binary: the counting allocator is
 //! process-global, so a concurrently running sibling test would pollute the
@@ -15,7 +16,9 @@
 
 use amr_core::engine::PlacementEngine;
 use amr_core::policies::Hierarchical;
-use amr_mesh::{AmrMesh, Dim, MeshConfig, RefineTag, ShardedMesh, WorkerPool};
+use amr_mesh::{
+    AmrMesh, Dim, MeshConfig, NeighborGraph, PatchScratch, RefineTag, ShardedMesh, WorkerPool,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -81,18 +84,25 @@ fn steady_state_sharded_rebalance_and_refresh_are_allocation_free() {
         "steady-state hierarchical rebalance allocated {min_delta} times"
     );
 
-    // ---- ShardedMesh refresh steady state ---------------------------------
-    // Oscillate the mesh between its 8-root shape and fully refined (64
-    // blocks): every cycle produces two real deltas, so every `refresh` runs
-    // the incremental per-shard splice+patch path — including the halo-table
-    // rebuild — against staging buffers that have already seen both shapes.
+    // ---- Graph repair steady state (sharded and flat) ----------------------
+    // Oscillate the mesh between its 8-root shape and every other root
+    // refined (4 survivors + 32 children): every cycle produces two real
+    // deltas with inherited *and* probed rows, so every `refresh` runs the
+    // incremental per-shard splice+patch path — including the halo-table
+    // rebuild — and every `patch_neighbor_graph` the flat one, against
+    // staging buffers that have already seen both shapes.
     let mut mesh = AmrMesh::new(MeshConfig::from_cells(Dim::D3, (32, 32, 32), 2));
     let pool = WorkerPool::new(1);
     let mut sharded = ShardedMesh::new(&mesh, 4, &pool);
-    let cycle = |mesh: &mut AmrMesh, sharded: &mut ShardedMesh, measure: bool| -> u64 {
+    let mut flat = (mesh.neighbor_graph(), PatchScratch::default());
+    let cycle = |mesh: &mut AmrMesh,
+                 sharded: &mut ShardedMesh,
+                 (graph, scratch): &mut (NeighborGraph, PatchScratch),
+                 measure: bool|
+     -> u64 {
         let mut spent = 0u64;
         mesh.adapt(|b| {
-            if b.level() == 0 {
+            if b.level() == 0 && b.id.index() % 2 == 0 {
                 RefineTag::Refine
             } else {
                 RefineTag::Keep
@@ -103,6 +113,7 @@ fn steady_state_sharded_rebalance_and_refresh_are_allocation_free() {
             sharded.refresh(mesh, &pool),
             "refine delta must patch, not rebuild"
         );
+        assert!(mesh.patch_neighbor_graph(graph, scratch));
         spent += alloc_count() - before;
         mesh.adapt(|b| {
             if b.level() > 0 {
@@ -116,6 +127,7 @@ fn steady_state_sharded_rebalance_and_refresh_are_allocation_free() {
             sharded.refresh(mesh, &pool),
             "coarsen delta must patch, not rebuild"
         );
+        assert!(mesh.patch_neighbor_graph(graph, scratch));
         spent += alloc_count() - before;
         if measure {
             spent
@@ -124,16 +136,16 @@ fn steady_state_sharded_rebalance_and_refresh_are_allocation_free() {
         }
     };
     for _ in 0..2 {
-        cycle(&mut mesh, &mut sharded, false); // warm both shapes
+        cycle(&mut mesh, &mut sharded, &mut flat, false); // warm both shapes
     }
     let blocks_at_rest = mesh.num_blocks();
     let mut min_delta = u64::MAX;
     for _ in 0..3 {
-        min_delta = min_delta.min(cycle(&mut mesh, &mut sharded, true));
+        min_delta = min_delta.min(cycle(&mut mesh, &mut sharded, &mut flat, true));
     }
     assert_eq!(
         min_delta, 0,
-        "steady-state sharded refresh allocated {min_delta} times"
+        "steady-state graph repair (sharded + flat) allocated {min_delta} times"
     );
     assert_eq!(
         mesh.num_blocks(),

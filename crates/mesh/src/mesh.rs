@@ -22,7 +22,9 @@
 
 use crate::block::{BlockId, BlockSpec, MeshBlock};
 use crate::geom::{Aabb, Dim};
-use crate::neighbors::{fill_root_runs, root_shift, BlockIndex, NeighborGraph, PatchScratch};
+use crate::neighbors::{
+    fill_root_runs, root_shift, BlockIndex, NeighborGraph, PatchRows, PatchScratch,
+};
 use crate::octant::Octant;
 use crate::sfc::sfc_key;
 use crate::tree::{Coverage, Octree, NORM_LEVEL};
@@ -372,8 +374,9 @@ impl AmrMesh {
     }
 
     /// Bring `graph` (the neighbor graph of the *pre-adapt* mesh) up to date
-    /// with the mesh after the most recent [`AmrMesh::adapt`], repairing only
-    /// the CSR rows whose neighborhoods touch changed octants. Falls back to
+    /// with the mesh after the most recent [`AmrMesh::adapt`]: surviving
+    /// blocks inherit their rows through the delta's fate table, only blocks
+    /// the adapt created are probed. Falls back to
     /// a full [`AmrMesh::neighbor_graph`] build when the stored delta cannot
     /// vouch for `graph` (identity delta, stale delta, or a block-count
     /// mismatch). Returns `true` iff the incremental patch path ran.
@@ -389,10 +392,11 @@ impl AmrMesh {
             && graph.num_blocks() == d.blocks_before
             && self.blocks.len() == d.blocks_after
         {
-            graph.patch(&self.tree, &self.cover_index(), d, scratch);
+            let rows = graph.patch(&self.tree, &self.cover_index(), d, scratch);
             if let Some(t) = &self.trace {
                 t.incr(TraceCounter::GraphPatches, 1);
             }
+            self.count_patch_rows(rows);
             true
         } else {
             *graph = self.neighbor_graph();
@@ -403,6 +407,14 @@ impl AmrMesh {
                 t.incr(TraceCounter::GraphPatchFallbacks, 1);
             }
             false
+        }
+    }
+
+    /// Publish one graph repair's row counts (once per repair, not per row).
+    pub(crate) fn count_patch_rows(&self, rows: PatchRows) {
+        if let Some(t) = &self.trace {
+            t.incr(TraceCounter::GraphRowsInherited, rows.inherited as u64);
+            t.incr(TraceCounter::GraphRowsProbed, rows.probed as u64);
         }
     }
 
@@ -803,6 +815,8 @@ mod tests {
         let mut graph = m.neighbor_graph();
         let mut scratch = PatchScratch::default();
         // A live delta patches incrementally: no fallback recorded.
+        let pool = crate::WorkerPool::new(1);
+        let mut sharded = crate::ShardedMesh::new(&m, 3, &pool);
         m.adapt(|b| {
             if b.id.index() == 0 {
                 RefineTag::Refine
@@ -813,12 +827,21 @@ mod tests {
         assert!(m.patch_neighbor_graph(&mut graph, &mut scratch));
         assert_eq!(handle.metrics().counter(TC::GraphPatches), 1);
         assert_eq!(handle.metrics().counter(TC::GraphPatchFallbacks), 0);
+        // Rows by origin, once per repair: the 8 children were probed, the
+        // 7 surviving roots inherited — by the flat patch and, on the same
+        // delta, by the per-shard refresh.
+        assert_eq!(handle.metrics().counter(TC::GraphRowsProbed), 8);
+        assert_eq!(handle.metrics().counter(TC::GraphRowsInherited), 7);
+        assert!(sharded.refresh(&m, &pool));
+        assert_eq!(handle.metrics().counter(TC::GraphRowsProbed), 16);
+        assert_eq!(handle.metrics().counter(TC::GraphRowsInherited), 14);
         // Invalidate the stored delta: the entry point must degrade to a
         // full rebuild — and say so, distinctly from intentional builds.
         m.force_full_rebuild();
         assert!(!m.patch_neighbor_graph(&mut graph, &mut scratch));
         assert_eq!(handle.metrics().counter(TC::GraphPatchFallbacks), 1);
         assert_eq!(handle.metrics().counter(TC::GraphFullBuilds), 1);
+        assert_eq!(handle.metrics().counter(TC::GraphRowsProbed), 16);
         assert_eq!(graph, m.neighbor_graph());
     }
 

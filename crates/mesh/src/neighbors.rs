@@ -27,8 +27,7 @@ use crate::geom::Dim;
 use crate::mesh::{AmrMesh, BlockFate, RefinementDelta};
 use crate::octant::{Direction, Octant};
 use crate::sfc::sfc_key;
-use crate::tree::{Coverage, Octree, NORM_LEVEL};
-use std::collections::HashMap;
+use crate::tree::{Octree, NORM_LEVEL};
 
 /// Classification of a shared boundary surface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -259,16 +258,24 @@ impl CoverIndex for BlockIndex<'_> {
     }
 }
 
-/// Pooled scratch for `AmrMesh::patch_neighbor_graph`: the staging CSR
-/// arrays swap with the graph's own on every patch, so after the first call
-/// both sides run allocation-free at steady state.
+/// Pooled staging for a graph repair (`AmrMesh::patch_neighbor_graph`, and
+/// per shard `ShardedMesh::refresh`): the new CSR arrays are emitted here and
+/// swapped with the graph's own, so after the first call both sides run
+/// allocation-free at steady state.
 #[derive(Debug, Clone, Default)]
 pub struct PatchScratch {
-    /// Per-new-block flag: row must be rebuilt (vs copied + renumbered).
-    affected: Vec<bool>,
-    offsets: Vec<u32>,
-    entries: Vec<Neighbor>,
+    pub(crate) offsets: Vec<u32>,
+    pub(crate) entries: Vec<Neighbor>,
     row: Vec<Neighbor>,
+}
+
+/// Rows a repair emitted, by how each was produced.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct PatchRows {
+    /// Surviving blocks: old row walked through the fate table.
+    pub(crate) inherited: usize,
+    /// New children and merged parents: probed by `build_row`.
+    pub(crate) probed: usize,
 }
 
 impl NeighborGraph {
@@ -392,69 +399,6 @@ impl NeighborGraph {
         NeighborGraph { offsets, entries }
     }
 
-    /// Reference builder: the original hash-based algorithm
-    /// (`HashMap<Octant, BlockId>` id lookup, per-leaf `HashMap` dedup,
-    /// `Octree::coverage` classification). Kept as the oracle for the
-    /// CSR/legacy equivalence property tests and for before/after
-    /// benchmarking; production code paths use [`NeighborGraph::build`].
-    pub fn build_legacy(tree: &Octree, leaves: &[Octant]) -> NeighborGraph {
-        let dim = tree.dim();
-        let id_of: HashMap<Octant, BlockId> = leaves
-            .iter()
-            .enumerate()
-            .map(|(i, o)| (*o, BlockId(i as u32)))
-            .collect();
-        let dirs = Direction::all(dim);
-        let mut offsets = Vec::with_capacity(leaves.len() + 1);
-        offsets.push(0u32);
-        let mut entries = Vec::new();
-        for leaf in leaves {
-            let mut seen: HashMap<BlockId, Neighbor> = HashMap::new();
-            for dir in dirs {
-                let Some(nb_cell) = tree.lattice_neighbor(leaf, *dir) else {
-                    continue;
-                };
-                let kind = NeighborKind::from_codim(dir.codim());
-                match tree.coverage(&nb_cell) {
-                    Coverage::Leaf => {
-                        let id = id_of[&nb_cell];
-                        seen.entry(id).or_insert(Neighbor {
-                            block: id,
-                            kind,
-                            level_delta: 0,
-                        });
-                    }
-                    Coverage::CoveredBy(coarse) => {
-                        let id = id_of[&coarse];
-                        let delta = coarse.level as i8 - leaf.level as i8;
-                        seen.entry(id).or_insert(Neighbor {
-                            block: id,
-                            kind,
-                            level_delta: delta,
-                        });
-                    }
-                    Coverage::Subdivided => {
-                        for fine in touching_descendant_leaves(tree, &nb_cell, *dir) {
-                            let id = id_of[&fine];
-                            let delta = fine.level as i8 - leaf.level as i8;
-                            seen.entry(id).or_insert(Neighbor {
-                                block: id,
-                                kind,
-                                level_delta: delta,
-                            });
-                        }
-                    }
-                    Coverage::Outside => {}
-                }
-            }
-            let mut list: Vec<Neighbor> = seen.into_values().collect();
-            list.sort_by_key(|n| n.block);
-            entries.extend_from_slice(&list);
-            offsets.push(entries.len() as u32);
-        }
-        NeighborGraph { offsets, entries }
-    }
-
     /// Number of blocks in the graph.
     #[inline]
     pub fn num_blocks(&self) -> usize {
@@ -523,24 +467,18 @@ impl NeighborGraph {
     }
 
     /// Repair `self` — the graph of the *pre-adapt* mesh — into the graph of
-    /// the post-adapt mesh described by (`tree`, `index`, `delta`),
-    /// rebuilding only the rows whose neighborhoods touch changed octants.
+    /// the post-adapt mesh described by (`tree`, `index`, `delta`), probing
+    /// the mesh only for blocks that did not exist before.
     ///
-    /// Affected rows are (a) every new block inside a changed region and
-    /// (b) the surviving old neighbors of every changed old block. That set
-    /// is complete: a block touches a new child only if it touches the
-    /// parent's region (so it was a neighbor of the refined parent), and a
-    /// coarsened parent occupies exactly its children's union (so its
-    /// neighbors were neighbors of some child) — both already recorded in
-    /// the old symmetric graph. Every other row is byte-copied with its
-    /// neighbor ids renumbered through the fate table, which preserves the
-    /// per-row sort because the surviving-block renumbering is monotonic.
-    ///
-    /// Cost: O(blocks + copied entries) memcpy plus full row builds only for
-    /// the O(changed × degree) affected set. The staging arrays in `scratch`
-    /// swap with the graph's own, so steady-state patching allocates
-    /// nothing. [`NeighborGraph::build`] is the oracle; callers unsure the
-    /// graph matches `delta.blocks_before` should use
+    /// One walk over the fate table, which yields new ids in ascending
+    /// order: a surviving block's row is its old row carried through the
+    /// table ([`PatchScratch::inherit_row`] — a renumbering copy wherever no neighbor
+    /// changed, which is most rows); a new child's or merged parent's row is
+    /// probed by [`build_row`]. Cost: O(blocks + entries) copying plus
+    /// O(created blocks) probes. The staging arrays in `scratch` swap with
+    /// the graph's own, so steady-state patching allocates nothing.
+    /// [`NeighborGraph::build`] is the oracle; callers unsure the graph
+    /// matches `delta.blocks_before` should use
     /// `AmrMesh::patch_neighbor_graph`, which falls back to it.
     pub(crate) fn patch(
         &mut self,
@@ -548,7 +486,7 @@ impl NeighborGraph {
         index: &BlockIndex<'_>,
         delta: &RefinementDelta,
         scratch: &mut PatchScratch,
-    ) {
+    ) -> PatchRows {
         assert_eq!(
             self.num_blocks(),
             delta.blocks_before,
@@ -557,87 +495,42 @@ impl NeighborGraph {
         assert_eq!(delta.remap.len(), delta.blocks_before, "patch: stale delta");
         let blocks = index.blocks;
         assert_eq!(blocks.len(), delta.blocks_after, "patch: stale block array");
-        let n_new = blocks.len();
-        let dirs = Direction::all(tree.dim());
 
-        // Phase 1: mark affected new rows.
-        scratch.affected.clear();
-        scratch.affected.resize(n_new, false);
+        scratch.begin();
+        scratch.offsets.reserve(blocks.len());
+        let mut rows = PatchRows::default();
         for (old, fate) in delta.remap.iter().enumerate() {
-            let changed = match *fate {
-                BlockFate::Same(_) => false,
-                BlockFate::Refined { first, count } => {
-                    scratch.affected[first.index()..first.index() + count as usize].fill(true);
-                    true
-                }
-                BlockFate::Coarsened(new) => {
-                    scratch.affected[new.index()] = true;
-                    true
-                }
-            };
-            if changed {
-                let r = self.offsets[old] as usize..self.offsets[old + 1] as usize;
-                for e in &self.entries[r] {
-                    if let BlockFate::Same(new) = delta.remap[e.block.index()] {
-                        scratch.affected[new.index()] = true;
-                    }
-                }
-            }
-        }
-
-        // Phase 2: emit the new CSR arrays into the staging buffers, walking
-        // old ids; the fate table yields new ids in ascending order.
-        scratch.offsets.clear();
-        scratch.offsets.push(0);
-        scratch.entries.clear();
-        let mut emitted = 0usize;
-        for (old, fate) in delta.remap.iter().enumerate() {
+            let emitted = rows.inherited + rows.probed;
             match *fate {
                 BlockFate::Same(new) => {
                     debug_assert_eq!(new.index(), emitted);
-                    if scratch.affected[new.index()] {
-                        let leaf = &blocks[new.index()].octant;
-                        build_row(tree, index, dirs, leaf, &mut scratch.row);
-                        scratch.entries.extend_from_slice(&scratch.row);
-                    } else {
-                        let r = self.offsets[old] as usize..self.offsets[old + 1] as usize;
-                        for e in &self.entries[r] {
-                            let BlockFate::Same(nb) = delta.remap[e.block.index()] else {
-                                unreachable!("unaffected row references a changed block");
-                            };
-                            scratch.entries.push(Neighbor { block: nb, ..*e });
-                        }
-                    }
-                    scratch.offsets.push(scratch.entries.len() as u32);
-                    emitted += 1;
+                    let old_row = self.neighbors(BlockId(old as u32));
+                    let leaf = &blocks[new.index()].octant;
+                    scratch.inherit_row(tree, old_row, leaf, blocks, &delta.remap);
+                    rows.inherited += 1;
                 }
                 BlockFate::Refined { first, count } => {
                     debug_assert_eq!(first.index(), emitted);
                     for child in &blocks[first.index()..first.index() + count as usize] {
-                        build_row(tree, index, dirs, &child.octant, &mut scratch.row);
-                        scratch.entries.extend_from_slice(&scratch.row);
-                        scratch.offsets.push(scratch.entries.len() as u32);
+                        scratch.probe_row(tree, index, &child.octant);
                     }
-                    emitted += count as usize;
+                    rows.probed += count as usize;
                 }
-                BlockFate::Coarsened(new) => {
-                    // Only the first sibling emits the parent's row.
-                    if new.index() == emitted {
-                        let leaf = &blocks[new.index()].octant;
-                        build_row(tree, index, dirs, leaf, &mut scratch.row);
-                        scratch.entries.extend_from_slice(&scratch.row);
-                        scratch.offsets.push(scratch.entries.len() as u32);
-                        emitted += 1;
-                    }
+                // Only the first sibling emits the parent's row.
+                BlockFate::Coarsened(new) if new.index() == emitted => {
+                    scratch.probe_row(tree, index, &blocks[new.index()].octant);
+                    rows.probed += 1;
                 }
+                BlockFate::Coarsened(_) => {}
             }
         }
-        debug_assert_eq!(emitted, n_new);
+        debug_assert_eq!(rows.inherited + rows.probed, blocks.len());
 
-        // Phase 3: swap the staging arrays in; the displaced arrays become
-        // the next patch's staging storage.
+        // Swap the staging arrays in; the displaced arrays become the next
+        // patch's staging storage.
         std::mem::swap(&mut self.offsets, &mut scratch.offsets);
         std::mem::swap(&mut self.entries, &mut scratch.entries);
+        rows
     }
 }
 
@@ -707,8 +600,7 @@ impl MeshTopology {
 /// Assemble one block's neighbor row into `row` (cleared first): probe all
 /// directions, then sort by block id and keep the first entry per block —
 /// directions are enumerated faces-first, so ties resolve to the lowest
-/// codimension (largest message), matching the legacy builder's
-/// first-insertion-wins dedup.
+/// codimension (largest message).
 pub(crate) fn build_row<I: CoverIndex>(
     tree: &Octree,
     index: &I,
@@ -744,8 +636,8 @@ pub(crate) fn build_row<I: CoverIndex>(
 
 /// Push the fine leaves inside subdivided `cell` that touch the boundary
 /// shared with the cell the direction came from (the near side w.r.t.
-/// `dir`). Under corner-inclusive 2:1 balance these are direct children,
-/// but the recursion mirrors the legacy builder for defense in depth.
+/// `dir`). Under corner-inclusive 2:1 balance these are direct children;
+/// the recursion is defense in depth.
 fn collect_touching_fine<I: CoverIndex>(
     index: &I,
     cell: &Octant,
@@ -789,29 +681,140 @@ fn collect_touching_fine<I: CoverIndex>(
     }
 }
 
-/// Leaves that are descendants of `cell` and touch the boundary shared with
-/// the cell the direction came from (i.e. on the near side w.r.t. `dir`).
-/// Used by the legacy reference builder only.
-fn touching_descendant_leaves(tree: &Octree, cell: &Octant, dir: Direction) -> Vec<Octant> {
-    let mut out = Vec::new();
-    collect(tree, cell, dir, &mut out);
-    fn collect(tree: &Octree, cell: &Octant, dir: Direction, out: &mut Vec<Octant>) {
-        match tree.coverage(cell) {
-            Coverage::Leaf => out.push(*cell),
-            Coverage::Subdivided => {
-                for child in cell.children(tree.dim()) {
-                    let near_x = dir.dx == 0 || (dir.dx > 0) == (child.x & 1 == 0);
-                    let near_y = dir.dy == 0 || (dir.dy > 0) == (child.y & 1 == 0);
-                    let near_z = dir.dz == 0 || (dir.dz > 0) == (child.z & 1 == 0);
-                    if near_x && near_y && near_z {
-                        collect(tree, &child, dir, out);
+/// How two distinct leaves of one forest touch: the `(kind, level_delta)` of
+/// the entry for `b` in `a`'s row, or `None` if `a`'s row has no such entry.
+/// Pure geometry — no search of the mesh.
+///
+/// Both octants are scaled to the finer of the two levels. On each axis the
+/// two intervals then *overlap* (the finer lies inside the coarser — dyadic
+/// intervals never straddle), *touch* (one ends where the other begins, or,
+/// on a periodic tree, one ends at the axis extent and the other begins at
+/// 0), or lie *apart*. Any axis apart: no contact. Otherwise the contact's
+/// codimension is the number of touching axes.
+///
+/// That is the entry [`build_row`] keeps. A direction `d` reaches `b` from
+/// `a` only if `d` is nonzero on every axis whose intervals do not overlap:
+/// with `d = 0` on an axis, the probed cell has `a`'s own interval there, and
+/// whatever leaf the probe lands on or descends into intersects that
+/// interval. Conversely the direction that is zero on the overlapping axes
+/// and points at `b` (directly or around the wrap) on the touching ones does
+/// reach it: if `b` is no finer than `a`, the probed cell is adjacent to `a`
+/// on the touching axes and level-aligned inside `b`'s interval on every
+/// axis, so it is `b` or covered by `b`; if `b` is finer, `b` lies inside the
+/// probed cell against the side facing `a` on exactly the touching axes,
+/// which is the set of descendants `collect_touching_fine` keeps. So the
+/// lowest-codimension direction reaching `b` has one nonzero component per
+/// touching axis, and directions are probed in ascending codimension with
+/// the first entry per block winning. An axis with one or two roots changes
+/// nothing: two intervals that touch both directly and around the wrap still
+/// just touch, and overlap is tested first because it is what admits `d = 0`.
+/// (A leaf spanning a whole periodic axis lists *itself*; `a == b` is not a
+/// pair of distinct leaves and is `None` here — a surviving block's
+/// self-entry is carried, never re-derived.)
+pub(crate) fn contact(tree: &Octree, a: &Octant, b: &Octant) -> Option<(NeighborKind, i8)> {
+    let level = a.level.max(b.level);
+    let (sa, sb) = (level - a.level, level - b.level);
+    let (rx, ry, rz) = tree.roots();
+    let axes = [(a.x, b.x, rx), (a.y, b.y, ry), (a.z, b.z, rz)];
+    let mut codim = 0u8;
+    for &(ca, cb, roots) in &axes[..tree.dim().rank()] {
+        let (a_lo, a_hi) = ((ca as u64) << sa, (ca as u64 + 1) << sa);
+        let (b_lo, b_hi) = ((cb as u64) << sb, (cb as u64 + 1) << sb);
+        if a_lo < b_hi && b_lo < a_hi {
+            continue;
+        }
+        // Axis extent at `level`; 0 (which no interval ends at) when the
+        // domain does not wrap.
+        let extent = if tree.periodic() {
+            (roots as u64) << level
+        } else {
+            0
+        };
+        let touch = a_hi == b_lo
+            || b_hi == a_lo
+            || (a_hi == extent && b_lo == 0)
+            || (b_hi == extent && a_lo == 0);
+        if !touch {
+            return None;
+        }
+        codim += 1;
+    }
+    (codim > 0).then(|| {
+        (
+            NeighborKind::from_codim(codim),
+            b.level as i8 - a.level as i8,
+        )
+    })
+}
+
+impl PatchScratch {
+    /// Empty the staging arrays for the next graph (or shard).
+    pub(crate) fn begin(&mut self) {
+        self.offsets.clear();
+        self.offsets.push(0);
+        self.entries.clear();
+    }
+
+    /// Stage the row of a block that did not exist before the adapt.
+    pub(crate) fn probe_row(&mut self, tree: &Octree, index: &BlockIndex<'_>, leaf: &Octant) {
+        build_row(tree, index, Direction::all(index.dim), leaf, &mut self.row);
+        self.entries.extend_from_slice(&self.row);
+        self.offsets.push(self.entries.len() as u32);
+    }
+
+    /// Stage a surviving block's post-adapt row: its pre-adapt row walked
+    /// once through the fate table — the one survivor routine of the flat
+    /// patch and the per-shard refresh. `leaf` is the survivor's (unchanged)
+    /// octant, `blocks` the post-adapt block array; `old_row` and the
+    /// emitted entries hold global ids.
+    ///
+    /// * An entry whose target is `Same(nb)` is renumbered and kept verbatim
+    ///   — neither octant changed, so neither did `kind` or `level_delta`.
+    /// * An entry whose target was `Refined { first, count }` is replaced by
+    ///   those of `blocks[first..first + count]` that touch the survivor.
+    /// * A run of entries whose targets were `Coarsened(p)` — siblings are
+    ///   consecutive old ids, so they are consecutive in the sorted row — is
+    ///   replaced by `p`, once.
+    ///
+    /// Replacements are priced by [`contact`]. The walk is complete: a block
+    /// touches a new child only if it touched the refined parent's region,
+    /// and a merged parent occupies exactly its children's union, so every
+    /// new neighbor descends from an entry of the old (symmetric) row. The
+    /// fate table is monotone in old id and a refined span is contiguous, so
+    /// the emitted row is already sorted by block id, without duplicates.
+    pub(crate) fn inherit_row(
+        &mut self,
+        tree: &Octree,
+        old_row: &[Neighbor],
+        leaf: &Octant,
+        blocks: &[MeshBlock],
+        remap: &[BlockFate],
+    ) {
+        let out = &mut self.entries;
+        let start = out.len();
+        let touching = |b: &MeshBlock| {
+            contact(tree, leaf, &b.octant).map(|(kind, level_delta)| Neighbor {
+                block: b.id,
+                kind,
+                level_delta,
+            })
+        };
+        for e in old_row {
+            match remap[e.block.index()] {
+                BlockFate::Same(nb) => out.push(Neighbor { block: nb, ..*e }),
+                BlockFate::Refined { first, count } => {
+                    let span = &blocks[first.index()..first.index() + count as usize];
+                    out.extend(span.iter().filter_map(touching));
+                }
+                BlockFate::Coarsened(p) => {
+                    if out[start..].last().map(|n| n.block) != Some(p) {
+                        out.extend(touching(&blocks[p.index()]));
                     }
                 }
             }
-            Coverage::CoveredBy(_) | Coverage::Outside => {}
         }
+        self.offsets.push(self.entries.len() as u32);
     }
-    out
 }
 
 #[cfg(test)]
@@ -937,19 +940,6 @@ mod tests {
     }
 
     #[test]
-    fn csr_matches_legacy_on_refined_trees() {
-        for dim in [Dim::D2, Dim::D3] {
-            let mut tree = Octree::uniform_roots(dim, (2, 2, 2));
-            tree.refine(&Octant::new(0, 0, 0, 0));
-            tree.refine(&Octant::new(0, 1, 1, 0));
-            let leaves = tree.leaves_sorted();
-            let csr = NeighborGraph::build_serial(&tree, &leaves);
-            let legacy = NeighborGraph::build_legacy(&tree, &leaves);
-            assert_eq!(csr, legacy, "dim {dim:?}");
-        }
-    }
-
-    #[test]
     fn parallel_build_matches_serial() {
         let mut tree = Octree::uniform_roots(Dim::D3, (4, 4, 4));
         tree.refine(&Octant::new(0, 1, 1, 1));
@@ -962,15 +952,71 @@ mod tests {
         }
     }
 
+    /// `contact` is the row entry, pair by pair: on random 2-D and 3-D
+    /// meshes — bounded and periodic, root grids down to one root on an
+    /// axis — it is `Some(kind, delta)` exactly for the pairs and values
+    /// `NeighborGraph::build` emits and `None` for every other pair.
     #[test]
-    fn periodic_wrap_handled_by_csr_builder() {
+    fn contact_is_exactly_the_built_relation() {
+        use crate::mesh::{MeshConfig, RefineTag};
+        let grids = [
+            (Dim::D2, (4, 4, 1)),
+            (Dim::D2, (1, 3, 1)),
+            (Dim::D2, (2, 1, 1)),
+            (Dim::D3, (3, 3, 3)),
+            (Dim::D3, (1, 2, 3)),
+            (Dim::D3, (2, 2, 1)),
+        ];
+        let mut some = 0usize;
+        for (dim, roots) in grids {
+            for periodic in [false, true] {
+                let mut mesh = AmrMesh::new(MeshConfig {
+                    dim,
+                    roots,
+                    domain: crate::geom::Aabb::unit(),
+                    spec: crate::block::BlockSpec::default(),
+                    max_level: 3,
+                    periodic,
+                });
+                for salt in 0..4u64 {
+                    mesh.adapt(|b| {
+                        let h = (b.id.index() as u64 + 1)
+                            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                            .wrapping_add(salt.wrapping_mul(0xbf58_476d_1ce4_e5b9));
+                        match (h >> 32) % 5 {
+                            0 | 1 => RefineTag::Refine,
+                            2 => RefineTag::Coarsen,
+                            _ => RefineTag::Keep,
+                        }
+                    });
+                    let graph = mesh.neighbor_graph();
+                    for a in mesh.blocks() {
+                        let row = graph.neighbors(a.id);
+                        for b in mesh.blocks().iter().filter(|b| b.id != a.id) {
+                            let built = row
+                                .binary_search_by_key(&b.id, |n| n.block)
+                                .ok()
+                                .map(|i| (row[i].kind, row[i].level_delta));
+                            let got = contact(mesh.tree(), &a.octant, &b.octant);
+                            assert_eq!(
+                                got, built,
+                                "{dim:?} {roots:?} periodic={periodic}: {:?} vs {:?}",
+                                a.octant, b.octant
+                            );
+                            some += got.is_some() as usize;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(some > 10_000, "only {some} touching pairs exercised");
+    }
+
+    #[test]
+    fn periodic_graph_is_symmetric_across_the_wrap() {
         let mut tree = Octree::uniform_roots_periodic(Dim::D3, (2, 2, 2));
         tree.refine(&Octant::new(0, 0, 0, 0));
-        let leaves = tree.leaves_sorted();
-        let csr = NeighborGraph::build_serial(&tree, &leaves);
-        let legacy = NeighborGraph::build_legacy(&tree, &leaves);
-        assert_eq!(csr, legacy);
-        csr.check_symmetry().unwrap();
+        graph_of(&tree).check_symmetry().unwrap();
     }
 
     /// Per-root `classify` against the whole-array search it replaced, for

@@ -44,6 +44,11 @@ struct PoolState {
 }
 
 struct Shared {
+    /// Held by a caller for the whole of its dispatch: the pool runs one job
+    /// at a time, so a second thread dispatching on the same pool (two
+    /// builds on [`WorkerPool::global`]) waits its turn instead of
+    /// overwriting the job the workers are still running.
+    turn: Mutex<()>,
     state: Mutex<PoolState>,
     work_cv: Condvar,
     done_cv: Condvar,
@@ -138,6 +143,7 @@ impl WorkerPool {
             };
         }
         let shared = Arc::new(Shared {
+            turn: Mutex::new(()),
             state: Mutex::new(PoolState {
                 generation: 0,
                 job: None,
@@ -192,7 +198,8 @@ impl WorkerPool {
     /// remaining tasks are abandoned, and the panic is re-raised here.
     ///
     /// Must not be called from inside a task running on the same pool (the
-    /// pool runs one job at a time and the nested dispatch would deadlock).
+    /// pool runs one job at a time and the nested dispatch would deadlock);
+    /// dispatches from different threads queue.
     pub fn run_with<S: Send, F: Fn(usize, &mut S) + Sync>(&self, states: &mut [S], f: F) {
         self.run_with_capped(usize::MAX, states, f);
     }
@@ -303,6 +310,7 @@ impl WorkerPool {
             .shared
             .as_ref()
             .expect("only pools with workers dispatch");
+        let _turn = shared.turn.lock().expect(POISONED);
         {
             let mut st = shared.state.lock().expect(POISONED);
             debug_assert!(st.active == 0, "nested dispatch on the same pool");
@@ -533,6 +541,31 @@ mod tests {
         }
         let expect: u64 = (0..50u64).map(|r| (0..8).map(|i| r + i).sum::<u64>()).sum();
         assert_eq!(total, expect);
+    }
+
+    /// Two threads dispatching on one pool at the same moment (a barrier
+    /// lines them up, round after round) each get all of their tasks run:
+    /// the second waits for the first's job instead of replacing it.
+    #[test]
+    fn concurrent_callers_take_turns() {
+        let pool = WorkerPool::new(3);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for caller in 0..2usize {
+                let (pool, start) = (&pool, &start);
+                scope.spawn(move || {
+                    for round in 0..200usize {
+                        let mut out = vec![0usize; 16];
+                        start.wait();
+                        pool.run_with(&mut out, |i, slot| *slot = caller + round + i);
+                        assert!(out
+                            .iter()
+                            .enumerate()
+                            .all(|(i, &v)| v == caller + round + i));
+                    }
+                });
+            }
+        });
     }
 
     #[test]

@@ -18,11 +18,10 @@
 //!   concatenation), plus a sorted **halo table** of the out-of-shard blocks
 //!   its rows reference and a count of cross-shard relations.
 //! * [`ShardedMesh::refresh`] repairs all shards from the
-//!   [`RefinementDelta`](crate::RefinementDelta) of the latest adapt using
-//!   the same affected-row analysis as
-//!   [`AmrMesh::patch_neighbor_graph`]: unaffected
-//!   rows are copied with ids renumbered through the fate table, affected
-//!   rows are rebuilt, and everything stages through pooled scratch so
+//!   [`RefinementDelta`](crate::RefinementDelta) of the latest adapt by the
+//!   rule of [`AmrMesh::patch_neighbor_graph`]: a surviving block's row is
+//!   its old row carried through the fate table, only blocks the adapt
+//!   created are probed, and everything stages through pooled scratch so
 //!   steady-state refreshes allocate nothing. [`AmrMesh::neighbor_graph`]
 //!   stays the correctness oracle (see `flatten_into` and the property
 //!   tests).
@@ -40,7 +39,7 @@
 
 use crate::block::BlockId;
 use crate::mesh::{AmrMesh, BlockFate};
-use crate::neighbors::{build_row, BlockIndex, Neighbor, NeighborGraph};
+use crate::neighbors::{build_row, BlockIndex, Neighbor, NeighborGraph, PatchRows, PatchScratch};
 use crate::octant::Direction;
 use crate::pool::WorkerPool;
 use crate::tree::Octree;
@@ -127,18 +126,14 @@ impl ShardGraph {
     }
 }
 
-/// Pooled scratch for [`ShardedMesh::refresh`]: staging CSR arrays swap with
-/// each shard's own, so steady-state refreshes run allocation-free.
+/// Pooled scratch for [`ShardedMesh::refresh`]: the staging CSR arrays swap
+/// with each shard's own, so steady-state refreshes run allocation-free.
 #[derive(Debug, Clone, Default)]
 struct ShardScratch {
-    /// Per-new-block flag: row must be rebuilt (vs copied + renumbered).
-    affected: Vec<bool>,
     /// Shard windows of the pre-adapt index, saved before recomputation.
     old_starts: Vec<u32>,
-    /// Staging CSR arrays for the shard currently being emitted.
-    offsets: Vec<u32>,
-    entries: Vec<Neighbor>,
-    row: Vec<Neighbor>,
+    /// Staging arrays for the shard currently being emitted.
+    stage: PatchScratch,
 }
 
 /// Per-node SFC partition of an [`AmrMesh`]: `S` contiguous key ranges, each
@@ -330,13 +325,12 @@ impl ShardedMesh {
 
     /// Bring every shard up to date with the mesh after the most recent
     /// [`AmrMesh::adapt`]: the per-shard analogue of
-    /// [`AmrMesh::patch_neighbor_graph`]. Unaffected rows are copied with
-    /// neighbor ids renumbered through the fate table; rows whose
-    /// neighborhoods touch changed octants are rebuilt; each shard's halo
-    /// table is refreshed.
+    /// [`AmrMesh::patch_neighbor_graph`]. A surviving block's row is its old
+    /// row walked through the fate table, new children and merged parents
+    /// are probed, and each shard's halo table is refreshed.
     /// All staging goes through pooled scratch (steady state allocates
     /// nothing); the splice itself is a single in-order pass over the fate
-    /// table (already O(changed rows)) and stays on the calling thread.
+    /// table and stays on the calling thread.
     /// Falls back to [`ShardedMesh::rebuild`] on `pool` when the stored
     /// delta cannot vouch for the current shards. Returns `true` iff the
     /// incremental path ran.
@@ -345,7 +339,8 @@ impl ShardedMesh {
             self.rebuild(mesh, pool);
             return false;
         }
-        self.refresh_incremental(mesh);
+        let rows = self.refresh_incremental(mesh);
+        mesh.count_patch_rows(rows);
         true
     }
 
@@ -358,9 +353,8 @@ impl ShardedMesh {
             && mesh.num_blocks() == d.blocks_after
     }
 
-    fn refresh_incremental(&mut self, mesh: &AmrMesh) {
+    fn refresh_incremental(&mut self, mesh: &AmrMesh) -> PatchRows {
         let d = mesh.last_delta();
-        let n_new = d.blocks_after;
         let num_shards = self.shards.len();
 
         // Save the pre-adapt windows, then move the windows to the new index.
@@ -372,129 +366,73 @@ impl ShardedMesh {
         let ShardedMesh {
             starts,
             shards,
-            scratch,
+            scratch: ShardScratch { old_starts, stage },
             ..
         } = self;
 
-        // Phase 1: mark affected new rows — same completeness argument as
-        // `NeighborGraph::patch`: a block touches a new child only if it
-        // touched the refined parent, and a coarsened parent's neighbors
-        // were neighbors of some child, both recorded in the old (sharded)
-        // symmetric graph.
-        scratch.affected.clear();
-        scratch.affected.resize(n_new, false);
-        let mut os = 0usize; // old-shard cursor (old ids ascend)
-        for (old, fate) in d.remap.iter().enumerate() {
-            while old >= scratch.old_starts[os + 1] as usize {
-                os += 1;
-            }
-            let changed = match *fate {
-                BlockFate::Same(_) => false,
-                BlockFate::Refined { first, count } => {
-                    scratch.affected[first.index()..first.index() + count as usize].fill(true);
-                    true
-                }
-                BlockFate::Coarsened(new) => {
-                    scratch.affected[new.index()] = true;
-                    true
-                }
-            };
-            if changed {
-                let sh = &shards[os];
-                let local = old - sh.start as usize;
-                let r = sh.offsets[local] as usize..sh.offsets[local + 1] as usize;
-                for e in &sh.entries[r] {
-                    if let BlockFate::Same(new) = d.remap[e.block.index()] {
-                        scratch.affected[new.index()] = true;
-                    }
-                }
-            }
-        }
-
-        // Phase 2: walk old ids globally (new ids come out ascending) and
-        // emit each shard's rows into the staging arrays; when a shard's
-        // window fills, swap the staging in and refresh its halo.
+        // Walk old ids globally (new ids come out ascending) and emit each
+        // shard's rows into the staging arrays; when a shard's window fills,
+        // swap the staging in and refresh its halo.
         let index = mesh.cover_index();
-        let dirs = Direction::all(index.dim);
         let tree = mesh.tree();
         let blocks = mesh.blocks();
-        scratch.offsets.clear();
-        scratch.offsets.push(0);
-        scratch.entries.clear();
-        let mut emitted = 0usize;
+        stage.begin();
+        let mut rows = PatchRows::default();
         let mut s = 0usize;
         let finalize_full = |s: &mut usize,
-                             emitted: usize,
+                             rows: PatchRows,
                              shards: &mut Vec<ShardGraph>,
-                             scratch: &mut ShardScratch| {
+                             stage: &mut PatchScratch| {
+            let emitted = rows.inherited + rows.probed;
             while *s < num_shards && emitted == starts[*s + 1] as usize {
                 let g = &mut shards[*s];
                 g.start = starts[*s];
                 g.end = starts[*s + 1];
-                std::mem::swap(&mut g.offsets, &mut scratch.offsets);
-                std::mem::swap(&mut g.entries, &mut scratch.entries);
+                std::mem::swap(&mut g.offsets, &mut stage.offsets);
+                std::mem::swap(&mut g.entries, &mut stage.entries);
                 g.rebuild_halo();
-                scratch.offsets.clear();
-                scratch.offsets.push(0);
-                scratch.entries.clear();
+                stage.begin();
                 *s += 1;
             }
         };
-        finalize_full(&mut s, emitted, shards, scratch);
-        let mut os = 0usize;
+        finalize_full(&mut s, rows, shards, stage);
+        let mut os = 0usize; // old-shard cursor (old ids ascend)
         for (old, fate) in d.remap.iter().enumerate() {
-            while old >= scratch.old_starts[os + 1] as usize {
+            while old >= old_starts[os + 1] as usize {
                 os += 1;
             }
+            let emitted = rows.inherited + rows.probed;
             match *fate {
                 BlockFate::Same(new) => {
                     debug_assert_eq!(new.index(), emitted);
-                    if scratch.affected[new.index()] {
-                        let leaf = &blocks[new.index()].octant;
-                        build_row(tree, &index, dirs, leaf, &mut scratch.row);
-                        scratch.entries.extend_from_slice(&scratch.row);
-                    } else {
-                        // A surviving block keeps its key, so its old row
-                        // lives in the shard being emitted right now.
-                        debug_assert_eq!(os, s);
-                        let sh = &shards[os];
-                        let local = old - sh.start as usize;
-                        let r = sh.offsets[local] as usize..sh.offsets[local + 1] as usize;
-                        for e in &sh.entries[r.clone()] {
-                            let BlockFate::Same(nb) = d.remap[e.block.index()] else {
-                                unreachable!("unaffected row references a changed block");
-                            };
-                            scratch.entries.push(Neighbor { block: nb, ..*e });
-                        }
-                    }
-                    scratch.offsets.push(scratch.entries.len() as u32);
-                    emitted += 1;
-                    finalize_full(&mut s, emitted, shards, scratch);
+                    // A surviving block keeps its key, so its old row lives
+                    // in the shard being emitted right now — not yet swapped.
+                    debug_assert_eq!(os, s);
+                    let sh = &shards[os];
+                    let old_row = sh.neighbors_local(old - sh.start as usize);
+                    let leaf = &blocks[new.index()].octant;
+                    stage.inherit_row(tree, old_row, leaf, blocks, &d.remap);
+                    rows.inherited += 1;
                 }
                 BlockFate::Refined { first, count } => {
                     debug_assert_eq!(first.index(), emitted);
                     for child in &blocks[first.index()..first.index() + count as usize] {
-                        build_row(tree, &index, dirs, &child.octant, &mut scratch.row);
-                        scratch.entries.extend_from_slice(&scratch.row);
-                        scratch.offsets.push(scratch.entries.len() as u32);
+                        stage.probe_row(tree, &index, &child.octant);
                     }
-                    emitted += count as usize;
-                    finalize_full(&mut s, emitted, shards, scratch);
+                    rows.probed += count as usize;
                 }
-                BlockFate::Coarsened(new) => {
-                    if new.index() == emitted {
-                        let leaf = &blocks[new.index()].octant;
-                        build_row(tree, &index, dirs, leaf, &mut scratch.row);
-                        scratch.entries.extend_from_slice(&scratch.row);
-                        scratch.offsets.push(scratch.entries.len() as u32);
-                        emitted += 1;
-                        finalize_full(&mut s, emitted, shards, scratch);
-                    }
+                // Only the first sibling emits the parent's row.
+                BlockFate::Coarsened(new) if new.index() == emitted => {
+                    stage.probe_row(tree, &index, &blocks[new.index()].octant);
+                    rows.probed += 1;
                 }
+                BlockFate::Coarsened(_) => continue,
             }
+            finalize_full(&mut s, rows, shards, stage);
         }
-        debug_assert_eq!(emitted, n_new);
+        debug_assert_eq!(rows.inherited + rows.probed, d.blocks_after);
         debug_assert_eq!(s, num_shards, "every shard finalized");
+        rows
     }
 }
 
@@ -514,15 +452,24 @@ mod tests {
         (mesh, keys)
     }
 
+    /// A fifth of the blocks refine; a third of the sibling families merge
+    /// (drawn on the parent's key so all `2^d` siblings agree — a per-block
+    /// draw never coarsens anything).
     fn hash_adapt(mesh: &mut AmrMesh, key: u64) {
-        mesh.adapt(|b| {
-            let h = (b.id.index() as u64)
+        let dim = mesh.config().dim;
+        let draw = |o: &crate::Octant| {
+            (crate::sfc_key(o, dim) ^ ((o.level as u64) << 56))
+                .wrapping_add(key)
                 .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .wrapping_add(key);
-            match h % 5 {
-                0 => RefineTag::Refine,
-                1 => RefineTag::Coarsen,
-                _ => RefineTag::Keep,
+                >> 33
+        };
+        mesh.adapt(|b| {
+            if b.octant.parent().is_some_and(|p| draw(&p) % 3 == 0) {
+                RefineTag::Coarsen
+            } else if draw(&b.octant) % 5 == 0 {
+                RefineTag::Refine
+            } else {
+                RefineTag::Keep
             }
         });
     }
@@ -585,6 +532,7 @@ mod tests {
 
     #[test]
     fn refresh_tracks_adapt_sequence() {
+        let mut merged = 0;
         for dim in [Dim::D2, Dim::D3] {
             let (mut mesh, keys) = random_mesh_steps(dim, 5, 3);
             let mut sharded = ShardedMesh::new(&mesh, 4, &WorkerPool::new(1));
@@ -593,8 +541,10 @@ mod tests {
                 let incremental = sharded.refresh(&mesh, &WorkerPool::new(1));
                 assert!(incremental || !mesh.last_delta().changed());
                 assert_matches_oracle(&sharded, &mesh);
+                merged += mesh.last_delta().coarsened;
             }
         }
+        assert!(merged > 0, "the sequence never coarsened");
     }
 
     #[test]

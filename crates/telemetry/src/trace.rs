@@ -173,6 +173,13 @@ pub enum Counter {
     /// stale, or block-count mismatch). A nonzero value in a steady-state
     /// sharded/incremental run is a patching regression, not just slowness.
     GraphPatchFallbacks,
+    /// CSR rows a graph repair carried over from a surviving block's old row
+    /// (renumbered through the fate table, no mesh probe).
+    GraphRowsInherited,
+    /// CSR rows a graph repair probed the mesh for (new children, merged
+    /// parents). More than the blocks the adapts created means surviving
+    /// blocks are being re-probed.
+    GraphRowsProbed,
     /// Placement engine rebalances.
     Rebalances,
     /// Blocks whose rank changed across all rebalances.
@@ -194,7 +201,7 @@ pub enum Counter {
 }
 
 impl Counter {
-    pub const COUNT: usize = 16;
+    pub const COUNT: usize = 18;
 
     pub const ALL: [Counter; Counter::COUNT] = [
         Counter::Steps,
@@ -205,6 +212,8 @@ impl Counter {
         Counter::GraphPatches,
         Counter::GraphFullBuilds,
         Counter::GraphPatchFallbacks,
+        Counter::GraphRowsInherited,
+        Counter::GraphRowsProbed,
         Counter::Rebalances,
         Counter::BlocksMoved,
         Counter::Collectives,
@@ -225,6 +234,8 @@ impl Counter {
             Counter::GraphPatches => "graph_patches",
             Counter::GraphFullBuilds => "graph_full_builds",
             Counter::GraphPatchFallbacks => "graph_patch_fallbacks",
+            Counter::GraphRowsInherited => "graph_rows_inherited",
+            Counter::GraphRowsProbed => "graph_rows_probed",
             Counter::Rebalances => "rebalances",
             Counter::BlocksMoved => "blocks_moved",
             Counter::Collectives => "collectives",

@@ -22,8 +22,9 @@
 //! shock surface, and `post` is a milder post-shock (interior) boost.
 
 use amr_core::cost::{origins_from_delta, CostOrigin};
-use amr_mesh::{Aabb, AmrMesh, BlockId, MeshConfig, Point, RefineTag};
+use amr_mesh::{Aabb, AmrMesh, BlockId, MeshBlock, MeshConfig, Point, RefineTag};
 use amr_sim::{Workload, WorkloadStep};
+use amr_telemetry::TraceHandle;
 
 /// SplitMix64-based deterministic lognormal sample with σ = `sigma`.
 fn lognormal_hash(key: u64, sigma: f64) -> f64 {
@@ -104,6 +105,49 @@ impl SedovConfig {
             step_noise_sigma: 0.24,
         }
     }
+
+    /// Reject values the cost and radius formulas cannot take: a zero
+    /// `shell_width` makes a block centred on the shock cost `0/0 = NaN`
+    /// (surfacing steps later as an `InvalidCost` placement error), zero
+    /// `total_steps` divides the radius by zero, and a zero `adapt_interval`
+    /// would adapt at step 0 only.
+    pub fn validate(&self) -> Result<(), String> {
+        let positive = [
+            ("shell_width", self.shell_width),
+            ("base_cost_ns", self.base_cost_ns),
+            ("final_radius", self.final_radius),
+        ];
+        for (name, v) in positive {
+            if !(v.is_finite() && v > 0.0) {
+                return Err(format!("{name} must be finite and > 0 (got {v})"));
+            }
+        }
+        let non_negative = [
+            ("refine_margin", self.refine_margin),
+            ("gradient_amp", self.gradient_amp),
+            ("post_shock_boost", self.post_shock_boost),
+            ("noise_sigma", self.noise_sigma),
+            ("step_noise_sigma", self.step_noise_sigma),
+        ];
+        for (name, v) in non_negative {
+            if !(v.is_finite() && v >= 0.0) {
+                return Err(format!("{name} must be finite and >= 0 (got {v})"));
+            }
+        }
+        if !(self.band_fraction > 0.0 && self.band_fraction <= 1.0) {
+            return Err(format!(
+                "band_fraction must be in (0, 1] (got {})",
+                self.band_fraction
+            ));
+        }
+        if self.total_steps == 0 {
+            return Err("total_steps must be >= 1".to_string());
+        }
+        if self.adapt_interval == 0 {
+            return Err("adapt_interval must be >= 1 (1 checks every step)".to_string());
+        }
+        Ok(())
+    }
 }
 
 /// The Sedov workload state.
@@ -111,6 +155,12 @@ pub struct SedovWorkload {
     config: SedovConfig,
     mesh: AmrMesh,
     costs: Vec<f64>,
+    /// Per block, what a step cannot change: `base_cost_ns · octant_noise`
+    /// and the block centre's distance to the blast centre — both pure
+    /// functions of the octant, carried across adapts by [`CostOrigin`].
+    factors: Vec<(f64, f64)>,
+    /// The retired `factors` buffer, refilled at the next mesh change.
+    factors_spare: Vec<(f64, f64)>,
     center: Point,
     current_radius: f64,
     current_step: u64,
@@ -121,20 +171,35 @@ pub struct SedovWorkload {
 
 impl SedovWorkload {
     /// Initialize the workload (mesh at one block per root, shock at 0).
+    ///
+    /// # Panics
+    /// On a config [`SedovConfig::validate`] rejects; callers holding
+    /// untrusted values use [`SedovWorkload::try_new`].
     pub fn new(config: SedovConfig) -> SedovWorkload {
+        SedovWorkload::try_new(config).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible [`SedovWorkload::new`].
+    pub fn try_new(config: SedovConfig) -> Result<SedovWorkload, String> {
+        config
+            .validate()
+            .map_err(|e| format!("invalid SedovConfig: {e}"))?;
         let mesh = AmrMesh::new(config.mesh.clone());
         let center = mesh.config().domain.center();
         let mut w = SedovWorkload {
             config,
             mesh,
             costs: Vec::new(),
+            factors: Vec::new(),
+            factors_spare: Vec::new(),
             center,
             current_radius: 0.0,
             current_step: 0,
             active_ids: Vec::new(),
         };
+        w.factors = w.mesh.blocks().iter().map(|b| w.block_factors(b)).collect();
         w.recompute_costs();
-        w
+        Ok(w)
     }
 
     /// Shock radius at (0-based) step `s` out of `total_steps`:
@@ -167,13 +232,71 @@ impl SedovWorkload {
         lognormal_hash(key, self.config.step_noise_sigma)
     }
 
+    /// The step-invariant pair kept in `factors` for one block.
+    fn block_factors(&self, b: &MeshBlock) -> (f64, f64) {
+        (
+            self.config.base_cost_ns * self.octant_noise(&b.octant),
+            b.bounds.center().distance(&self.center),
+        )
+    }
+
+    /// Bring `factors` to the adapted mesh: a surviving block keeps its
+    /// pair, a new child or merged parent gets its own computed (the pair is
+    /// a function of the octant, not of ancestry). Staged in the spare
+    /// buffer and swapped, like `TelemetryCostModel::remap_in_place`.
+    fn carry_factors(&mut self, origins: &[CostOrigin]) {
+        let mut spare = std::mem::take(&mut self.factors_spare);
+        spare.clear();
+        spare.extend(
+            origins
+                .iter()
+                .zip(self.mesh.blocks())
+                .map(|(origin, b)| match origin {
+                    CostOrigin::Same(old) => self.factors[*old],
+                    _ => self.block_factors(b),
+                }),
+        );
+        self.factors_spare = std::mem::replace(&mut self.factors, spare);
+    }
+
+    /// Per-step costs from the kept factors: `step_noise`, the shell `exp`
+    /// and one subtraction per block. `(base · octant_noise) · step_noise ·
+    /// (1 + shell + post)` associates as the from-scratch product does, so
+    /// every cost is bit-identical to it.
     fn recompute_costs(&mut self) {
         let r = self.current_radius;
         let w = self.config.shell_width;
         let cfg = &self.config;
         let step = self.current_step;
+        // An exact-size allocation per step on purpose: recycling the buffer
+        // was measured and buys no time (EXPERIMENTS §sedov_split).
         self.costs = self
             .mesh
+            .blocks()
+            .iter()
+            .zip(&self.factors)
+            .map(|(b, &(scaled_base, d_center))| {
+                let d_shell = (d_center - r).abs();
+                let shell_term = cfg.gradient_amp * (-(d_shell / w) * (d_shell / w)).exp();
+                let post_term = if d_center < r {
+                    cfg.post_shock_boost
+                } else {
+                    0.0
+                };
+                scaled_base * self.step_noise(&b.octant, step) * (1.0 + shell_term + post_term)
+            })
+            .collect();
+    }
+
+    /// The from-scratch cost vector (nine libm calls and a `sqrt` per
+    /// block): the oracle `recompute_costs` must match bit for bit.
+    #[cfg(test)]
+    fn costs_from_scratch(&self) -> Vec<f64> {
+        let r = self.current_radius;
+        let w = self.config.shell_width;
+        let cfg = &self.config;
+        let step = self.current_step;
+        self.mesh
             .blocks()
             .iter()
             .map(|b| {
@@ -190,7 +313,7 @@ impl SedovWorkload {
                     * self.step_noise(&b.octant, step)
                     * (1.0 + shell_term + post_term)
             })
-            .collect();
+            .collect()
     }
 
     /// Adapt the mesh to the current shock position. Returns the cost-origin
@@ -262,6 +385,13 @@ impl SedovWorkload {
         }
     }
 
+    /// Attach (or detach) a trace handle to the workload's mesh, so its
+    /// adapts and the graph repairs driven off its deltas publish spans and
+    /// counters; see [`AmrMesh::set_trace`]. Observes only.
+    pub fn set_trace(&mut self, trace: Option<TraceHandle>) {
+        self.mesh.set_trace(trace);
+    }
+
     /// Current shock radius (after the last `advance`).
     pub fn current_radius(&self) -> f64 {
         self.current_radius
@@ -279,6 +409,7 @@ impl Workload for SedovWorkload {
         let mut ws = WorkloadStep::default();
         if step.is_multiple_of(self.config.adapt_interval) {
             if let Some(origins) = self.adapt_mesh() {
+                self.carry_factors(&origins);
                 ws.mesh_changed = true;
                 ws.origins = Some(origins);
             }
@@ -395,6 +526,166 @@ mod tests {
             b.advance(step);
         }
         assert_eq!(a.block_compute_ns(), b.block_compute_ns());
+    }
+
+    /// Advance `w` to the end; at every step the cost vector equals the
+    /// from-scratch product bit for bit, and after every mesh change the kept
+    /// table equals a freshly computed one (so a wrong carry cannot hide
+    /// behind equal noise). Returns the number of mesh changes.
+    fn assert_kept_factors_exact(mut w: SedovWorkload) -> usize {
+        let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<u64>>();
+        let mut changes = 0;
+        for step in 0..w.total_steps() {
+            let ws = w.advance(step);
+            assert_eq!(
+                bits(w.block_compute_ns()),
+                bits(&w.costs_from_scratch()),
+                "step {step}"
+            );
+            if ws.mesh_changed {
+                changes += 1;
+                let fresh: Vec<(f64, f64)> =
+                    w.mesh.blocks().iter().map(|b| w.block_factors(b)).collect();
+                assert_eq!(w.factors.len(), fresh.len(), "step {step}");
+                for (kept, fresh) in w.factors.iter().zip(&fresh) {
+                    assert_eq!(kept.0.to_bits(), fresh.0.to_bits(), "step {step}");
+                    assert_eq!(kept.1.to_bits(), fresh.1.to_bits(), "step {step}");
+                }
+            }
+        }
+        changes
+    }
+
+    #[test]
+    fn kept_factors_are_bit_identical_to_from_scratch_costs() {
+        // The benchmark's run: Table I at 512 ranks, every step of it.
+        let table1 = crate::scenarios::SedovScenario::for_ranks(512, 200).workload();
+        assert_eq!(table1.total_steps(), 152);
+        assert_eq!(assert_kept_factors_exact(table1), 23);
+        assert!(assert_kept_factors_exact(SedovWorkload::new(small())) > 2);
+    }
+
+    /// Delegates to a Sedov workload, counting the blocks its adapts create.
+    struct CountCreated {
+        inner: SedovWorkload,
+        created: u64,
+        rows: u64,
+    }
+
+    impl Workload for CountCreated {
+        fn mesh(&self) -> &AmrMesh {
+            self.inner.mesh()
+        }
+        fn advance(&mut self, step: u64) -> WorkloadStep {
+            let ws = self.inner.advance(step);
+            if ws.mesh_changed {
+                let d = self.inner.mesh().last_delta();
+                self.created += (d.new_child_ids().count() + d.coarsened_parents.len()) as u64;
+                self.rows += d.blocks_after as u64;
+            }
+            ws
+        }
+        fn block_compute_ns(&self) -> &[f64] {
+            self.inner.block_compute_ns()
+        }
+        fn total_steps(&self) -> u64 {
+            self.inner.total_steps()
+        }
+    }
+
+    /// Over a traced Table-I run the graph repairs probe exactly the blocks
+    /// the adapts created — no surviving block is probed — and tracing the
+    /// mesh and the simulator moves no bit of the result.
+    #[test]
+    fn traced_run_probes_only_created_blocks_and_matches_untraced() {
+        use amr_core::policies::Cplx;
+        use amr_core::trigger::RebalanceTrigger;
+        use amr_sim::{MacroSim, SimConfig};
+        use amr_telemetry::trace::Counter;
+        let run = |trace: Option<TraceHandle>| {
+            let mut inner = crate::scenarios::SedovScenario::for_ranks(512, 200).workload();
+            inner.set_trace(trace.clone());
+            let mut w = CountCreated {
+                inner,
+                created: 0,
+                rows: 0,
+            };
+            let mut sim = MacroSim::new(SimConfig::tuned(512));
+            sim.set_trace(trace);
+            let report = sim.run(&mut w, &Cplx::new(50), RebalanceTrigger::OnMeshChange);
+            (report, w.created, w.rows)
+        };
+        let handle = TraceHandle::new(1 << 12);
+        let (traced, created, rows) = run(Some(handle.clone()));
+        let (plain, _, _) = run(None);
+        // Redistribution charges placement wall-clock; everything else is
+        // virtual and must not move.
+        let virt = |r: &amr_sim::RunReport| {
+            let p = &r.phases;
+            [p.compute_ns, p.comm_ns, p.sync_ns].map(f64::to_bits)
+        };
+        assert_eq!(virt(&traced), virt(&plain));
+        assert_eq!(traced.messages, plain.messages);
+        assert_eq!(traced.final_blocks, plain.final_blocks);
+        let m = handle.metrics();
+        assert_eq!(m.counter(Counter::GraphPatches), traced.mesh_change_steps);
+        assert_eq!(m.counter(Counter::GraphPatchFallbacks), 0);
+        assert!(created > 0);
+        assert_eq!(m.counter(Counter::GraphRowsProbed), created);
+        assert_eq!(m.counter(Counter::GraphRowsInherited), rows - created);
+    }
+
+    #[test]
+    fn degenerate_configs_are_rejected_field_by_field() {
+        type Edit = fn(&mut SedovConfig);
+        let rejected: [(&str, Edit); 16] = [
+            ("shell_width", |c| c.shell_width = 0.0),
+            ("shell_width", |c| c.shell_width = f64::NAN),
+            ("base_cost_ns", |c| c.base_cost_ns = -1.0),
+            ("base_cost_ns", |c| c.base_cost_ns = f64::INFINITY),
+            ("final_radius", |c| c.final_radius = 0.0),
+            ("refine_margin", |c| c.refine_margin = -0.001),
+            ("gradient_amp", |c| c.gradient_amp = f64::NAN),
+            ("post_shock_boost", |c| c.post_shock_boost = -0.5),
+            ("noise_sigma", |c| c.noise_sigma = -0.2),
+            ("noise_sigma", |c| c.noise_sigma = f64::INFINITY),
+            ("step_noise_sigma", |c| c.step_noise_sigma = f64::NAN),
+            ("band_fraction", |c| c.band_fraction = 0.0),
+            ("band_fraction", |c| c.band_fraction = 1.5),
+            ("band_fraction", |c| c.band_fraction = f64::NAN),
+            ("total_steps", |c| c.total_steps = 0),
+            ("adapt_interval", |c| c.adapt_interval = 0),
+        ];
+        for (field, edit) in rejected {
+            let mut c = small();
+            edit(&mut c);
+            let err = c.validate().expect_err(field);
+            assert!(err.starts_with(field), "{field}: {err}");
+            let err = SedovWorkload::try_new(c).err().expect(field);
+            assert!(err.starts_with("invalid SedovConfig: "), "{err}");
+        }
+        // Boundary values that are fine: no noise, no bump, a full band.
+        let mut c = small();
+        (c.noise_sigma, c.step_noise_sigma, c.gradient_amp) = (0.0, 0.0, 0.0);
+        (c.refine_margin, c.post_shock_boost, c.adapt_interval) = (0.0, 0.0, 1);
+        c.validate().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid SedovConfig: shell_width must be finite and > 0")]
+    fn new_panics_with_the_validation_message() {
+        let mut c = small();
+        c.shell_width = 0.0;
+        SedovWorkload::new(c);
+    }
+
+    #[test]
+    fn every_table1_scenario_validates() {
+        for scale in [1, 50, 200, 100_000] {
+            for s in crate::scenarios::SedovScenario::all(scale) {
+                s.config.validate().unwrap();
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Export one traced run as Chrome trace-event JSON (load in Perfetto) and
 //! collapsed stacks (feed to flamegraph.pl / inferno). A tilted front sweeps a
 //! 64-rank mesh so the remesh-side phases fire too; the mesh and the simulator
-//! (and through it the placement engine) share one `TraceHandle`.
+//! (and through it the placement engine) share one `TraceHandle`, whose
+//! counters (graph rows inherited vs probed among them) are printed at the end.
 //! `cargo run --release --example trace_export -- [prefix]` (default `target/trace_export`)
 
 use amr_tools::mesh::{AmrMesh, Dim, MeshConfig};
@@ -10,7 +11,7 @@ use amr_tools::placement::policies::Cplx;
 use amr_tools::placement::trigger::RebalanceTrigger;
 use amr_tools::service::{front_tag, session_costs};
 use amr_tools::sim::{MacroSim, SimConfig, Workload, WorkloadStep};
-use amr_tools::telemetry::trace::{chrome_trace_json, collapsed_stacks};
+use amr_tools::telemetry::trace::{chrome_trace_json, collapsed_stacks, Counter};
 use amr_tools::telemetry::TraceHandle;
 
 struct FrontSweep {
@@ -56,5 +57,9 @@ fn main() {
     for (path, body) in [json, (format!("{prefix}.folded"), collapsed_stacks(&spans))] {
         std::fs::write(&path, body).unwrap_or_else(|e| panic!("write {path}: {e}"));
         println!("wrote {path}");
+    }
+    let metrics = trace.metrics();
+    for c in Counter::ALL {
+        println!("{:>24} {}", c.name(), metrics.counter(c));
     }
 }

@@ -5,8 +5,9 @@
 //!
 //! 1. The CSR neighbor graph (`build_serial` / `build_parallel`, which
 //!    classify probe octants by binary search over the Morton-sorted leaf
-//!    array) must equal `build_legacy` (per-block `Vec<Vec<Neighbor>>` with
-//!    `HashMap` dedup) on random 2:1-balanced 2D and 3D trees.
+//!    array) must equal the original hash-based builder — `mod oracle`
+//!    below, per-block `Vec<Vec<Neighbor>>` with `HashMap` dedup, moved out
+//!    of the library — on random 2:1-balanced 2D and 3D trees.
 //! 2. The calendar-queue + event-arena MPI engine (`MpiWorld::run`) must
 //!    replay random message traces to the exact same per-rank stats and
 //!    makespan as `run_heap_reference` (the old `BinaryHeap` + `HashMap`
@@ -15,9 +16,11 @@
 //! PR "O(changed blocks) remeshing" added incremental maintenance of both
 //! derived structures, with the from-scratch builders kept as oracles:
 //!
-//! 3. `AmrMesh::patch_neighbor_graph` (CSR row repair driven by the
-//!    `RefinementDelta`) must equal a fresh `AmrMesh::neighbor_graph` build
-//!    after every adapt of a random 2D/3D refinement sequence.
+//! 3. `AmrMesh::patch_neighbor_graph` (surviving rows inherited through the
+//!    `RefinementDelta`'s fate table, created blocks probed) must equal a
+//!    fresh `AmrMesh::neighbor_graph` build after every adapt of a random
+//!    2D/3D refinement sequence — three levels deep, bounded and periodic,
+//!    on root grids down to one root on an axis.
 //! 4. The incrementally spliced block index (sorted blocks + SFC keys) must
 //!    equal a forced full DFS rebuild after every adapt.
 //!
@@ -30,34 +33,131 @@
 //!    the out-of-shard neighbor ids.
 
 use amr_tools::mesh::{
-    AmrMesh, Dim, MeshConfig, NeighborGraph, PatchScratch, RefineTag, ShardedMesh, WorkerPool,
+    Aabb, AmrMesh, BlockSpec, Dim, MeshConfig, Neighbor, NeighborGraph, Octant, PatchScratch,
+    RefineTag, ShardedMesh, WorkerPool,
 };
 use amr_tools::sim::mpi::Op;
 use amr_tools::sim::{MpiWorld, NetworkConfig, Topology};
 use proptest::prelude::*;
 
-/// Grow a mesh with hash-salted refine/coarsen rounds (same idiom as
-/// `mesh_properties.rs`): deterministic in `(dim, steps, salt)` yet varied
-/// enough to produce irregular level interfaces, the hard case for the
-/// binary-search cover classification.
-fn random_mesh(dim_3d: bool, steps: usize, salt: u64) -> AmrMesh {
+/// The original neighbor-graph builder, kept as the oracle the CSR builders
+/// are proved against: `HashMap<Octant, BlockId>` id lookup, per-leaf
+/// `HashMap` dedup (first insertion wins; directions arrive faces-first),
+/// `Octree::coverage` classification.
+mod oracle {
+    use amr_tools::mesh::tree::Coverage;
+    use amr_tools::mesh::{BlockId, Direction, Neighbor, NeighborKind, Octant, Octree};
+    use std::collections::HashMap;
+
+    pub fn build(tree: &Octree, leaves: &[Octant]) -> Vec<Vec<Neighbor>> {
+        let id_of: HashMap<Octant, BlockId> = leaves
+            .iter()
+            .enumerate()
+            .map(|(i, o)| (*o, BlockId(i as u32)))
+            .collect();
+        let mut rows = Vec::with_capacity(leaves.len());
+        for leaf in leaves {
+            let mut seen: HashMap<BlockId, Neighbor> = HashMap::new();
+            for dir in Direction::all(tree.dim()) {
+                let Some(nb_cell) = tree.lattice_neighbor(leaf, *dir) else {
+                    continue;
+                };
+                let kind = NeighborKind::from_codim(dir.codim());
+                let touching = match tree.coverage(&nb_cell) {
+                    Coverage::Leaf => vec![nb_cell],
+                    Coverage::CoveredBy(coarse) => vec![coarse],
+                    Coverage::Subdivided => touching_descendant_leaves(tree, &nb_cell, *dir),
+                    Coverage::Outside => vec![],
+                };
+                for o in touching {
+                    let id = id_of[&o];
+                    seen.entry(id).or_insert(Neighbor {
+                        block: id,
+                        kind,
+                        level_delta: o.level as i8 - leaf.level as i8,
+                    });
+                }
+            }
+            let mut row: Vec<Neighbor> = seen.into_values().collect();
+            row.sort_by_key(|n| n.block);
+            rows.push(row);
+        }
+        rows
+    }
+
+    /// Leaves that are descendants of `cell` and touch the boundary shared
+    /// with the cell the direction came from (the near side w.r.t. `dir`).
+    fn touching_descendant_leaves(tree: &Octree, cell: &Octant, dir: Direction) -> Vec<Octant> {
+        fn collect(tree: &Octree, cell: &Octant, dir: Direction, out: &mut Vec<Octant>) {
+            match tree.coverage(cell) {
+                Coverage::Leaf => out.push(*cell),
+                Coverage::Subdivided => {
+                    for child in cell.children(tree.dim()) {
+                        let near_x = dir.dx == 0 || (dir.dx > 0) == (child.x & 1 == 0);
+                        let near_y = dir.dy == 0 || (dir.dy > 0) == (child.y & 1 == 0);
+                        let near_z = dir.dz == 0 || (dir.dz > 0) == (child.z & 1 == 0);
+                        if near_x && near_y && near_z {
+                            collect(tree, &child, dir, out);
+                        }
+                    }
+                }
+                Coverage::CoveredBy(_) | Coverage::Outside => {}
+            }
+        }
+        let mut out = Vec::new();
+        collect(tree, cell, dir, &mut out);
+        out
+    }
+}
+
+/// Rows of a CSR graph in the oracle's shape.
+fn rows_of(graph: &NeighborGraph) -> Vec<Vec<Neighbor>> {
+    graph.iter().map(|(_, row)| row.to_vec()).collect()
+}
+
+/// One hash-salted refine/coarsen round, deterministic in `key`: a third of
+/// the sibling families are tagged to merge (the draw is on the *parent*
+/// octant, so all `2^d` siblings agree — a per-block draw never coarsens
+/// anything), a fifth of the remaining blocks to refine. Varied enough to
+/// produce irregular level interfaces, the hard case for cover
+/// classification and row inheritance.
+fn hash_adapt(mesh: &mut AmrMesh, key: u64) {
+    let draw = |o: &Octant, salt: u64| {
+        let bits =
+            ((o.level as u64) << 60) ^ ((o.x as u64) << 40) ^ ((o.y as u64) << 20) ^ o.z as u64;
+        next(&mut (bits ^ key.wrapping_mul(0x2545_f491_4f6c_dd1d) ^ salt))
+    };
+    mesh.adapt(|b| {
+        if b.octant.parent().is_some_and(|p| draw(&p, 1) % 3 == 0) {
+            RefineTag::Coarsen
+        } else if draw(&b.octant, 2) % 5 == 0 {
+            RefineTag::Refine
+        } else {
+            RefineTag::Keep
+        }
+    });
+}
+
+/// The fixed 4x4 (2-D) / 2x2x2 (3-D) two-level mesh of the build and index
+/// properties.
+fn base_mesh(dim_3d: bool) -> AmrMesh {
     let dim = if dim_3d { Dim::D3 } else { Dim::D2 };
     let cells = if dim_3d { (32, 32, 32) } else { (64, 64, 64) };
-    let mut mesh = AmrMesh::new(MeshConfig::from_cells(dim, cells, 2));
-    for step in 0..steps {
-        let key = salt.wrapping_add(step as u64);
-        mesh.adapt(|b| {
-            let h = (b.id.index() as u64)
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .wrapping_add(key);
-            match h % 5 {
-                0 => RefineTag::Refine,
-                1 => RefineTag::Coarsen,
-                _ => RefineTag::Keep,
-            }
-        });
-    }
-    mesh
+    AmrMesh::new(MeshConfig::from_cells(dim, cells, 2))
+}
+
+/// A mesh for the graph-repair properties: any root grid of 1-3 roots an
+/// axis (non-cubic, and degenerate under wrap-around below three), bounded
+/// or periodic, three levels deep so balance ripples re-refine.
+fn repair_mesh(dim_3d: bool, roots: (u32, u32, u32), periodic: bool) -> AmrMesh {
+    AmrMesh::new(MeshConfig {
+        dim: if dim_3d { Dim::D3 } else { Dim::D2 },
+        roots: (roots.0, roots.1, if dim_3d { roots.2 } else { 1 }),
+        domain: Aabb::unit(),
+        spec: BlockSpec::default(),
+        max_level: 3,
+        periodic,
+    })
 }
 
 /// Splitmix-style step for deriving trace parameters from a proptest salt.
@@ -71,19 +171,23 @@ fn next(state: &mut u64) -> u64 {
 
 proptest! {
     /// CSR builders (serial and every thread count, including counts that
-    /// leave ragged final chunks) reproduce the legacy adjacency exactly.
+    /// leave ragged final chunks) reproduce the oracle's adjacency exactly,
+    /// on bounded and periodic trees.
     #[test]
     fn csr_builders_match_legacy_on_random_trees(
         dim_3d: bool,
+        periodic: bool,
         steps in 1usize..4,
         salt in 0u64..1000,
         threads in 1usize..6,
     ) {
-        let mesh = random_mesh(dim_3d, steps, salt);
+        let mut mesh = if periodic { repair_mesh(dim_3d, (3, 2, 2), true) } else { base_mesh(dim_3d) };
+        for step in 0..steps {
+            hash_adapt(&mut mesh, salt.wrapping_add(step as u64));
+        }
         let leaves = mesh.tree().leaves_sorted();
-        let legacy = NeighborGraph::build_legacy(mesh.tree(), &leaves);
         let serial = NeighborGraph::build_serial(mesh.tree(), &leaves);
-        prop_assert_eq!(&serial, &legacy);
+        prop_assert_eq!(rows_of(&serial), oracle::build(mesh.tree(), &leaves));
         let parallel = NeighborGraph::build_parallel(mesh.tree(), &leaves, threads);
         prop_assert_eq!(&parallel, &serial);
         prop_assert!(serial.check_symmetry().is_ok());
@@ -139,31 +243,21 @@ proptest! {
     }
 
     /// A neighbor graph maintained purely by CSR patching across a random
-    /// adapt sequence equals a from-scratch build after every step — the
-    /// patch repairs exactly the affected rows and nothing else drifts.
+    /// adapt sequence equals a from-scratch build after every step — every
+    /// inherited row is the row a probe would have built, on every tree.
     #[test]
     fn patched_graph_matches_full_build_on_random_sequences(
         dim_3d: bool,
-        steps in 1usize..5,
+        periodic: bool,
+        roots in (1u32..4, 1u32..4, 1u32..4),
+        steps in 1usize..9,
         salt in 0u64..1000,
     ) {
-        let dim = if dim_3d { Dim::D3 } else { Dim::D2 };
-        let cells = if dim_3d { (32, 32, 32) } else { (64, 64, 64) };
-        let mut mesh = AmrMesh::new(MeshConfig::from_cells(dim, cells, 2));
+        let mut mesh = repair_mesh(dim_3d, roots, periodic);
         let mut graph = mesh.neighbor_graph();
         let mut scratch = PatchScratch::default();
         for step in 0..steps {
-            let key = salt.wrapping_add(step as u64);
-            mesh.adapt(|b| {
-                let h = (b.id.index() as u64)
-                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                    .wrapping_add(key);
-                match h % 5 {
-                    0 => RefineTag::Refine,
-                    1 => RefineTag::Coarsen,
-                    _ => RefineTag::Keep,
-                }
-            });
+            hash_adapt(&mut mesh, salt.wrapping_add(step as u64));
             mesh.patch_neighbor_graph(&mut graph, &mut scratch);
             let full = mesh.neighbor_graph();
             prop_assert_eq!(&graph, &full);
@@ -180,28 +274,18 @@ proptest! {
     #[test]
     fn sharded_refresh_matches_global_rebuild_on_random_sequences(
         dim_3d: bool,
-        steps in 1usize..5,
+        periodic: bool,
+        roots in (1u32..4, 1u32..4, 1u32..4),
+        steps in 1usize..9,
         salt in 0u64..1000,
         num_shards in 1usize..7,
     ) {
-        let dim = if dim_3d { Dim::D3 } else { Dim::D2 };
-        let cells = if dim_3d { (32, 32, 32) } else { (64, 64, 64) };
-        let mut mesh = AmrMesh::new(MeshConfig::from_cells(dim, cells, 2));
+        let mut mesh = repair_mesh(dim_3d, roots, periodic);
         let pool = WorkerPool::new(1);
         let mut sharded = ShardedMesh::new(&mesh, num_shards, &pool);
         let mut flat = NeighborGraph::default();
         for step in 0..steps {
-            let key = salt.wrapping_add(step as u64);
-            mesh.adapt(|b| {
-                let h = (b.id.index() as u64)
-                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                    .wrapping_add(key);
-                match h % 5 {
-                    0 => RefineTag::Refine,
-                    1 => RefineTag::Coarsen,
-                    _ => RefineTag::Keep,
-                }
-            });
+            hash_adapt(&mut mesh, salt.wrapping_add(step as u64));
             sharded.refresh(&mesh, &pool);
             let oracle = mesh.neighbor_graph();
             sharded.flatten_into(&mut flat);
@@ -234,23 +318,9 @@ proptest! {
         steps in 1usize..5,
         salt in 0u64..1000,
     ) {
-        let mut mesh = AmrMesh::new(MeshConfig::from_cells(
-            if dim_3d { Dim::D3 } else { Dim::D2 },
-            if dim_3d { (32, 32, 32) } else { (64, 64, 64) },
-            2,
-        ));
+        let mut mesh = base_mesh(dim_3d);
         for step in 0..steps {
-            let key = salt.wrapping_add(step as u64);
-            mesh.adapt(|b| {
-                let h = (b.id.index() as u64)
-                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                    .wrapping_add(key);
-                match h % 5 {
-                    0 => RefineTag::Refine,
-                    1 => RefineTag::Coarsen,
-                    _ => RefineTag::Keep,
-                }
-            });
+            hash_adapt(&mut mesh, salt.wrapping_add(step as u64));
             let mut oracle = mesh.clone();
             oracle.force_full_rebuild();
             prop_assert_eq!(mesh.blocks(), oracle.blocks());

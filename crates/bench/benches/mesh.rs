@@ -2,8 +2,11 @@
 //! 2:1 balance, and neighbor-graph construction and repair — the operations
 //! on the redistribution critical path (§V-A's three-step pipeline).
 
-use amr_mesh::{sfc_key, AmrMesh, Dim, MeshConfig, Octant, PatchScratch, Point, RefineTag};
+use amr_mesh::{
+    sfc_key, AmrMesh, Dim, MeshConfig, Octant, PatchScratch, Point, RefineTag, WorkerPool,
+};
 use amr_sim::Workload;
+use amr_workloads::meshgen::random_refined_mesh;
 use amr_workloads::SedovScenario;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -100,11 +103,40 @@ fn bench_graph_patch(c: &mut Criterion) {
     group.finish();
 }
 
+/// The full build per row, beside `graph_patch`'s per-row repair: the
+/// repo benchmark's `static_scale` mesh (16384 ranks, 28 884 blocks) serial
+/// and on the global pool, and one sweep over 96 service-sized shapes (the
+/// cold-shape builds of `service_mix`), which never leave the serial path.
+fn bench_graph_build(c: &mut Criterion) {
+    let mut group = c.benchmark_group("graph_build");
+    let mesh = random_refined_mesh(16384, 1.6, 0x5EED);
+    group.throughput(Throughput::Elements(mesh.num_blocks() as u64));
+    let serial = WorkerPool::new(1);
+    for (name, pool) in [("serial", &serial), ("pool", WorkerPool::global())] {
+        group.bench_function(BenchmarkId::new(name, mesh.num_blocks()), |b| {
+            b.iter(|| std::hint::black_box(mesh.neighbor_graph_on(pool).total_relations()))
+        });
+    }
+    let shapes: Vec<AmrMesh> = (0..96)
+        .map(|seed| random_refined_mesh(16, 6.0, seed))
+        .collect();
+    let rows: usize = shapes.iter().map(AmrMesh::num_blocks).sum();
+    group.throughput(Throughput::Elements(rows as u64));
+    group.bench_function("shapes_96", |b| {
+        b.iter(|| {
+            let relations = shapes.iter().map(|m| m.neighbor_graph().total_relations());
+            std::hint::black_box(relations.sum::<usize>())
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_sfc_keys,
     bench_refinement,
     bench_neighbor_graph,
-    bench_graph_patch
+    bench_graph_patch,
+    bench_graph_build
 );
 criterion_main!(benches);

@@ -7,12 +7,15 @@
 //! 2. a warm `ShardedMesh::refresh`, and a warm
 //!    `AmrMesh::patch_neighbor_graph` of a flat graph beside it, across an
 //!    oscillating refine/coarsen cycle perform no heap allocation — CSR
-//!    staging (inherited and probed rows alike) and every halo table are
-//!    pooled and rebuilt in place.
+//!    staging (inherited and probed rows alike — a warm probe of a created
+//!    block's row allocates nothing) and every halo table are pooled and
+//!    rebuilt in place, and
+//! 3. a serial `AmrMesh::neighbor_graph` allocates its two output arrays and
+//!    one row scratch, nothing per row and no copy of the mesh's index.
 //!
 //! This file must stay a single-test binary: the counting allocator is
 //! process-global, so a concurrently running sibling test would pollute the
-//! measurement. (Both steady states therefore live in the one test fn.)
+//! measurement. (All three therefore live in the one test fn.)
 
 use amr_core::engine::PlacementEngine;
 use amr_core::policies::Hierarchical;
@@ -26,6 +29,8 @@ struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter beside it touches no allocation.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
@@ -153,4 +158,28 @@ fn steady_state_sharded_rebalance_and_refresh_are_allocation_free() {
         "cycle must be shape-stable"
     );
     assert_eq!(sharded.num_blocks(), blocks_at_rest);
+
+    // ---- Serial full build --------------------------------------------------
+    // 8 roots, all refined (64), then 22 of the children (+ 7 each): a
+    // three-level 218-block mesh, far below the pool build's threshold.
+    mesh.adapt(|_| RefineTag::Refine);
+    mesh.adapt(|b| {
+        if b.id.index() < 22 {
+            RefineTag::Refine
+        } else {
+            RefineTag::Keep
+        }
+    });
+    assert_eq!(mesh.num_blocks(), 218);
+    let mut min_delta = u64::MAX;
+    for _ in 0..3 {
+        let before = alloc_count();
+        let graph = mesh.neighbor_graph();
+        min_delta = min_delta.min(alloc_count() - before);
+        assert_eq!(graph.num_blocks(), 218);
+    }
+    assert!(
+        min_delta <= 3,
+        "a serial graph build allocated {min_delta} times (offsets, entries, row scratch = 3)"
+    );
 }

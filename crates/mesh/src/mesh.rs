@@ -26,6 +26,7 @@ use crate::neighbors::{
     fill_root_runs, root_shift, BlockIndex, NeighborGraph, PatchRows, PatchScratch,
 };
 use crate::octant::Octant;
+use crate::pool::WorkerPool;
 use crate::sfc::sfc_key;
 use crate::tree::{Coverage, Octree, NORM_LEVEL};
 use amr_telemetry::trace::{Counter as TraceCounter, TraceHandle, TracePhase};
@@ -367,10 +368,27 @@ impl AmrMesh {
             .map(|b| b.id)
     }
 
-    /// Build the neighbor graph for the current mesh snapshot.
+    /// Build the neighbor graph for the current mesh snapshot from the
+    /// mesh's own maintained index (no octant copy, no key recomputed) — on
+    /// the global pool once the mesh is large enough for that to pay.
     pub fn neighbor_graph(&self) -> NeighborGraph {
-        let leaves: Vec<Octant> = self.blocks.iter().map(|b| b.octant).collect();
-        NeighborGraph::build(&self.tree, &leaves)
+        self.build_graph(None)
+    }
+
+    /// [`AmrMesh::neighbor_graph`] on a pool of the caller's choosing,
+    /// whatever the mesh's size; a one-thread pool is the serial build. The
+    /// graph is the same bit for bit on any pool.
+    pub fn neighbor_graph_on(&self, pool: &WorkerPool) -> NeighborGraph {
+        self.build_graph(Some(pool))
+    }
+
+    fn build_graph(&self, pool: Option<&WorkerPool>) -> NeighborGraph {
+        let graph = NeighborGraph::build_indexed(&self.tree, &self.cover_index(), pool);
+        if let Some(t) = &self.trace {
+            t.incr(TraceCounter::GraphFullBuilds, 1);
+            t.incr(TraceCounter::GraphRowsProbed, self.blocks.len() as u64);
+        }
+        graph
     }
 
     /// Bring `graph` (the neighbor graph of the *pre-adapt* mesh) up to date
@@ -399,9 +417,8 @@ impl AmrMesh {
             self.count_patch_rows(rows);
             true
         } else {
-            *graph = self.neighbor_graph();
+            *graph = self.neighbor_graph(); // counts itself as a full build
             if let Some(t) = &self.trace {
-                t.incr(TraceCounter::GraphFullBuilds, 1);
                 // Distinct from GraphFullBuilds so callers can tell "the
                 // patch entry point gave up" apart from intentional builds.
                 t.incr(TraceCounter::GraphPatchFallbacks, 1);
@@ -812,7 +829,10 @@ mod tests {
         let mut m = AmrMesh::new(cfg(2, 3));
         let handle = TraceHandle::new(64);
         m.set_trace(Some(handle.clone()));
+        // A direct build counts itself: one full build, every row probed.
         let mut graph = m.neighbor_graph();
+        assert_eq!(handle.metrics().counter(TC::GraphFullBuilds), 1);
+        assert_eq!(handle.metrics().counter(TC::GraphRowsProbed), 8);
         let mut scratch = PatchScratch::default();
         // A live delta patches incrementally: no fallback recorded.
         let pool = crate::WorkerPool::new(1);
@@ -830,19 +850,23 @@ mod tests {
         // Rows by origin, once per repair: the 8 children were probed, the
         // 7 surviving roots inherited — by the flat patch and, on the same
         // delta, by the per-shard refresh.
-        assert_eq!(handle.metrics().counter(TC::GraphRowsProbed), 8);
+        assert_eq!(handle.metrics().counter(TC::GraphRowsProbed), 8 + 8);
         assert_eq!(handle.metrics().counter(TC::GraphRowsInherited), 7);
         assert!(sharded.refresh(&m, &pool));
-        assert_eq!(handle.metrics().counter(TC::GraphRowsProbed), 16);
+        assert_eq!(handle.metrics().counter(TC::GraphRowsProbed), 8 + 16);
         assert_eq!(handle.metrics().counter(TC::GraphRowsInherited), 14);
         // Invalidate the stored delta: the entry point must degrade to a
         // full rebuild — and say so, distinctly from intentional builds.
         m.force_full_rebuild();
         assert!(!m.patch_neighbor_graph(&mut graph, &mut scratch));
         assert_eq!(handle.metrics().counter(TC::GraphPatchFallbacks), 1);
-        assert_eq!(handle.metrics().counter(TC::GraphFullBuilds), 1);
-        assert_eq!(handle.metrics().counter(TC::GraphRowsProbed), 16);
-        assert_eq!(graph, m.neighbor_graph());
+        assert_eq!(handle.metrics().counter(TC::GraphFullBuilds), 2);
+        assert_eq!(handle.metrics().counter(TC::GraphRowsProbed), 8 + 16 + 15);
+        // The traced builds are the untraced mesh's, bit for bit.
+        let mut plain = m.clone();
+        plain.set_trace(None);
+        assert_eq!(graph, plain.neighbor_graph());
+        assert_eq!(handle.metrics().counter(TC::GraphFullBuilds), 2);
     }
 
     #[test]

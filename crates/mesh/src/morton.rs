@@ -15,7 +15,7 @@
 ///
 /// 21 bits * 3 = 63 bits, fitting a `u64`.
 #[inline]
-fn spread3(v: u64) -> u64 {
+pub(crate) fn spread3(v: u64) -> u64 {
     let mut x = v & 0x1f_ffff; // 21 bits
     x = (x | (x << 32)) & 0x001f_0000_0000_ffff;
     x = (x | (x << 16)) & 0x1f_0000_ff00_00ff;
@@ -39,7 +39,7 @@ fn compact3(v: u64) -> u64 {
 
 /// Spread the low 32 bits of `v` so that each bit occupies every 2nd position.
 #[inline]
-fn spread2(v: u64) -> u64 {
+pub(crate) fn spread2(v: u64) -> u64 {
     let mut x = v & 0xffff_ffff;
     x = (x | (x << 16)) & 0x0000_ffff_0000_ffff;
     x = (x | (x << 8)) & 0x00ff_00ff_00ff_00ff;

@@ -18,16 +18,21 @@
 //! Construction does not hash: leaves arrive in SFC (ascending Morton key)
 //! order, so coverage classification of a candidate cell is one binary
 //! search over the keys of the cell's own level-0 root, never over the whole
-//! leaf array. Large meshes build rows in parallel with scoped threads over
-//! contiguous leaf chunks and merge the per-chunk rows into the CSR arrays
-//! with a prefix sum.
+//! leaf array. A row's candidate keys are ORs of per-axis key parts
+//! (`axis_parts`: nine dilations a leaf, not three per probe), one loop
+//! (`emit_rows`) probes a span of rows into CSR arrays for every builder and
+//! repairer, and large meshes run that loop on the shared [`WorkerPool`]: one
+//! contiguous span of rows per lane, lane 0's arrays becoming the graph's and
+//! the other lanes' appended behind them.
 
 use crate::block::{BlockId, MeshBlock};
 use crate::geom::Dim;
 use crate::mesh::{AmrMesh, BlockFate, RefinementDelta};
 use crate::octant::{Direction, Octant};
-use crate::sfc::sfc_key;
+use crate::pool::{task_range, WorkerPool};
+use crate::sfc::{sfc_key, sfc_key_part};
 use crate::tree::{Octree, NORM_LEVEL};
+use std::ops::Range;
 
 /// Classification of a shared boundary surface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -78,8 +83,12 @@ pub struct Neighbor {
     pub level_delta: i8,
 }
 
-/// Meshes at or above this leaf count build their rows on multiple threads.
-const PARALLEL_BUILD_MIN_LEAVES: usize = 8192;
+/// Meshes at or above this leaf count build their rows on the global pool:
+/// the smallest size at which the pool wins by more than the run-to-run
+/// spread (EXPERIMENTS §graph_build_split: it loses at 0.5 k leaves, is
+/// inside the spread at 1.1 k, wins from 1.9 k up). It was 8192 when a row
+/// cost 2.4× as much and the pool build merged per-chunk parts.
+const PARALLEL_BUILD_MIN_LEAVES: usize = 2048;
 
 /// The full neighbor graph of a mesh snapshot in CSR form: the neighbors of
 /// the block with `BlockId(i)` are `entries[offsets[i]..offsets[i+1]]`,
@@ -133,128 +142,82 @@ pub(crate) fn fill_root_runs(keys: &[u64], dim: Dim, runs: &mut Vec<u32>) {
 }
 
 /// Binary-search cover classification over a strictly ascending SFC key
-/// array — the shared core of the leaf-slice builder ([`LeafIndex`]) and the
-/// block-array patcher ([`BlockIndex`]).
-pub(crate) trait CoverIndex {
-    fn keys(&self) -> &[u64];
-    /// Per-root runs of `keys` (see [`fill_root_runs`]).
-    fn root_runs(&self) -> &[u32];
-    fn octant(&self, i: u32) -> Octant;
-    fn dim(&self) -> Dim;
+/// array: blocks (anything that is or holds an [`Octant`]), their keys, and
+/// the keys' per-root runs (see [`fill_root_runs`]), all borrowed. The mesh
+/// hands out its maintained arrays (`AmrMesh::cover_index`, a
+/// [`BlockIndex`]: nothing computed per call); [`NeighborGraph::build`]
+/// computes keys and runs for a caller's leaf slice.
+pub(crate) struct CoverIndex<'a, B> {
+    pub(crate) blocks: &'a [B],
+    pub(crate) keys: &'a [u64],
+    pub(crate) runs: &'a [u32],
+    pub(crate) dim: Dim,
+}
 
-    /// Classify an in-lattice cell by searching only the leaves of its own
-    /// root — a neighbor lookup never leaves the local forest root, so its
-    /// cost tracks that root's refinement, not the mesh size. The root's
-    /// first leaf shares the root's lower corner, hence its key, which is
-    /// `<=` the key of every cell inside the root: the search cannot fall
-    /// off the front of the run. Correctness of the `Err` arm: leaves
-    /// tile the domain, so if `cell`'s key is absent the leaf with the
-    /// greatest smaller key is the (unique) coarser leaf whose key range
-    /// contains it; if the key is present at a coarser level, that leaf's
-    /// lower corner coincides with `cell`'s, making it an ancestor.
+/// The mesh's own cover index — the view graph builds, repairs and shard
+/// builds classify against.
+pub(crate) type BlockIndex<'a> = CoverIndex<'a, MeshBlock>;
+
+impl AsRef<Octant> for Octant {
     #[inline]
-    fn classify(&self, cell: &Octant) -> Cover {
-        let key = sfc_key(cell, self.dim());
-        let root = (key >> root_shift(self.dim())) as usize;
-        let runs = self.root_runs();
-        let (lo, hi) = (runs[root] as usize, runs[root + 1] as usize);
-        match self.keys()[lo..hi].binary_search(&key) {
+    fn as_ref(&self) -> &Octant {
+        self
+    }
+}
+
+impl AsRef<Octant> for MeshBlock {
+    #[inline]
+    fn as_ref(&self) -> &Octant {
+        &self.octant
+    }
+}
+
+impl<B: AsRef<Octant>> CoverIndex<'_, B> {
+    #[inline]
+    fn octant(&self, i: u32) -> &Octant {
+        self.blocks[i as usize].as_ref()
+    }
+
+    /// Classify the in-lattice level-`level` cell with SFC key `key` by
+    /// searching only the leaves of its own root — a neighbor lookup never
+    /// leaves the local forest root, so its cost tracks that root's
+    /// refinement, not the mesh size. The root's first leaf shares the
+    /// root's lower corner, hence its key, which is `<=` the key of every
+    /// cell inside the root: the search cannot fall off the front of the
+    /// run. Correctness of the `Err` arm: leaves tile the domain, so if the
+    /// key is absent the leaf with the greatest smaller key is the (unique)
+    /// coarser leaf whose key range contains it; if the key is present at a
+    /// coarser level, that leaf's lower corner coincides with the cell's,
+    /// making it an ancestor.
+    #[inline]
+    fn classify_key(&self, key: u64, level: u8) -> Cover {
+        let root = (key >> root_shift(self.dim)) as usize;
+        let (lo, hi) = (self.runs[root] as usize, self.runs[root + 1] as usize);
+        match self.keys[lo..hi].binary_search(&key) {
             Ok(i) => {
                 let i = (lo + i) as u32;
-                let found = self.octant(i).level;
-                if found == cell.level {
-                    Cover::Leaf(i)
-                } else if found < cell.level {
-                    Cover::CoveredBy(i)
-                } else {
-                    Cover::Subdivided
+                match self.octant(i).level.cmp(&level) {
+                    std::cmp::Ordering::Equal => Cover::Leaf(i),
+                    std::cmp::Ordering::Less => Cover::CoveredBy(i),
+                    std::cmp::Ordering::Greater => Cover::Subdivided,
                 }
             }
             Err(pos) => {
                 debug_assert!(pos > 0, "in-lattice cell below its root's first leaf");
                 let i = (lo + pos - 1) as u32;
                 debug_assert!(
-                    cell.level > self.octant(i).level
-                        && cell.ancestor_at(self.octant(i).level) == self.octant(i),
+                    {
+                        // A leaf's key range is its key with the bits below
+                        // its level free: equal above them means ancestor.
+                        let found = self.octant(i).level;
+                        let below = self.dim.rank() as u32 * (NORM_LEVEL - found) as u32;
+                        level > found && key >> below == self.keys[i as usize] >> below
+                    },
                     "Err(pos) must land inside a coarser covering leaf"
                 );
                 Cover::CoveredBy(i)
             }
         }
-    }
-}
-
-/// Sorted Morton-key index over the leaf array (keys computed on build).
-struct LeafIndex<'a> {
-    leaves: &'a [Octant],
-    keys: Vec<u64>,
-    runs: Vec<u32>,
-    dim: Dim,
-}
-
-impl<'a> LeafIndex<'a> {
-    fn new(leaves: &'a [Octant], dim: Dim) -> LeafIndex<'a> {
-        let keys: Vec<u64> = leaves.iter().map(|o| sfc_key(o, dim)).collect();
-        debug_assert!(
-            keys.windows(2).all(|w| w[0] < w[1]),
-            "leaves must arrive in strict SFC order"
-        );
-        let mut runs = Vec::new();
-        fill_root_runs(&keys, dim, &mut runs);
-        LeafIndex {
-            leaves,
-            keys,
-            runs,
-            dim,
-        }
-    }
-}
-
-impl CoverIndex for LeafIndex<'_> {
-    #[inline]
-    fn keys(&self) -> &[u64] {
-        &self.keys
-    }
-    #[inline]
-    fn root_runs(&self) -> &[u32] {
-        &self.runs
-    }
-    #[inline]
-    fn octant(&self, i: u32) -> Octant {
-        self.leaves[i as usize]
-    }
-    #[inline]
-    fn dim(&self) -> Dim {
-        self.dim
-    }
-}
-
-/// Cover index borrowing a mesh's maintained block, key and root-run arrays
-/// (nothing computed per call) — the patch path's (and the sharded
-/// builder's) view of the mesh, handed out by `AmrMesh::cover_index`.
-pub(crate) struct BlockIndex<'a> {
-    pub(crate) blocks: &'a [MeshBlock],
-    pub(crate) keys: &'a [u64],
-    pub(crate) runs: &'a [u32],
-    pub(crate) dim: Dim,
-}
-
-impl CoverIndex for BlockIndex<'_> {
-    #[inline]
-    fn keys(&self) -> &[u64] {
-        self.keys
-    }
-    #[inline]
-    fn root_runs(&self) -> &[u32] {
-        self.runs
-    }
-    #[inline]
-    fn octant(&self, i: u32) -> Octant {
-        self.blocks[i as usize].octant
-    }
-    #[inline]
-    fn dim(&self) -> Dim {
-        self.dim
     }
 }
 
@@ -274,128 +237,58 @@ pub struct PatchScratch {
 pub(crate) struct PatchRows {
     /// Surviving blocks: old row walked through the fate table.
     pub(crate) inherited: usize,
-    /// New children and merged parents: probed by `build_row`.
+    /// New children and merged parents: probed by `emit_rows`.
     pub(crate) probed: usize,
 }
 
 impl NeighborGraph {
     /// Build the neighbor graph for all leaves of `tree`, with `leaves`
-    /// given in SFC order (defining the `BlockId` of each leaf). Dispatches
-    /// to the parallel row builder for large meshes.
-    pub fn build(tree: &Octree, leaves: &[Octant]) -> NeighborGraph {
-        // Leaf count first: `available_parallelism` is a syscall plus cgroup
-        // file reads, wasted on every mesh too small to use the answer.
-        let threads = if leaves.len() >= PARALLEL_BUILD_MIN_LEAVES {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            1
-        };
-        if threads > 1 {
-            NeighborGraph::build_parallel(tree, leaves, threads.min(8))
-        } else {
-            NeighborGraph::build_serial(tree, leaves)
-        }
-    }
-
-    /// Single-threaded CSR build.
-    pub fn build_serial(tree: &Octree, leaves: &[Octant]) -> NeighborGraph {
-        let index = LeafIndex::new(leaves, tree.dim());
-        let dirs = Direction::all(tree.dim());
-        let mut offsets = Vec::with_capacity(leaves.len() + 1);
-        offsets.push(0u32);
-        let mut entries = Vec::with_capacity(leaves.len() * dirs.len());
-        let mut row: Vec<Neighbor> = Vec::with_capacity(32);
-        for leaf in leaves {
-            build_row(tree, &index, dirs, leaf, &mut row);
-            entries.extend_from_slice(&row);
-            offsets.push(entries.len() as u32);
-        }
-        NeighborGraph { offsets, entries }
-    }
-
-    /// Parallel CSR build on the shared [`WorkerPool`](crate::pool::WorkerPool):
-    /// each task builds the rows of one contiguous leaf chunk; chunks
-    /// concatenate into the final CSR arrays (rows are pure functions of the
-    /// tree, so the output is independent of chunking and thread count).
+    /// given in SFC order (defining the `BlockId` of each leaf). Large meshes
+    /// build on the global pool (see [`AmrMesh::neighbor_graph`], which runs
+    /// the same loop over the mesh's maintained index).
     ///
-    /// Chunks are balanced by *estimated relation count*, not leaf count:
-    /// a leaf adjacent to a refinement-level transition fans out to more
-    /// neighbors (up to 4 fine blocks per face in 3D), so equal-leaf chunks
-    /// skew badly on deeply refined meshes. A cheap O(n) pre-pass weights
-    /// each leaf by its SFC-adjacent level deltas as a proxy for transitions.
-    pub fn build_parallel(tree: &Octree, leaves: &[Octant], threads: usize) -> NeighborGraph {
-        let n = leaves.len();
-        let threads = threads.clamp(1, n.max(1));
-        let index = LeafIndex::new(leaves, tree.dim());
-        let dirs = Direction::all(tree.dim());
-
-        // Base weight ~= face count; transition bonus ~= extra fine
-        // neighbors per level jump seen along the curve.
-        let (base_w, jump_w) = if tree.dim() == Dim::D3 {
-            (8u64, 4u64)
-        } else {
-            (4u64, 2u64)
+    /// # Panics
+    /// If `leaves` are not in strict SFC order.
+    pub fn build(tree: &Octree, leaves: &[Octant]) -> NeighborGraph {
+        let dim = tree.dim();
+        let keys: Vec<u64> = leaves.iter().map(|o| sfc_key(o, dim)).collect();
+        // The slice comes from outside the crate: out of order or duplicated
+        // it would classify garbage silently. (The mesh's own index is
+        // sorted by construction and never passes through here.)
+        assert!(
+            keys.windows(2).all(|w| w[0] < w[1]),
+            "leaves must arrive in strict SFC order"
+        );
+        let mut runs = Vec::new();
+        fill_root_runs(&keys, dim, &mut runs);
+        let index = CoverIndex {
+            blocks: leaves,
+            keys: &keys,
+            runs: &runs,
+            dim,
         };
-        let weight = |i: usize| -> u64 {
-            let l = leaves[i].level as i64;
-            let before = if i > 0 {
-                (leaves[i - 1].level as i64 - l).unsigned_abs()
-            } else {
-                0
-            };
-            let after = if i + 1 < n {
-                (leaves[i + 1].level as i64 - l).unsigned_abs()
-            } else {
-                0
-            };
-            base_w + jump_w * (before + after)
-        };
-        let total_weight: u64 = (0..n).map(weight).sum();
+        NeighborGraph::build_indexed(tree, &index, None)
+    }
 
-        // More chunks than threads so the task-pulling pool can smooth any
-        // residual imbalance the weight model misses.
-        let chunks = (threads * 4).min(n.max(1));
-        let per_chunk = total_weight.div_ceil(chunks as u64).max(1);
-        let mut bounds = Vec::with_capacity(chunks + 1);
-        bounds.push(0usize);
-        let mut acc = 0u64;
-        for i in 0..n {
-            acc += weight(i);
-            if acc >= per_chunk * bounds.len() as u64 && i + 1 < n {
-                bounds.push(i + 1);
-            }
+    /// Build the graph of the blocks `index` describes: on `pool` if one is
+    /// given, else on the global pool from [`PARALLEL_BUILD_MIN_LEAVES`]
+    /// blocks up. A one-thread pool is the serial build: exactly the two
+    /// output arrays and the row scratch are allocated.
+    pub(crate) fn build_indexed<B: AsRef<Octant> + Sync>(
+        tree: &Octree,
+        index: &CoverIndex<'_, B>,
+        pool: Option<&WorkerPool>,
+    ) -> NeighborGraph {
+        let n = index.keys.len();
+        let pool = pool.or_else(|| (n >= PARALLEL_BUILD_MIN_LEAVES).then(WorkerPool::global));
+        if let Some(pool) = pool.filter(|pool| pool.threads() > 1) {
+            return build_spans(tree, index, pool);
         }
-        bounds.push(n);
-
-        let mut parts: Vec<(Vec<u32>, Vec<Neighbor>)> = bounds
-            .windows(2)
-            .map(|w| {
-                (
-                    Vec::with_capacity(w[1] - w[0]),
-                    Vec::with_capacity((w[1] - w[0]) * dirs.len()),
-                )
-            })
-            .collect();
-        crate::pool::WorkerPool::global().run_with_capped(threads, &mut parts, |t, part| {
-            let (counts, entries) = part;
-            let mut row: Vec<Neighbor> = Vec::with_capacity(32);
-            for leaf in &leaves[bounds[t]..bounds[t + 1]] {
-                build_row(tree, &index, dirs, leaf, &mut row);
-                entries.extend_from_slice(&row);
-                counts.push(row.len() as u32);
-            }
-        });
-
-        let total: usize = parts.iter().map(|(_, e)| e.len()).sum();
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0u32);
-        let mut entries = Vec::with_capacity(total);
-        for (counts, part_entries) in parts {
-            for c in counts {
-                offsets.push(offsets.last().unwrap() + c);
-            }
-            entries.extend_from_slice(&part_entries);
-        }
+        let mut entries = Vec::with_capacity(n * Direction::all(index.dim).len());
+        let mut row = Vec::with_capacity(MAX_ROW);
+        emit_rows(tree, index, 0..n, &mut row, &mut offsets, &mut entries);
         NeighborGraph { offsets, entries }
     }
 
@@ -474,7 +367,7 @@ impl NeighborGraph {
     /// order: a surviving block's row is its old row carried through the
     /// table ([`PatchScratch::inherit_row`] — a renumbering copy wherever no neighbor
     /// changed, which is most rows); a new child's or merged parent's row is
-    /// probed by [`build_row`]. Cost: O(blocks + entries) copying plus
+    /// probed by [`emit_rows`]. Cost: O(blocks + entries) copying plus
     /// O(created blocks) probes. The staging arrays in `scratch` swap with
     /// the graph's own, so steady-state patching allocates nothing.
     /// [`NeighborGraph::build`] is the oracle; callers unsure the graph
@@ -511,14 +404,13 @@ impl NeighborGraph {
                 }
                 BlockFate::Refined { first, count } => {
                     debug_assert_eq!(first.index(), emitted);
-                    for child in &blocks[first.index()..first.index() + count as usize] {
-                        scratch.probe_row(tree, index, &child.octant);
-                    }
+                    let created = first.index()..first.index() + count as usize;
+                    scratch.probe_rows(tree, index, created);
                     rows.probed += count as usize;
                 }
                 // Only the first sibling emits the parent's row.
                 BlockFate::Coarsened(new) if new.index() == emitted => {
-                    scratch.probe_row(tree, index, &blocks[new.index()].octant);
+                    scratch.probe_rows(tree, index, emitted..emitted + 1);
                     rows.probed += 1;
                 }
                 BlockFate::Coarsened(_) => {}
@@ -544,9 +436,10 @@ impl NeighborGraph {
 /// 64-bit digest of the keys would not (it can collide, and it does not see
 /// `periodic`).
 ///
-/// The kept graph is exact-size: the serial builder reserves 26 entries per
-/// leaf and a 3-D CSR fills about 60 % of that, which a long-lived value
-/// must not pin.
+/// The kept graph is exact-size: a build reserves one entry per direction
+/// per leaf (26 in 3-D) and a CSR fills 58 % of that on the service's
+/// 16-rank shapes, 90 % on a 16384-rank mesh; a long-lived value must not pin
+/// the rest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MeshTopology {
     dim: Dim,
@@ -597,88 +490,203 @@ impl MeshTopology {
     }
 }
 
-/// Assemble one block's neighbor row into `row` (cleared first): probe all
-/// directions, then sort by block id and keep the first entry per block —
-/// directions are enumerated faces-first, so ties resolve to the lowest
-/// codimension (largest message).
-pub(crate) fn build_row<I: CoverIndex>(
-    tree: &Octree,
-    index: &I,
-    dirs: &[Direction],
-    leaf: &Octant,
-    row: &mut Vec<Neighbor>,
-) {
-    row.clear();
-    for dir in dirs {
-        let Some(nb_cell) = tree.lattice_neighbor(leaf, *dir) else {
-            continue;
+/// Most entries a row can hold: under (corner-inclusive) 2:1 balance a 3-D
+/// face is shared with at most 4 finer leaves, an edge with 2, a vertex with
+/// 1, so a row — and the pushes that precede its dedup — is bounded by
+/// 6·4 + 12·2 + 8 = 56 (2-D: 4·2 + 4 = 12), and by the 26 (8) directions for
+/// a leaf of the finest level present, which nothing finer can touch. The
+/// serial build reserves its row scratch at this, so no probe regrows it.
+const MAX_ROW: usize = 56;
+
+/// Key part of a candidate coordinate outside a bounded lattice. No key has
+/// every bit set (a 3-D key is 63 bits), and OR-ing this into the other
+/// axes' parts keeps it, so one compare rejects the direction.
+const OUTSIDE: u64 = u64::MAX;
+
+/// Per axis, the [`sfc_key_part`]s of `leaf`'s three candidate coordinates
+/// `c − 1, c, c + 1` (indexed by `d + 1`): [`OUTSIDE`] beyond a bounded
+/// lattice's faces, wrapped around a periodic one's. The same-level lattice
+/// neighbor in direction `d` then has key `x[dx] | y[dy] | z[dz]`
+/// ([`neighbor_key`]) — what `Octree::lattice_neighbor` plus `sfc_key` give,
+/// for nine dilations a leaf instead of three a direction. A 2-D tree's
+/// directions have `dz == 0`, whose part is the 0 a 2-D key holds for z.
+#[inline]
+pub(crate) fn axis_parts(tree: &Octree, leaf: &Octant) -> [[u64; 3]; 3] {
+    let (dim, periodic) = (tree.dim(), tree.periodic());
+    let (rx, ry, rz) = tree.roots();
+    let axes = [(leaf.x, rx), (leaf.y, ry), (leaf.z, rz)];
+    let mut parts = [[OUTSIDE, 0, OUTSIDE]; 3];
+    for (axis, &(c, roots)) in axes[..dim.rank()].iter().enumerate() {
+        let extent = roots << leaf.level;
+        let part = |c: u32| sfc_key_part(c, leaf.level, axis, dim);
+        let below = match c.checked_sub(1) {
+            None if periodic => Some(extent - 1),
+            below => below,
         };
-        let kind = NeighborKind::from_codim(dir.codim());
-        match index.classify(&nb_cell) {
-            Cover::Leaf(i) => row.push(Neighbor {
-                block: BlockId(i),
-                kind,
-                level_delta: 0,
-            }),
-            Cover::CoveredBy(i) => row.push(Neighbor {
-                block: BlockId(i),
-                kind,
-                level_delta: index.octant(i).level as i8 - leaf.level as i8,
-            }),
-            Cover::Subdivided => {
-                collect_touching_fine(index, &nb_cell, *dir, kind, leaf.level, row)
-            }
-        }
+        let above = match c + 1 {
+            above if above < extent => Some(above),
+            _ if periodic => Some(0),
+            _ => None,
+        };
+        parts[axis] = [
+            below.map_or(OUTSIDE, part),
+            part(c),
+            above.map_or(OUTSIDE, part),
+        ];
     }
-    row.sort_by_key(|n| n.block); // stable: keeps the lowest-codim duplicate first
-    row.dedup_by_key(|n| n.block); // dedup_by_key keeps the first of each run
+    parts
 }
 
-/// Push the fine leaves inside subdivided `cell` that touch the boundary
-/// shared with the cell the direction came from (the near side w.r.t.
-/// `dir`). Under corner-inclusive 2:1 balance these are direct children;
-/// the recursion is defense in depth.
-fn collect_touching_fine<I: CoverIndex>(
-    index: &I,
-    cell: &Octant,
+/// SFC key of the lattice neighbor in direction `dir` of the leaf `parts`
+/// came from, `None` across a bounded domain face.
+#[inline]
+pub(crate) fn neighbor_key(parts: &[[u64; 3]; 3], dir: Direction) -> Option<u64> {
+    let key = parts[0][(dir.dx + 1) as usize]
+        | parts[1][(dir.dy + 1) as usize]
+        | parts[2][(dir.dz + 1) as usize];
+    (key != OUTSIDE).then_some(key)
+}
+
+/// Probe the rows of blocks `span` and append them to the CSR arrays
+/// `offsets` / `entries` (each row's end offset is pushed, relative to the
+/// start of `entries`; `row` is scratch). The one row loop: the serial and
+/// pool builds, the shard builds and the repair of created blocks all emit
+/// through it. A row probes all directions, then sorts by block id and keeps
+/// the first entry per block — directions are enumerated faces-first, so
+/// ties resolve to the lowest codimension (largest message).
+pub(crate) fn emit_rows<B: AsRef<Octant>>(
+    tree: &Octree,
+    index: &CoverIndex<'_, B>,
+    span: Range<usize>,
+    row: &mut Vec<Neighbor>,
+    offsets: &mut Vec<u32>,
+    entries: &mut Vec<Neighbor>,
+) {
+    let dirs = Direction::all(index.dim);
+    for leaf in index.blocks[span].iter().map(AsRef::as_ref) {
+        row.clear();
+        let parts = axis_parts(tree, leaf);
+        for dir in dirs {
+            let Some(key) = neighbor_key(&parts, *dir) else {
+                continue;
+            };
+            let kind = NeighborKind::from_codim(dir.codim());
+            // One push per arm: a single push behind a `(block, delta)`
+            // match measured 60 % slower a row.
+            match index.classify_key(key, leaf.level) {
+                Cover::Leaf(i) => row.push(Neighbor {
+                    block: BlockId(i),
+                    kind,
+                    level_delta: 0,
+                }),
+                Cover::CoveredBy(i) => row.push(Neighbor {
+                    block: BlockId(i),
+                    kind,
+                    level_delta: index.octant(i).level as i8 - leaf.level as i8,
+                }),
+                Cover::Subdivided => {
+                    collect_touching_fine(index, key, leaf.level, *dir, kind, leaf.level, row)
+                }
+            }
+        }
+        row.sort_by_key(|n| n.block); // stable: keeps the lowest-codim duplicate first
+        row.dedup_by_key(|n| n.block); // dedup_by_key keeps the first of each run
+        entries.extend_from_slice(row);
+        offsets.push(entries.len() as u32);
+    }
+}
+
+/// Push the fine leaves inside the subdivided level-`level` cell with key
+/// `key` that touch the boundary shared with the cell the direction came
+/// from (the near side w.r.t. `dir`). A child's key is the cell's with the
+/// child's Morton digit OR-ed in at its level. Under corner-inclusive 2:1
+/// balance the leaves are direct children; the recursion is defense in
+/// depth.
+fn collect_touching_fine<B: AsRef<Octant>>(
+    index: &CoverIndex<'_, B>,
+    key: u64,
+    level: u8,
     dir: Direction,
     kind: NeighborKind,
     base_level: u8,
     row: &mut Vec<Neighbor>,
 ) {
-    let l = cell.level + 1;
-    let (bx, by, bz) = (cell.x << 1, cell.y << 1, cell.z << 1);
-    let zrange: u32 = match index.dim() {
-        Dim::D2 => 1,
-        Dim::D3 => 2,
-    };
-    for cz in 0..zrange {
-        if dir.dz != 0 && (dir.dz > 0) != (cz == 0) {
+    let l = level + 1;
+    let rank = index.dim.rank() as u32;
+    let digit_shift = rank * (NORM_LEVEL - l) as u32;
+    let near = |d: i8, bit: u64| d == 0 || (d > 0) == (bit == 0);
+    for child in 0..1u64 << rank {
+        if !(near(dir.dx, child & 1) && near(dir.dy, child >> 1 & 1) && near(dir.dz, child >> 2)) {
             continue;
         }
-        for cy in 0..2u32 {
-            if dir.dy != 0 && (dir.dy > 0) != (cy == 0) {
-                continue;
+        let child_key = key | child << digit_shift;
+        match index.classify_key(child_key, l) {
+            Cover::Leaf(i) => row.push(Neighbor {
+                block: BlockId(i),
+                kind,
+                level_delta: l as i8 - base_level as i8,
+            }),
+            Cover::Subdivided => {
+                collect_touching_fine(index, child_key, l, dir, kind, base_level, row)
             }
-            for cx in 0..2u32 {
-                if dir.dx != 0 && (dir.dx > 0) != (cx == 0) {
-                    continue;
-                }
-                let child = Octant::new(l, bx + cx, by + cy, bz + cz);
-                match index.classify(&child) {
-                    Cover::Leaf(i) => row.push(Neighbor {
-                        block: BlockId(i),
-                        kind,
-                        level_delta: index.octant(i).level as i8 - base_level as i8,
-                    }),
-                    Cover::Subdivided => {
-                        collect_touching_fine(index, &child, dir, kind, base_level, row)
-                    }
-                    Cover::CoveredBy(_) => {}
-                }
-            }
+            Cover::CoveredBy(_) => {}
         }
     }
+}
+
+/// The pool build: one contiguous span of rows per lane
+/// ([`task_range`]), each probed into the lane's own arrays; lane 0's arrays
+/// — reserved for the whole graph — become the graph's, the other lanes'
+/// are appended behind them (offsets rebased). Rows are pure functions of
+/// the tree, so the graph does not depend on the lane count.
+/// (A write-once variant — lanes handing a running entry offset from chunk
+/// to chunk into one bound-sized array — measured no faster through the
+/// repo benchmark, so the merge without `unsafe` ships: EXPERIMENTS
+/// §graph_build_split.)
+fn build_spans<B: AsRef<Octant> + Sync>(
+    tree: &Octree,
+    index: &CoverIndex<'_, B>,
+    pool: &WorkerPool,
+) -> NeighborGraph {
+    let n = index.keys.len();
+    let lanes = pool.tasks_for(n);
+    let per_row = Direction::all(index.dim).len();
+    // Where the arrays come from is worth a quarter of the build's wall
+    // (EXPERIMENTS §graph_build_split). All are allocated here, by the
+    // caller: a lane allocating for itself would use its worker's malloc
+    // arena, which keeps the pages after the merge frees them. And in
+    // descending lane order, so the short-lived ones lie below lane 0's,
+    // which outlives the build: freed, they leave a hole the next build
+    // reuses warm, not free top-of-heap that is trimmed and re-faulted.
+    let mut parts: Vec<PatchScratch> = (0..lanes)
+        .rev()
+        .map(|t| {
+            let rows = if t == 0 {
+                n
+            } else {
+                task_range(t, lanes, n).len()
+            };
+            PatchScratch {
+                offsets: Vec::with_capacity(rows + 1),
+                entries: Vec::with_capacity(rows * per_row),
+                row: Vec::with_capacity(MAX_ROW),
+            }
+        })
+        .collect();
+    parts.reverse();
+    pool.run_with(&mut parts, |t, part| {
+        part.begin();
+        part.probe_rows(tree, index, task_range(t, lanes, n));
+    });
+    let mut parts = parts.into_iter();
+    let first = parts.next().expect("at least one lane");
+    let (mut offsets, mut entries) = (first.offsets, first.entries);
+    for part in parts {
+        let base = entries.len() as u32;
+        entries.extend_from_slice(&part.entries);
+        offsets.extend(part.offsets[1..].iter().map(|o| base + o));
+    }
+    NeighborGraph { offsets, entries }
 }
 
 /// How two distinct leaves of one forest touch: the `(kind, level_delta)` of
@@ -692,7 +700,7 @@ fn collect_touching_fine<I: CoverIndex>(
 /// 0), or lie *apart*. Any axis apart: no contact. Otherwise the contact's
 /// codimension is the number of touching axes.
 ///
-/// That is the entry [`build_row`] keeps. A direction `d` reaches `b` from
+/// That is the entry [`emit_rows`] keeps. A direction `d` reaches `b` from
 /// `a` only if `d` is nonzero on every axis whose intervals do not overlap:
 /// with `d = 0` on an axis, the probed cell has `a`'s own interval there, and
 /// whatever leaf the probe lands on or descends into intersects that
@@ -755,11 +763,20 @@ impl PatchScratch {
         self.entries.clear();
     }
 
-    /// Stage the row of a block that did not exist before the adapt.
-    pub(crate) fn probe_row(&mut self, tree: &Octree, index: &BlockIndex<'_>, leaf: &Octant) {
-        build_row(tree, index, Direction::all(index.dim), leaf, &mut self.row);
-        self.entries.extend_from_slice(&self.row);
-        self.offsets.push(self.entries.len() as u32);
+    /// Stage the rows of blocks `span` by probing the mesh: blocks that did
+    /// not exist before an adapt, or a chunk of a full build.
+    pub(crate) fn probe_rows<B: AsRef<Octant>>(
+        &mut self,
+        tree: &Octree,
+        index: &CoverIndex<'_, B>,
+        span: Range<usize>,
+    ) {
+        let PatchScratch {
+            offsets,
+            entries,
+            row,
+        } = self;
+        emit_rows(tree, index, span, row, offsets, entries);
     }
 
     /// Stage a surviving block's post-adapt row: its pre-adapt row walked
@@ -822,6 +839,28 @@ mod tests {
     use super::*;
     use crate::geom::Dim;
     use crate::tree::Octree;
+
+    /// Keys and root runs of a leaf slice, as `NeighborGraph::build` forms them.
+    fn leaf_keys(leaves: &[Octant], dim: Dim) -> (Vec<u64>, Vec<u32>) {
+        let keys: Vec<u64> = leaves.iter().map(|o| sfc_key(o, dim)).collect();
+        let mut runs = Vec::new();
+        fill_root_runs(&keys, dim, &mut runs);
+        (keys, runs)
+    }
+
+    fn leaf_index<'a>(
+        blocks: &'a [Octant],
+        keys: &'a [u64],
+        runs: &'a [u32],
+        dim: Dim,
+    ) -> CoverIndex<'a, Octant> {
+        CoverIndex {
+            blocks,
+            keys,
+            runs,
+            dim,
+        }
+    }
 
     fn graph_of(tree: &Octree) -> NeighborGraph {
         let leaves = tree.leaves_sorted();
@@ -940,15 +979,114 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_matches_serial() {
+    fn pool_build_matches_serial_at_any_lane_count() {
         let mut tree = Octree::uniform_roots(Dim::D3, (4, 4, 4));
         tree.refine(&Octant::new(0, 1, 1, 1));
         tree.refine(&Octant::new(0, 2, 2, 2));
         let leaves = tree.leaves_sorted();
-        let serial = NeighborGraph::build_serial(&tree, &leaves);
-        for threads in [1, 2, 3, 7] {
-            let par = NeighborGraph::build_parallel(&tree, &leaves, threads);
-            assert_eq!(par, serial, "threads = {threads}");
+        let (keys, runs) = leaf_keys(&leaves, tree.dim());
+        let index = leaf_index(&leaves, &keys, &runs, tree.dim());
+        let serial = NeighborGraph::build_indexed(&tree, &index, Some(&WorkerPool::new(1)));
+        serial.check_symmetry().unwrap();
+        for threads in [2, 3, 7] {
+            let pool = WorkerPool::new(threads);
+            let pooled = NeighborGraph::build_indexed(&tree, &index, Some(&pool));
+            assert_eq!(pooled, serial, "threads = {threads}");
+        }
+        // More lanes than blocks: the surplus lanes get empty spans.
+        let tree = Octree::uniform_roots(Dim::D2, (2, 1, 1));
+        let leaves = tree.leaves_sorted();
+        let (keys, runs) = leaf_keys(&leaves, tree.dim());
+        let index = leaf_index(&leaves, &keys, &runs, tree.dim());
+        let pooled = NeighborGraph::build_indexed(&tree, &index, Some(&WorkerPool::new(7)));
+        assert_eq!(pooled, NeighborGraph::build(&tree, &leaves));
+        assert_eq!(pooled.num_blocks(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "strict SFC order")]
+    fn unsorted_leaves_are_rejected_in_release_too() {
+        let tree = Octree::uniform_roots(Dim::D3, (2, 2, 2));
+        let mut leaves = tree.leaves_sorted();
+        leaves.swap(2, 5);
+        NeighborGraph::build(&tree, &leaves);
+    }
+
+    /// One coarse block ringed by refined neighbors reaches the stated row
+    /// maximum, and no row exceeds its leaf's bound: the maximum for a leaf
+    /// with something finer around, the direction count at the finest level.
+    #[test]
+    fn row_bound_is_reached_by_the_ringed_block_and_never_exceeded() {
+        for (dim, roots, coarse, fine) in [
+            (Dim::D3, (3, 3, 3), MAX_ROW, 26),
+            (Dim::D2, (3, 3, 1), 12, 8),
+        ] {
+            for periodic in [false, true] {
+                let mut tree = Octree::uniform_roots(dim, roots);
+                tree.set_periodic(periodic);
+                let center = Octant::new(0, 1, 1, if dim == Dim::D3 { 1 } else { 0 });
+                for leaf in tree.leaves_sorted() {
+                    if leaf != center {
+                        tree.refine(&leaf);
+                    }
+                }
+                let leaves = tree.leaves_sorted();
+                let graph = NeighborGraph::build(&tree, &leaves);
+                let at = leaves.iter().position(|o| *o == center).unwrap();
+                assert_eq!(graph.neighbors(BlockId(at as u32)).len(), coarse);
+                let finest = leaves.iter().map(|o| o.level).max().unwrap();
+                for (i, leaf) in leaves.iter().enumerate() {
+                    let bound = if leaf.level == finest { fine } else { coarse };
+                    assert!(graph.neighbors(BlockId(i as u32)).len() <= bound);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The per-axis parts give, for every direction, exactly the key of
+        /// `Octree::lattice_neighbor`'s cell: at every level, with each
+        /// coordinate on or next to a lattice face (0, 1, extent − 2,
+        /// extent − 1) or anywhere between, 2-D and 3-D, root grids of 1–3
+        /// and 32 roots an axis, bounded and periodic.
+        #[test]
+        fn axis_parts_give_the_lattice_neighbor_keys(
+            dim_3d: bool,
+            periodic: bool,
+            small in (1u32..4, 1u32..4, 1u32..4),
+            wide: bool,
+            inner_x: u32,
+            inner_y: u32,
+            inner_z: u32,
+        ) {
+            let dim = if dim_3d { Dim::D3 } else { Dim::D2 };
+            let roots = if wide { (32, small.1, 32) } else { small };
+            let mut tree = Octree::uniform_roots(dim, roots);
+            tree.set_periodic(periodic);
+            let (rx, ry, rz) = tree.roots();
+            for level in 0..=NORM_LEVEL {
+                let coord = |roots: u32, mode: u32, inner: u32| {
+                    let extent = roots << level;
+                    match mode {
+                        0 => 0,
+                        1 => 1 % extent,
+                        2 => extent.saturating_sub(2),
+                        3 => extent - 1,
+                        _ => inner % extent,
+                    }
+                };
+                for modes in 0..125u32 {
+                    let z = if dim_3d { coord(rz, modes / 25, inner_z) } else { 0 };
+                    let (x, y) = (coord(rx, modes % 5, inner_x), coord(ry, modes / 5 % 5, inner_y));
+                    let leaf = Octant::new(level, x, y, z);
+                    let parts = axis_parts(&tree, &leaf);
+                    for dir in Direction::all(dim) {
+                        let cell = tree.lattice_neighbor(&leaf, *dir);
+                        let expect = cell.map(|c| sfc_key(&c, dim));
+                        proptest::prop_assert_eq!(neighbor_key(&parts, *dir), expect, "{:?} {:?}", leaf, dir);
+                    }
+                }
+            }
         }
     }
 
@@ -1024,7 +1162,8 @@ mod tests {
     /// leaf (so all three outcomes and both match arms occur).
     fn assert_per_root_classify_matches_whole_array(tree: &Octree) {
         let leaves = tree.leaves_sorted();
-        let index = LeafIndex::new(&leaves, tree.dim());
+        let (keys, runs) = leaf_keys(&leaves, tree.dim());
+        let index = leaf_index(&leaves, &keys, &runs, tree.dim());
         let whole_array = |cell: &Octant| match index.keys.binary_search(&sfc_key(cell, index.dim))
         {
             Ok(i) if leaves[i].level == cell.level => Cover::Leaf(i as u32),
@@ -1044,7 +1183,7 @@ mod tests {
                 for y in 0..ry << level {
                     for x in 0..rx << level {
                         let cell = Octant::new(level, x, y, z);
-                        let got = index.classify(&cell);
+                        let got = index.classify_key(sfc_key(&cell, index.dim), level);
                         assert_eq!(got, whole_array(&cell), "{cell:?}");
                         if let Cover::CoveredBy(i) = got {
                             first_of_root_via_err |= index.runs.contains(&i)

@@ -299,6 +299,8 @@ impl WorkerPool {
         let tasks_arr: &mut [()] = if tasks == 0 {
             &mut states
         } else {
+            // SAFETY: `()` is zero-sized, the one requirement of
+            // `make_unit_slice`.
             unsafe { make_unit_slice(tasks) }
         };
         self.run_with_capped(cap, tasks_arr, |i, _unit| f(i));
@@ -320,6 +322,9 @@ impl WorkerPool {
             shared.work_cv.notify_all();
         }
         // The caller is worker 0 and always participates.
+        // SAFETY: `job.data` points at the `Ctx` on `run_with_capped`'s
+        // stack, whose type `job.call` was monomorphized for; that frame is
+        // blocked in this function until the job is over.
         unsafe { (job.call)(job.data, 0) };
         let mut st = shared.state.lock().expect(POISONED);
         while st.active > 0 {
@@ -331,9 +336,13 @@ impl WorkerPool {
 
 /// Build a `&mut [()]` of arbitrary length without backing storage.
 ///
-/// SAFETY: `()` is a ZST, so any well-aligned dangling pointer is valid for
-/// any number of elements; no reads or writes ever touch memory.
+/// # Safety
+/// None beyond the element type being the zero-sized `()` it is declared
+/// with; `unsafe` only because it conjures a reference from a raw pointer.
 unsafe fn make_unit_slice<'a>(len: usize) -> &'a mut [()] {
+    // SAFETY: `()` is a ZST, so a well-aligned dangling pointer is valid for
+    // any number of elements (`len * 0` bytes never exceeds `isize::MAX`);
+    // no read or write ever touches memory, so aliasing cannot arise.
     unsafe { std::slice::from_raw_parts_mut(std::ptr::NonNull::<()>::dangling().as_ptr(), len) }
 }
 
@@ -417,10 +426,14 @@ pub struct Disjoint<'a, T> {
     _marker: std::marker::PhantomData<&'a mut [T]>,
 }
 
-// SAFETY: Disjoint is a borrow of `&mut [T]` split across tasks; sending or
-// sharing it is safe for T: Send because every element has exactly one
-// writer (the caller's disjointness contract).
+// SAFETY: Disjoint is a borrow of `&mut [T]` split across tasks; sending it
+// moves that borrow to another thread, which `T: Send` permits (`ptr` is the
+// slice's, `len` and the marker are plain data).
 unsafe impl<T: Send> Send for Disjoint<'_, T> {}
+// SAFETY: sharing it hands out `&mut T`s only through the `unsafe` methods
+// below, whose contract gives every element exactly one writer and no
+// concurrent reader — each `T` is used from one thread at a time, which
+// `T: Send` permits; no `&T` is ever shared, so `T: Sync` is not needed.
 unsafe impl<T: Send> Sync for Disjoint<'_, T> {}
 
 impl<'a, T> Disjoint<'a, T> {
@@ -446,6 +459,9 @@ impl<'a, T> Disjoint<'a, T> {
     /// No other live reborrow (from any task) may overlap `lo..hi`.
     pub unsafe fn slice(&self, lo: usize, hi: usize) -> &'a mut [T] {
         assert!(lo <= hi && hi <= self.len, "disjoint range out of bounds");
+        // SAFETY: `ptr..ptr + len` is the live `&'a mut [T]` this was built
+        // from and `lo..hi` lies inside it (asserted above); the caller
+        // guarantees no other live reborrow overlaps the range.
         unsafe { std::slice::from_raw_parts_mut(self.ptr.add(lo), hi - lo) }
     }
 
@@ -455,6 +471,9 @@ impl<'a, T> Disjoint<'a, T> {
     /// No other task may concurrently read or write index `i`.
     pub unsafe fn write(&self, i: usize, value: T) {
         assert!(i < self.len, "disjoint write out of bounds");
+        // SAFETY: `i` is inside the borrowed slice (asserted above) and the
+        // caller guarantees no other task touches index `i` meanwhile. The
+        // old value is overwritten without a drop, like any `ptr::write`.
         unsafe { self.ptr.add(i).write(value) };
     }
 }
@@ -609,6 +628,7 @@ mod tests {
         {
             let out = Disjoint::new(&mut buf);
             pool.run(bounds.len() - 1, |t| {
+                // SAFETY: `bounds` ascends, so the tasks' ranges are disjoint.
                 let chunk = unsafe { out.slice(bounds[t], bounds[t + 1]) };
                 for (k, v) in chunk.iter_mut().enumerate() {
                     *v = (bounds[t] + k) as u32;

@@ -8,7 +8,7 @@
 //! it exactly where that range begins.
 
 use crate::geom::Dim;
-use crate::morton::{morton_encode2, morton_encode3};
+use crate::morton::{morton_encode2, morton_encode3, spread2, spread3};
 use crate::octant::Octant;
 use crate::tree::NORM_LEVEL;
 
@@ -23,6 +23,22 @@ pub fn sfc_key(o: &Octant, dim: Dim) -> u64 {
         Dim::D2 => morton_encode2(o.x << shift, o.y << shift),
         Dim::D3 => morton_encode3(o.x << shift, o.y << shift, o.z << shift),
     }
+}
+
+/// The share of an [`sfc_key`] that one coordinate contributes: `coord` on
+/// the level-`level` lattice of axis `axis` (0 = x), dilated and shifted into
+/// its interleave slot. A key is the OR of its axes' parts, so a caller that
+/// varies one coordinate at a time (the neighbor probe) dilates each
+/// candidate once instead of re-encoding all three per cell.
+#[inline]
+pub(crate) fn sfc_key_part(coord: u32, level: u8, axis: usize, dim: Dim) -> u64 {
+    debug_assert!(level <= NORM_LEVEL && axis < dim.rank());
+    let v = (coord as u64) << (NORM_LEVEL - level);
+    let dilated = match dim {
+        Dim::D2 => spread2(v),
+        Dim::D3 => spread3(v),
+    };
+    dilated << axis
 }
 
 #[cfg(test)]

@@ -39,8 +39,7 @@
 
 use crate::block::BlockId;
 use crate::mesh::{AmrMesh, BlockFate};
-use crate::neighbors::{build_row, BlockIndex, Neighbor, NeighborGraph, PatchRows, PatchScratch};
-use crate::octant::Direction;
+use crate::neighbors::{emit_rows, BlockIndex, Neighbor, NeighborGraph, PatchRows, PatchScratch};
 use crate::pool::WorkerPool;
 use crate::tree::Octree;
 
@@ -190,17 +189,12 @@ fn build_shard_rows(
     row: &mut Vec<Neighbor>,
     g: &mut ShardGraph,
 ) {
-    let dirs = Direction::all(index.dim);
     g.start = span.start as u32;
     g.end = span.end as u32;
     g.offsets.clear();
     g.offsets.push(0);
     g.entries.clear();
-    for b in &index.blocks[span] {
-        build_row(tree, index, dirs, &b.octant, row);
-        g.entries.extend_from_slice(row);
-        g.offsets.push(g.entries.len() as u32);
-    }
+    emit_rows(tree, index, span, row, &mut g.offsets, &mut g.entries);
     g.rebuild_halo();
 }
 
@@ -416,14 +410,13 @@ impl ShardedMesh {
                 }
                 BlockFate::Refined { first, count } => {
                     debug_assert_eq!(first.index(), emitted);
-                    for child in &blocks[first.index()..first.index() + count as usize] {
-                        stage.probe_row(tree, &index, &child.octant);
-                    }
+                    let created = first.index()..first.index() + count as usize;
+                    stage.probe_rows(tree, &index, created);
                     rows.probed += count as usize;
                 }
                 // Only the first sibling emits the parent's row.
                 BlockFate::Coarsened(new) if new.index() == emitted => {
-                    stage.probe_row(tree, &index, &blocks[new.index()].octant);
+                    stage.probe_rows(tree, &index, emitted..emitted + 1);
                     rows.probed += 1;
                 }
                 BlockFate::Coarsened(_) => continue,

@@ -256,8 +256,8 @@ impl EpochFill<'_> {
             let Range { start, end: hi } = task_range(t, t_n, r);
             let lo = if SOLE { 0 } else { start };
             let owns = |rank: usize| SOLE || (rank >= lo && rank < hi);
-            // SAFETY: lanes are indexed by the task id, one task each.
             let lane = lanes.as_ref().map(|(l, step)| {
+                // SAFETY: lanes are indexed by the task id, one task each.
                 let lane = unsafe { &mut l.slice(t, t + 1)[0] };
                 (lane.now_ns(), lane, *step)
             });

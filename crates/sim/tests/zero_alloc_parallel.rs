@@ -20,6 +20,8 @@ struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter beside it touches no allocation.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
@@ -63,9 +65,11 @@ fn parallel_epoch(
         let _owner = trace.span(TracePhase::Place);
         trace.incr(Counter::Steps, 1);
         pool.run_with(partials, |t, p| {
+            // SAFETY: lanes are indexed by the task id, one task each.
             let lane = unsafe { &mut lanes.slice(t, t + 1)[0] };
             let start_ns = lane.now_ns();
             let own = task_range(t, t_n, r);
+            // SAFETY: `task_range` tiles `0..r`, one range per task.
             let chunk = unsafe { out.slice(own.start, own.end) };
             for (i, v) in own.zip(chunk) {
                 *v += i as f64 * 0.5 + step as f64;

@@ -631,7 +631,11 @@ mod tests {
         assert_eq!(m.counter(Counter::GraphPatches), traced.mesh_change_steps);
         assert_eq!(m.counter(Counter::GraphPatchFallbacks), 0);
         assert!(created > 0);
-        assert_eq!(m.counter(Counter::GraphRowsProbed), created);
+        // Probed: the rows of `begin_run`'s one full build, then only the
+        // blocks each adapt created.
+        assert_eq!(m.counter(Counter::GraphFullBuilds), 1);
+        let initial = traced.initial_blocks as u64;
+        assert_eq!(m.counter(Counter::GraphRowsProbed), initial + created);
         assert_eq!(m.counter(Counter::GraphRowsInherited), rows - created);
     }
 

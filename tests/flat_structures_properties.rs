@@ -3,8 +3,10 @@
 //! PR "flatten the hot paths" replaced two nested/hashed structures with
 //! flat ones, keeping the old implementations around as oracles:
 //!
-//! 1. The CSR neighbor graph (`build_serial` / `build_parallel`, which
-//!    classify probe octants by binary search over the Morton-sorted leaf
+//! 1. The CSR neighbor graph (`NeighborGraph::build` over a leaf slice and
+//!    `AmrMesh::neighbor_graph_on` over the mesh's own index, serial and on
+//!    pools of several lane counts — one row loop behind both, which
+//!    classifies probe keys by binary search over the Morton-sorted key
 //!    array) must equal the original hash-based builder — `mod oracle`
 //!    below, per-block `Vec<Vec<Neighbor>>` with `HashMap` dedup, moved out
 //!    of the library — on random 2:1-balanced 2D and 3D trees.
@@ -160,6 +162,12 @@ fn repair_mesh(dim_3d: bool, roots: (u32, u32, u32), periodic: bool) -> AmrMesh 
     })
 }
 
+/// Pools of 1 (the serial build), 2, 3 and 8 lanes, spawned once.
+fn pools() -> &'static [WorkerPool] {
+    static POOLS: std::sync::OnceLock<Vec<WorkerPool>> = std::sync::OnceLock::new();
+    POOLS.get_or_init(|| [1, 2, 3, 8].map(WorkerPool::new).into())
+}
+
 /// Splitmix-style step for deriving trace parameters from a proptest salt.
 fn next(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -170,27 +178,30 @@ fn next(state: &mut u64) -> u64 {
 }
 
 proptest! {
-    /// CSR builders (serial and every thread count, including counts that
-    /// leave ragged final chunks) reproduce the oracle's adjacency exactly,
-    /// on bounded and periodic trees.
+    /// The CSR builders — the leaf-slice entry point and the mesh's own
+    /// index, serial and on pools of 2, 3 and 8 lanes — reproduce the
+    /// oracle's adjacency exactly, on bounded and periodic trees from a
+    /// single block (fewer rows than lanes, empty spans) to several hundred
+    /// (ragged spans).
     #[test]
     fn csr_builders_match_legacy_on_random_trees(
         dim_3d: bool,
         periodic: bool,
-        steps in 1usize..4,
+        roots in (1u32..5, 1u32..5, 1u32..5),
+        steps in 0usize..4,
         salt in 0u64..1000,
-        threads in 1usize..6,
     ) {
-        let mut mesh = if periodic { repair_mesh(dim_3d, (3, 2, 2), true) } else { base_mesh(dim_3d) };
+        let mut mesh = repair_mesh(dim_3d, roots, periodic);
         for step in 0..steps {
             hash_adapt(&mut mesh, salt.wrapping_add(step as u64));
         }
         let leaves = mesh.tree().leaves_sorted();
-        let serial = NeighborGraph::build_serial(mesh.tree(), &leaves);
-        prop_assert_eq!(rows_of(&serial), oracle::build(mesh.tree(), &leaves));
-        let parallel = NeighborGraph::build_parallel(mesh.tree(), &leaves, threads);
-        prop_assert_eq!(&parallel, &serial);
-        prop_assert!(serial.check_symmetry().is_ok());
+        let built = NeighborGraph::build(mesh.tree(), &leaves);
+        prop_assert_eq!(rows_of(&built), oracle::build(mesh.tree(), &leaves));
+        prop_assert!(built.check_symmetry().is_ok());
+        for pool in pools() {
+            prop_assert_eq!(&mesh.neighbor_graph_on(pool), &built, "lanes = {}", pool.threads());
+        }
     }
 
     /// The calendar-queue engine replays random deadlock-free traces —

@@ -3,8 +3,8 @@
 //! 1. repeated `PlacementEngine::rebalance` calls at the same problem size
 //!    perform no heap allocation for any sequential policy,
 //! 2. repeated `MpiWorld::run_into` executions of the same programs perform
-//!    no heap allocation — the calendar queue, event arena, mailboxes and
-//!    rank records are all pooled, and
+//!    no heap allocation — the arrival heap, sent-payload list, mailboxes
+//!    and rank records are all pooled, and
 //! 3. a no-op `AmrMesh::adapt` pass (all blocks tagged `Keep`) performs no
 //!    heap allocation — tag staging and coarsen grouping are pooled, and the
 //!    identity fast path never touches the block index.
@@ -164,8 +164,10 @@ fn steady_state_rebalance_is_allocation_free() {
 
     // ---- Simulator steady state -------------------------------------------
     // A warm MpiWorld re-running the same ring-exchange programs must not
-    // allocate: events recycle through the arena, queue buckets and
-    // mailboxes keep their capacity, and stats land in a reused buffer.
+    // allocate: the arrival heap, the sent-payload list and the mailboxes
+    // are cleared but keep their capacity, and stats land in a reused
+    // buffer. Every run is counted, not the quietest: pooled state that
+    // grew across runs would reallocate on some of them.
     let ranks = 32;
     let mut world = MpiWorld::new(
         Topology::paper(ranks),
@@ -199,19 +201,17 @@ fn steady_state_rebalance_is_allocation_free() {
             .expect("warm-up run completes");
     }
     let reference = stats.clone();
-    let mut min_delta = u64::MAX;
+    let before = alloc_count();
     for _ in 0..5 {
-        let before = alloc_count();
         let makespan = world
             .run_into(&programs, &mut stats)
             .expect("steady-state run completes");
-        let delta = alloc_count() - before;
-        min_delta = min_delta.min(delta);
         assert!(makespan > 0);
     }
+    let allocs = alloc_count() - before;
     assert_eq!(
-        min_delta, 0,
-        "steady-state simulator step allocated {min_delta} times"
+        allocs, 0,
+        "five steady-state simulator runs allocated {allocs} times"
     );
     assert_eq!(stats, reference, "warm runs must stay deterministic");
 

@@ -624,20 +624,6 @@ impl AmrMesh {
         fill_root_runs(&self.keys, self.config.dim, &mut self.root_runs);
     }
 
-    /// Rebuild the block index from scratch, discarding the incremental
-    /// state. The stored delta is invalidated (reset to identity) so
-    /// [`AmrMesh::patch_neighbor_graph`] falls back to a full build. Kept as
-    /// the oracle for the incremental-vs-full equivalence tests and the
-    /// full-rebuild arm of the evolving-mesh benchmarks.
-    pub fn force_full_rebuild(&mut self) {
-        self.rebuild_index();
-        self.delta = RefinementDelta {
-            blocks_before: self.blocks.len(),
-            blocks_after: self.blocks.len(),
-            ..RefinementDelta::default()
-        };
-    }
-
     /// Validate structural invariants (tiling, balance, index coherence).
     pub fn check_invariants(&self) -> Result<(), String> {
         self.tree.check_invariants()?;
@@ -811,8 +797,7 @@ mod tests {
             }
         });
         m.check_invariants().unwrap();
-        let mut full = m.clone();
-        full.force_full_rebuild();
+        let full = AmrMesh::from_parts(m.config().clone(), m.tree().clone()).unwrap();
         assert_eq!(m.blocks(), full.blocks());
         assert_eq!(m.sfc_keys(), full.sfc_keys());
     }
@@ -855,9 +840,10 @@ mod tests {
         assert!(sharded.refresh(&m, &pool));
         assert_eq!(handle.metrics().counter(TC::GraphRowsProbed), 8 + 16);
         assert_eq!(handle.metrics().counter(TC::GraphRowsInherited), 14);
-        // Invalidate the stored delta: the entry point must degrade to a
+        // A restored mesh has no delta: the entry point must degrade to a
         // full rebuild — and say so, distinctly from intentional builds.
-        m.force_full_rebuild();
+        m = AmrMesh::from_parts(m.config().clone(), m.tree().clone()).unwrap();
+        m.set_trace(Some(handle.clone()));
         assert!(!m.patch_neighbor_graph(&mut graph, &mut scratch));
         assert_eq!(handle.metrics().counter(TC::GraphPatchFallbacks), 1);
         assert_eq!(handle.metrics().counter(TC::GraphFullBuilds), 2);

@@ -545,9 +545,9 @@ mod tests {
         let (mut mesh, _) = random_mesh_steps(Dim::D3, 0, 0);
         hash_adapt(&mut mesh, 11);
         let mut sharded = ShardedMesh::new(&mesh, 4, &WorkerPool::new(1));
-        // A full rebuild resets the delta to identity: refresh cannot vouch
-        // for the shards and must fall back (and still be correct).
-        mesh.force_full_rebuild();
+        // A restored mesh carries no delta: refresh cannot vouch for the
+        // shards and must fall back (and still be correct).
+        mesh = AmrMesh::from_parts(mesh.config().clone(), mesh.tree().clone()).unwrap();
         assert!(!sharded.refresh(&mesh, &WorkerPool::new(1)));
         assert_matches_oracle(&sharded, &mesh);
     }
@@ -611,7 +611,8 @@ mod tests {
                     p.refresh(&mesh, &pool);
                     if i == 2 {
                         // Force the full-rebuild fallback too.
-                        mesh.force_full_rebuild();
+                        mesh = AmrMesh::from_parts(mesh.config().clone(), mesh.tree().clone())
+                            .unwrap();
                         assert!(!p.refresh(&mesh, &pool));
                         assert!(!s.refresh(&mesh, &serial_pool));
                     }

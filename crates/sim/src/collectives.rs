@@ -146,28 +146,6 @@ impl Default for CollectiveSelect {
     }
 }
 
-/// Result of a collective operation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CollectiveResult {
-    /// Virtual time when the collective completes (same for all ranks).
-    pub completion_ns: u64,
-    /// Per-rank wait time: completion − own arrival − own tree work, i.e.
-    /// `max(arrival) − own arrival`. Zero for the last arriver.
-    pub wait_ns: Vec<u64>,
-}
-
-impl CollectiveResult {
-    /// Total wait summed over ranks.
-    pub fn total_wait_ns(&self) -> u64 {
-        self.wait_ns.iter().sum()
-    }
-
-    /// Maximum single-rank wait (the earliest arriver's penalty).
-    pub fn max_wait_ns(&self) -> u64 {
-        self.wait_ns.iter().copied().max().unwrap_or(0)
-    }
-}
-
 /// Tree depth for `num_ranks` participants.
 #[inline]
 pub fn tree_depth(num_ranks: usize) -> u32 {
@@ -178,30 +156,17 @@ pub fn tree_depth(num_ranks: usize) -> u32 {
     }
 }
 
-/// Execute a barrier given each rank's arrival time at the sync point.
+/// Barrier over each rank's arrival time at the sync point: writes per-rank
+/// waits into `wait_out` (cleared first, capacity reused) and returns the
+/// completion time. `hop_ns` is the per-tree-level message cost (fabric
+/// latency for small control messages).
 ///
-/// `hop_ns` is the per-tree-level message cost (fabric latency for small
-/// control messages).
-pub fn barrier(arrivals_ns: &[u64], hop_ns: u64) -> CollectiveResult {
-    let mut wait = Vec::new();
-    let completion = barrier_into(arrivals_ns, hop_ns, &mut wait);
-    CollectiveResult {
-        completion_ns: completion,
-        wait_ns: wait,
-    }
-}
-
-/// Allocation-free barrier: writes per-rank waits into `wait_out` (cleared
-/// first, capacity reused) and returns the completion time. The per-step
-/// collective of [`crate::macrosim`] calls this with a pooled buffer.
-///
-/// An empty participant set (a fault response pruned every rank) is a no-op:
-/// completion 0, no waits. A single rank has tree depth 0 and waits 0.
-/// Arithmetic saturates so degenerate `hop_ns` values (e.g. a payload cost
-/// computed from near-zero bandwidth) cannot overflow in debug builds.
+/// A single rank has tree depth 0 and waits 0. Arithmetic saturates so
+/// degenerate `hop_ns` values (e.g. a payload cost computed from near-zero
+/// bandwidth) cannot overflow in debug builds.
 pub fn barrier_into(arrivals_ns: &[u64], hop_ns: u64, wait_out: &mut Vec<u64>) -> u64 {
     // A barrier is an allreduce with an empty payload (payload term 0).
-    allreduce_with_into(
+    allreduce_into(
         CollectiveAlgo::BinomialTree,
         arrivals_ns,
         hop_ns,
@@ -209,20 +174,6 @@ pub fn barrier_into(arrivals_ns: &[u64], hop_ns: u64, wait_out: &mut Vec<u64>) -
         1.0,
         wait_out,
     )
-}
-
-/// The single completion core every collective shares: per-rank wait is the
-/// idle gap before the straggler arrives (`max(arrival) − own arrival`; the
-/// post-arrival term is active participation, charged to no one's wait), and
-/// completion is the straggler's arrival plus the algorithm's post term.
-fn finish_into(arrivals_ns: &[u64], post_ns: u64, wait_out: &mut Vec<u64>) -> u64 {
-    wait_out.clear();
-    if arrivals_ns.is_empty() {
-        return 0;
-    }
-    let last = arrivals_ns.iter().copied().max().unwrap();
-    wait_out.extend(arrivals_ns.iter().map(|&a| last - a));
-    last.saturating_add(post_ns)
 }
 
 /// Serialization time of a reduction payload, saturating on degenerate
@@ -243,71 +194,18 @@ fn payload_ns(payload_bytes: u64, bytes_per_ns: f64) -> u64 {
     }
 }
 
-/// Execute a blocking allreduce: a barrier plus a reduction payload moved at
-/// every level (small vectors in AMR codes — timestep control values).
+/// Blocking allreduce with the given algorithm: a barrier plus a reduction
+/// payload (small vectors in AMR codes — timestep control values). The
+/// per-step collective of [`crate::macrosim`] calls this with a pooled
+/// `wait_out` (cleared first, capacity reused); the completion time is
+/// returned.
 ///
-/// Thin shim over [`allreduce_into`] — the wait-accounting and `payload_ns`
-/// saturation fixes live on the `_into` path only, and a regression test
-/// pins the equality.
-pub fn allreduce(
-    arrivals_ns: &[u64],
-    hop_ns: u64,
-    payload_bytes: u64,
-    bytes_per_ns: f64,
-) -> CollectiveResult {
-    let mut wait = Vec::new();
-    let completion = allreduce_into(arrivals_ns, hop_ns, payload_bytes, bytes_per_ns, &mut wait);
-    CollectiveResult {
-        completion_ns: completion,
-        wait_ns: wait,
-    }
-}
-
-/// Allocation-free counterpart of [`allreduce`]; see [`barrier_into`].
+/// Every algorithm shares one straggler-only wait model: a rank's wait is
+/// the idle gap before the last rank arrives (`max(arrival) − own arrival`);
+/// the post-arrival term ([`CollectiveAlgo::post_arrival_ns`]) is active
+/// participation, charged to no one's wait. An empty participant set (a
+/// fault response pruned every rank) completes at 0 with no waits.
 pub fn allreduce_into(
-    arrivals_ns: &[u64],
-    hop_ns: u64,
-    payload_bytes: u64,
-    bytes_per_ns: f64,
-    wait_out: &mut Vec<u64>,
-) -> u64 {
-    allreduce_with_into(
-        CollectiveAlgo::BinomialTree,
-        arrivals_ns,
-        hop_ns,
-        payload_bytes,
-        bytes_per_ns,
-        wait_out,
-    )
-}
-
-/// Algorithm-selectable allreduce (see [`CollectiveAlgo`]); all variants use
-/// the same straggler-only wait model and differ only in the post-arrival
-/// term.
-pub fn allreduce_with(
-    algo: CollectiveAlgo,
-    arrivals_ns: &[u64],
-    hop_ns: u64,
-    payload_bytes: u64,
-    bytes_per_ns: f64,
-) -> CollectiveResult {
-    let mut wait = Vec::new();
-    let completion = allreduce_with_into(
-        algo,
-        arrivals_ns,
-        hop_ns,
-        payload_bytes,
-        bytes_per_ns,
-        &mut wait,
-    );
-    CollectiveResult {
-        completion_ns: completion,
-        wait_ns: wait,
-    }
-}
-
-/// Allocation-free counterpart of [`allreduce_with`]; see [`barrier_into`].
-pub fn allreduce_with_into(
     algo: CollectiveAlgo,
     arrivals_ns: &[u64],
     hop_ns: u64,
@@ -315,8 +213,13 @@ pub fn allreduce_with_into(
     bytes_per_ns: f64,
     wait_out: &mut Vec<u64>,
 ) -> u64 {
+    wait_out.clear();
+    let Some(&last) = arrivals_ns.iter().max() else {
+        return 0;
+    };
+    wait_out.extend(arrivals_ns.iter().map(|&a| last - a));
     let post = algo.post_arrival_ns(arrivals_ns.len(), hop_ns, payload_bytes, bytes_per_ns);
-    finish_into(arrivals_ns, post, wait_out)
+    last.saturating_add(post)
 }
 
 #[cfg(test)]
@@ -334,15 +237,30 @@ mod tests {
         assert_eq!(tree_depth(4097), 13);
     }
 
+    /// `(completion, per-rank waits)` of a barrier.
+    fn barrier(arrivals: &[u64], hop: u64) -> (u64, Vec<u64>) {
+        let mut wait = Vec::new();
+        (barrier_into(arrivals, hop, &mut wait), wait)
+    }
+
+    /// `(completion, per-rank waits)` of an allreduce.
+    fn allreduce(algo: CollectiveAlgo, arrivals: &[u64], bytes: u64, bw: f64) -> (u64, Vec<u64>) {
+        let mut wait = Vec::new();
+        (
+            allreduce_into(algo, arrivals, 5, bytes, bw, &mut wait),
+            wait,
+        )
+    }
+
     #[test]
     fn straggler_sets_completion() {
-        let r = barrier(&[10, 20, 1000, 30], 5);
-        assert_eq!(r.completion_ns, 1000 + 2 * 5);
+        let (c, wait) = barrier(&[10, 20, 1000, 30], 5);
+        assert_eq!(c, 1000 + 2 * 5);
         // The straggler's tree hops are work, not wait: it waits zero.
-        assert_eq!(r.wait_ns[2], 0);
+        assert_eq!(wait[2], 0);
         // Early arrivers wait until the straggler shows up.
-        assert_eq!(r.wait_ns[0], 990);
-        assert_eq!(r.max_wait_ns(), 990);
+        assert_eq!(wait[0], 990);
+        assert_eq!(wait.iter().max(), Some(&990));
     }
 
     #[test]
@@ -355,12 +273,12 @@ mod tests {
             vec![0, u64::MAX / 2],
             (0..100).collect::<Vec<u64>>(),
         ] {
-            let res = barrier(&arrivals, 12_345);
+            let (_, wait) = barrier(&arrivals, 12_345);
             let last = *arrivals.iter().max().unwrap();
             let argmax = arrivals.iter().position(|&a| a == last).unwrap();
-            assert_eq!(res.wait_ns[argmax], 0);
+            assert_eq!(wait[argmax], 0);
             assert_eq!(
-                res.total_wait_ns(),
+                wait.iter().sum::<u64>(),
                 arrivals.iter().map(|&a| last - a).sum::<u64>()
             );
         }
@@ -369,10 +287,10 @@ mod tests {
     #[test]
     fn uniform_arrivals_mean_zero_wait() {
         // Simultaneous arrivals: everyone does tree work, nobody waits.
-        let r = barrier(&[100; 64], 5);
+        let (c, wait) = barrier(&[100; 64], 5);
         let depth = tree_depth(64) as u64;
-        assert_eq!(r.completion_ns, 100 + depth * 5);
-        assert!(r.wait_ns.iter().all(|&w| w == 0));
+        assert_eq!(c, 100 + depth * 5);
+        assert!(wait.iter().all(|&w| w == 0));
     }
 
     #[test]
@@ -381,123 +299,71 @@ mod tests {
         let c = barrier_into(&[], 5, &mut wait);
         assert_eq!(c, 0);
         assert!(wait.is_empty());
-        let r = barrier(&[], 5);
-        assert_eq!(r.completion_ns, 0);
-        assert!(r.wait_ns.is_empty());
-        assert_eq!(r.total_wait_ns(), 0);
-        assert_eq!(r.max_wait_ns(), 0);
+        for algo in CollectiveAlgo::ALL {
+            assert_eq!(allreduce(algo, &[], 64, 2.0), (0, vec![]));
+        }
     }
 
     #[test]
     fn single_rank_has_no_tree_and_no_wait() {
-        let r = barrier(&[42], 5_000);
-        assert_eq!(r.completion_ns, 42); // depth 0: no hops
-        assert_eq!(r.wait_ns, vec![0]);
+        let (c, wait) = barrier(&[42], 5_000);
+        assert_eq!(c, 42); // depth 0: no hops
+        assert_eq!(wait, vec![0]);
     }
 
     #[test]
     fn wait_grows_with_scale_for_same_imbalance() {
         // Same arrival spread, more ranks -> deeper tree, and with random
         // stragglers the expected max grows; here just check tree term.
-        let small = barrier(&[0, 100], 10);
-        let large = barrier(
+        let (small, _) = barrier(&[0, 100], 10);
+        let (large, _) = barrier(
             &vec![0; 1023].into_iter().chain([100]).collect::<Vec<_>>(),
             10,
         );
-        assert!(large.completion_ns > small.completion_ns);
+        assert!(large > small);
     }
 
     #[test]
     fn allreduce_adds_payload_cost() {
-        let b = barrier(&[0, 0], 10);
-        let a = allreduce(&[0, 0], 10, 1000, 1.0);
-        assert!(a.completion_ns > b.completion_ns);
+        let (b, _) = barrier(&[0, 0], 5);
+        let (a, _) = allreduce(CollectiveAlgo::BinomialTree, &[0, 0], 1000, 1.0);
+        assert!(a > b);
     }
 
     #[test]
     fn degenerate_bandwidth_saturates_instead_of_overflowing() {
         // bytes_per_ns == 0 previously cast `inf` to u64::MAX and then
         // overflowed in `last + depth * hop`. Now the whole chain saturates.
-        let mut wait = Vec::new();
         for bw in [0.0, -1.0, f64::NAN, f64::INFINITY * 0.0] {
-            let c = allreduce_into(&[10, 20], 5, 64, bw, &mut wait);
+            let (c, wait) = allreduce(CollectiveAlgo::BinomialTree, &[10, 20], 64, bw);
             assert_eq!(c, u64::MAX);
             assert_eq!(wait, vec![10, 0]);
         }
         // Tiny-but-positive bandwidth also saturates rather than wrapping.
-        let c = allreduce_into(&[10, 20], 5, u64::MAX, 1e-300, &mut wait);
+        let (c, _) = allreduce(CollectiveAlgo::BinomialTree, &[10, 20], u64::MAX, 1e-300);
+        assert_eq!(c, u64::MAX);
+        // So does a degenerate hop on a barrier.
+        let (c, _) = barrier(&[u64::MAX, 1], u64::MAX);
         assert_eq!(c, u64::MAX);
     }
 
     #[test]
     fn total_wait_sums() {
-        let r = barrier(&[0, 50], 0);
-        assert_eq!(r.total_wait_ns(), 50);
+        let (_, wait) = barrier(&[0, 50], 0);
+        assert_eq!(wait.iter().sum::<u64>(), 50);
     }
 
     #[test]
-    fn into_variants_match_allocating_ones() {
+    fn wait_buffer_is_cleared_before_reuse() {
         let arrivals = [10u64, 20, 1000, 30];
         let mut wait = vec![99; 1]; // stale content must be cleared
-        let c = barrier_into(&arrivals, 5, &mut wait);
-        let reference = barrier(&arrivals, 5);
-        assert_eq!(c, reference.completion_ns);
-        assert_eq!(wait, reference.wait_ns);
-        let c = allreduce_into(&arrivals, 5, 64, 2.0, &mut wait);
-        let reference = allreduce(&arrivals, 5, 64, 2.0);
-        assert_eq!(c, reference.completion_ns);
-        assert_eq!(wait, reference.wait_ns);
+        assert_eq!(barrier_into(&arrivals, 5, &mut wait), 1010);
+        assert_eq!(wait, vec![990, 980, 0, 970]);
         for algo in CollectiveAlgo::ALL {
-            let c = allreduce_with_into(algo, &arrivals, 5, 64, 2.0, &mut wait);
-            let reference = allreduce_with(algo, &arrivals, 5, 64, 2.0);
-            assert_eq!(c, reference.completion_ns);
-            assert_eq!(wait, reference.wait_ns);
+            wait.push(99);
+            let c = allreduce_into(algo, &arrivals, 5, 64, 2.0, &mut wait);
+            assert_eq!((c, wait.clone()), allreduce(algo, &arrivals, 64, 2.0));
         }
-    }
-
-    /// The legacy wrappers are shims over the `_into` path: identical on the
-    /// saturation edge cases that used to live only on the `_into` side.
-    #[test]
-    fn legacy_wrappers_share_the_saturating_path() {
-        let arrivals = [10u64, 20];
-        for bw in [0.0, -1.0, f64::NAN, 1e-300] {
-            let r = allreduce(&arrivals, 5, u64::MAX, bw);
-            assert_eq!(r.completion_ns, u64::MAX);
-            assert_eq!(r.wait_ns, vec![10, 0]);
-        }
-        // Degenerate hop on the barrier wrapper saturates too.
-        let r = barrier(&[u64::MAX, 1], u64::MAX);
-        assert_eq!(r.completion_ns, u64::MAX);
-    }
-
-    /// `Fixed(BinomialTree)` — the default — reproduces the legacy formula
-    /// bit for bit; every committed baseline rests on this.
-    #[test]
-    fn binomial_variant_is_the_legacy_allreduce() {
-        let cases: [(&[u64], u64, u64, f64); 3] = [
-            (&[10, 20, 1000, 30], 2_500, 64, 5.0),
-            (&[7; 9], 400, 1 << 20, 10.0),
-            (&[0, u64::MAX / 2], 12_345, 0, 1.0),
-        ];
-        let mut wait_a = Vec::new();
-        let mut wait_b = Vec::new();
-        for (arrivals, hop, bytes, bw) in cases {
-            let a = allreduce_into(arrivals, hop, bytes, bw, &mut wait_a);
-            let b = allreduce_with_into(
-                CollectiveAlgo::BinomialTree,
-                arrivals,
-                hop,
-                bytes,
-                bw,
-                &mut wait_b,
-            );
-            assert_eq!(a, b);
-            assert_eq!(wait_a, wait_b);
-        }
-        assert_eq!(
-            CollectiveSelect::default(),
-            CollectiveSelect::Fixed(CollectiveAlgo::BinomialTree)
-        );
     }
 
     /// All algorithms share the straggler-only wait model: identical waits,
@@ -505,16 +371,11 @@ mod tests {
     #[test]
     fn algorithms_share_straggler_waits() {
         let arrivals = [10u64, 20, 1000, 30];
-        let reference = allreduce(&arrivals, 5, 1 << 20, 5.0);
+        let (_, reference) = barrier(&arrivals, 5);
         for algo in CollectiveAlgo::ALL {
-            let r = allreduce_with(algo, &arrivals, 5, 1 << 20, 5.0);
-            assert_eq!(
-                r.wait_ns,
-                reference.wait_ns,
-                "{} waits diverge",
-                algo.name()
-            );
-            assert!(r.completion_ns >= 1000);
+            let (c, wait) = allreduce(algo, &arrivals, 1 << 20, 5.0);
+            assert_eq!(wait, reference, "{} waits diverge", algo.name());
+            assert!(c >= 1000);
         }
     }
 
@@ -565,6 +426,10 @@ mod tests {
         }
         // Single rank: every algorithm is free; the tie goes to the default.
         assert_eq!(cheapest_algo(1, 9, 9, 1.0), CollectiveAlgo::BinomialTree);
+        assert_eq!(
+            CollectiveSelect::default(),
+            CollectiveSelect::Fixed(CollectiveAlgo::BinomialTree)
+        );
     }
 
     #[test]

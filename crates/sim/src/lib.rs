@@ -28,7 +28,6 @@
 //! identical configs reproduce identical runs.
 
 pub mod collectives;
-pub mod events;
 pub mod faults;
 pub mod health;
 pub mod ledger;

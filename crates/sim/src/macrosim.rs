@@ -1047,7 +1047,7 @@ impl MacroSim {
             }
             CollectiveSelect::Adaptive => CollectiveAlgo::BinomialTree,
         };
-        let completion_ns = collectives::allreduce_with_into(
+        let completion_ns = collectives::allreduce_into(
             algo,
             &run.arrivals,
             hop_ns,

@@ -14,23 +14,23 @@
 //!
 //! ## Engine internals
 //!
-//! The scheduler is a [`CalendarQueue`] over `(time, seq)` keys with event
-//! payloads in an [`EventArena`] slab — O(1) expected push/pop and recycled
-//! ids, replacing the original `BinaryHeap` + `HashMap<u32, Event>` pair
-//! (kept as [`MpiWorld::run_heap_reference`], the property-test oracle).
-//! Unexpected messages live in a flat `Vec` indexed `src * nranks + dst`
-//! (O(ranks²) cells, sized once at construction — this engine runs at the
-//! hundreds-of-ranks microbenchmark scale, not the macrosim scale), and all
-//! per-run state — rank records, queue buckets, arena slots, mailboxes —
-//! is pooled in [`MpiWorld`] and recycled, so a warm [`MpiWorld::run_into`]
-//! allocates nothing in steady state.
+//! One `BinaryHeap` schedules every message arrival, keyed `(time, seq)`:
+//! `seq` numbers the run's sends in posting order, so equal-time arrivals
+//! deliver in a fixed order, and indexes the append-only list holding each
+//! arrival's payload. Unexpected messages live in a flat `Vec` indexed
+//! `src * nranks + dst` (O(ranks²) cells, sized once at construction — this
+//! engine runs at the hundreds-of-ranks microbenchmark scale, not the
+//! macrosim scale). All per-run state — rank records, heap, payload list,
+//! mailboxes — is pooled in [`MpiWorld`] and keeps its capacity, so a warm
+//! [`MpiWorld::run_into`] allocates nothing. The test suite replays random
+//! traces against an independent scheduler with hashed mailboxes
+//! (`tests/flat_structures_properties.rs`).
 
 use crate::collectives::tree_depth;
-use crate::events::{CalendarQueue, EventArena, EventId};
 use crate::network::NetworkConfig;
 use crate::topology::Topology;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Virtual time in nanoseconds.
 pub type SimTime = u64;
@@ -81,6 +81,9 @@ pub enum MpiError {
     /// A barrier was entered by some ranks while another finished its
     /// program without entering it.
     BarrierMismatch,
+    /// Operation `op` of rank `rank`'s program names a peer (`Isend.dst` or
+    /// `Irecv.src`) outside the world. Detected before the run starts.
+    PeerOutOfRange { rank: u32, op: usize },
 }
 
 impl std::fmt::Display for MpiError {
@@ -90,14 +93,18 @@ impl std::fmt::Display for MpiError {
                 write!(f, "deadlock: ranks {stuck_ranks:?} blocked forever")
             }
             MpiError::BarrierMismatch => write!(f, "barrier entered by a strict subset of ranks"),
+            MpiError::PeerOutOfRange { rank, op } => {
+                write!(f, "rank {rank} op {op}: peer rank out of range")
+            }
         }
     }
 }
 
 impl std::error::Error for MpiError {}
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum Block {
+    #[default]
     None,
     WaitAll,
     Barrier,
@@ -106,7 +113,7 @@ enum Block {
 
 /// Per-rank execution record. Pooled across runs; [`RankState::reset`]
 /// clears logical state while `pending_recvs` keeps its capacity.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct RankState {
     pc: usize,
     clock: SimTime,
@@ -116,19 +123,6 @@ struct RankState {
     pending_recvs: Vec<(u32, u32)>,
     stats: RankStats,
     blocked_since: SimTime,
-}
-
-impl Default for RankState {
-    fn default() -> RankState {
-        RankState {
-            pc: 0,
-            clock: 0,
-            block: Block::None,
-            pending_recvs: Vec::new(),
-            stats: RankStats::default(),
-            blocked_since: 0,
-        }
-    }
 }
 
 impl RankState {
@@ -143,7 +137,7 @@ impl RankState {
 }
 
 /// Payload of a scheduled arrival: message from (src, tag) becomes visible
-/// at `dst` at the event's time.
+/// at `dst` at the heap entry's time.
 #[derive(Debug, Clone, Copy)]
 struct Arrival {
     dst: u32,
@@ -163,9 +157,11 @@ struct WorldScratch {
     /// Flat indices of `unexpected` cells touched this run (cheap targeted
     /// reset instead of an O(ranks²) sweep).
     dirty_cells: Vec<u32>,
-    queue: CalendarQueue,
-    arena: EventArena<Arrival>,
-    seq: u64,
+    /// Pending arrivals, min-first by `(time, seq)`.
+    queue: BinaryHeap<Reverse<(SimTime, u64)>>,
+    /// Every send of the run in posting order: entry `seq` is the payload
+    /// of the arrival keyed `(_, seq)`.
+    sent: Vec<Arrival>,
     barrier_entered: Vec<Option<SimTime>>,
     barrier_count: usize,
     runnable: VecDeque<usize>,
@@ -180,7 +176,16 @@ pub struct MpiWorld {
 
 impl MpiWorld {
     /// Create a world over the given topology and network model.
+    ///
+    /// # Panics
+    /// On a degenerate network model (see [`NetworkConfig::validate`]), as
+    /// [`MicroSim::new`](crate::microsim::MicroSim::new) does: a zero
+    /// bandwidth would otherwise saturate every send's dispatch cost and
+    /// wrap the sender's clock.
     pub fn new(topology: Topology, network: NetworkConfig) -> MpiWorld {
+        if let Err(e) = network.validate() {
+            panic!("invalid NetworkConfig: {e}");
+        }
         let r = topology.num_ranks;
         let mut scratch = WorldScratch::default();
         scratch.unexpected.resize_with(r * r, VecDeque::new);
@@ -204,6 +209,10 @@ impl MpiWorld {
     /// Execute one program per rank, writing per-rank stats into `out`
     /// (cleared first). Allocation-free once warm: all engine state is
     /// pooled in `self` and `out`'s capacity is reused.
+    ///
+    /// Every peer an `Isend` or `Irecv` names is checked before the run
+    /// starts; a bad one returns [`MpiError::PeerOutOfRange`] and leaves the
+    /// world reusable.
     pub fn run_into(
         &mut self,
         programs: &[Vec<Op>],
@@ -211,6 +220,18 @@ impl MpiWorld {
     ) -> Result<SimTime, MpiError> {
         let r = programs.len();
         assert_eq!(r, self.topology.num_ranks, "one program per rank");
+        let bad_peer = |op: &Op| match *op {
+            Op::Isend { dst: p, .. } | Op::Irecv { src: p, .. } => p as usize >= r,
+            _ => false,
+        };
+        for (rank, program) in programs.iter().enumerate() {
+            if let Some(op) = program.iter().position(bad_peer) {
+                return Err(MpiError::PeerOutOfRange {
+                    rank: rank as u32,
+                    op,
+                });
+            }
+        }
         let MpiWorld {
             topology,
             network,
@@ -228,8 +249,7 @@ impl MpiWorld {
         }
         s.dirty_cells.clear();
         s.queue.clear();
-        s.arena.clear();
-        s.seq = 0;
+        s.sent.clear();
         s.barrier_entered.clear();
         s.barrier_entered.resize(r, None);
         s.barrier_count = 0;
@@ -256,37 +276,34 @@ impl MpiWorld {
                 s.barrier_count = 0;
                 continue;
             }
-            // Deliver the next event.
-            match s.queue.pop() {
-                Some((time, _, eid)) => {
-                    let Arrival { dst, src, tag } = s.arena.remove(eid);
-                    let rank = &mut s.ranks[dst as usize];
-                    // Match against a pending receive, else park as
-                    // unexpected.
-                    if let Some(pos) = rank
-                        .pending_recvs
-                        .iter()
-                        .position(|&(sr, t)| sr == src && t == tag)
-                    {
-                        rank.pending_recvs.swap_remove(pos);
-                        rank.stats.received += 1;
-                        // Receive completion costs service time at the head.
-                        let done = time + network.recv_overhead_ns;
-                        rank.clock = rank.clock.max(done);
-                        if rank.block == Block::WaitAll && rank.pending_recvs.is_empty() {
-                            rank.stats.wait_ns += rank.clock - rank.blocked_since;
-                            rank.block = Block::None;
-                            s.runnable.push_back(dst as usize);
-                        }
-                    } else {
-                        let cell = src as usize * r + dst as usize;
-                        if s.unexpected[cell].is_empty() {
-                            s.dirty_cells.push(cell as u32);
-                        }
-                        s.unexpected[cell].push_back((tag, time));
-                    }
+            // Deliver the next arrival, if any is left.
+            let Some(Reverse((time, seq))) = s.queue.pop() else {
+                break;
+            };
+            let Arrival { dst, src, tag } = s.sent[seq as usize];
+            let rank = &mut s.ranks[dst as usize];
+            // Match against a pending receive, else park as unexpected.
+            if let Some(pos) = rank
+                .pending_recvs
+                .iter()
+                .position(|&(sr, t)| sr == src && t == tag)
+            {
+                rank.pending_recvs.swap_remove(pos);
+                rank.stats.received += 1;
+                // Receive completion costs service time at the head.
+                let done = time + network.recv_overhead_ns;
+                rank.clock = rank.clock.max(done);
+                if rank.block == Block::WaitAll && rank.pending_recvs.is_empty() {
+                    rank.stats.wait_ns += rank.clock - rank.blocked_since;
+                    rank.block = Block::None;
+                    s.runnable.push_back(dst as usize);
                 }
-                None => break, // no events left
+            } else {
+                let cell = src as usize * r + dst as usize;
+                if s.unexpected[cell].is_empty() {
+                    s.dirty_cells.push(cell as u32);
+                }
+                s.unexpected[cell].push_back((tag, time));
             }
         }
 
@@ -346,13 +363,12 @@ fn advance(
                 rank.stats.sent += 1;
                 let local = topology.same_node(ri, dst as usize);
                 let arrive = rank.clock + network.transfer_ns(bytes, local);
-                let eid = s.arena.insert(Arrival {
+                s.queue.push(Reverse((arrive, s.sent.len() as u64)));
+                s.sent.push(Arrival {
                     dst,
                     src: ri as u32,
                     tag,
                 });
-                s.queue.push(arrive, s.seq, eid);
-                s.seq += 1;
             }
             Op::Irecv { src, tag } => {
                 // Unexpected message already here? Complete immediately
@@ -384,221 +400,6 @@ fn advance(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Heap-based reference engine (the original implementation), retained as the
-// oracle for the calendar-queue engine's equivalence property tests.
-// ---------------------------------------------------------------------------
-
-#[derive(Debug)]
-struct HeapRankState {
-    program: Vec<Op>,
-    pc: usize,
-    clock: SimTime,
-    block: Block,
-    pending_recvs: Vec<(u32, u32)>,
-    stats: RankStats,
-    blocked_since: SimTime,
-}
-
-/// Pending arrivals at a receiver, keyed by (src, tag).
-#[derive(Debug, Default)]
-struct HeapMailbox {
-    unexpected: HashMap<(u32, u32), VecDeque<SimTime>>,
-}
-
-#[derive(Debug, PartialEq, Eq)]
-enum HeapEvent {
-    Arrival { dst: u32, src: u32, tag: u32 },
-}
-
-impl MpiWorld {
-    /// Reference scheduler: `BinaryHeap<Reverse<(time, seq, id)>>` +
-    /// `HashMap` event store and hash-keyed unexpected queues. Semantically
-    /// identical to [`MpiWorld::run_into`] (same `(time, seq)` delivery
-    /// order); allocates freely. Kept for equivalence testing and
-    /// before/after benchmarking only.
-    pub fn run_heap_reference(&self, programs: Vec<Vec<Op>>) -> Result<WorldResult, MpiError> {
-        let r = programs.len();
-        assert_eq!(r, self.topology.num_ranks, "one program per rank");
-        let mut ranks: Vec<HeapRankState> = programs
-            .into_iter()
-            .map(|program| HeapRankState {
-                program,
-                pc: 0,
-                clock: 0,
-                block: Block::None,
-                pending_recvs: Vec::new(),
-                stats: RankStats::default(),
-                blocked_since: 0,
-            })
-            .collect();
-        let mut mailboxes: Vec<HeapMailbox> = (0..r).map(|_| HeapMailbox::default()).collect();
-        // Event queue ordered by (time, seq) for determinism.
-        let mut queue: BinaryHeap<Reverse<(SimTime, u64, EventId)>> = BinaryHeap::new();
-        let mut events: HashMap<EventId, HeapEvent> = HashMap::new();
-        let mut seq = 0u64;
-
-        let mut barrier_entered: Vec<Option<SimTime>> = vec![None; r];
-        let mut barrier_count = 0usize;
-
-        let mut runnable: VecDeque<usize> = (0..r).collect();
-        loop {
-            while let Some(ri) = runnable.pop_front() {
-                self.advance_heap(
-                    ri,
-                    &mut ranks,
-                    &mut mailboxes,
-                    &mut queue,
-                    &mut events,
-                    &mut seq,
-                    &mut barrier_entered,
-                    &mut barrier_count,
-                );
-            }
-            if barrier_count == r {
-                let last = barrier_entered.iter().map(|t| t.unwrap()).max().unwrap();
-                let release = last + tree_depth(r) as u64 * self.network.fabric.latency_ns;
-                for (ri, rank) in ranks.iter_mut().enumerate() {
-                    debug_assert_eq!(rank.block, Block::Barrier);
-                    rank.stats.barrier_ns += release - barrier_entered[ri].unwrap();
-                    rank.clock = release;
-                    rank.block = Block::None;
-                    runnable.push_back(ri);
-                }
-                barrier_entered.iter_mut().for_each(|t| *t = None);
-                barrier_count = 0;
-                continue;
-            }
-            match queue.pop() {
-                Some(Reverse((time, _, eid))) => {
-                    let HeapEvent::Arrival { dst, src, tag } = events.remove(&eid).expect("event");
-                    let rank = &mut ranks[dst as usize];
-                    if let Some(pos) = rank
-                        .pending_recvs
-                        .iter()
-                        .position(|&(sr, t)| sr == src && t == tag)
-                    {
-                        rank.pending_recvs.swap_remove(pos);
-                        rank.stats.received += 1;
-                        let done = time + self.network.recv_overhead_ns;
-                        rank.clock = rank.clock.max(done);
-                        if rank.block == Block::WaitAll && rank.pending_recvs.is_empty() {
-                            rank.stats.wait_ns += rank.clock - rank.blocked_since;
-                            rank.block = Block::None;
-                            runnable.push_back(dst as usize);
-                        }
-                    } else {
-                        mailboxes[dst as usize]
-                            .unexpected
-                            .entry((src, tag))
-                            .or_default()
-                            .push_back(time);
-                    }
-                }
-                None => break,
-            }
-        }
-
-        let mut stuck = Vec::new();
-        let mut at_barrier = false;
-        for (ri, rank) in ranks.iter().enumerate() {
-            match rank.block {
-                Block::Done => {}
-                Block::Barrier => at_barrier = true,
-                _ => stuck.push(ri as u32),
-            }
-        }
-        if !stuck.is_empty() {
-            return Err(MpiError::Deadlock { stuck_ranks: stuck });
-        }
-        if at_barrier {
-            return Err(MpiError::BarrierMismatch);
-        }
-
-        let makespan = ranks.iter().map(|r| r.stats.finish_ns).max().unwrap_or(0);
-        Ok(WorldResult {
-            ranks: ranks.into_iter().map(|r| r.stats).collect(),
-            makespan_ns: makespan,
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn advance_heap(
-        &self,
-        ri: usize,
-        ranks: &mut [HeapRankState],
-        mailboxes: &mut [HeapMailbox],
-        queue: &mut BinaryHeap<Reverse<(SimTime, u64, EventId)>>,
-        events: &mut HashMap<EventId, HeapEvent>,
-        seq: &mut u64,
-        barrier_entered: &mut [Option<SimTime>],
-        barrier_count: &mut usize,
-    ) {
-        loop {
-            let rank = &mut ranks[ri];
-            if rank.block != Block::None {
-                return;
-            }
-            if rank.pc >= rank.program.len() {
-                rank.block = Block::Done;
-                rank.stats.finish_ns = rank.clock;
-                return;
-            }
-            let op = rank.program[rank.pc];
-            rank.pc += 1;
-            match op {
-                Op::Compute(dur) => {
-                    rank.clock += dur;
-                }
-                Op::Isend { dst, tag, bytes } => {
-                    rank.clock += self.network.dispatch_ns(bytes);
-                    rank.stats.sent += 1;
-                    let local = self.topology.same_node(ri, dst as usize);
-                    let arrive = rank.clock + self.network.transfer_ns(bytes, local);
-                    let eid = *seq as EventId;
-                    events.insert(
-                        eid,
-                        HeapEvent::Arrival {
-                            dst,
-                            src: ri as u32,
-                            tag,
-                        },
-                    );
-                    queue.push(Reverse((arrive, *seq, eid)));
-                    *seq += 1;
-                }
-                Op::Irecv { src, tag } => {
-                    let mb = &mut mailboxes[ri];
-                    let done = mb
-                        .unexpected
-                        .get_mut(&(src, tag))
-                        .and_then(|q| q.pop_front());
-                    if let Some(arrival) = done {
-                        ranks[ri].stats.received += 1;
-                        ranks[ri].clock =
-                            ranks[ri].clock.max(arrival + self.network.recv_overhead_ns);
-                    } else {
-                        ranks[ri].pending_recvs.push((src, tag));
-                    }
-                }
-                Op::WaitAll => {
-                    if !rank.pending_recvs.is_empty() {
-                        rank.block = Block::WaitAll;
-                        rank.blocked_since = rank.clock;
-                        return;
-                    }
-                }
-                Op::Barrier => {
-                    rank.block = Block::Barrier;
-                    barrier_entered[ri] = Some(rank.clock);
-                    *barrier_count += 1;
-                    return;
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -610,19 +411,20 @@ mod tests {
         }
     }
 
+    fn send(dst: u32, tag: u32, bytes: u64) -> Op {
+        Op::Isend { dst, tag, bytes }
+    }
+
+    fn recv(src: u32, tag: u32) -> Op {
+        Op::Irecv { src, tag }
+    }
+
     fn ring_programs(r: usize, bytes: u64, compute: u64) -> Vec<Vec<Op>> {
         (0..r as u32)
             .map(|i| {
                 vec![
-                    Op::Irecv {
-                        src: (i + r as u32 - 1) % r as u32,
-                        tag: 0,
-                    },
-                    Op::Isend {
-                        dst: (i + 1) % r as u32,
-                        tag: 0,
-                        bytes,
-                    },
+                    recv((i + r as u32 - 1) % r as u32, 0),
+                    send((i + 1) % r as u32, 0, bytes),
                     Op::Compute(compute),
                     Op::WaitAll,
                     Op::Barrier,
@@ -659,15 +461,8 @@ mod tests {
         // Rank 0 computes long then sends; rank 1 waits.
         let mut world = MpiWorld::new(Topology::new(2, 1), quiet());
         let progs = vec![
-            vec![
-                Op::Compute(1_000_000),
-                Op::Isend {
-                    dst: 1,
-                    tag: 7,
-                    bytes: 100,
-                },
-            ],
-            vec![Op::Irecv { src: 0, tag: 7 }, Op::WaitAll],
+            vec![Op::Compute(1_000_000), send(1, 7, 100)],
+            vec![recv(0, 7), Op::WaitAll],
         ];
         let res = world.run(progs).unwrap();
         assert!(res.ranks[1].wait_ns >= 1_000_000);
@@ -680,22 +475,11 @@ mod tests {
         // posted; both must match.
         let mut world = MpiWorld::new(Topology::new(2, 1), quiet());
         let progs = vec![
-            vec![
-                Op::Isend {
-                    dst: 1,
-                    tag: 3,
-                    bytes: 10,
-                },
-                Op::Isend {
-                    dst: 1,
-                    tag: 3,
-                    bytes: 10,
-                },
-            ],
+            vec![send(1, 3, 10), send(1, 3, 10)],
             vec![
                 Op::Compute(10_000_000), // let the messages land first
-                Op::Irecv { src: 0, tag: 3 },
-                Op::Irecv { src: 0, tag: 3 },
+                recv(0, 3),
+                recv(0, 3),
                 Op::WaitAll,
             ],
         ];
@@ -708,10 +492,7 @@ mod tests {
     fn deadlock_detected() {
         // Both ranks wait for a message that is never sent.
         let mut world = MpiWorld::new(Topology::new(2, 1), quiet());
-        let progs = vec![
-            vec![Op::Irecv { src: 1, tag: 0 }, Op::WaitAll],
-            vec![Op::Irecv { src: 0, tag: 0 }, Op::WaitAll],
-        ];
+        let progs = vec![vec![recv(1, 0), Op::WaitAll], vec![recv(0, 0), Op::WaitAll]];
         match world.run(progs) {
             Err(MpiError::Deadlock { stuck_ranks }) => {
                 assert_eq!(stuck_ranks, vec![0, 1]);
@@ -752,25 +533,31 @@ mod tests {
         // Receiver posts tag 1 then tag 2; sender sends tag 2 then tag 1.
         let mut world = MpiWorld::new(Topology::new(2, 1), quiet());
         let progs = vec![
+            vec![send(1, 2, 10), send(1, 1, 10)],
+            vec![recv(0, 1), recv(0, 2), Op::WaitAll],
+        ];
+        let res = world.run(progs).unwrap();
+        assert_eq!(res.ranks[1].received, 2);
+    }
+
+    #[test]
+    fn receive_completes_only_on_its_own_tag() {
+        // Rank 1 waits for tag 1, computes, then takes tag 2. Tag 2 lands
+        // first; it must park, not complete the tag-1 receive, or rank 1
+        // would start computing ~1 ms early.
+        let mut world = MpiWorld::new(Topology::new(2, 1), quiet());
+        let progs = vec![
+            vec![send(1, 2, 10), Op::Compute(1_000_000), send(1, 1, 10)],
             vec![
-                Op::Isend {
-                    dst: 1,
-                    tag: 2,
-                    bytes: 10,
-                },
-                Op::Isend {
-                    dst: 1,
-                    tag: 1,
-                    bytes: 10,
-                },
-            ],
-            vec![
-                Op::Irecv { src: 0, tag: 1 },
-                Op::Irecv { src: 0, tag: 2 },
+                recv(0, 1),
+                Op::WaitAll,
+                Op::Compute(50_000),
+                recv(0, 2),
                 Op::WaitAll,
             ],
         ];
         let res = world.run(progs).unwrap();
+        assert!(res.ranks[1].finish_ns >= 1_050_000);
         assert_eq!(res.ranks[1].received, 2);
     }
 
@@ -779,56 +566,25 @@ mod tests {
         // Qualitative cross-validation: a late send (compute-first) must
         // produce more wait than sends-first in both engines.
         let mut world = MpiWorld::new(Topology::paper(8), quiet());
-        let sends_first: Vec<Vec<Op>> = (0..8u32)
-            .map(|i| {
-                vec![
-                    Op::Irecv {
-                        src: (i + 7) % 8,
-                        tag: 0,
-                    },
-                    Op::Isend {
-                        dst: (i + 1) % 8,
-                        tag: 0,
-                        bytes: 20_480,
-                    },
-                    Op::Compute(1_000_000),
-                    Op::WaitAll,
-                ]
-            })
-            .collect();
-        let compute_first: Vec<Vec<Op>> = (0..8u32)
-            .map(|i| {
-                vec![
-                    Op::Irecv {
-                        src: (i + 7) % 8,
-                        tag: 0,
-                    },
-                    Op::Compute(1_000_000),
-                    Op::Isend {
-                        dst: (i + 1) % 8,
-                        tag: 0,
-                        bytes: 20_480,
-                    },
-                    Op::WaitAll,
-                ]
-            })
-            .collect();
-        let sf = world.run(sends_first).unwrap();
-        let cf = world.run(compute_first).unwrap();
+        let ring = |sends_first: bool| -> Vec<Vec<Op>> {
+            (0..8u32)
+                .map(|i| {
+                    let mut prog = vec![recv((i + 7) % 8, 0), Op::Compute(1_000_000)];
+                    prog.insert(
+                        if sends_first { 1 } else { 2 },
+                        send((i + 1) % 8, 0, 20_480),
+                    );
+                    prog.push(Op::WaitAll);
+                    prog
+                })
+                .collect()
+        };
+        let sf = world.run(ring(true)).unwrap();
+        let cf = world.run(ring(false)).unwrap();
         let sf_wait: u64 = sf.ranks.iter().map(|s| s.wait_ns).sum();
         let cf_wait: u64 = cf.ranks.iter().map(|s| s.wait_ns).sum();
         assert!(sf_wait < cf_wait);
         assert!(sf.makespan_ns <= cf.makespan_ns);
-    }
-
-    #[test]
-    fn calendar_engine_matches_heap_reference_on_ring() {
-        let mut world = MpiWorld::new(Topology::paper(16), quiet());
-        let progs = ring_programs(16, 20_480, 250_000);
-        let new = world.run(progs.clone()).unwrap();
-        let old = world.run_heap_reference(progs).unwrap();
-        assert_eq!(new.makespan_ns, old.makespan_ns);
-        assert_eq!(new.ranks, old.ranks);
     }
 
     #[test]
@@ -843,7 +599,7 @@ mod tests {
         assert_eq!(m1, m2);
         assert_eq!(out1, out2);
         // ...including after an erroring run.
-        let bad = vec![vec![Op::Irecv { src: 1, tag: 0 }, Op::WaitAll]; 2];
+        let bad = vec![vec![recv(1, 0), Op::WaitAll]; 2];
         let mut small = MpiWorld::new(Topology::new(2, 1), quiet());
         let mut o = Vec::new();
         assert!(small.run_into(&bad, &mut o).is_err());
@@ -855,24 +611,60 @@ mod tests {
     fn unmatched_sends_cleared_between_runs() {
         // A run leaving unexpected messages parked must not pollute the next.
         let mut world = MpiWorld::new(Topology::new(2, 1), quiet());
-        let send_only = vec![
-            vec![Op::Isend {
-                dst: 1,
-                tag: 9,
-                bytes: 10,
-            }],
-            vec![Op::Compute(1)],
-        ];
+        let send_only = vec![vec![send(1, 9, 10)], vec![Op::Compute(1)]];
         world.run(send_only).unwrap();
         // Next run posts a receive for that (src, tag); it must NOT match a
         // stale message from the previous run.
-        let recv_late = vec![
-            vec![Op::Compute(1)],
-            vec![Op::Irecv { src: 0, tag: 9 }, Op::WaitAll],
-        ];
+        let recv_late = vec![vec![Op::Compute(1)], vec![recv(0, 9), Op::WaitAll]];
         match world.run(recv_late) {
             Err(MpiError::Deadlock { stuck_ranks }) => assert_eq!(stuck_ranks, vec![1]),
             other => panic!("stale mailbox leaked into new run: {other:?}"),
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid NetworkConfig: fabric.bytes_per_ns")]
+    fn degenerate_network_rejected_at_construction() {
+        // Zero bandwidth saturates every dispatch cost, which would wrap
+        // the sender's clock in a release build.
+        let mut net = quiet();
+        net.fabric.bytes_per_ns = 0.0;
+        let _ = MpiWorld::new(Topology::new(2, 1), net);
+    }
+
+    /// `bad` must be refused with `PeerOutOfRange { rank, op }` before the
+    /// run starts, and the same world must then run a good trace exactly as
+    /// a fresh one does.
+    fn assert_peer_rejected(bad: Vec<Vec<Op>>, rank: u32, op: usize) {
+        let mut world = MpiWorld::new(Topology::new(2, 1), quiet());
+        assert_eq!(
+            world.run(bad).unwrap_err(),
+            MpiError::PeerOutOfRange { rank, op }
+        );
+        let good = ring_programs(2, 64, 10);
+        let warm = world.run(good.clone()).unwrap();
+        let fresh = MpiWorld::new(Topology::new(2, 1), quiet())
+            .run(good)
+            .unwrap();
+        assert_eq!(warm.ranks, fresh.ranks);
+        assert_eq!(warm.makespan_ns, fresh.makespan_ns);
+    }
+
+    #[test]
+    fn isend_to_out_of_range_peer_is_an_error() {
+        let progs = vec![vec![send(1, 0, 8)], vec![send(0, 0, 8), send(5, 0, 8)]];
+        assert_peer_rejected(progs, 1, 1);
+    }
+
+    #[test]
+    fn irecv_from_out_of_range_peer_is_an_error() {
+        assert_peer_rejected(
+            vec![
+                vec![Op::Compute(10), recv(2, 0), Op::WaitAll],
+                vec![Op::Compute(1)],
+            ],
+            0,
+            1,
+        );
     }
 }

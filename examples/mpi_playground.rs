@@ -7,7 +7,8 @@
 //! Builds explicit per-rank programs for the nonblocking engine
 //! (`Isend`/`Irecv`/`WaitAll`/`Barrier`), demonstrating: a boundary-exchange
 //! compiled from a real mesh + placement, the cost of the untuned task
-//! order, and the engine's deadlock detection.
+//! order, and the engine's error detection: deadlock, barrier mismatch, and
+//! a peer rank outside the world.
 
 use amr_tools::placement::policies::{Baseline, PlacementPolicy};
 use amr_tools::sim::mpi::{MpiError, MpiWorld, Op};
@@ -95,4 +96,16 @@ fn main() {
         }
         other => unreachable!("expected mismatch, got {other:?}"),
     }
+
+    // 4. A peer outside the world is refused before the run starts, and the
+    //    world stays usable.
+    let stray = vec![vec![Op::Compute(10)], vec![Op::Irecv { src: 5, tag: 0 }]];
+    match small.run(stray) {
+        Err(e @ MpiError::PeerOutOfRange { rank: 1, op: 0 }) => {
+            println!("receive from rank 5 of 2: {e} (as expected)")
+        }
+        other => unreachable!("expected an out-of-range peer, got {other:?}"),
+    }
+    let ok = small.run(vec![vec![Op::Compute(10)]; 2]);
+    assert_eq!(ok.map(|r| r.makespan_ns), Ok(10), "world reusable");
 }

@@ -146,6 +146,9 @@ fn bench_pushdown(c: &mut Criterion) {
     };
     let mut group = c.benchmark_group("telemetry_pushdown");
     group.throughput(Throughput::Elements(table.len() as u64));
+    group.bench_function("zone_map_build", |b| {
+        b.iter(|| std::hint::black_box(ChunkedStore::build(&table, 4096).num_chunks()))
+    });
     group.bench_function("zone_map_scan", |b| {
         b.iter(|| std::hint::black_box(store.scan(&pred).rows.len()))
     });

@@ -22,7 +22,7 @@ use crate::block::BlockSpec;
 use crate::geom::{Aabb, Dim, Point};
 use crate::mesh::{AmrMesh, MeshConfig};
 use crate::octant::Octant;
-use crate::tree::Octree;
+use crate::tree::{Octree, NORM_LEVEL};
 
 /// Magic bytes of the checkpoint format.
 pub const MAGIC: &[u8; 4] = b"AMRM";
@@ -154,6 +154,9 @@ pub fn restore(buf: &[u8]) -> Result<AmrMesh, RestoreError> {
         bytes_per_value: buf.u32(),
     };
     let vals: [f64; 6] = std::array::from_fn(|_| f64::from_le_bytes(buf.take()));
+    if !(0..3).all(|a| vals[a].is_finite() && vals[a + 3].is_finite() && vals[a] <= vals[a + 3]) {
+        return Err(RestoreError::InvalidMesh(format!("bad domain {vals:?}")));
+    }
     let domain = Aabb::new(
         Point::new(vals[0], vals[1], vals[2]),
         Point::new(vals[3], vals[4], vals[5]),
@@ -166,8 +169,13 @@ pub fn restore(buf: &[u8]) -> Result<AmrMesh, RestoreError> {
         return Err(RestoreError::Truncated);
     }
     let leaves = (0..n)
-        .map(|_| Octant::new(buf.u8(), buf.u32(), buf.u32(), buf.u32()))
-        .collect();
+        .map(|_| match buf.u8() {
+            level if level <= NORM_LEVEL => Ok(Octant::new(level, buf.u32(), buf.u32(), buf.u32())),
+            level => Err(RestoreError::InvalidMesh(format!(
+                "leaf level {level} above {NORM_LEVEL}"
+            ))),
+        })
+        .collect::<Result<_, _>>()?;
     let config = MeshConfig {
         dim,
         roots,
@@ -244,6 +252,33 @@ mod tests {
         match restore(&bytes) {
             Err(RestoreError::InvalidMesh(_)) => {}
             other => panic!("expected InvalidMesh, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_leaf_level_beyond_the_lattice() {
+        let mut bytes = save(&refined_mesh());
+        let first_leaf = 8 + HEADER_BYTES;
+        for level in [NORM_LEVEL + 1, 21, u8::MAX] {
+            bytes[first_leaf] = level;
+            match restore(&bytes) {
+                Err(RestoreError::InvalidMesh(_)) => {}
+                other => panic!("level {level}: expected InvalidMesh, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn rejects_non_finite_or_inverted_domain() {
+        let domain_at = 8 + HEADER_BYTES - 8 - 48;
+        for (axis, value) in [(0, f64::NAN), (4, f64::INFINITY), (2, 1e9), (5, -1.0)] {
+            let mut bytes = save(&refined_mesh());
+            let at = domain_at + 8 * axis;
+            bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            match restore(&bytes) {
+                Err(RestoreError::InvalidMesh(_)) => {}
+                other => panic!("bound {axis} = {value}: expected InvalidMesh, got {other:?}"),
+            }
         }
     }
 

@@ -1,5 +1,5 @@
-//! A chunked columnar store with embedded statistics (zone maps) and
-//! predicate pushdown.
+//! Embedded statistics (zone maps) over an event table, and predicate
+//! pushdown.
 //!
 //! Lesson 4's concrete recommendation: "binary columnar formats like Arrow
 //! and Parquet, when paired with in-situ collection, offer a promising
@@ -7,20 +7,21 @@
 //! parsing and **efficient querying via embedded statistics over
 //! partitioned data**." This module is that idea at crate scale:
 //!
-//! * events are partitioned into fixed-size **chunks** (row groups);
+//! * a table's rows are partitioned into fixed-size **chunks** (row
+//!   groups) — row ranges of the table's own columns, which the store
+//!   borrows and never copies;
 //! * each chunk carries **min/max statistics** for the `step`, `rank` and
 //!   `duration_ns` columns plus a phase bitmask (the zone map);
 //! * range/phase queries consult the zone maps first and **skip whole
 //!   chunks** that cannot match — the dominant access pattern of the
 //!   paper's diagnosis loop is "this step range, that phase, slow events
 //!   only", which prunes aggressively;
-//! * chunks serialize with the same columnar binary codec as
-//!   [`crate::codec`], so a chunked file is just a sequence of framed
-//!   chunks with a statistics footer.
+//! * zone maps are derived data: a stored table is [`crate::codec`]'s
+//!   buffer, and its store is [`ChunkedStore::build`] on the decoded table.
 
-use crate::codec;
 use crate::record::{EventRecord, Phase};
 use crate::table::EventTable;
+use std::ops::Range;
 
 /// Per-chunk statistics: the zone map.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,20 +44,22 @@ fn min_max<T: Copy + Ord>(col: &[T], empty: (T, T)) -> (T, T) {
 }
 
 impl ChunkStats {
-    /// The zone map of `table`, one column at a time.
-    fn of(table: &EventTable) -> ChunkStats {
-        let (step_min, step_max) = min_max(table.steps(), (u32::MAX, 0));
-        let (rank_min, rank_max) = min_max(table.ranks(), (u32::MAX, 0));
-        let (duration_min, duration_max) = min_max(table.durations(), (u64::MAX, 0));
+    /// The zone map of `table`'s `rows`, one column sub-slice at a time.
+    fn of(table: &EventTable, rows: Range<usize>) -> ChunkStats {
+        let (steps, ranks) = (&table.steps()[rows.clone()], &table.ranks()[rows.clone()]);
+        let (durations, phases) = (&table.durations()[rows.clone()], &table.phases()[rows]);
+        let (step_min, step_max) = min_max(steps, (u32::MAX, 0));
+        let (rank_min, rank_max) = min_max(ranks, (u32::MAX, 0));
+        let (duration_min, duration_max) = min_max(durations, (u64::MAX, 0));
         ChunkStats {
-            rows: table.len() as u32,
+            rows: steps.len() as u32,
             step_min,
             step_max,
             rank_min,
             rank_max,
             duration_min,
             duration_max,
-            phase_mask: table.phases().iter().fold(0, |mask, &p| mask | 1 << p),
+            phase_mask: phases.iter().fold(0, |mask, &p| mask | 1 << p),
         }
     }
 }
@@ -112,10 +115,12 @@ impl Predicate {
     }
 }
 
-/// An immutable chunked store built from an event table.
+/// The zone maps of an event table it borrows, one per chunk of
+/// `chunk_rows` rows.
 #[derive(Debug, Clone)]
-pub struct ChunkedStore {
-    chunks: Vec<EventTable>,
+pub struct ChunkedStore<'a> {
+    table: &'a EventTable,
+    chunk_rows: usize,
     stats: Vec<ChunkStats>,
 }
 
@@ -130,32 +135,37 @@ pub struct ScanResult {
     pub chunks_scanned: usize,
 }
 
-impl ChunkedStore {
+impl<'a> ChunkedStore<'a> {
     /// Partition `table` into chunks of `chunk_rows` rows (storage order is
-    /// the table's current order; sort canonically first for best pruning).
-    pub fn build(table: &EventTable, chunk_rows: usize) -> ChunkedStore {
+    /// the table's current order; sort canonically first for best pruning)
+    /// and fold each chunk's zone map.
+    pub fn build(table: &'a EventTable, chunk_rows: usize) -> ChunkedStore<'a> {
         assert!(chunk_rows > 0);
-        let chunks: Vec<EventTable> = (0..table.len())
-            .step_by(chunk_rows)
-            .map(|at| table.slice(at..table.len().min(at + chunk_rows)))
+        let mut store = ChunkedStore {
+            table,
+            chunk_rows,
+            stats: Vec::new(),
+        };
+        store.stats = (0..table.len().div_ceil(chunk_rows))
+            .map(|c| ChunkStats::of(table, store.rows(c)))
             .collect();
-        ChunkedStore::from_chunks(chunks)
+        store
     }
 
-    /// Derive the zone maps of `chunks`.
-    fn from_chunks(chunks: Vec<EventTable>) -> ChunkedStore {
-        let stats = chunks.iter().map(ChunkStats::of).collect();
-        ChunkedStore { chunks, stats }
+    /// The table rows of chunk `c`.
+    fn rows(&self, c: usize) -> Range<usize> {
+        let at = c * self.chunk_rows;
+        at..self.table.len().min(at + self.chunk_rows)
     }
 
     /// Number of chunks.
     pub fn num_chunks(&self) -> usize {
-        self.chunks.len()
+        self.stats.len()
     }
 
     /// Total rows.
     pub fn num_rows(&self) -> usize {
-        self.stats.iter().map(|s| s.rows as usize).sum()
+        self.table.len()
     }
 
     /// Zone maps (for inspection/tests).
@@ -166,22 +176,22 @@ impl ChunkedStore {
     /// Scan with predicate pushdown: chunks whose zone map rules out the
     /// predicate are skipped entirely.
     pub fn scan(&self, pred: &Predicate) -> ScanResult {
+        let t = self.table;
+        let (steps, ranks, durations, phases) = (t.steps(), t.ranks(), t.durations(), t.phases());
         let mut rows = Vec::new();
         let mut pruned = 0;
         let mut scanned = 0;
-        for (chunk, stats) in self.chunks.iter().zip(&self.stats) {
+        for (c, stats) in self.stats.iter().enumerate() {
             if !pred.may_match(stats) {
                 pruned += 1;
                 continue;
             }
             scanned += 1;
-            // Test on the typed columns; only matches become records.
-            let (steps, ranks) = (chunk.steps(), chunk.ranks());
-            let (durations, phases) = (chunk.durations(), chunk.phases());
+            // Test on the typed columns in place; only matches become records.
             rows.extend(
-                (0..chunk.len())
+                self.rows(c)
                     .filter(|&i| pred.test(steps[i], ranks[i], durations[i], phases[i]))
-                    .map(|i| chunk.row(i)),
+                    .map(|i| t.row(i)),
             );
         }
         ScanResult {
@@ -189,55 +199,6 @@ impl ChunkedStore {
             chunks_pruned: pruned,
             chunks_scanned: scanned,
         }
-    }
-
-    /// Serialize: framed chunks, each a [`crate::codec`] buffer.
-    ///
-    /// ```text
-    /// magic "AMRC" | version u32 | chunk_count u32 |
-    /// (chunk_len u32, chunk_bytes...) × chunk_count
-    /// ```
-    /// Zone maps are rebuilt on load (they are derived data).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"AMRC");
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        buf.extend_from_slice(&(self.chunks.len() as u32).to_le_bytes());
-        for chunk in &self.chunks {
-            let bytes = codec::encode(chunk);
-            buf.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-            buf.extend_from_slice(&bytes);
-        }
-        buf
-    }
-
-    /// Deserialize a chunked buffer.
-    pub fn decode(mut buf: &[u8]) -> Result<ChunkedStore, codec::DecodeError> {
-        let take_u32 = |buf: &mut &[u8]| codec::take(buf).map(u32::from_le_bytes);
-        if buf.len() < 12 {
-            return Err(codec::DecodeError::Truncated);
-        }
-        if &codec::take::<4>(&mut buf)? != b"AMRC" {
-            return Err(codec::DecodeError::BadMagic);
-        }
-        let version = take_u32(&mut buf)?;
-        if version != 1 {
-            return Err(codec::DecodeError::BadVersion(version));
-        }
-        let count = take_u32(&mut buf)? as usize;
-        // The count is unvalidated input: every chunk takes at least its
-        // 4-byte length prefix, which bounds what the buffer can hold.
-        let mut chunks = Vec::with_capacity(count.min(buf.len() / 4));
-        for _ in 0..count {
-            let len = take_u32(&mut buf)? as usize;
-            if buf.len() < len {
-                return Err(codec::DecodeError::Truncated);
-            }
-            let (chunk, rest) = buf.split_at(len);
-            chunks.push(codec::decode(chunk)?);
-            buf = rest;
-        }
-        Ok(ChunkedStore::from_chunks(chunks))
     }
 }
 
@@ -347,36 +308,5 @@ mod tests {
         let res = s.scan(&Predicate::default());
         assert_eq!(res.rows.len(), 500);
         assert_eq!(res.chunks_pruned, 0);
-    }
-
-    #[test]
-    fn encode_decode_roundtrip() {
-        let t = sample(777);
-        let s = ChunkedStore::build(&t, 100);
-        let bytes = s.encode();
-        let back = ChunkedStore::decode(&bytes).unwrap();
-        assert_eq!(back.num_rows(), 777);
-        assert_eq!(back.num_chunks(), s.num_chunks());
-        assert_eq!(back.stats(), s.stats());
-        // Scans agree.
-        let pred = Predicate {
-            rank: Some((3, 5)),
-            ..Predicate::default()
-        };
-        assert_eq!(back.scan(&pred).rows.len(), s.scan(&pred).rows.len());
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert!(ChunkedStore::decode(b"junk").is_err());
-        let t = sample(100);
-        let bytes = ChunkedStore::build(&t, 50).encode();
-        assert!(ChunkedStore::decode(&bytes[..bytes.len() - 3]).is_err());
-        let mut bad = bytes.to_vec();
-        bad[0] = b'X';
-        assert_eq!(
-            ChunkedStore::decode(&bad).unwrap_err(),
-            codec::DecodeError::BadMagic
-        );
     }
 }

@@ -66,7 +66,7 @@ fn put_column<T: Copy, const N: usize>(buf: &mut Vec<u8>, col: &[T], le: impl Fn
 }
 
 /// Split `N` bytes off the front of `buf`, or report it truncated.
-pub(crate) fn take<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], DecodeError> {
+fn take<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], DecodeError> {
     let (head, rest) = buf.split_first_chunk().ok_or(DecodeError::Truncated)?;
     *buf = rest;
     Ok(*head)

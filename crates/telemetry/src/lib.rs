@@ -11,11 +11,14 @@
 //! * an in-memory **columnar** store ([`table`]) — struct-of-arrays, cheap
 //!   scans, no per-row allocation — that every layer moves a column at a
 //!   time: the [`collector`] appends one column per (step, phase) and seals
-//!   each step rank-major, and the codec, chunked store, views and queries
-//!   read the typed column slices;
+//!   each step rank-major, and the codec, views and queries read the typed
+//!   column slices;
 //! * a whole-column binary codec plus CSV interop ([`codec`]) — mirroring
 //!   the paper's move from plaintext to binary formats when parsing became
-//!   the bottleneck;
+//!   the bottleneck — and the one wire format a table has;
+//! * zone maps with predicate pushdown ([`chunked`]) — per-chunk min/max
+//!   statistics folded over row ranges of a table the store borrows, so a
+//!   scan skips whole chunks and copies nothing;
 //! * a small relational-style query layer ([`query`]) with filters,
 //!   group-bys and aggregates (sum/mean/max/percentiles);
 //! * statistics ([`stats`]) including Pearson correlation — the paper's

@@ -350,6 +350,19 @@ mod tests {
     }
 
     #[test]
+    fn straggler_totals_saturate_on_degenerate_durations() {
+        // One rank's two Compute rows in one step: its total clamps, as
+        // `Query`'s do, instead of wrapping to `u64::MAX - 3`.
+        let t: EventTable = (0..2)
+            .map(|block| EventRecord::compute(0, 0, block, u64::MAX - 1))
+            .collect();
+        let s = crate::views::stragglers_by_step(&t);
+        assert_eq!(s.len(), 1);
+        assert_eq!(s[0].max_compute_ns, u64::MAX);
+        assert_eq!(Query::new(&t).total_duration_ns(), u64::MAX);
+    }
+
+    #[test]
     fn filters_compose() {
         let t = table();
         let q = Query::new(&t)

@@ -8,7 +8,6 @@
 //! demand as [`EventRecord`]s.
 
 use crate::record::{EventRecord, Phase};
-use std::ops::Range;
 
 /// Columnar table of telemetry events.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -22,21 +21,6 @@ pub struct EventTable {
     pub(crate) duration_ns: Vec<u64>,
     pub(crate) msg_count: Vec<u32>,
     pub(crate) msg_bytes: Vec<u64>,
-}
-
-/// Run `$body` once per column, with `$d` / `$s` bound to that column of
-/// `$dst` (mutable) and of `$src`.
-macro_rules! for_columns {
-    ($dst:expr, $src:expr, |$d:ident, $s:ident| $body:expr) => {{
-        let (dst, src): (&mut EventTable, &EventTable) = ($dst, $src);
-        for_columns!(@zip dst, src, $d, $s, $body, step rank block phase duration_ns msg_count msg_bytes);
-    }};
-    (@zip $dst:ident, $src:ident, $d:ident, $s:ident, $body:expr, $($col:ident)*) => {
-        $({
-            let ($d, $s) = (&mut $dst.$col, &$src.$col);
-            $body;
-        })*
-    };
 }
 
 /// One step's rows in emission order, not yet sealed into a table: the three
@@ -89,6 +73,11 @@ fn scatter<T: Copy + Default>(col: &mut Vec<T>, src: &[T], dest: &[u32]) {
     for (&v, &d) in src.iter().zip(dest) {
         slots[d as usize] = v;
     }
+}
+
+/// Replace `col` with `col[idx[0]], col[idx[1]], …`.
+fn gather<T: Copy>(col: &mut Vec<T>, idx: &[usize]) {
+    *col = idx.iter().map(|&i| col[i]).collect();
 }
 
 impl EventTable {
@@ -219,19 +208,6 @@ impl EventTable {
         &self.msg_bytes
     }
 
-    /// Append all rows of `other`.
-    pub fn extend_from(&mut self, other: &EventTable) {
-        for_columns!(self, other, |d, s| d.extend_from_slice(s));
-    }
-
-    /// Copy of the rows in `range`, column range by column range.
-    pub(crate) fn slice(&self, range: Range<usize>) -> EventTable {
-        let mut out = EventTable::new();
-        for_columns!(&mut out, self, |d, s| d
-            .extend_from_slice(&s[range.clone()]));
-        out
-    }
-
     /// Sort rows by `(step, rank, phase, block)` — the paper's canonical
     /// layout: "telemetry grouped by timestep and sorted by rank" (Lesson 4).
     /// Stable, and a table already in order (what a forward-stepping
@@ -251,20 +227,13 @@ impl EventTable {
         let mut keyed: Vec<(u128, usize)> = keys().zip(0..).collect();
         keyed.sort_unstable();
         let idx: Vec<usize> = keyed.into_iter().map(|(_, i)| i).collect();
-        self.permute(&idx);
-    }
-
-    /// Reorder all columns by the given index permutation.
-    fn permute(&mut self, idx: &[usize]) {
-        let old = std::mem::take(self);
-        for_columns!(self, &old, |d, s| d.extend(idx.iter().map(|&i| s[i])));
-    }
-
-    /// Keep only rows matching the predicate (row-index based, used by
-    /// maintenance tasks; ad hoc filtering should go through [`crate::Query`]).
-    pub fn retain<F: Fn(&EventRecord) -> bool>(&mut self, pred: F) {
-        let keep: Vec<usize> = (0..self.len()).filter(|&i| pred(&self.row(i))).collect();
-        self.permute(&keep);
+        gather(&mut self.step, &idx);
+        gather(&mut self.rank, &idx);
+        gather(&mut self.block, &idx);
+        gather(&mut self.phase, &idx);
+        gather(&mut self.duration_ns, &idx);
+        gather(&mut self.msg_count, &idx);
+        gather(&mut self.msg_bytes, &idx);
     }
 }
 
@@ -312,17 +281,6 @@ mod tests {
         assert_eq!(steps, vec![0, 0, 0, 1]);
         let ranks: Vec<u32> = t.iter().map(|r| r.rank).collect();
         assert_eq!(&ranks[..3], &[0, 0, 1]);
-    }
-
-    #[test]
-    fn extend_and_retain() {
-        let mut a = sample();
-        let b = sample();
-        a.extend_from(&b);
-        assert_eq!(a.len(), 8);
-        a.retain(|r| r.phase == Phase::Compute);
-        assert_eq!(a.len(), 6);
-        assert!(a.iter().all(|r| r.phase == Phase::Compute));
     }
 
     #[test]

@@ -41,11 +41,11 @@ pub fn stragglers_by_step(table: &EventTable) -> Vec<StragglerEntry> {
     rows.sort_unstable_by_key(|&(step, rank, _)| (step, rank));
     rows.chunk_by(|a, b| a.0 == b.0)
         .map(|step_rows| {
-            // Per-rank totals in ascending rank order; ties go to the
-            // higher rank.
+            // Per-rank totals (saturating) in ascending rank order; ties go
+            // to the higher rank.
             let (mut max, mut sum, mut n) = ((0u64, 0u32), 0.0f64, 0usize);
             for rank_rows in step_rows.chunk_by(|a, b| a.1 == b.1) {
-                let total: u64 = rank_rows.iter().map(|r| r.2).sum();
+                let total = rank_rows.iter().fold(0u64, |t, r| t.saturating_add(r.2));
                 max = max.max((total, rank_rows[0].1));
                 sum += total as f64;
                 n += 1;

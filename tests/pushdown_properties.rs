@@ -1,10 +1,48 @@
 //! Property tests for the chunked columnar store: zone-map pushdown must be
 //! an exact optimization — identical results to a full filter scan for any
-//! predicate, any data, any chunk size.
+//! predicate, any data, any chunk size — and the zone maps it folds over the
+//! borrowed table must be those of a copy of each chunk.
 
-use amr_tools::telemetry::chunked::{ChunkedStore, Predicate};
-use amr_tools::telemetry::{EventRecord, EventTable, Phase};
+use amr_tools::telemetry::chunked::{ChunkStats, ChunkedStore, Predicate};
+use amr_tools::telemetry::{codec, EventRecord, EventTable, Phase};
 use proptest::prelude::*;
+
+/// The zone maps of `table` the way the store once folded them: every chunk
+/// copied out into a table of its own, then folded column by column.
+fn copied_chunk_stats(table: &EventTable, chunk_rows: usize) -> Vec<ChunkStats> {
+    let rows: Vec<EventRecord> = table.iter().collect();
+    rows.chunks(chunk_rows)
+        .map(|chunk| {
+            let copy: EventTable = chunk.iter().copied().collect();
+            let (steps, ranks, durations) = (copy.steps(), copy.ranks(), copy.durations());
+            // `chunks` yields no empty chunk: every `min` / `max` is `Some`.
+            ChunkStats {
+                rows: copy.len() as u32,
+                step_min: *steps.iter().min().unwrap(),
+                step_max: *steps.iter().max().unwrap(),
+                rank_min: *ranks.iter().min().unwrap(),
+                rank_max: *ranks.iter().max().unwrap(),
+                duration_min: *durations.iter().min().unwrap(),
+                duration_max: *durations.iter().max().unwrap(),
+                phase_mask: copy.phases().iter().fold(0, |mask, &p| mask | 1 << p),
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn empty_table_has_no_chunks() {
+    let table = EventTable::new();
+    for chunk_rows in 1..=2 {
+        let store = ChunkedStore::build(&table, chunk_rows);
+        assert_eq!(store.num_chunks(), 0);
+        assert_eq!(store.num_rows(), 0);
+        assert_eq!(store.stats(), copied_chunk_stats(&table, chunk_rows));
+        let scan = store.scan(&Predicate::default());
+        assert!(scan.rows.is_empty());
+        assert_eq!(scan.chunks_pruned + scan.chunks_scanned, 0);
+    }
+}
 
 fn record_strategy() -> impl Strategy<Value = EventRecord> {
     (
@@ -81,13 +119,34 @@ proptest! {
     }
 
     #[test]
+    fn zone_maps_equal_those_of_copied_chunks(
+        records in prop::collection::vec(record_strategy(), 0..120),
+        sort_first: bool,
+    ) {
+        let mut table: EventTable = records.iter().copied().collect();
+        if sort_first {
+            table.sort_canonical();
+        }
+        // Every chunk size from one row a chunk to one chunk with room over.
+        for chunk_rows in 1..=table.len() + 2 {
+            let store = ChunkedStore::build(&table, chunk_rows);
+            prop_assert_eq!(store.num_chunks(), table.len().div_ceil(chunk_rows));
+            prop_assert_eq!(store.stats(), copied_chunk_stats(&table, chunk_rows));
+        }
+    }
+
+    #[test]
     fn encode_decode_preserves_scans(
         records in prop::collection::vec(record_strategy(), 0..200),
+        chunk_rows in 1usize..64,
         pred in predicate_strategy(),
     ) {
+        // A stored table is its codec buffer; its store is rebuilt on load.
         let table: EventTable = records.iter().copied().collect();
-        let store = ChunkedStore::build(&table, 17);
-        let back = ChunkedStore::decode(&store.encode()).unwrap();
+        let store = ChunkedStore::build(&table, chunk_rows);
+        let decoded = codec::decode(&codec::encode(&table)).unwrap();
+        let back = ChunkedStore::build(&decoded, chunk_rows);
+        prop_assert_eq!(back.stats(), store.stats());
         prop_assert_eq!(back.scan(&pred).rows, store.scan(&pred).rows);
     }
 }

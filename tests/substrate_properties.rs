@@ -6,6 +6,23 @@ use amr_tools::placement::policies::{Cplx, Lpt, PlacementPolicy, Zonal};
 use amr_tools::placement::TrafficMatrix;
 use proptest::prelude::*;
 
+/// A 2×2(×2)-root mesh with every third block refined once: a checkpoint
+/// of a few hundred bytes with two leaf levels.
+fn small_mesh(d3: bool, periodic: bool, salt: u64) -> AmrMesh {
+    let dim = if d3 { Dim::D3 } else { Dim::D2 };
+    let mut config = MeshConfig::from_cells(dim, (32, 32, 32), 3);
+    config.periodic = periodic;
+    let mut mesh = AmrMesh::new(config);
+    mesh.adapt(|b| {
+        if (b.id.index() as u64 + salt).is_multiple_of(3) {
+            RefineTag::Refine
+        } else {
+            RefineTag::Keep
+        }
+    });
+    mesh
+}
+
 proptest! {
     #[test]
     fn hilbert_indices_are_a_bijection_2d(bits in 1u32..6) {
@@ -57,6 +74,43 @@ proptest! {
         prop_assert_eq!(restored.num_blocks(), mesh.num_blocks());
         for (a, b) in mesh.blocks().iter().zip(restored.blocks()) {
             prop_assert_eq!(a.octant, b.octant);
+        }
+    }
+
+    #[test]
+    fn checkpoint_restore_never_panics_on_arbitrary_bytes(
+        keep: usize,
+        bytes in prop::collection::vec(any::<u8>(), 0..256),
+    ) {
+        // Arbitrary bytes behind a prefix of a valid checkpoint, so they
+        // reach every field's parser instead of stopping at `BadMagic`.
+        let valid = checkpoint::save(&small_mesh(true, false, 0));
+        let mut buf = valid[..keep % (valid.len() + 1)].to_vec();
+        buf.extend_from_slice(&bytes);
+        let _ = checkpoint::restore(&buf);
+    }
+
+    #[test]
+    fn checkpoint_restore_never_panics_on_a_single_byte_overwrite(
+        d3: bool,
+        periodic: bool,
+        salt in 0u64..6,
+        // Any byte, a header byte, a leaf's level byte, or the sign and
+        // exponent byte of a domain bound.
+        at in prop_oneof![
+            any::<usize>(),
+            0usize..95,
+            (0usize..64).prop_map(|leaf| 95 + 13 * leaf),
+            (0usize..6).prop_map(|bound| 39 + 8 * bound + 7),
+        ],
+        byte: u8,
+    ) {
+        let mut buf = checkpoint::save(&small_mesh(d3, periodic, salt));
+        let at = at % buf.len();
+        buf[at] = byte;
+        // An error, or a mesh whose invariants hold.
+        if let Ok(back) = checkpoint::restore(&buf) {
+            prop_assert!(back.check_invariants().is_ok());
         }
     }
 

@@ -7,9 +7,7 @@
 use amr_tools::telemetry::codec::DecodeError;
 use amr_tools::telemetry::query::GroupAgg;
 use amr_tools::telemetry::views::{self, StragglerEntry};
-use amr_tools::telemetry::{
-    codec, ChunkedStore, Collector, EventRecord, EventTable, Phase, Query, NO_BLOCK,
-};
+use amr_tools::telemetry::{codec, Collector, EventRecord, EventTable, Phase, Query, NO_BLOCK};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -38,8 +36,8 @@ fn record_strategy() -> impl Strategy<Value = EventRecord> {
 
 /// Records over a handful of steps, ranks and blocks, so `(step, rank)`
 /// groups and duplicate keys occur; with `saturating`, durations near
-/// `u64::MAX` as well, which clamp the group-bys' sums (the views' plain
-/// sums are not defined on them).
+/// `u64::MAX` as well, which clamp the group-bys' sums (the view oracles'
+/// plain sums are not defined on them).
 fn dense_record_strategy(saturating: bool) -> impl Strategy<Value = EventRecord> {
     let huge = if saturating { u64::MAX - 1 } else { 1 << 40 };
     (
@@ -167,6 +165,14 @@ mod oracle {
             })
             .collect()
     }
+}
+
+/// A valid codec header (magic, version) claiming `rows` rows.
+fn codec_header(rows: u64) -> Vec<u8> {
+    let mut buf = codec::MAGIC.to_vec();
+    buf.extend_from_slice(&codec::VERSION.to_le_bytes());
+    buf.extend_from_slice(&rows.to_le_bytes());
+    buf
 }
 
 /// Floats by bits: the views must reproduce the oracle's rounding, not
@@ -346,27 +352,55 @@ proptest! {
     }
 
     #[test]
-    fn malformed_chunked_header_never_overallocates(
-        count: u32,
-        tail in prop::collection::vec(any::<u8>(), 0..64),
+    fn malformed_codec_header_never_overallocates(
+        rows in prop_oneof![0u64..8, any::<u64>()],
+        tail in prop::collection::vec(any::<u8>(), 0..256),
     ) {
-        // 12 bytes that promise 2³² − 1 chunks: an error, not a
-        // `with_capacity(count)` of some 700 GB.
-        let header = |count: u32| {
-            let mut buf = b"AMRC".to_vec();
-            buf.extend_from_slice(&1u32.to_le_bytes());
-            buf.extend_from_slice(&count.to_le_bytes());
-            buf
-        };
+        // 16 bytes that promise 2⁶⁴ − 1 rows: an error, not seven columns
+        // sized from the header.
         prop_assert_eq!(
-            ChunkedStore::decode(&header(u32::MAX)).unwrap_err(),
+            codec::decode(&codec_header(u64::MAX)).unwrap_err(),
             DecodeError::Truncated
         );
-        let mut buf = header(count);
+        let mut buf = codec_header(rows);
         buf.extend_from_slice(&tail);
-        let decoded = ChunkedStore::decode(&buf);
-        // Every chunk takes at least its 4-byte length prefix.
-        prop_assert!(decoded.is_err() || count as usize <= tail.len() / 4);
+        // Every row takes its 33 encoded bytes.
+        if let Ok(table) = codec::decode(&buf) {
+            prop_assert!(table.len() as u64 == rows && tail.len() >= 33 * table.len());
+        }
+    }
+
+    #[test]
+    fn codec_decode_never_panics_on_arbitrary_bytes(
+        records in prop::collection::vec(record_strategy(), 0..8),
+        keep: usize,
+        bytes in prop::collection::vec(any::<u8>(), 0..256),
+    ) {
+        // Arbitrary bytes behind a prefix of a valid buffer, so they reach
+        // every column's parser instead of stopping at `BadMagic`.
+        let table: EventTable = records.iter().copied().collect();
+        let valid = codec::encode(&table);
+        let mut buf = valid[..keep % (valid.len() + 1)].to_vec();
+        buf.extend_from_slice(&bytes);
+        let _ = codec::decode(&buf);
+    }
+
+    #[test]
+    fn codec_decode_never_panics_on_a_single_byte_overwrite(
+        records in prop::collection::vec(record_strategy(), 0..40),
+        // Half the overwrites land in the 16-byte header.
+        at in prop_oneof![0usize..16, any::<usize>()],
+        byte: u8,
+    ) {
+        let table: EventTable = records.iter().copied().collect();
+        let mut buf = codec::encode(&table);
+        let at = at % buf.len();
+        buf[at] = byte;
+        // Outside the row count (header bytes 8..16) a table that decodes
+        // has the original's length.
+        if let Ok(back) = codec::decode(&buf) {
+            prop_assert!((8usize..16).contains(&at) || back.len() == table.len());
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! * per-block costs and the rank count (always),
 //! * the mesh snapshot and its [`NeighborGraph`] (mesh-aware policies:
 //!   RCB, greedy edge-cut),
-//! * the *previous* placement plus the [`CostOrigin`] remap of the newest
-//!   adaptation — used to charge migration to redistribution, and
+//! * the *previous* placement plus the newest adapt's [`RefinementDelta`]
+//!   — used to charge migration to redistribution, and
 //! * a [`Scratch`] arena of reusable buffers.
 //!
 //! [`PlacementEngine`] owns the scratch plus two placement buffers and
@@ -28,10 +28,9 @@
 // by a test below); no `Rc` or `Cell` remains anywhere in the workspace.
 #![allow(clippy::disallowed_types)]
 
-use crate::cost::CostOrigin;
 use crate::placement::{Placement, RankId};
 use crate::policies::{PlacementPolicy, Slot};
-use amr_mesh::{AmrMesh, NeighborGraph};
+use amr_mesh::{AmrMesh, BlockFate, NeighborGraph, RefinementDelta};
 use amr_telemetry::trace::{Counter as TraceCounter, Gauge as TraceGauge, TraceHandle, TracePhase};
 use std::cell::RefCell;
 use std::fmt;
@@ -168,7 +167,7 @@ pub struct PlacementReport {
     pub imbalance: f64,
     /// Migration relative to [`PlacementCtx::prev`]; `None` when there is no
     /// previous placement or it is incomparable (block count changed and no
-    /// [`CostOrigin`] remap was provided).
+    /// [`RefinementDelta`] relates the two meshes).
     pub migration: Option<MigrationStats>,
 }
 
@@ -220,11 +219,6 @@ pub struct Scratch {
     pub(crate) flow_out: RefCell<Vec<u32>>,
     /// Per-rank incoming block counts (migration accounting).
     pub(crate) flow_in: RefCell<Vec<u32>>,
-    /// Inverse permutation of `lpt_full_order` (old block → order position);
-    /// staging for carrying the warm order across a remesh.
-    pub(crate) order_pos: RefCell<Vec<u32>>,
-    /// Bucket cursors for the counting sort that redistributes the order.
-    pub(crate) order_starts: RefCell<Vec<u32>>,
     /// Staged remapped full order (swapped with `lpt_full_order`).
     pub(crate) order_stage: RefCell<Vec<usize>>,
     /// Multilevel partitioner arena (level graphs, gain buckets, matching
@@ -239,73 +233,71 @@ impl Scratch {
         Scratch::default()
     }
 
-    /// Carry [`lpt_full_order`](Scratch::lpt_full_order) across a remesh.
+    /// Carry [`lpt_full_order`](Scratch::lpt_full_order) across the remesh
+    /// `delta` describes, or clear it when `delta` is `None` (stale).
     ///
-    /// `origins` gives each *new* block's ancestry in old-index space; the
-    /// previous sorted order is rewritten so every new block takes its
-    /// (first) old ancestor's position — children stay grouped where the
-    /// parent sat, merged parents take their first part's slot, fresh blocks
-    /// append at the end. The result is again a permutation of
-    /// `0..origins.len()`, and since per-block cost estimates carry across
-    /// refinement the same way (children inherit, merges average), the order
-    /// stays nearly sorted and LPT's seeded sort stays near-linear through
-    /// mesh changes instead of resetting to a cold identity order. The whole
-    /// rewrite is one counting sort: O(old + new), allocation-free once the
-    /// three staging buffers are warm.
-    ///
-    /// Any inconsistency (stale order length, out-of-range ancestor) clears
-    /// the order instead — LPT then performs one cold reset, which is always
-    /// correct, just slower.
-    pub(crate) fn remap_lpt_full_order(&self, origins: &[CostOrigin], old_n: usize) {
+    /// One walk over the previous sorted order emits each old block's new
+    /// ids where the old block sat: a survivor its id, a refined block its
+    /// children in SFC order, a coarsened family its parent at the family's
+    /// first member. The caller has checked that the fates tile the new ids
+    /// ([`fates_tile`]), so the result is again a permutation; and since
+    /// per-block cost estimates carry across refinement the same way
+    /// (children inherit, merges average), the order stays nearly sorted
+    /// and LPT's seeded sort stays near-linear through mesh changes instead
+    /// of resetting to a cold identity order. Allocation-free once the
+    /// staging buffer is warm. A stale order (another length) is cleared —
+    /// LPT then performs one cold reset, which is always correct, just
+    /// slower.
+    pub(crate) fn carry_lpt_full_order(&self, delta: Option<&RefinementDelta>) {
         let mut order = self.lpt_full_order.borrow_mut();
-        if order.is_empty() {
-            return; // no warm order to carry (non-LPT policy or first step)
-        }
-        if order.len() != old_n {
+        let Some(remap) = delta
+            .map(|d| &d.remap[..])
+            .filter(|r| r.len() == order.len())
+        else {
             order.clear();
             return;
-        }
-        let first_old = |o: &CostOrigin| match o {
-            CostOrigin::Same(i) | CostOrigin::SplitFrom(i) => Some(*i),
-            CostOrigin::MergedFrom(parts) => parts.first().copied(),
-            CostOrigin::Fresh => None,
         };
-        if origins
-            .iter()
-            .any(|o| first_old(o).is_some_and(|i| i >= old_n))
-        {
-            order.clear(); // origins don't describe this order's mesh
-            return;
-        }
-        let mut pos = self.order_pos.borrow_mut();
-        let mut starts = self.order_starts.borrow_mut();
         let mut stage = self.order_stage.borrow_mut();
-        pos.clear();
-        pos.resize(old_n, 0);
-        for (p, &b) in order.iter().enumerate() {
-            pos[b] = p as u32;
-        }
-        // Counting sort by old-order position (+1 tail bucket for Fresh),
-        // stable in new-block id so sibling children stay in SFC order.
-        starts.clear();
-        starts.resize(old_n + 2, 0);
-        for o in origins {
-            let bucket = first_old(o).map_or(old_n, |i| pos[i] as usize);
-            starts[bucket + 1] += 1;
-        }
-        for i in 1..=old_n + 1 {
-            starts[i] += starts[i - 1];
-        }
         stage.clear();
-        stage.resize(origins.len(), 0);
-        for (b, o) in origins.iter().enumerate() {
-            let bucket = first_old(o).map_or(old_n, |i| pos[i] as usize);
-            let slot = &mut starts[bucket];
-            stage[*slot as usize] = b;
-            *slot += 1;
+        for &old in order.iter() {
+            match remap[old] {
+                BlockFate::Same(new) => stage.push(new.index()),
+                BlockFate::Refined { first, count } => {
+                    stage.extend(first.index()..first.index() + count as usize)
+                }
+                BlockFate::Coarsened(new) if old == 0 || remap[old - 1] != remap[old] => {
+                    stage.push(new.index())
+                }
+                BlockFate::Coarsened(_) => {}
+            }
         }
         std::mem::swap(&mut *order, &mut *stage);
     }
+}
+
+/// Do `delta`'s fates relate `before` old blocks to the new ids `0..after`,
+/// in ascending order, each new id named once (a coarsened family's equal
+/// fates count as one)? Only then can migration and the warm order walk it:
+/// a delta a caller hands the engine is otherwise stale, and is ignored.
+fn fates_tile(delta: &RefinementDelta, before: usize, after: usize) -> bool {
+    if !delta.maps(before, after) {
+        return false;
+    }
+    let mut next = 0; // the new id the next fate must start at
+    for (old, &fate) in delta.remap.iter().enumerate() {
+        let (first, count) = match fate {
+            BlockFate::Same(new) => (new.index(), 1),
+            BlockFate::Refined { first, count } => (first.index(), count as usize),
+            // A later member of a coarsened family names its parent again.
+            BlockFate::Coarsened(_) if old > 0 && delta.remap[old - 1] == fate => continue,
+            BlockFate::Coarsened(new) => (new.index(), 1),
+        };
+        if first != next {
+            return false;
+        }
+        next += count;
+    }
+    next == after
 }
 
 /// Everything a placement policy may consume, threaded by reference.
@@ -332,7 +324,7 @@ pub struct PlacementCtx<'a> {
     mesh: Option<&'a AmrMesh>,
     graph: Option<&'a NeighborGraph>,
     prev: Option<&'a Placement>,
-    origins: Option<&'a [CostOrigin]>,
+    delta: Option<&'a RefinementDelta>,
     scratch: Option<&'a Scratch>,
     capacities: Option<&'a [f64]>,
     edge_weights: Option<&'a [u64]>,
@@ -347,7 +339,7 @@ impl<'a> PlacementCtx<'a> {
             mesh: None,
             graph: None,
             prev: None,
-            origins: None,
+            delta: None,
             scratch: None,
             capacities: None,
             edge_weights: None,
@@ -373,10 +365,10 @@ impl<'a> PlacementCtx<'a> {
         self
     }
 
-    /// Attach the cost-origin remap of the newest mesh adaptation, enabling
+    /// Attach the changeset of the newest mesh adaptation, enabling
     /// migration accounting across block-count changes.
-    pub fn with_origins(mut self, origins: &'a [CostOrigin]) -> Self {
-        self.origins = Some(origins);
+    pub fn with_delta(mut self, delta: &'a RefinementDelta) -> Self {
+        self.delta = Some(delta);
         self
     }
 
@@ -435,9 +427,9 @@ impl<'a> PlacementCtx<'a> {
         self.prev
     }
 
-    /// The cost-origin remap, if attached.
-    pub fn origins(&self) -> Option<&'a [CostOrigin]> {
-        self.origins
+    /// The adapt changeset, if attached.
+    pub fn delta(&self) -> Option<&'a RefinementDelta> {
+        self.delta
     }
 
     /// The scratch arena, if attached.
@@ -531,8 +523,8 @@ impl<'a> PlacementCtx<'a> {
         }
     }
 
-    /// Migration of `out` relative to `prev`, routed through the cost-origin
-    /// remap when the block count changed.
+    /// Migration of `out` relative to `prev`, routed through the adapt's
+    /// fate table when the block count changed.
     fn migration(&self, out: &Placement) -> Option<MigrationStats> {
         let prev = self.prev?;
         let nr = self.num_ranks.max(prev.num_ranks());
@@ -578,28 +570,21 @@ impl<'a> PlacementCtx<'a> {
                 );
             }
         } else {
-            // Block count changed: only the origin remap can relate new
-            // blocks to old ranks. Every contributing old block ships to the
-            // new block's rank; `Fresh` blocks are charged as pure inflow.
-            let origins = self.origins?;
-            if origins.len() != out.num_blocks() {
-                return None;
-            }
-            for (b, origin) in origins.iter().enumerate() {
-                let to = out.rank_of(b);
-                match origin {
-                    CostOrigin::Same(i) | CostOrigin::SplitFrom(i) => {
-                        charge(&mut moved, flow_out, flow_in, *prev.as_slice().get(*i)?, to);
+            // Block count changed: only the fate table can relate new blocks
+            // to old ranks. Each old block ships once to the rank of every
+            // new block its fate names.
+            let delta = self
+                .delta
+                .filter(|d| d.maps(prev.num_blocks(), out.num_blocks()))?;
+            for (old, fate) in delta.remap.iter().enumerate() {
+                let new = match *fate {
+                    BlockFate::Same(n) | BlockFate::Coarsened(n) => n.index()..n.index() + 1,
+                    BlockFate::Refined { first, count } => {
+                        first.index()..first.index() + count as usize
                     }
-                    CostOrigin::MergedFrom(parts) => {
-                        for i in parts {
-                            charge(&mut moved, flow_out, flow_in, *prev.as_slice().get(*i)?, to);
-                        }
-                    }
-                    CostOrigin::Fresh => {
-                        moved += 1;
-                        flow_in[to as usize] += 1;
-                    }
+                };
+                for &to in out.as_slice().get(new)? {
+                    charge(&mut moved, flow_out, flow_in, prev.rank_of(old), to);
                 }
             }
         }
@@ -771,18 +756,21 @@ impl PlacementEngine {
         self.rebalance_with(policy, costs, num_ranks, Some(mesh), None)
     }
 
-    /// Full-control rebalance: optional mesh and cost-origin remap. The
-    /// previous placement (if primed) and the scratch arena are attached
-    /// automatically. On error the current placement is left untouched.
+    /// Full-control rebalance: optional mesh and the changeset of the adapt
+    /// since the previous rebalance. The previous placement (if primed) and
+    /// the scratch arena are attached automatically. A delta whose fates do
+    /// not carry the previous placement's blocks onto `0..costs.len()` in
+    /// ascending order is stale: no migration accounting, and a cold LPT
+    /// order. On error the current placement is left untouched.
     pub fn rebalance_with(
         &mut self,
         policy: &dyn PlacementPolicy,
         costs: &[f64],
         num_ranks: usize,
         mesh: Option<&AmrMesh>,
-        origins: Option<&[CostOrigin]>,
+        delta: Option<&RefinementDelta>,
     ) -> Result<PlacementReport, PlacementError> {
-        self.rebalance_weighted(policy, costs, num_ranks, mesh, origins, None, None)
+        self.rebalance_weighted(policy, costs, num_ranks, mesh, delta, None, None)
     }
 
     /// [`rebalance_with`](PlacementEngine::rebalance_with) plus the
@@ -797,7 +785,7 @@ impl PlacementEngine {
         costs: &[f64],
         num_ranks: usize,
         mesh: Option<&AmrMesh>,
-        origins: Option<&[CostOrigin]>,
+        delta: Option<&RefinementDelta>,
         graph: Option<&NeighborGraph>,
         edge_weights: Option<&[u64]>,
     ) -> Result<PlacementReport, PlacementError> {
@@ -817,9 +805,6 @@ impl PlacementEngine {
         if let Some(m) = mesh {
             ctx = ctx.with_mesh(m);
         }
-        if let Some(o) = origins {
-            ctx = ctx.with_origins(o);
-        }
         if let Some(g) = graph {
             ctx = ctx.with_graph(g);
         }
@@ -829,9 +814,11 @@ impl PlacementEngine {
         if self.primed {
             ctx = ctx.with_prev(cur);
             // A remesh happened: carry LPT's warm sorted order into the new
-            // index space so incremental rebalance survives the adapt.
-            if let Some(o) = origins {
-                self.scratch.remap_lpt_full_order(o, cur.num_blocks());
+            // index space so incremental rebalance survives the adapt (a
+            // stale delta drops the order and accounts no migration).
+            if let Some(d) = delta {
+                ctx.delta = fates_tile(d, cur.num_blocks(), costs.len()).then_some(d);
+                self.scratch.carry_lpt_full_order(ctx.delta);
             }
         }
         let report = policy.place_into(&ctx, next)?;
@@ -855,6 +842,7 @@ impl PlacementEngine {
 mod tests {
     use super::*;
     use crate::policies::{Baseline, Cdp, ChunkedCdp, Cplx, Lpt};
+    use amr_mesh::BlockId;
 
     #[test]
     fn engine_and_scratch_are_send() {
@@ -941,36 +929,99 @@ mod tests {
         assert!(m.max_rank_flow > 0 && m.max_rank_flow <= m.moved);
     }
 
+    /// A delta over `remap`, with the block counts it implies.
+    fn delta(remap: Vec<BlockFate>, blocks_after: usize) -> RefinementDelta {
+        RefinementDelta {
+            blocks_before: remap.len(),
+            blocks_after,
+            remap,
+            ..RefinementDelta::default()
+        }
+    }
+
+    fn same(n: u32) -> BlockFate {
+        BlockFate::Same(BlockId(n))
+    }
+
+    fn refined(first: u32, count: u32) -> BlockFate {
+        BlockFate::Refined {
+            first: BlockId(first),
+            count,
+        }
+    }
+
+    fn coarsened(n: u32) -> BlockFate {
+        BlockFate::Coarsened(BlockId(n))
+    }
+
     #[test]
-    fn migration_across_block_count_change_uses_origins() {
+    fn migration_across_block_count_change_uses_the_delta() {
         // 4 blocks on 2 ranks -> block 1 splits into 4 children (7 blocks).
         let c4 = vec![1.0; 4];
         let mut engine = PlacementEngine::new();
         engine.rebalance(&Baseline, &c4, 2).unwrap();
         let c7 = vec![1.0; 7];
-        let origins = vec![
-            CostOrigin::Same(0),
-            CostOrigin::SplitFrom(1),
-            CostOrigin::SplitFrom(1),
-            CostOrigin::SplitFrom(1),
-            CostOrigin::SplitFrom(1),
-            CostOrigin::Same(2),
-            CostOrigin::Same(3),
-        ];
+        let split = delta(vec![same(0), refined(1, 4), same(5), same(6)], 7);
         let report = engine
-            .rebalance_with(&Baseline, &c7, 2, None, Some(&origins))
+            .rebalance_with(&Baseline, &c7, 2, None, Some(&split))
             .unwrap();
         // Old ranks: [0,0,1,1]; new baseline over 7 blocks: [0,0,0,0,1,1,1].
         // Children of old block 1 (rank 0) land on ranks 0,0,0,1; old blocks
         // 2,3 (rank 1) stay on rank 1.
-        let m = report.migration.expect("origins enable accounting");
+        let m = report.migration.expect("the delta enables accounting");
         assert_eq!(m.moved, 1);
         assert_eq!(m.max_rank_flow, 1);
 
-        // Without origins the change is unaccountable.
+        // Merging the children back charges each old block once: old 1..=4
+        // (ranks 0,0,0,1) ship to the parent's rank 0, old 5,6 stay on 1.
+        let merge = delta(
+            vec![
+                same(0),
+                coarsened(1),
+                coarsened(1),
+                coarsened(1),
+                coarsened(1),
+                same(2),
+                same(3),
+            ],
+            4,
+        );
+        let report = engine
+            .rebalance_with(&Baseline, &c4, 2, None, Some(&merge))
+            .unwrap();
+        let m = report.migration.unwrap();
+        assert_eq!((m.moved, m.max_rank_flow), (1, 1));
+
+        // Without a delta the change is unaccountable.
         let c5 = vec![1.0; 5];
         let report = engine.rebalance(&Baseline, &c5, 2).unwrap();
         assert!(report.migration.is_none());
+    }
+
+    /// A delta whose ids do not tile the new blocks — out of range, named
+    /// twice, or describing another mesh — is stale: no migration, a cold
+    /// order, never a panic; the placement itself is unaffected.
+    #[test]
+    fn malformed_delta_clears_the_warm_order_and_migration() {
+        let c4 = costs(4);
+        let c5 = costs(5);
+        let malformed = [
+            delta(vec![same(0), refined(1, 2), same(9), same(3)], 5),
+            delta(vec![same(0), same(0), refined(1, 2), same(4)], 5),
+            delta(vec![same(0), refined(1, 2), coarsened(3), coarsened(3)], 5),
+            delta(vec![coarsened(0), same(1), coarsened(0), refined(2, 3)], 5),
+            delta(vec![same(0), refined(1, 2), same(3)], 5),
+            delta(vec![same(0), refined(1, 3), same(4), same(5)], 6),
+        ];
+        for d in &malformed {
+            let mut engine = PlacementEngine::new();
+            engine.rebalance(&Lpt, &c4, 2).unwrap();
+            let report = engine.rebalance_with(&Baseline, &c5, 2, None, Some(d));
+            let report = report.unwrap();
+            assert_eq!(report.migration, None, "{d:?}");
+            assert!(engine.scratch().lpt_full_order.borrow().is_empty());
+            assert_eq!(engine.placement().unwrap(), &Baseline.place(&c5, 2));
+        }
     }
 
     #[test]
@@ -1032,37 +1083,32 @@ mod tests {
     }
 
     #[test]
-    fn remap_lpt_full_order_buckets_by_old_position() {
+    fn carry_lpt_full_order_walks_the_previous_order() {
         let s = Scratch::new();
-        // Previous sorted order visits old blocks 2, 0, 1.
+        // Previous sorted order visits old blocks 2, 0, 1. Old 0 splits into
+        // new 0,1; old 1 -> new 2; old 2 -> new 3. New blocks take their old
+        // block's place: old 2 first, old 0's children second, old 1 last.
         *s.lpt_full_order.borrow_mut() = vec![2, 0, 1];
-        // Old 0 splits into new 0,1; old 1 -> new 2; old 2 -> new 3; new 4
-        // is fresh. New blocks inherit their ancestor's order position:
-        // old 2 was first, old 0's children second, old 1 third, fresh last.
-        let origins = vec![
-            CostOrigin::SplitFrom(0),
-            CostOrigin::SplitFrom(0),
-            CostOrigin::Same(1),
-            CostOrigin::Same(2),
-            CostOrigin::Fresh,
-        ];
-        s.remap_lpt_full_order(&origins, 3);
-        assert_eq!(&*s.lpt_full_order.borrow(), &[3, 0, 1, 2, 4]);
+        let split = delta(vec![refined(0, 2), same(2), same(3)], 4);
+        s.carry_lpt_full_order(Some(&split));
+        assert_eq!(&*s.lpt_full_order.borrow(), &[3, 0, 1, 2]);
 
-        // Merged parents take their first part's slot.
-        *s.lpt_full_order.borrow_mut() = vec![3, 1, 0, 2];
-        let merged = vec![CostOrigin::MergedFrom(vec![0, 1, 2, 3]), CostOrigin::Fresh];
-        s.remap_lpt_full_order(&merged, 4);
-        assert_eq!(&*s.lpt_full_order.borrow(), &[0, 1]);
+        // A merged parent takes its family's first member's slot.
+        *s.lpt_full_order.borrow_mut() = vec![4, 3, 1, 0, 2];
+        let merge = delta(
+            vec![coarsened(0); 4].into_iter().chain([same(1)]).collect(),
+            2,
+        );
+        s.carry_lpt_full_order(Some(&merge));
+        assert_eq!(&*s.lpt_full_order.borrow(), &[1, 0]);
 
-        // Stale order (wrong length) is cleared, not misused.
+        // A stale order (another length) is cleared, not misused…
         *s.lpt_full_order.borrow_mut() = vec![0, 1];
-        s.remap_lpt_full_order(&origins, 3);
+        s.carry_lpt_full_order(Some(&split));
         assert!(s.lpt_full_order.borrow().is_empty());
-
-        // Out-of-range ancestry clears too.
+        // …and so is any order when the delta is stale.
         *s.lpt_full_order.borrow_mut() = vec![0, 1, 2];
-        s.remap_lpt_full_order(&[CostOrigin::Same(9)], 3);
+        s.carry_lpt_full_order(None);
         assert!(s.lpt_full_order.borrow().is_empty());
     }
 
@@ -1074,22 +1120,19 @@ mod tests {
         assert_eq!(engine.scratch().lpt_full_order.borrow().len(), 64);
 
         // "Refine" block 3 into 8 children; everything else carries over.
-        let mut origins = Vec::new();
+        let mut remap = Vec::new();
         let mut c2 = Vec::new();
         for (i, &c) in c1.iter().enumerate() {
             if i == 3 {
-                for _ in 0..8 {
-                    origins.push(CostOrigin::SplitFrom(3));
-                    c2.push(c / 8.0);
-                }
+                remap.push(refined(c2.len() as u32, 8));
+                c2.extend([c / 8.0; 8]);
             } else {
-                origins.push(CostOrigin::Same(i));
+                remap.push(same(c2.len() as u32));
                 c2.push(c);
             }
         }
-        let warm = engine
-            .rebalance_with(&Lpt, &c2, 4, None, Some(&origins))
-            .unwrap();
+        let d = delta(remap, c2.len());
+        let warm = engine.rebalance_with(&Lpt, &c2, 4, None, Some(&d)).unwrap();
         // The carried order is a valid permutation of the new index space…
         let mut sorted = engine.scratch().lpt_full_order.borrow().clone();
         sorted.sort_unstable();

@@ -24,7 +24,7 @@
 //!
 //! * [`placement`] — the placement type, validation, and quality metrics
 //!   (makespan, imbalance, locality/migration accounting);
-//! * [`cost`] — telemetry-driven per-block cost models (§V-A3: "we populate
+//! * [`cost`] — the telemetry-driven per-block cost model (§V-A3: "we populate
 //!   the existing cost specification hooks with actual computation costs
 //!   measured via telemetry");
 //! * [`engine`] — the zero-allocation placement engine: the context-threaded
@@ -49,7 +49,7 @@ pub mod traffic;
 pub mod trigger;
 
 pub use assess::{AssessmentInputs, PlacementAssessment};
-pub use cost::{origins_from_delta, CostModel, CostOrigin, TelemetryCostModel};
+pub use cost::TelemetryCostModel;
 pub use engine::{
     MeshFingerprint, MigrationStats, PlacementCtx, PlacementEngine, PlacementError,
     PlacementReport, Scratch,

@@ -128,13 +128,20 @@ pub struct RefinementDelta {
     /// the adapt was a no-op (`!changed()`): the identity remap is implied
     /// and nothing is materialized.
     pub remap: Vec<BlockFate>,
-    /// Pre-adapt leaves that were subdivided (in old SFC order).
-    pub refined_parents: Vec<Octant>,
-    /// Parent leaves created by merging complete families (in SFC order).
-    pub coarsened_parents: Vec<Octant>,
 }
 
 impl RefinementDelta {
+    /// Does this changeset relate a mesh of `before` blocks to one of
+    /// `after` — a materialized fate for each of the `before` old blocks?
+    /// Every consumer of [`remap`](RefinementDelta::remap) asks this before
+    /// trusting it; a no-op, stale or restored mesh's delta answers `false`.
+    pub fn maps(&self, before: usize, after: usize) -> bool {
+        !self.remap.is_empty()
+            && self.remap.len() == before
+            && self.blocks_before == before
+            && self.blocks_after == after
+    }
+
     /// Did the mesh change (requiring redistribution)?
     pub fn changed(&self) -> bool {
         self.refined > 0 || self.coarsened > 0
@@ -405,11 +412,7 @@ impl AmrMesh {
     ) -> bool {
         let _span = self.trace.as_ref().map(|t| t.span(TracePhase::GraphPatch));
         let d = &self.delta;
-        if d.remap.len() == d.blocks_before
-            && !d.remap.is_empty()
-            && graph.num_blocks() == d.blocks_before
-            && self.blocks.len() == d.blocks_after
-        {
+        if d.maps(graph.num_blocks(), self.blocks.len()) {
             let rows = graph.patch(&self.tree, &self.cover_index(), d, scratch);
             if let Some(t) = &self.trace {
                 t.incr(TraceCounter::GraphPatches, 1);
@@ -502,8 +505,6 @@ impl AmrMesh {
             // No-op fast path: the index is already current; the empty remap
             // means identity.
             self.delta.remap.clear();
-            self.delta.refined_parents.clear();
-            self.delta.coarsened_parents.clear();
         } else {
             let _splice = trace.as_ref().map(|t| t.span(TracePhase::SpliceIndex));
             self.splice_index();
@@ -535,8 +536,6 @@ impl AmrMesh {
         self.blocks.clear();
         self.keys.clear();
         self.delta.remap.clear();
-        self.delta.refined_parents.clear();
-        self.delta.coarsened_parents.clear();
         let domain = &self.config.domain;
         let roots = self.tree.roots();
         let dim = self.config.dim;
@@ -562,7 +561,6 @@ impl AmrMesh {
                         first,
                         count: within.len() as u32,
                     });
-                    self.delta.refined_parents.push(b.octant);
                     for o in &within {
                         let id = BlockId(self.blocks.len() as u32);
                         self.keys.push(sfc_key(o, dim));
@@ -583,7 +581,6 @@ impl AmrMesh {
                         _ => {
                             let id = BlockId(self.blocks.len() as u32);
                             self.delta.remap.push(BlockFate::Coarsened(id));
-                            self.delta.coarsened_parents.push(p);
                             self.keys.push(sfc_key(&p, dim));
                             self.blocks.push(MeshBlock {
                                 id,

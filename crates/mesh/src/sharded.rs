@@ -329,22 +329,13 @@ impl ShardedMesh {
     /// delta cannot vouch for the current shards. Returns `true` iff the
     /// incremental path ran.
     pub fn refresh(&mut self, mesh: &AmrMesh, pool: &WorkerPool) -> bool {
-        if !self.delta_vouches(mesh) {
+        if !mesh.last_delta().maps(self.num_blocks(), mesh.num_blocks()) {
             self.rebuild(mesh, pool);
             return false;
         }
         let rows = self.refresh_incremental(mesh);
         mesh.count_patch_rows(rows);
         true
-    }
-
-    /// Can the mesh's stored delta vouch for the current shards?
-    fn delta_vouches(&self, mesh: &AmrMesh) -> bool {
-        let d = mesh.last_delta();
-        d.remap.len() == d.blocks_before
-            && !d.remap.is_empty()
-            && self.num_blocks() == d.blocks_before
-            && mesh.num_blocks() == d.blocks_after
     }
 
     fn refresh_incremental(&mut self, mesh: &AmrMesh) -> PatchRows {

@@ -220,23 +220,39 @@ fn query_before_simulate_fails_without_killing_the_session() {
 
 #[test]
 fn invalid_sim_config_fails_the_request_not_the_process() {
-    let mut svc = Service::new(ServiceConfig::default());
-    let mut bad = spec(8);
-    bad.sim.network.fabric.bytes_per_ns = 0.0;
-    let id = svc.open_session(mesh(3), bad);
-    svc.submit(id, Request::Simulate { steps: 2 });
-    svc.submit(id, Request::Rebalance);
-    svc.drain();
-    let r = svc.responses(id);
-    assert!(
-        matches!(&r[0], Response::Failed { error } if error.contains("bytes_per_ns")),
-        "hardened constructor surfaces the rejection: {:?}",
-        r[0]
-    );
-    assert!(
-        matches!(r[1], Response::Rebalanced { .. }),
-        "session lives on"
-    );
+    type Edit = fn(&mut SimConfig);
+    let cases: [(&str, Edit); 3] = [
+        ("bytes_per_ns", |c| c.network.fabric.bytes_per_ns = 0.0),
+        // Both once passed validation and then panicked the whole drain
+        // inside the run's constructors.
+        ("cost_alpha", |c| c.cost_alpha = 0.0),
+        ("telemetry_sampling", |c| c.telemetry_sampling = 0),
+    ];
+    for (field, edit) in cases {
+        let mut svc = Service::new(ServiceConfig::default());
+        let mut bad = spec(8);
+        edit(&mut bad.sim);
+        let id = svc.open_session(mesh(3), bad);
+        svc.submit(id, Request::Simulate { steps: 2 });
+        svc.submit(id, Request::Rebalance);
+        svc.drain();
+        let r = svc.responses(id);
+        assert!(
+            matches!(&r[0], Response::Failed { error } if error.contains(field)),
+            "hardened constructor surfaces the rejection: {:?}",
+            r[0]
+        );
+        assert!(
+            matches!(r[1], Response::Rebalanced { .. }),
+            "session lives on"
+        );
+        svc.submit(id, Request::Rebalance);
+        svc.drain();
+        assert!(
+            matches!(svc.responses(id)[2], Response::Rebalanced { .. }),
+            "{field}: the session is served at the next drain"
+        );
+    }
 }
 
 #[test]

@@ -63,10 +63,7 @@ impl Workload for DirectEpoch<'_> {
         self.mesh
     }
     fn advance(&mut self, _step: u64) -> WorkloadStep {
-        WorkloadStep {
-            mesh_changed: false,
-            origins: None,
-        }
+        WorkloadStep::default()
     }
     fn block_compute_ns(&self) -> &[f64] {
         self.costs

@@ -19,7 +19,7 @@
 //!   consumer needs the numbers — before a rebalance or a remesh.
 //! - **Delta-aware across remeshes.** A remesh invalidates the relation
 //!   space, but most relations survive (both endpoints
-//!   [`CostOrigin::Same`]). [`prepare_remesh`](ExchangeByteLedger::prepare_remesh)
+//!   [`BlockFate::Same`]). [`prepare_remesh`](ExchangeByteLedger::prepare_remesh)
 //!   flushes against the dying graph and stages its layout;
 //!   [`apply_remesh`](ExchangeByteLedger::apply_remesh) carries bytes onto
 //!   the patched graph for surviving relations and zeros the rest, so
@@ -32,9 +32,12 @@
 //!   is bitwise identical in virtual time to the same run with it off until
 //!   a policy actually consumes the weights (pinned by tests).
 
-use amr_core::cost::CostOrigin;
 use amr_mesh::pool::{task_range, Disjoint, WorkerPool};
-use amr_mesh::{BlockId, BlockSpec, Dim, NeighborGraph, NeighborKind};
+use amr_mesh::{BlockFate, BlockId, BlockSpec, Dim, NeighborGraph, NeighborKind, RefinementDelta};
+
+/// [`ExchangeByteLedger::apply_remesh`]'s mark for a block the remesh
+/// created (no surviving old block).
+const CREATED: u32 = u32::MAX;
 
 /// Per-relation observed-byte accumulator for a flat [`NeighborGraph`].
 #[derive(Debug, Default)]
@@ -52,6 +55,9 @@ pub struct ExchangeByteLedger {
     old_neighbor: Vec<u32>,
     old_bytes: Vec<u64>,
     staged: bool,
+    /// New block → its old id if it survived the remesh, else [`CREATED`]
+    /// (pooled scratch of [`apply_remesh`](Self::apply_remesh)).
+    survivors: Vec<u32>,
     /// Per-task byte totals of a flush (pooled scratch).
     partials: Vec<u64>,
     /// Lifetime tallies (reported via trace counters).
@@ -157,42 +163,45 @@ impl ExchangeByteLedger {
     }
 
     /// Rebuild the byte vector for the patched graph. A relation `a → b`
-    /// keeps its observation iff both endpoints are [`CostOrigin::Same`]
-    /// survivors and the old graph had the relation (binary search on the
-    /// old sorted row); everything else — split children, merge parents,
-    /// fresh blocks, relations the remesh created — starts at zero. Without
-    /// origins there is no ancestry to follow: observations reset.
-    pub fn apply_remesh(&mut self, origins: Option<&[CostOrigin]>, graph: &NeighborGraph) {
+    /// keeps its observation iff both endpoints are [`BlockFate::Same`]
+    /// survivors of `delta` and the old graph had the relation (binary
+    /// search on the old sorted row); everything else — split children,
+    /// merge parents, relations the remesh created — starts at zero. Without
+    /// a delta relating the staged graph to `graph` there is no ancestry to
+    /// follow: observations reset.
+    pub fn apply_remesh(&mut self, delta: Option<&RefinementDelta>, graph: &NeighborGraph) {
         debug_assert!(self.staged, "prepare_remesh must precede apply_remesh");
         self.staged = false;
         self.bytes.clear();
         self.bytes.resize(graph.total_relations(), 0);
-        let Some(origins) = origins else {
+        let old_blocks = self.old_offsets.len().saturating_sub(1);
+        let Some(delta) = delta.filter(|d| d.maps(old_blocks, graph.num_blocks())) else {
             self.observed_total = 0;
             return;
         };
-        if origins.len() != graph.num_blocks() {
-            self.observed_total = 0;
-            return;
-        }
         self.remaps += 1;
+        self.survivors.clear();
+        self.survivors.resize(graph.num_blocks(), CREATED);
+        for (old, fate) in delta.remap.iter().enumerate() {
+            if let BlockFate::Same(new) = *fate {
+                if let Some(slot) = self.survivors.get_mut(new.index()) {
+                    *slot = old as u32;
+                }
+            }
+        }
         let mut carried = 0u64;
         let mut entry = 0usize;
         for (block, nbs) in graph.iter() {
-            let src_old = match origins[block.index()] {
-                CostOrigin::Same(i) => Some(i),
-                _ => None,
-            };
+            let sa = self.survivors[block.index()];
             for nb in nbs {
-                if let (Some(sa), CostOrigin::Same(sb)) = (src_old, &origins[nb.block.index()]) {
-                    if sa + 1 < self.old_offsets.len() {
-                        let row = self.old_offsets[sa] as usize..self.old_offsets[sa + 1] as usize;
-                        if let Ok(pos) = self.old_neighbor[row.clone()].binary_search(&(*sb as u32))
-                        {
-                            let b = self.old_bytes[row.start + pos];
-                            self.bytes[entry] = b;
-                            carried = carried.saturating_add(b);
-                        }
+                let sb = self.survivors[nb.block.index()];
+                if sa != CREATED && sb != CREATED {
+                    let sa = sa as usize;
+                    let row = self.old_offsets[sa] as usize..self.old_offsets[sa + 1] as usize;
+                    if let Ok(pos) = self.old_neighbor[row.clone()].binary_search(&sb) {
+                        let b = self.old_bytes[row.start + pos];
+                        self.bytes[entry] = b;
+                        carried = carried.saturating_add(b);
                     }
                 }
                 entry += 1;
@@ -260,6 +269,30 @@ mod tests {
         AmrMesh::new(MeshConfig::from_cells(Dim::D3, (64, 64, 64), 1))
     }
 
+    /// A block-count-preserving delta over `n` blocks: every block survives
+    /// except `replaced`, whose fate is a one-child refinement.
+    fn delta_replacing(n: usize, replaced: Option<usize>) -> RefinementDelta {
+        let remap = (0..n)
+            .map(|i| {
+                let id = BlockId(i as u32);
+                if Some(i) == replaced {
+                    BlockFate::Refined {
+                        first: id,
+                        count: 1,
+                    }
+                } else {
+                    BlockFate::Same(id)
+                }
+            })
+            .collect();
+        RefinementDelta {
+            blocks_before: n,
+            blocks_after: n,
+            remap,
+            ..RefinementDelta::default()
+        }
+    }
+
     #[test]
     fn flush_charges_every_relation_once_per_round() {
         let m = mesh();
@@ -322,7 +355,7 @@ mod tests {
     }
 
     #[test]
-    fn remesh_with_identity_origins_carries_all_bytes() {
+    fn remesh_with_all_survivors_carries_all_bytes() {
         let m = mesh();
         let g = m.neighbor_graph();
         let (spec, dim) = (m.config().spec, m.config().dim);
@@ -332,14 +365,13 @@ mod tests {
         led.note_step(3);
         led.prepare_remesh(&pool, &g, spec, dim);
         let before: Vec<u64> = led.old_bytes.clone();
-        let origins: Vec<CostOrigin> = (0..g.num_blocks()).map(CostOrigin::Same).collect();
-        led.apply_remesh(Some(&origins), &g);
+        led.apply_remesh(Some(&delta_replacing(g.num_blocks(), None)), &g);
         assert_eq!(led.bytes(), &before[..], "identity remap must be lossless");
         assert_eq!(led.remaps(), 1);
     }
 
     #[test]
-    fn remesh_without_origins_resets() {
+    fn remesh_without_a_delta_resets() {
         let m = mesh();
         let g = m.neighbor_graph();
         let (spec, dim) = (m.config().spec, m.config().dim);
@@ -351,10 +383,16 @@ mod tests {
         led.apply_remesh(None, &g);
         assert!(!led.has_observations());
         assert!(led.bytes().iter().all(|&b| b == 0));
+        // A delta describing another mesh is no delta.
+        led.note_step(1);
+        led.prepare_remesh(&pool, &g, spec, dim);
+        led.apply_remesh(Some(&delta_replacing(g.num_blocks() - 1, None)), &g);
+        assert!(!led.has_observations());
+        assert_eq!(led.remaps(), 0);
     }
 
     #[test]
-    fn remesh_zeroes_fresh_blocks_only() {
+    fn remesh_zeroes_created_blocks_only() {
         let m = mesh();
         let g = m.neighbor_graph();
         let (spec, dim) = (m.config().spec, m.config().dim);
@@ -364,22 +402,13 @@ mod tests {
         led.note_step(2);
         led.prepare_remesh(&pool, &g, spec, dim);
         // Pretend block 0 was replaced: everything touching it resets.
-        let origins: Vec<CostOrigin> = (0..g.num_blocks())
-            .map(|i| {
-                if i == 0 {
-                    CostOrigin::Fresh
-                } else {
-                    CostOrigin::Same(i)
-                }
-            })
-            .collect();
-        led.apply_remesh(Some(&origins), &g);
+        led.apply_remesh(Some(&delta_replacing(g.num_blocks(), Some(0))), &g);
         let mut entry = 0usize;
         for (block, nbs) in g.iter() {
             for n in nbs {
                 let touches0 = block.index() == 0 || n.block.index() == 0;
                 if touches0 {
-                    assert_eq!(led.bytes()[entry], 0, "relations of a fresh block reset");
+                    assert_eq!(led.bytes()[entry], 0, "relations of a new block reset");
                 } else {
                     assert!(led.bytes()[entry] > 0, "surviving relations carry");
                 }

@@ -33,14 +33,14 @@ use crate::network::NetworkConfig;
 use crate::par;
 use crate::report::{MessageTotals, PhaseBreakdown};
 use crate::topology::{NodeMap, Topology};
-use amr_core::cost::{CostModel, CostOrigin, TelemetryCostModel};
+use amr_core::cost::TelemetryCostModel;
 use amr_core::engine::PlacementEngine;
 use amr_core::policies::PlacementPolicy;
 use amr_core::trigger::{RebalanceTrigger, TriggerContext};
 use amr_mesh::pool::{WorkerPool, MAX_POOL_THREADS};
 use amr_mesh::{
     AmrMesh, BlockId, BlockSpec, Dim, MeshTopology, Neighbor, NeighborGraph, PatchScratch,
-    ShardedMesh,
+    RefinementDelta, ShardedMesh,
 };
 use amr_telemetry::anomaly::{OnlineDetectorConfig, OnlineThrottleDetector};
 use amr_telemetry::trace::{
@@ -66,16 +66,18 @@ const ADAPTIVE_SYNC_THRESHOLD: f64 = 0.15;
 pub struct WorkloadStep {
     /// Did the mesh refine/coarsen (requiring redistribution)?
     pub mesh_changed: bool,
-    /// When the mesh changed: for each *new* block, where its cost history
-    /// comes from.
-    pub origins: Option<Vec<CostOrigin>>,
 }
 
 /// A simulation workload: evolving mesh + per-block compute costs.
 ///
 /// Implementations live in `amr-workloads` (Sedov blast wave, galaxy-cooling
 /// style, synthetic). The contract: after `advance(step)`, `mesh()` and
-/// `block_compute_ns()` describe the state for step `step`.
+/// `block_compute_ns()` describe the state for step `step`, and if the mesh
+/// changed, `mesh().last_delta()` describes this step's change — its fate
+/// table carries cost estimates, the warm placement and observed exchange
+/// bytes across the adapt. A delta that does not map the previous step's
+/// blocks onto the current mesh ([`RefinementDelta::maps`]) is ignored: the
+/// run continues without ancestry.
 pub trait Workload {
     /// The current mesh snapshot.
     fn mesh(&self) -> &AmrMesh;
@@ -230,11 +232,14 @@ impl SimConfig {
                     .to_string(),
             );
         }
-        if !self.cost_alpha.is_finite() || !(0.0..=1.0).contains(&self.cost_alpha) {
+        if !(self.cost_alpha > 0.0 && self.cost_alpha <= 1.0) {
             return Err(format!(
-                "cost_alpha must be finite and in [0, 1] (got {})",
+                "cost_alpha must be in (0, 1] (got {})",
                 self.cost_alpha
             ));
+        }
+        if self.telemetry_sampling == 0 {
+            return Err("telemetry_sampling must be >= 1 (1 records every step)".to_string());
         }
         if self.collective_payload_bytes == 0 {
             return Err(
@@ -636,10 +641,15 @@ impl MacroSim {
                 t.incr(TraceCounter::Steps, 1);
             }
             let ws = workload.advance(step);
+            let mesh = workload.mesh();
+            // This step's adapt, if its fate table relates the run's blocks
+            // to the new mesh's; one answer for every consumer below.
+            let delta = Some(mesh.last_delta())
+                .filter(|d| ws.mesh_changed && d.maps(run.cost_model.len(), mesh.num_blocks()));
             if ws.mesh_changed {
-                self.remesh(&mut run, workload.mesh(), &ws);
+                self.remesh(&mut run, mesh, delta);
             }
-            self.rebalance(&mut run, workload.mesh(), policy, trigger, step, &ws)?;
+            self.rebalance(&mut run, mesh, policy, trigger, step, &ws, delta)?;
             self.compute(&mut run, workload.block_compute_ns(), step);
             self.exchange(&mut run);
             let completion_ns = self.collective(&mut run);
@@ -748,8 +758,9 @@ impl MacroSim {
 
     /// Remesh phase: repair the resident topology for the adapted mesh
     /// (carrying the ledger's observations across), charge the inter-shard
-    /// halo republish, and remap the cost model.
-    fn remesh(&mut self, run: &mut Run, mesh: &AmrMesh, ws: &WorkloadStep) {
+    /// halo republish, and remap the cost model through `delta` (without
+    /// one, estimates restart).
+    fn remesh(&mut self, run: &mut Run, mesh: &AmrMesh, delta: Option<&RefinementDelta>) {
         let cfg = &self.config;
         run.report.mesh_change_steps += 1;
         match &mut run.graph {
@@ -766,9 +777,9 @@ impl MacroSim {
                 // workload's last delta doesn't describe this graph's mesh).
                 mesh.patch_neighbor_graph(g, &mut self.patch_scratch);
                 // ...then carry bytes for relations whose endpoints both
-                // survived (`CostOrigin::Same`); the rest start at zero.
+                // survived (`BlockFate::Same`); the rest start at zero.
                 if observe {
-                    self.ledger.apply_remesh(ws.origins.as_deref(), g);
+                    self.ledger.apply_remesh(delta, g);
                 }
             }
             ResidentGraph::Sharded(sm) => {
@@ -808,10 +819,10 @@ impl MacroSim {
                 run.redist.per_rank_ns += worst_ns;
             }
         }
-        if let Some(origins) = &ws.origins {
+        if let Some(delta) = delta {
             // Warm remap: children inherit the parent's estimate, merges
             // average — staged in the reused spare buffer.
-            run.cost_model.remap_in_place(origins, &mut run.cost_spare);
+            run.cost_model.remap_in_place(delta, &mut run.cost_spare);
         } else {
             run.cost_model = TelemetryCostModel::new(mesh.num_blocks(), cfg.cost_alpha, 1.0e6);
         }
@@ -820,6 +831,7 @@ impl MacroSim {
     /// Rebalance phase: consult the trigger and, when it fires, re-place
     /// (wall-clocked against the budget), charge the migration, and refill
     /// the epoch for the new placement.
+    #[allow(clippy::too_many_arguments)]
     fn rebalance(
         &mut self,
         run: &mut Run,
@@ -828,6 +840,7 @@ impl MacroSim {
         trigger: RebalanceTrigger,
         step: u64,
         ws: &WorkloadStep,
+        delta: Option<&RefinementDelta>,
     ) -> Result<(), String> {
         let cfg = &self.config;
         let r = cfg.topology.num_ranks;
@@ -874,15 +887,7 @@ impl MacroSim {
         let t0 = Instant::now();
         let report = self
             .engine
-            .rebalance_weighted(
-                policy,
-                costs,
-                r,
-                Some(mesh),
-                ws.origins.as_deref(),
-                flat,
-                edge_weights,
-            )
+            .rebalance_weighted(policy, costs, r, Some(mesh), delta, flat, edge_weights)
             .map_err(|e| format!("rebalance at step {step} failed: {e}"))?;
         let wall = t0.elapsed().as_nanos() as u64;
         run.report.placement_wall_total_ns += wall;
@@ -892,7 +897,7 @@ impl MacroSim {
         // bounded by the larger of its outgoing and incoming volume over the
         // fabric, and the phase ends with the slowest rank (it precedes a
         // synchronization). The engine charges it — diffed against the
-        // previous placement, or flowed through the cost-origin remap across
+        // previous placement, or flowed through the adapt's fate table across
         // block-count changes.
         let block_ns = run.block_bytes as f64 / cfg.network.fabric.bytes_per_ns;
         let migration_ns = match report.migration {
@@ -901,8 +906,8 @@ impl MacroSim {
                 m.max_rank_flow as f64 * block_ns
             }
             None => {
-                // No comparable history (block count changed without origin
-                // tracking): every payload is rebuilt and shipped once;
+                // No comparable history (block count changed without a delta
+                // relating the meshes): every payload is rebuilt and shipped once;
                 // approximate by the mean per-rank volume.
                 run.redist.moved = report.num_blocks as u64;
                 run.redist.moved as f64 * block_ns / r as f64
@@ -1542,11 +1547,7 @@ mod tests {
                 });
                 assert!(delta.changed());
                 self.costs = vec![1.0e6; self.mesh.num_blocks()];
-                // No origin tracking in this toy: rebuild cost model.
-                WorkloadStep {
-                    mesh_changed: true,
-                    origins: None,
-                }
+                WorkloadStep { mesh_changed: true }
             } else {
                 WorkloadStep::default()
             }
@@ -1907,7 +1908,7 @@ mod knob_tests {
     /// follows the slot-ownership rule, so any multi-task schedule
     /// reproduces the inline single-task schedule's virtual time **bit for
     /// bit** (ragged 3-way splits and more threads than ranks included),
-    /// through mesh adaptation without origin tracking, a throttle episode
+    /// through a mesh adaptation carried by its fate table, a throttle episode
     /// with NIC degradation, and both graph paths (flat and sharded). The
     /// single-task bits themselves are pinned by
     /// `tests/golden_virtual_time.rs`. Virtual phases and counters are
@@ -2048,6 +2049,22 @@ mod knob_tests {
                     c
                 },
                 "collective_payload_bytes",
+            ),
+            (
+                {
+                    let mut c = cfg16();
+                    c.cost_alpha = 0.0;
+                    c
+                },
+                "cost_alpha",
+            ),
+            (
+                {
+                    let mut c = cfg16();
+                    c.telemetry_sampling = 0;
+                    c
+                },
+                "telemetry_sampling",
             ),
         ];
         for (cfg, needle) in cases {

@@ -21,7 +21,6 @@
 //! only a change to the simulator, the mesh or a placement policy can move
 //! these numbers.
 
-use amr_core::cost::origins_from_delta;
 use amr_core::policies::{Lpt, Multilevel, PlacementPolicy};
 use amr_core::RebalanceTrigger;
 use amr_mesh::{AmrMesh, Dim, MeshBlock, MeshConfig, Octant, RefineTag};
@@ -53,7 +52,7 @@ fn block_cost(b: &MeshBlock) -> f64 {
 /// Canned workload: a 3D mesh with octant-hashed block costs that, every
 /// `adapt_every` steps (0 = static), refines a hashed tenth of its blocks
 /// and coarsens hashed sibling families — so refined meshes carry
-/// fine→coarse faces (flux traffic) and every remesh reports cost origins.
+/// fine→coarse faces (flux traffic) and every remesh carries its fate table.
 struct Canned {
     mesh: AmrMesh,
     costs: Vec<f64>,
@@ -105,14 +104,9 @@ impl Workload for Canned {
         if !changed {
             return WorkloadStep::default();
         }
-        let mut origins = Vec::new();
-        origins_from_delta(self.mesh.last_delta(), &mut origins);
         self.costs.clear();
         self.costs.extend(self.mesh.blocks().iter().map(block_cost));
-        WorkloadStep {
-            mesh_changed: true,
-            origins: Some(origins),
-        }
+        WorkloadStep { mesh_changed: true }
     }
 
     fn block_compute_ns(&self) -> &[f64] {

@@ -1,14 +1,12 @@
 //! Glue between meshes, placements and the simulators: explicit per-round
-//! message lists for the analytic micro-simulator, per-rank MPI programs
-//! for the event-driven engine, and cost-origin tracking across adaptation.
+//! message lists for the analytic micro-simulator and per-rank MPI programs
+//! for the event-driven engine.
 
-use amr_core::cost::CostOrigin;
 use amr_core::engine::{PlacementCtx, PlacementError, PlacementReport};
 use amr_core::policies::PlacementPolicy;
 use amr_core::Placement;
-use amr_mesh::{AmrMesh, Octant};
+use amr_mesh::AmrMesh;
 use amr_sim::Message;
-use std::collections::HashMap;
 
 /// Build a [`PlacementCtx`] for a mesh-backed placement problem: per-block
 /// costs in SFC order plus the mesh snapshot, so locality-aware policies
@@ -65,40 +63,6 @@ pub fn build_round_messages(mesh: &AmrMesh, placement: &Placement) -> Vec<Messag
         }
     }
     out
-}
-
-/// Derive the [`CostOrigin`] of every block of the *new* mesh given the
-/// `octant → old index` map captured before adaptation.
-///
-/// * octant unchanged → `Same`;
-/// * octant's parent was an old leaf → `SplitFrom` (refinement);
-/// * octant's children were old leaves → `MergedFrom` (coarsening);
-/// * anything else → `Fresh` (does not occur for single adapt steps).
-pub fn cost_origins(old: &HashMap<Octant, usize>, mesh: &AmrMesh) -> Vec<CostOrigin> {
-    let dim = mesh.config().dim;
-    mesh.blocks()
-        .iter()
-        .map(|b| {
-            if let Some(&i) = old.get(&b.octant) {
-                return CostOrigin::Same(i);
-            }
-            if let Some(p) = b.octant.parent() {
-                if let Some(&i) = old.get(&p) {
-                    return CostOrigin::SplitFrom(i);
-                }
-            }
-            let children = b.octant.children(dim);
-            let merged: Vec<usize> = children
-                .iter()
-                .filter_map(|c| old.get(c).copied())
-                .collect();
-            if merged.len() == children.len() {
-                CostOrigin::MergedFrom(merged)
-            } else {
-                CostOrigin::Fresh
-            }
-        })
-        .collect()
 }
 
 /// Compile a boundary exchange into per-rank [`amr_sim::Op`] programs for
@@ -164,7 +128,7 @@ pub fn build_mpi_programs(
 mod tests {
     use super::*;
     use amr_core::policies::{Baseline, PlacementPolicy};
-    use amr_mesh::{Dim, MeshConfig, RefineTag};
+    use amr_mesh::{Dim, MeshConfig};
 
     fn mesh() -> AmrMesh {
         AmrMesh::new(MeshConfig::from_cells(Dim::D3, (64, 64, 64), 2))
@@ -221,107 +185,6 @@ mod tests {
         // Errors surface typed instead of panicking.
         let err = place_on_mesh(&Lpt, &m, &costs, 0).unwrap_err();
         assert!(matches!(err, PlacementError::NoRanks));
-    }
-
-    #[test]
-    fn origins_same_for_unchanged_mesh() {
-        let m = mesh();
-        let old: HashMap<Octant, usize> = m
-            .blocks()
-            .iter()
-            .map(|b| (b.octant, b.id.index()))
-            .collect();
-        let origins = cost_origins(&old, &m);
-        for (i, o) in origins.iter().enumerate() {
-            assert_eq!(*o, CostOrigin::Same(i));
-        }
-    }
-
-    #[test]
-    fn origins_track_refinement_and_coarsening() {
-        let mut m = mesh();
-        let old: HashMap<Octant, usize> = m
-            .blocks()
-            .iter()
-            .map(|b| (b.octant, b.id.index()))
-            .collect();
-        m.adapt(|b| {
-            if b.id.index() == 0 {
-                RefineTag::Refine
-            } else {
-                RefineTag::Keep
-            }
-        });
-        let origins = cost_origins(&old, &m);
-        let splits = origins
-            .iter()
-            .filter(|o| matches!(o, CostOrigin::SplitFrom(0)))
-            .count();
-        assert_eq!(splits, 8);
-        let sames = origins
-            .iter()
-            .filter(|o| matches!(o, CostOrigin::Same(_)))
-            .count();
-        assert_eq!(sames, origins.len() - 8);
-
-        // Now coarsen back and check MergedFrom.
-        let old2: HashMap<Octant, usize> = m
-            .blocks()
-            .iter()
-            .map(|b| (b.octant, b.id.index()))
-            .collect();
-        m.adapt(|b| {
-            if b.level() > 0 {
-                RefineTag::Coarsen
-            } else {
-                RefineTag::Keep
-            }
-        });
-        let origins2 = cost_origins(&old2, &m);
-        let merged = origins2
-            .iter()
-            .filter(|o| matches!(o, CostOrigin::MergedFrom(v) if v.len() == 8))
-            .count();
-        assert_eq!(merged, 1);
-    }
-
-    /// The O(n) delta-derived origins must agree with this octant-matching
-    /// oracle everywhere the oracle has an answer. The single allowed
-    /// divergence: blocks created multiple levels below an old leaf in one
-    /// adapt pass (ripple cascades), where the oracle cannot see past the
-    /// immediate parent and reports `Fresh` while the fate table still
-    /// knows the old ancestor (`SplitFrom`) — strictly more ancestry.
-    #[test]
-    fn delta_origins_match_octant_oracle() {
-        use amr_core::cost::origins_from_delta;
-        let mut m = mesh();
-        let mut from_delta = Vec::new();
-        for salt in 0..8u64 {
-            let old: HashMap<Octant, usize> = m
-                .blocks()
-                .iter()
-                .map(|b| (b.octant, b.id.index()))
-                .collect();
-            m.adapt(|b| {
-                let h = (b.id.index() as u64)
-                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                    .wrapping_add(salt);
-                match h % 4 {
-                    0 => RefineTag::Refine,
-                    1 => RefineTag::Coarsen,
-                    _ => RefineTag::Keep,
-                }
-            });
-            let oracle = cost_origins(&old, &m);
-            origins_from_delta(m.last_delta(), &mut from_delta);
-            assert_eq!(oracle.len(), from_delta.len());
-            for (i, (d, o)) in from_delta.iter().zip(&oracle).enumerate() {
-                match (d, o) {
-                    (CostOrigin::SplitFrom(_), CostOrigin::Fresh) => {}
-                    _ => assert_eq!(d, o, "origin mismatch at new block {i}"),
-                }
-            }
-        }
     }
 }
 

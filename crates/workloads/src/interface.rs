@@ -11,7 +11,6 @@
 //! blocks crossed by it refine, blocks whose cells straddle the shear layer
 //! cost more to integrate.
 
-use amr_core::cost::{origins_from_delta, CostOrigin};
 use amr_mesh::{Aabb, AmrMesh, BlockId, MeshConfig, Point, RefineTag};
 use amr_sim::{Workload, WorkloadStep};
 
@@ -115,7 +114,9 @@ impl InterfaceWorkload {
             .collect();
     }
 
-    fn adapt_mesh(&mut self) -> Option<Vec<CostOrigin>> {
+    /// Adapt the mesh to the current interface. Returns whether the mesh
+    /// changed.
+    fn adapt_mesh(&mut self) -> bool {
         let step = self.step;
         let max_level = self.config.mesh.max_level;
         // Capture the interface function without borrowing `self`, so the
@@ -162,8 +163,7 @@ impl InterfaceWorkload {
         );
         self.mesh.blocks_in_region_into(&region, &mut self.slab_ids);
         let slab = &self.slab_ids;
-        let changed = self
-            .mesh
+        self.mesh
             .adapt(|b| {
                 if slab.binary_search(&b.id).is_err() {
                     return if b.level() > 0 {
@@ -180,16 +180,7 @@ impl InterfaceWorkload {
                     RefineTag::Keep
                 }
             })
-            .changed();
-        if changed {
-            // Origins fall straight out of the adapt changeset — no
-            // octant→id HashMap snapshot, no per-block hashing.
-            let mut origins = Vec::new();
-            origins_from_delta(self.mesh.last_delta(), &mut origins);
-            Some(origins)
-        } else {
-            None
-        }
+            .changed()
     }
 }
 
@@ -200,15 +191,9 @@ impl Workload for InterfaceWorkload {
 
     fn advance(&mut self, step: u64) -> WorkloadStep {
         self.step = step;
-        let mut ws = WorkloadStep::default();
-        if step.is_multiple_of(self.config.adapt_interval) {
-            if let Some(origins) = self.adapt_mesh() {
-                ws.mesh_changed = true;
-                ws.origins = Some(origins);
-            }
-        }
+        let mesh_changed = step.is_multiple_of(self.config.adapt_interval) && self.adapt_mesh();
         self.recompute_costs();
-        ws
+        WorkloadStep { mesh_changed }
     }
 
     fn block_compute_ns(&self) -> &[f64] {

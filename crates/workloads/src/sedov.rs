@@ -21,8 +21,7 @@
 //! holds by construction), `d(b)` is the block center's distance to the
 //! shock surface, and `post` is a milder post-shock (interior) boost.
 
-use amr_core::cost::{origins_from_delta, CostOrigin};
-use amr_mesh::{Aabb, AmrMesh, BlockId, MeshBlock, MeshConfig, Point, RefineTag};
+use amr_mesh::{Aabb, AmrMesh, BlockFate, BlockId, MeshBlock, MeshConfig, Point, RefineTag};
 use amr_sim::{Workload, WorkloadStep};
 use amr_telemetry::TraceHandle;
 
@@ -157,7 +156,7 @@ pub struct SedovWorkload {
     costs: Vec<f64>,
     /// Per block, what a step cannot change: `base_cost_ns · octant_noise`
     /// and the block centre's distance to the blast centre — both pure
-    /// functions of the octant, carried across adapts by [`CostOrigin`].
+    /// functions of the octant, carried across adapts by the fate table.
     factors: Vec<(f64, f64)>,
     /// The retired `factors` buffer, refilled at the next mesh change.
     factors_spare: Vec<(f64, f64)>,
@@ -240,22 +239,29 @@ impl SedovWorkload {
         )
     }
 
-    /// Bring `factors` to the adapted mesh: a surviving block keeps its
-    /// pair, a new child or merged parent gets its own computed (the pair is
-    /// a function of the octant, not of ancestry). Staged in the spare
-    /// buffer and swapped, like `TelemetryCostModel::remap_in_place`.
-    fn carry_factors(&mut self, origins: &[CostOrigin]) {
+    /// Bring `factors` to the adapted mesh in one walk over the last
+    /// adapt's fates (new ids come out ascending): a surviving block keeps
+    /// its pair, a new child or merged parent gets its own computed (the
+    /// pair is a function of the octant, not of ancestry). Staged in the
+    /// spare buffer and swapped, like `TelemetryCostModel::remap_in_place`.
+    fn carry_factors(&mut self) {
         let mut spare = std::mem::take(&mut self.factors_spare);
         spare.clear();
-        spare.extend(
-            origins
-                .iter()
-                .zip(self.mesh.blocks())
-                .map(|(origin, b)| match origin {
-                    CostOrigin::Same(old) => self.factors[*old],
-                    _ => self.block_factors(b),
-                }),
-        );
+        let blocks = self.mesh.blocks();
+        for (old, fate) in self.mesh.last_delta().remap.iter().enumerate() {
+            match *fate {
+                BlockFate::Same(_) => spare.push(self.factors[old]),
+                BlockFate::Refined { first, count } => {
+                    let children = &blocks[first.index()..first.index() + count as usize];
+                    spare.extend(children.iter().map(|b| self.block_factors(b)));
+                }
+                // Only the family's first member emits the parent.
+                BlockFate::Coarsened(new) if new.index() == spare.len() => {
+                    spare.push(self.block_factors(&blocks[new.index()]))
+                }
+                BlockFate::Coarsened(_) => {}
+            }
+        }
         self.factors_spare = std::mem::replace(&mut self.factors, spare);
     }
 
@@ -316,9 +322,9 @@ impl SedovWorkload {
             .collect()
     }
 
-    /// Adapt the mesh to the current shock position. Returns the cost-origin
-    /// mapping if the mesh changed.
-    fn adapt_mesh(&mut self) -> Option<Vec<CostOrigin>> {
+    /// Adapt the mesh to the current shock position. Returns whether the
+    /// mesh changed.
+    fn adapt_mesh(&mut self) -> bool {
         let r = self.current_radius;
         let w = self.config.refine_margin;
         let band = self.config.band_fraction;
@@ -337,8 +343,7 @@ impl SedovWorkload {
         self.mesh
             .blocks_in_region_into(&region, &mut self.active_ids);
         let active = &self.active_ids;
-        let changed = self
-            .mesh
+        self.mesh
             .adapt(|b| {
                 if active.binary_search(&b.id).is_err() {
                     return if b.level() > 0 {
@@ -373,16 +378,7 @@ impl SedovWorkload {
                     RefineTag::Keep
                 }
             })
-            .changed();
-        if changed {
-            // Origins fall straight out of the adapt changeset — no
-            // octant→id HashMap snapshot, no per-block hashing.
-            let mut origins = Vec::new();
-            origins_from_delta(self.mesh.last_delta(), &mut origins);
-            Some(origins)
-        } else {
-            None
-        }
+            .changed()
     }
 
     /// Attach (or detach) a trace handle to the workload's mesh, so its
@@ -406,16 +402,12 @@ impl Workload for SedovWorkload {
     fn advance(&mut self, step: u64) -> WorkloadStep {
         self.current_step = step;
         self.current_radius = self.radius_at(step);
-        let mut ws = WorkloadStep::default();
-        if step.is_multiple_of(self.config.adapt_interval) {
-            if let Some(origins) = self.adapt_mesh() {
-                self.carry_factors(&origins);
-                ws.mesh_changed = true;
-                ws.origins = Some(origins);
-            }
+        let mesh_changed = step.is_multiple_of(self.config.adapt_interval) && self.adapt_mesh();
+        if mesh_changed {
+            self.carry_factors();
         }
         self.recompute_costs();
-        ws
+        WorkloadStep { mesh_changed }
     }
 
     fn block_compute_ns(&self) -> &[f64] {
@@ -471,10 +463,11 @@ mod tests {
         let mut peak = initial;
         let mut changes = 0;
         for step in 0..100 {
+            let before = w.mesh().num_blocks();
             let ws = w.advance(step);
             if ws.mesh_changed {
                 changes += 1;
-                assert!(ws.origins.is_some());
+                assert!(w.mesh().last_delta().maps(before, w.mesh().num_blocks()));
                 w.mesh().check_invariants().unwrap();
             }
             peak = peak.max(w.mesh().num_blocks());
@@ -580,7 +573,9 @@ mod tests {
             let ws = self.inner.advance(step);
             if ws.mesh_changed {
                 let d = self.inner.mesh().last_delta();
-                self.created += (d.new_child_ids().count() + d.coarsened_parents.len()) as u64;
+                let merged = d.remap.chunk_by(|a, b| a == b);
+                let merged = merged.filter(|run| matches!(run[0], BlockFate::Coarsened(_)));
+                self.created += (d.new_child_ids().count() + merged.count()) as u64;
                 self.rows += d.blocks_after as u64;
             }
             ws

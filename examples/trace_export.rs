@@ -6,7 +6,6 @@
 //! `cargo run --release --example trace_export -- [prefix]` (default `target/trace_export`)
 
 use amr_tools::mesh::{AmrMesh, Dim, MeshConfig};
-use amr_tools::placement::cost::origins_from_delta;
 use amr_tools::placement::policies::Cplx;
 use amr_tools::placement::trigger::RebalanceTrigger;
 use amr_tools::service::{front_tag, session_costs};
@@ -25,13 +24,9 @@ impl Workload for FrontSweep {
     }
     fn advance(&mut self, step: u64) -> WorkloadStep {
         let front = 0.3 + step as f64 / 64.0; // a sixteenth of a root width per step
-        let mut ws = WorkloadStep::default();
-        if self.mesh.adapt(|b| front_tag(b, front, 1)).changed() {
-            ws.mesh_changed = true;
-            origins_from_delta(self.mesh.last_delta(), ws.origins.insert(Vec::new()));
-        }
+        let mesh_changed = self.mesh.adapt(|b| front_tag(b, front, 1)).changed();
         session_costs(self.mesh.num_blocks(), &mut self.costs);
-        ws
+        WorkloadStep { mesh_changed }
     }
     fn block_compute_ns(&self) -> &[f64] {
         &self.costs

@@ -38,13 +38,25 @@
 //!    sequence must flatten to the from-scratch global graph after every
 //!    step, for any shard count — and its halo tables must index exactly
 //!    the out-of-shard neighbor ids.
+//!
+//! PR "the fate table is the only remap" deleted the per-new-block
+//! `CostOrigin` vector every workload derived from each adapt:
+//!
+//! 6. The cost-model remap, the engine's warm LPT order and migration
+//!    accounting, and the exchange-byte ledger's carry now each walk the
+//!    delta's fate table in old-id order. After every adapt of a random
+//!    2D/3D sequence, bounded and periodic, each must equal what it was
+//!    when driven by origins — `mod origin_oracle` below, the deleted
+//!    converter and consumers — bit for bit.
 
 use amr_tools::mesh::{
     Aabb, AmrMesh, BlockSpec, Dim, MeshConfig, Neighbor, NeighborGraph, Octant, PatchScratch,
     RefineTag, ShardedMesh, WorkerPool,
 };
+use amr_tools::placement::policies::{Baseline, Lpt};
+use amr_tools::placement::{PlacementEngine, TelemetryCostModel};
 use amr_tools::sim::mpi::Op;
-use amr_tools::sim::{MpiWorld, NetworkConfig, Topology};
+use amr_tools::sim::{ExchangeByteLedger, MpiWorld, NetworkConfig, Topology};
 use proptest::prelude::*;
 
 /// The original neighbor-graph builder, kept as the oracle the CSR builders
@@ -262,6 +274,169 @@ mod mpi_oracle {
     }
 }
 
+/// The per-new-block ancestry workloads used to derive from every adapt,
+/// and the four consumers that read it, moved out of the library: the
+/// oracle the fate-table walks are proved against.
+mod origin_oracle {
+    use amr_tools::mesh::{BlockFate, BlockId, NeighborGraph, RefinementDelta};
+    use amr_tools::placement::{MigrationStats, Placement};
+
+    /// How a block of the new mesh relates to blocks of the old one.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum CostOrigin {
+        /// Same block as old index `i`.
+        Same(usize),
+        /// Child produced by refining old block `i`.
+        SplitFrom(usize),
+        /// Parent produced by merging the given old blocks.
+        MergedFrom(Vec<usize>),
+        /// No ancestry.
+        Fresh,
+    }
+
+    /// Each new block's origin, read off the fate table (identity for a
+    /// no-op adapt).
+    pub fn origins_from_delta(delta: &RefinementDelta) -> Vec<CostOrigin> {
+        if delta.remap.is_empty() {
+            return (0..delta.blocks_after).map(CostOrigin::Same).collect();
+        }
+        let mut out = vec![CostOrigin::Fresh; delta.blocks_after];
+        for (old, fate) in delta.remap.iter().enumerate() {
+            match *fate {
+                BlockFate::Same(new) => out[new.index()] = CostOrigin::Same(old),
+                BlockFate::Refined { first, count } => {
+                    for slot in &mut out[first.index()..first.index() + count as usize] {
+                        *slot = CostOrigin::SplitFrom(old);
+                    }
+                }
+                BlockFate::Coarsened(new) => match &mut out[new.index()] {
+                    CostOrigin::MergedFrom(parts) => parts.push(old),
+                    slot => *slot = CostOrigin::MergedFrom(vec![old]),
+                },
+            }
+        }
+        out
+    }
+
+    /// The cost model's remap: children and survivors copy, merged parents
+    /// average their parts, anything else takes the default.
+    pub fn remap_costs(costs: &[f64], origins: &[CostOrigin], default_cost: f64) -> Vec<f64> {
+        origins
+            .iter()
+            .map(|o| match o {
+                CostOrigin::Same(i) | CostOrigin::SplitFrom(i) => costs[*i],
+                CostOrigin::MergedFrom(parts) if !parts.is_empty() => {
+                    parts.iter().map(|&i| costs[i]).sum::<f64>() / parts.len() as f64
+                }
+                _ => default_cost,
+            })
+            .collect()
+    }
+
+    /// The warm LPT order's counting sort: each new block is bucketed at
+    /// its first old ancestor's position in the previous `order` (fresh
+    /// blocks last), stable in new id.
+    pub fn remap_order(order: &[usize], origins: &[CostOrigin]) -> Vec<usize> {
+        let old_n = order.len();
+        let mut pos = vec![0; old_n];
+        for (p, &b) in order.iter().enumerate() {
+            pos[b] = p;
+        }
+        let bucket = |o: &CostOrigin| match o {
+            CostOrigin::Same(i) | CostOrigin::SplitFrom(i) => pos[*i],
+            CostOrigin::MergedFrom(parts) => parts.first().map_or(old_n, |&i| pos[i]),
+            CostOrigin::Fresh => old_n,
+        };
+        let mut starts = vec![0; old_n + 2];
+        for o in origins {
+            starts[bucket(o) + 1] += 1;
+        }
+        for i in 1..=old_n + 1 {
+            starts[i] += starts[i - 1];
+        }
+        let mut out = vec![0; origins.len()];
+        for (b, o) in origins.iter().enumerate() {
+            let slot = &mut starts[bucket(o)];
+            out[*slot] = b;
+            *slot += 1;
+        }
+        out
+    }
+
+    /// Migration of `out` against `prev`: a diff by index at equal block
+    /// counts, otherwise every contributing old block ships to its new
+    /// block's rank (fresh blocks as pure inflow).
+    pub fn migration(
+        prev: &Placement,
+        out: &Placement,
+        origins: &[CostOrigin],
+    ) -> Option<MigrationStats> {
+        let nr = out.num_ranks().max(prev.num_ranks());
+        let (mut flow_out, mut flow_in) = (vec![0usize; nr], vec![0usize; nr]);
+        let mut moved = 0;
+        let mut charge = |from: u32, to: u32| {
+            if from != to {
+                moved += 1;
+                flow_out[from as usize] += 1;
+                flow_in[to as usize] += 1;
+            }
+        };
+        if prev.num_blocks() == out.num_blocks() {
+            for b in 0..out.num_blocks() {
+                charge(prev.rank_of(b), out.rank_of(b));
+            }
+        } else {
+            if origins.len() != out.num_blocks() {
+                return None;
+            }
+            for (b, origin) in origins.iter().enumerate() {
+                let to = out.rank_of(b);
+                match origin {
+                    CostOrigin::Same(i) | CostOrigin::SplitFrom(i) => charge(prev.rank_of(*i), to),
+                    CostOrigin::MergedFrom(parts) => {
+                        for &i in parts {
+                            charge(prev.rank_of(i), to);
+                        }
+                    }
+                    CostOrigin::Fresh => unreachable!("a fate table names every new block"),
+                }
+            }
+        }
+        let max_rank_flow = (0..nr)
+            .map(|r| flow_out[r].max(flow_in[r]))
+            .max()
+            .unwrap_or(0);
+        Some(MigrationStats {
+            moved,
+            max_rank_flow,
+        })
+    }
+
+    /// The ledger's carry: a relation of `new` keeps its bytes from `old`
+    /// iff both endpoints are `Same` survivors and `old` had the relation.
+    pub fn carry_bytes(
+        old: &NeighborGraph,
+        old_bytes: &[u64],
+        new: &NeighborGraph,
+        origins: &[CostOrigin],
+    ) -> Vec<u64> {
+        let mut bytes = Vec::with_capacity(new.total_relations());
+        for (block, nbs) in new.iter() {
+            for nb in nbs {
+                let carried = match (&origins[block.index()], &origins[nb.block.index()]) {
+                    (CostOrigin::Same(sa), CostOrigin::Same(sb)) => old
+                        .neighbors(BlockId(*sa as u32))
+                        .binary_search_by_key(sb, |n| n.block.index())
+                        .map_or(0, |pos| old_bytes[old.row_start(*sa) + pos]),
+                    _ => 0,
+                };
+                bytes.push(carried);
+            }
+        }
+        bytes
+    }
+}
+
 /// Rows of a CSR graph in the oracle's shape.
 fn rows_of(graph: &NeighborGraph) -> Vec<Vec<Neighbor>> {
     graph.iter().map(|(_, row)| row.to_vec()).collect()
@@ -310,6 +485,30 @@ fn repair_mesh(dim_3d: bool, roots: (u32, u32, u32), periodic: bool) -> AmrMesh 
         max_level: 3,
         periodic,
     })
+}
+
+/// The engine's warm LPT order. `Scratch` keeps its buffers crate-private;
+/// its derived `Debug` is the one window onto them.
+fn warm_order(engine: &PlacementEngine) -> Vec<usize> {
+    let dump = format!("{:?}", engine.scratch());
+    let tail = dump
+        .split("lpt_full_order: RefCell { value: [")
+        .nth(1)
+        .expect("Scratch prints its warm order");
+    let list = &tail[..tail.find(']').expect("the order list closes")];
+    list.split(", ")
+        .filter(|s| !s.is_empty())
+        .map(|s| s.parse().expect("an index"))
+        .collect()
+}
+
+/// One step's measured per-block compute times: irregular enough that the
+/// LPT order and the cost model move every step, and that a mean summed in
+/// another order rounds differently.
+fn measured(n: usize, key: u64) -> Vec<f64> {
+    (0..n as u64)
+        .map(|b| 1.0e6 + (next(&mut (key ^ b << 20)) % 1_000_000) as f64 * 0.37)
+        .collect()
 }
 
 /// Pools of 1 (the serial build), 2, 3 and 8 lanes, spawned once.
@@ -513,6 +712,74 @@ proptest! {
             let oracle = AmrMesh::from_parts(mesh.config().clone(), mesh.tree().clone()).unwrap();
             prop_assert_eq!(mesh.blocks(), oracle.blocks());
             prop_assert_eq!(mesh.sfc_keys(), oracle.sfc_keys());
+        }
+    }
+
+    /// Every consumer of an adapt's fate table — the cost model's remap,
+    /// the engine's warm LPT order and migration accounting, the ledger's
+    /// byte carry — equals the origin-driven oracle bit for bit after every
+    /// adapt of a random refine-and-coarsen sequence (ripples included).
+    #[test]
+    fn fate_table_consumers_match_origin_oracle_on_random_sequences(
+        dim_3d: bool,
+        periodic: bool,
+        roots in (1u32..4, 1u32..4, 1u32..4),
+        steps in 1usize..9,
+        salt in 0u64..1000,
+        ranks in 1usize..9,
+    ) {
+        const DEFAULT_COST: f64 = 1.0e6;
+        let mut mesh = repair_mesh(dim_3d, roots, periodic);
+        let (spec, dim) = (mesh.config().spec, mesh.config().dim);
+        let pool = WorkerPool::new(1);
+        let mut graph = mesh.neighbor_graph();
+        let mut patch = PatchScratch::default();
+        let mut ledger = ExchangeByteLedger::default();
+        ledger.begin_run(&graph);
+        let mut model = TelemetryCostModel::new(mesh.num_blocks(), 0.5, DEFAULT_COST);
+        let mut spare = Vec::new();
+        let mut engine = PlacementEngine::new();
+        model.observe_all(&measured(mesh.num_blocks(), salt));
+        engine.rebalance(&Lpt, model.costs(), ranks).unwrap();
+        for step in 0..steps {
+            let key = salt.wrapping_add(step as u64);
+            ledger.note_step(2);
+            ledger.flush(&pool, &graph, spec, dim);
+            let (old_graph, old_bytes) = (graph.clone(), ledger.bytes().to_vec());
+            let old_costs = model.costs().to_vec();
+            let old_order = warm_order(&engine);
+            let prev = engine.placement().unwrap().clone();
+            hash_adapt(&mut mesh, key);
+            let delta = mesh.last_delta();
+            if !delta.changed() {
+                continue;
+            }
+            let origins = origin_oracle::origins_from_delta(delta);
+            ledger.prepare_remesh(&pool, &graph, spec, dim);
+            mesh.patch_neighbor_graph(&mut graph, &mut patch);
+
+            model.remap_in_place(delta, &mut spare);
+            let expect = origin_oracle::remap_costs(&old_costs, &origins, DEFAULT_COST);
+            let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(model.costs()), bits(&expect), "step {}", step);
+
+            ledger.apply_remesh(Some(delta), &graph);
+            let carried = origin_oracle::carry_bytes(&old_graph, &old_bytes, &graph, &origins);
+            prop_assert_eq!(ledger.bytes(), &carried[..], "step {}", step);
+
+            // Baseline leaves the carried order as the engine wrote it.
+            let report = engine
+                .rebalance_with(&Baseline, model.costs(), ranks, None, Some(delta))
+                .unwrap();
+            let order = origin_oracle::remap_order(&old_order, &origins);
+            prop_assert_eq!(warm_order(&engine), order, "step {}", step);
+            let out = engine.placement().unwrap();
+            let moved = origin_oracle::migration(&prev, out, &origins);
+            prop_assert_eq!(report.migration, moved, "step {}", step);
+
+            // Re-sort the order warm for the next adapt.
+            model.observe_all(&measured(mesh.num_blocks(), key.rotate_left(7)));
+            engine.rebalance(&Lpt, model.costs(), ranks).unwrap();
         }
     }
 }

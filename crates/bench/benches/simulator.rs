@@ -1,18 +1,14 @@
-//! Criterion benchmarks for the simulator: micro-round throughput, the
-//! event-driven MPI world's scheduler, and macro-step cost — establishing
-//! that the simulation substrate itself is cheap enough to sweep the
-//! paper's parameter space.
+//! Criterion benchmarks for the simulator: micro-round throughput and
+//! macro-step cost — establishing that the simulation substrate itself is
+//! cheap enough to sweep the paper's parameter space.
 
 use amr_core::policies::Baseline;
 use amr_core::policies::PlacementPolicy;
 use amr_core::trigger::RebalanceTrigger;
 use amr_mesh::{Dim, MeshConfig};
-use amr_sim::mpi::Op;
-use amr_sim::{
-    MacroSim, MicroSim, MpiWorld, NetworkConfig, RoundSpec, SimConfig, TaskOrder, Topology,
-};
+use amr_sim::{MacroSim, MicroSim, NetworkConfig, RoundSpec, SimConfig, TaskOrder, Topology};
 use amr_workloads::cooling::CoolingConfig;
-use amr_workloads::exchange::{build_mpi_programs, build_round_messages};
+use amr_workloads::exchange::build_round_messages;
 use amr_workloads::{random_refined_mesh, CoolingWorkload};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
@@ -35,32 +31,6 @@ fn bench_micro_round(c: &mut Criterion) {
     group.finish();
 }
 
-/// A warm `MpiWorld::run_into` of one boundary exchange (receives, sends,
-/// skewed compute, wait, barrier), per message delivered.
-fn bench_mpi_world(c: &mut Criterion) {
-    let mut group = c.benchmark_group("mpi_world");
-    for ranks in [64usize, 1024] {
-        let mesh = random_refined_mesh(ranks, 1.6, 3);
-        let placement = Baseline.place(&vec![1.0; mesh.num_blocks()], ranks);
-        let compute: Vec<u64> = (0..ranks as u64)
-            .map(|r| 250_000 + (r * 7_919) % 100_000)
-            .collect();
-        let programs = build_mpi_programs(&mesh, &placement, &compute, true);
-        let messages = programs
-            .iter()
-            .flatten()
-            .filter(|op| matches!(op, Op::Isend { .. }))
-            .count();
-        group.throughput(Throughput::Elements(messages as u64));
-        group.bench_function(format!("exchange_{ranks}_ranks"), |b| {
-            let mut world = MpiWorld::new(Topology::paper(ranks), NetworkConfig::tuned());
-            let mut stats = Vec::new();
-            b.iter(|| std::hint::black_box(world.run_into(&programs, &mut stats).unwrap()))
-        });
-    }
-    group.finish();
-}
-
 fn bench_macro_steps(c: &mut Criterion) {
     let mut group = c.benchmark_group("macrosim");
     group.sample_size(10);
@@ -80,10 +50,5 @@ fn bench_macro_steps(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_micro_round,
-    bench_mpi_world,
-    bench_macro_steps
-);
+criterion_group!(benches, bench_micro_round, bench_macro_steps);
 criterion_main!(benches);

@@ -2,9 +2,10 @@
 //!
 //! 1. repeated `PlacementEngine::rebalance` calls at the same problem size
 //!    perform no heap allocation for any sequential policy,
-//! 2. repeated `MpiWorld::run_into` executions of the same programs perform
-//!    no heap allocation — the arrival heap, sent-payload list, mailboxes
-//!    and rank records are all pooled, and
+//! 2. warm `MicroSim::run_round_into` rounds perform no heap allocation —
+//!    dispatch times, by-source groups, arrival lists, the link matrix and
+//!    the barrier waits are pooled in the simulator, the result's vectors
+//!    are refilled in place — under every network mechanism, and
 //! 3. a no-op `AmrMesh::adapt` pass (all blocks tagged `Keep`) performs no
 //!    heap allocation — tag staging and coarsen grouping are pooled, and the
 //!    identity fast path never touches the block index.
@@ -15,8 +16,7 @@
 
 use amr_core::engine::PlacementEngine;
 use amr_core::policies::{Baseline, Cdp, ChunkedCdp, Cplx, Lpt, PlacementPolicy};
-use amr_sim::mpi::{Op, RankStats};
-use amr_sim::{MpiWorld, NetworkConfig, Topology};
+use amr_sim::{Message, MicroSim, NetworkConfig, RoundResult, RoundSpec, TaskOrder, Topology};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -163,57 +163,65 @@ fn steady_state_rebalance_is_allocation_free() {
     }
 
     // ---- Simulator steady state -------------------------------------------
-    // A warm MpiWorld re-running the same ring-exchange programs must not
-    // allocate: the arrival heap, the sent-payload list and the mailboxes
-    // are cleared but keep their capacity, and stats land in a reused
-    // buffer. Every run is counted, not the quietest: pooled state that
-    // grew across runs would reallocate on some of them.
-    let ranks = 32;
-    let mut world = MpiWorld::new(
-        Topology::paper(ranks),
-        NetworkConfig {
-            ack_loss_prob: 0.0,
-            ..NetworkConfig::tuned()
-        },
-    );
-    let programs: Vec<Vec<Op>> = (0..ranks as u32)
-        .map(|i| {
-            vec![
-                Op::Irecv {
-                    src: (i + ranks as u32 - 1) % ranks as u32,
-                    tag: 0,
-                },
-                Op::Isend {
-                    dst: (i + 1) % ranks as u32,
-                    tag: 0,
-                    bytes: 20_480,
-                },
-                Op::Compute(250_000 + i as u64 * 11_000),
-                Op::WaitAll,
-                Op::Barrier,
-            ]
+    // Warm rounds of one simulator must not allocate, whichever mechanisms
+    // the network model runs: the tuned stack, ACK-loss draws on a third of
+    // the remote sends (stalls charged, no drain queue), and a credit window
+    // every inter-node link overfills — each at both task orders. Every
+    // round is counted, not the quietest: scratch that grew across rounds
+    // would reallocate on some of them. 64 ranks, each sending to 4 peers
+    // (one on its node, three off it) and to itself.
+    let ranks = 64u32;
+    let messages: Vec<Message> = (0..ranks)
+        .flat_map(|i| {
+            [0, 1, 16, 37, 50].map(|d| Message {
+                src: i,
+                dst: (i + d) % ranks,
+                bytes: if d == 0 { 1_280 } else { 20_480 },
+            })
         })
         .collect();
-    let mut stats: Vec<RankStats> = Vec::new();
-    for _ in 0..3 {
-        world
-            .run_into(&programs, &mut stats)
-            .expect("warm-up run completes");
+    let networks = [
+        ("tuned", NetworkConfig::tuned()),
+        (
+            "untuned",
+            NetworkConfig {
+                ack_loss_prob: 0.3,
+                ..NetworkConfig::untuned()
+            },
+        ),
+        (
+            "congested",
+            NetworkConfig {
+                fabric_credit_bytes: 64 << 10,
+                ..NetworkConfig::congested()
+            },
+        ),
+    ];
+    for (name, net) in networks {
+        for order in [TaskOrder::SendsFirst, TaskOrder::ComputeFirst] {
+            let spec = RoundSpec {
+                num_ranks: ranks as usize,
+                compute_ns: (0..ranks as u64).map(|i| 250_000 + i * 11_000).collect(),
+                messages: messages.clone(),
+                order,
+            };
+            let mut sim = MicroSim::new(Topology::paper(ranks as usize), net, 7);
+            let mut out = RoundResult::default();
+            sim.run_round_into(&spec, &mut out);
+            let mut stalls = 0;
+            let before = alloc_count();
+            for _ in 0..5 {
+                sim.run_round_into(&spec, &mut out);
+                stalls += out.ack_stalls;
+            }
+            let allocs = alloc_count() - before;
+            assert_eq!(
+                allocs, 0,
+                "{name} {order:?}: five warm rounds allocated {allocs} times"
+            );
+            assert!(name != "untuned" || stalls > 0, "no ACK stall was drawn");
+        }
     }
-    let reference = stats.clone();
-    let before = alloc_count();
-    for _ in 0..5 {
-        let makespan = world
-            .run_into(&programs, &mut stats)
-            .expect("steady-state run completes");
-        assert!(makespan > 0);
-    }
-    let allocs = alloc_count() - before;
-    assert_eq!(
-        allocs, 0,
-        "five steady-state simulator runs allocated {allocs} times"
-    );
-    assert_eq!(stats, reference, "warm runs must stay deterministic");
 
     // ---- Mesh no-op adapt steady state --------------------------------------
     // Tagging every block `Keep` must cost nothing on the heap: the per-block

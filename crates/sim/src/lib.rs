@@ -16,9 +16,12 @@
 //!   straggler-amplification that makes synchronization 35–50% of runtime.
 //! * [`faults`] — node-level fail-slow injection (thermal throttling in
 //!   clusters of one node's ranks, §IV-A) and OS jitter.
-//! * [`microsim`] — message-level simulation of one boundary-exchange round
-//!   (used by `commbench`/Figs. 1, 3, 7a).
-//! * [`macrosim`] — step-level simulation of a full AMR run: compute →
+//! * [`microsim`] — the message-level engine: one nonblocking
+//!   boundary-exchange round (dispatch → receiver service → `Waitall` →
+//!   barrier) with task order, receiver-side serialization, shm queue
+//!   contention, ACK-loss recovery and the credit fabric (`commbench`,
+//!   Figs. 1, 3, 7a).
+//! * [`macrosim`] — the step-level engine: a full AMR run of compute →
 //!   boundary exchange → synchronization → (on refinement) redistribution,
 //!   with telemetry collection and placement-policy plug-in (Fig. 6/Table I).
 //! * [`health`] — pre/post-run node health checks with overprovisioning and
@@ -33,7 +36,6 @@ pub mod health;
 pub mod ledger;
 pub mod macrosim;
 pub mod microsim;
-pub mod mpi;
 pub mod network;
 mod par;
 pub mod report;
@@ -45,7 +47,6 @@ pub use health::{blacklist_and_rehost, run_health_check, run_health_check_at, He
 pub use ledger::ExchangeByteLedger;
 pub use macrosim::{MacroSim, RunReport, SimConfig, Workload, WorkloadStep};
 pub use microsim::{Message, MicroSim, RoundResult, RoundSpec, TaskOrder};
-pub use mpi::{MpiWorld, Op};
 pub use network::NetworkConfig;
 pub use report::PhaseBreakdown;
 pub use topology::{NodeMap, Topology};

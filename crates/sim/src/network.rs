@@ -149,8 +149,7 @@ impl NetworkConfig {
     /// every remote byte congested, and an extreme `ack_recovery_ns` can
     /// overflow the per-rank stall accumulator. Called by
     /// [`SimConfig::validate`](crate::macrosim::SimConfig) (which prefixes
-    /// `network.`), [`MicroSim::new`](crate::microsim::MicroSim) and
-    /// [`MpiWorld::new`](crate::mpi::MpiWorld::new).
+    /// `network.`) and [`MicroSim::new`](crate::microsim::MicroSim::new).
     pub fn validate(&self) -> Result<(), String> {
         for (name, path) in [("fabric", &self.fabric), ("shm", &self.shm)] {
             if !path.bytes_per_ns.is_finite() || path.bytes_per_ns <= 0.0 {

@@ -11,9 +11,10 @@
 //! * [`placement`] — the paper's contribution: the baseline SFC policy, LPT,
 //!   CDP, chunked CDP and the tunable CPLX hybrid, plus cost models,
 //!   critical-path analysis and an exact reference solver.
-//! * [`sim`] — a discrete-event cluster simulator with an MPI-like
-//!   communication layer and fault injection (thermal throttling, ACK-loss
-//!   recovery stalls, shared-memory queue contention).
+//! * [`sim`] — a cluster simulator, step-level for whole runs and
+//!   message-level for single exchange rounds, with fault injection
+//!   (thermal throttling, ACK-loss recovery stalls, shared-memory queue
+//!   contention).
 //! * [`service`] — placement-as-a-service: many concurrent placement
 //!   sessions batched over the worker pool, with a warm-engine LRU keyed by
 //!   mesh fingerprint and the telemetry query engine behind the same API.

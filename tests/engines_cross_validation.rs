@@ -1,13 +1,20 @@
-//! Cross-validation between the three communication engines: the analytic
-//! micro-simulator, the event-driven MPI world, and the step-level macro
-//! model must agree on the *structure* of every result (message counts,
-//! ordering effects, locality classes), even though their time models
-//! differ.
+//! Cross-validation between the two simulation engines — the message-level
+//! `MicroSim` and the step-level `MacroSim` — and between each engine and
+//! what the neighbour graph alone implies. Their time models differ, so what
+//! must agree is the *structure* of every result: message classes, ordering
+//! effects, locality trends. The file also holds the flat-vs-hierarchical
+//! placement equivalences that feed both.
 
+use amr_tools::mesh::{AmrMesh, Dim, MeshConfig, NeighborKind};
 use amr_tools::placement::engine::PlacementEngine;
 use amr_tools::placement::policies::{Baseline, Cplx, Hierarchical, Lpt, PlacementPolicy};
-use amr_tools::sim::{MicroSim, MpiWorld, NetworkConfig, RoundSpec, TaskOrder, Topology};
-use amr_tools::workloads::exchange::{build_mpi_programs, build_round_messages};
+use amr_tools::placement::trigger::RebalanceTrigger;
+use amr_tools::placement::Placement;
+use amr_tools::sim::{
+    MacroSim, MicroSim, NetworkConfig, RoundResult, RoundSpec, SimConfig, TaskOrder, Topology,
+    Workload, WorkloadStep,
+};
+use amr_tools::workloads::exchange::build_round_messages;
 use amr_tools::workloads::random_refined_mesh;
 
 fn quiet() -> NetworkConfig {
@@ -17,93 +24,161 @@ fn quiet() -> NetworkConfig {
     }
 }
 
-#[test]
-fn mpi_world_and_microsim_agree_on_message_counts() {
-    let ranks = 64;
-    let mesh = random_refined_mesh(ranks, 1.6, 3);
-    let costs = vec![1.0; mesh.num_blocks()];
-    let placement = Baseline.place(&costs, ranks);
+/// What one boundary exchange of `placement` must count, from the neighbour
+/// graph and `Topology::same_node` alone: `[intra, local, remote]`
+/// relations, and the `[local, remote]` cross-rank fine→coarse face
+/// relations, which also carry a flux correction.
+fn graph_classes(mesh: &AmrMesh, placement: &Placement, topo: &Topology) -> ([u64; 3], [u64; 2]) {
+    let mut relations = [0u64; 3];
+    let mut flux = [0u64; 2];
+    for (block, nbs) in mesh.neighbor_graph().iter() {
+        let src = placement.rank_of(block.index()) as usize;
+        for n in nbs {
+            let dst = placement.rank_of(n.block.index()) as usize;
+            if dst == src {
+                relations[0] += 1;
+                continue;
+            }
+            let remote = !topo.same_node(src, dst) as usize;
+            relations[1 + remote] += 1;
+            if n.level_delta == -1 && n.kind == NeighborKind::Face {
+                flux[remote] += 1;
+            }
+        }
+    }
+    (relations, flux)
+}
 
-    let messages = build_round_messages(&mesh, &placement);
-    let mpi_msgs = messages.iter().filter(|m| m.src != m.dst).count();
+/// One quiet `MicroSim` round of `placement`'s boundary exchange.
+fn micro_round(
+    mesh: &AmrMesh,
+    placement: &Placement,
+    compute_ns: Vec<u64>,
+    order: TaskOrder,
+) -> RoundResult {
+    let ranks = placement.num_ranks();
+    MicroSim::new(Topology::paper(ranks), quiet(), 1).run_round(&RoundSpec {
+        num_ranks: ranks,
+        compute_ns,
+        messages: build_round_messages(mesh, placement),
+        order,
+    })
+}
 
-    let programs = build_mpi_programs(&mesh, &placement, &vec![0; ranks], true);
-    let mut world = MpiWorld::new(Topology::paper(ranks), quiet());
-    let res = world.run(programs).expect("exchange completes");
-    let sent: u32 = res.ranks.iter().map(|s| s.sent).sum();
-    let received: u32 = res.ranks.iter().map(|s| s.received).sum();
-    assert_eq!(sent as usize, mpi_msgs);
-    assert_eq!(received as usize, mpi_msgs);
+fn micro_classes(res: &RoundResult) -> [u64; 3] {
+    [res.intra_msgs, res.local_msgs, res.remote_msgs]
+}
+
+/// Static mesh with unit block costs.
+struct Static<'a> {
+    mesh: &'a AmrMesh,
+    costs: Vec<f64>,
+    steps: u64,
+}
+
+impl Workload for Static<'_> {
+    fn mesh(&self) -> &AmrMesh {
+        self.mesh
+    }
+    fn advance(&mut self, _step: u64) -> WorkloadStep {
+        WorkloadStep::default()
+    }
+    fn block_compute_ns(&self) -> &[f64] {
+        &self.costs
+    }
+    fn total_steps(&self) -> u64 {
+        self.steps
+    }
+}
+
+/// `MacroSim`'s message totals over a static `steps`-step run of `mesh`
+/// under `policy` with `SimConfig::tuned`, telemetry off.
+fn macro_classes(
+    mesh: &AmrMesh,
+    policy: &dyn PlacementPolicy,
+    ranks: usize,
+    steps: u64,
+) -> [u64; 3] {
+    let mut cfg = SimConfig::tuned(ranks);
+    cfg.telemetry_sampling = 1_000_000;
+    let mut workload = Static {
+        mesh,
+        costs: vec![1.0; mesh.num_blocks()],
+        steps,
+    };
+    let rep = MacroSim::new(cfg).run(&mut workload, policy, RebalanceTrigger::OnMeshChange);
+    [rep.messages.intra, rep.messages.local, rep.messages.remote]
 }
 
 #[test]
-fn both_engines_rank_task_orderings_identically() {
+fn macrosim_and_microsim_agree_on_message_classes() {
+    // Four static steps of three exchanges each: MacroSim's totals are 12 ×
+    // one MicroSim round's classes, plus, on a refined mesh, the flux
+    // corrections MacroSim sends beside the boundary messages.
+    let (steps, exchanges) = (4, 3);
+    assert_eq!(SimConfig::tuned(1).exchanges_per_step, exchanges);
+    let uniform = AmrMesh::new(MeshConfig::from_cells(Dim::D3, (128, 128, 64), 1));
+    for (mesh, ranks) in [(uniform, 48), (random_refined_mesh(64, 1.6, 3), 64)] {
+        let placement = Baseline.place(&vec![1.0; mesh.num_blocks()], ranks);
+        let micro = micro_round(&mesh, &placement, vec![0; ranks], TaskOrder::SendsFirst);
+        let (relations, flux) = graph_classes(&mesh, &placement, &Topology::paper(ranks));
+        assert_eq!(micro_classes(&micro), relations);
+
+        let scale = steps * exchanges as u64;
+        let want = [
+            scale * relations[0],
+            scale * (relations[1] + flux[0]),
+            scale * (relations[2] + flux[1]),
+        ];
+        assert_eq!(
+            macro_classes(&mesh, &Baseline, ranks, steps),
+            want,
+            "{ranks} ranks"
+        );
+    }
+}
+
+#[test]
+fn microsim_ranks_sends_first_ahead_of_compute_first_on_a_mesh_round() {
     let ranks = 32;
     let mesh = random_refined_mesh(ranks, 1.6, 7);
-    let costs = vec![1.0; mesh.num_blocks()];
-    let placement = Cplx::new(50).place(&costs, ranks);
+    let placement = Cplx::new(50).place(&vec![1.0; mesh.num_blocks()], ranks);
     let compute: Vec<u64> = (0..ranks as u64).map(|r| 200_000 + r * 31_000).collect();
-
-    // Event-driven engine.
-    let mut world = MpiWorld::new(Topology::paper(ranks), quiet());
-    let sf = world
-        .run(build_mpi_programs(&mesh, &placement, &compute, true))
-        .unwrap();
-    let cf = world
-        .run(build_mpi_programs(&mesh, &placement, &compute, false))
-        .unwrap();
-    assert!(sf.makespan_ns <= cf.makespan_ns);
-    let sf_wait: u64 = sf.ranks.iter().map(|s| s.wait_ns).sum();
-    let cf_wait: u64 = cf.ranks.iter().map(|s| s.wait_ns).sum();
-    assert!(sf_wait <= cf_wait);
-
-    // Analytic engine must agree on the ordering.
-    let messages = build_round_messages(&mesh, &placement);
-    let mut micro = MicroSim::new(Topology::paper(ranks), quiet(), 1);
-    let spec_sf = RoundSpec {
-        num_ranks: ranks,
-        compute_ns: compute.clone(),
-        messages: messages.clone(),
-        order: TaskOrder::SendsFirst,
-    };
-    let spec_cf = RoundSpec {
-        order: TaskOrder::ComputeFirst,
-        ..spec_sf.clone()
-    };
-    let micro_sf = micro.run_round(&spec_sf);
-    let micro_cf = micro.run_round(&spec_cf);
-    assert!(micro_sf.round_latency_ns <= micro_cf.round_latency_ns);
+    let sf = micro_round(&mesh, &placement, compute.clone(), TaskOrder::SendsFirst);
+    let cf = micro_round(&mesh, &placement, compute, TaskOrder::ComputeFirst);
+    assert!(sf.round_latency_ns <= cf.round_latency_ns);
+    assert!(sf.wait_ns.iter().sum::<u64>() <= cf.wait_ns.iter().sum::<u64>());
 }
 
 #[test]
 fn engines_agree_on_locality_monotonicity() {
-    // Raising X strictly increases MPI-visible traffic in both engines.
+    // Raising X never lowers MPI-visible traffic, in either engine, and
+    // each engine counts exactly the classes the graph implies.
     let ranks = 32;
     let mesh = random_refined_mesh(ranks, 1.6, 11);
-    let costs = vec![1.0; mesh.num_blocks()];
-    let mut world = MpiWorld::new(Topology::paper(ranks), quiet());
-    let mut prev_mpi = 0u32;
-    let mut prev_micro = 0u64;
+    let topo = Topology::paper(ranks);
+    let mut prev = 0u64;
     for x in [0u32, 50, 100] {
-        let placement = Cplx::new(x).place(&costs, ranks);
-        let res = world
-            .run(build_mpi_programs(&mesh, &placement, &vec![0; ranks], true))
-            .unwrap();
-        let sent: u32 = res.ranks.iter().map(|s| s.sent).sum();
-        assert!(sent >= prev_mpi, "x={x}: MPI sends fell");
-        prev_mpi = sent;
+        let policy = Cplx::new(x);
+        let placement = policy.place(&vec![1.0; mesh.num_blocks()], ranks);
+        let (relations, flux) = graph_classes(&mesh, &placement, &topo);
+        let micro = micro_classes(&micro_round(
+            &mesh,
+            &placement,
+            vec![0; ranks],
+            TaskOrder::SendsFirst,
+        ));
+        assert_eq!(micro, relations, "x={x}: MicroSim miscounts");
+        let mpi = micro[1] + micro[2];
+        assert!(mpi >= prev, "x={x}: MPI-visible messages fell");
+        prev = mpi;
 
-        let mut micro = MicroSim::new(Topology::paper(ranks), quiet(), 2);
-        let r = micro.run_round(&RoundSpec {
-            num_ranks: ranks,
-            compute_ns: vec![0; ranks],
-            messages: build_round_messages(&mesh, &placement),
-            order: TaskOrder::SendsFirst,
-        });
-        let micro_mpi = r.local_msgs + r.remote_msgs;
-        assert_eq!(micro_mpi as u32, sent, "engines disagree on MPI volume");
-        assert!(micro_mpi >= prev_micro);
-        prev_micro = micro_mpi;
+        let step = macro_classes(&mesh, &policy, ranks, 1).map(|c| c / 3);
+        assert_eq!(
+            step,
+            [relations[0], relations[1] + flux[0], relations[2] + flux[1]],
+            "x={x}: MacroSim miscounts"
+        );
     }
 }
 
@@ -164,7 +239,7 @@ fn hierarchical_multi_shard_stays_close_to_flat_makespan() {
     let flat = Lpt.place(&costs, ranks);
     let hier = Hierarchical::new(8, 16).place(&costs, ranks);
     assert_eq!(hier.num_blocks(), costs.len());
-    let makespan = |p: &amr_tools::placement::Placement| -> f64 {
+    let makespan = |p: &Placement| -> f64 {
         let mut loads = vec![0.0f64; ranks];
         for (b, &c) in costs.iter().enumerate() {
             loads[p.rank_of(b) as usize] += c;
@@ -176,37 +251,5 @@ fn hierarchical_multi_shard_stays_close_to_flat_makespan() {
     assert!(
         m_hier <= m_flat * 1.5,
         "hierarchical makespan {m_hier} vs flat {m_flat}"
-    );
-}
-
-#[test]
-fn round_latencies_within_model_tolerance() {
-    // The engines use different receiver models (busy server vs per-message
-    // completion), but their round latencies should land within a small
-    // factor of each other on a quiet network.
-    let ranks = 32;
-    let mesh = random_refined_mesh(ranks, 1.6, 13);
-    let costs = vec![1.0; mesh.num_blocks()];
-    let placement = Baseline.place(&costs, ranks);
-    let compute = vec![500_000u64; ranks];
-
-    let mut world = MpiWorld::new(Topology::paper(ranks), quiet());
-    let mpi = world
-        .run(build_mpi_programs(&mesh, &placement, &compute, true))
-        .unwrap();
-
-    let mut micro = MicroSim::new(Topology::paper(ranks), quiet(), 5);
-    let res = micro.run_round(&RoundSpec {
-        num_ranks: ranks,
-        compute_ns: compute,
-        messages: build_round_messages(&mesh, &placement),
-        order: TaskOrder::SendsFirst,
-    });
-    let ratio = res.round_latency_ns as f64 / mpi.makespan_ns as f64;
-    assert!(
-        (0.5..=3.0).contains(&ratio),
-        "engines diverge: micro {} vs mpi {} (ratio {ratio})",
-        res.round_latency_ns,
-        mpi.makespan_ns
     );
 }

@@ -1,7 +1,7 @@
 //! Equivalence proofs for the flattened hot-path data structures.
 //!
-//! PR "flatten the hot paths" replaced two nested/hashed structures with
-//! flat ones, keeping the old implementations around as oracles:
+//! PR "flatten the hot paths" replaced the hash-based neighbor graph with a
+//! flat one, keeping the old builder around as the oracle:
 //!
 //! 1. The CSR neighbor graph (`NeighborGraph::build` over a leaf slice and
 //!    `AmrMesh::neighbor_graph_on` over the mesh's own index, serial and on
@@ -10,31 +10,23 @@
 //!    array) must equal the original hash-based builder — `mod oracle`
 //!    below, per-block `Vec<Vec<Neighbor>>` with `HashMap` dedup, moved out
 //!    of the library — on random 2:1-balanced 2D and 3D trees.
-//! 2. The MPI engine (`MpiWorld::run`: one pooled `(time, seq)` heap, a
-//!    flat `src * nranks + dst` mailbox table reset through its dirty
-//!    cells) must replay random two-round message traces — self-sends,
-//!    duplicate tags, late receives, barriers — to the exact per-rank stats
-//!    and makespan
-//!    of `mod mpi_oracle` below (a fresh heap per run, `HashMap` payloads
-//!    and per-receiver `HashMap` mailboxes, moved out of the library), on a
-//!    fresh world and again on the same warm one.
 //!
 //! PR "O(changed blocks) remeshing" added incremental maintenance of both
 //! derived structures, with the from-scratch builders kept as oracles:
 //!
-//! 3. `AmrMesh::patch_neighbor_graph` (surviving rows inherited through the
+//! 2. `AmrMesh::patch_neighbor_graph` (surviving rows inherited through the
 //!    `RefinementDelta`'s fate table, created blocks probed) must equal a
 //!    fresh `AmrMesh::neighbor_graph` build after every adapt of a random
 //!    2D/3D refinement sequence — three levels deep, bounded and periodic,
 //!    on root grids down to one root on an axis.
-//! 4. The incrementally spliced block index (sorted blocks + SFC keys) must
+//! 3. The incrementally spliced block index (sorted blocks + SFC keys) must
 //!    equal the index a mesh restored from the same tree
 //!    (`AmrMesh::from_parts`) builds from scratch, after every adapt.
 //!
 //! PR "shard the mesh" split the global CSR into per-shard graphs with halo
 //! tables, refreshed per shard from the same delta:
 //!
-//! 5. A `ShardedMesh` maintained purely by `refresh` across a random adapt
+//! 4. A `ShardedMesh` maintained purely by `refresh` across a random adapt
 //!    sequence must flatten to the from-scratch global graph after every
 //!    step, for any shard count — and its halo tables must index exactly
 //!    the out-of-shard neighbor ids.
@@ -42,7 +34,7 @@
 //! PR "the fate table is the only remap" deleted the per-new-block
 //! `CostOrigin` vector every workload derived from each adapt:
 //!
-//! 6. The cost-model remap, the engine's warm LPT order and migration
+//! 5. The cost-model remap, the engine's warm LPT order and migration
 //!    accounting, and the exchange-byte ledger's carry now each walk the
 //!    delta's fate table in old-id order. After every adapt of a random
 //!    2D/3D sequence, bounded and periodic, each must equal what it was
@@ -55,8 +47,7 @@ use amr_tools::mesh::{
 };
 use amr_tools::placement::policies::{Baseline, Lpt};
 use amr_tools::placement::{PlacementEngine, TelemetryCostModel};
-use amr_tools::sim::mpi::Op;
-use amr_tools::sim::{ExchangeByteLedger, MpiWorld, NetworkConfig, Topology};
+use amr_tools::sim::ExchangeByteLedger;
 use proptest::prelude::*;
 
 /// The original neighbor-graph builder, kept as the oracle the CSR builders
@@ -126,151 +117,6 @@ mod oracle {
         let mut out = Vec::new();
         collect(tree, cell, dir, &mut out);
         out
-    }
-}
-
-/// The original heap scheduler of `MpiWorld`, kept as the oracle the
-/// pooled engine is proved against: a fresh `BinaryHeap` over
-/// `(time, seq)` per run, payloads in a `HashMap` by `seq`, and one
-/// `HashMap<(src, tag), VecDeque<arrival>>` mailbox per receiver. It reads
-/// nothing of the engine but its public cost model.
-mod mpi_oracle {
-    use amr_tools::sim::collectives::tree_depth;
-    use amr_tools::sim::mpi::{MpiError, Op, RankStats, SimTime, WorldResult};
-    use amr_tools::sim::{NetworkConfig, Topology};
-    use std::cmp::Reverse;
-    use std::collections::{BinaryHeap, HashMap, VecDeque};
-
-    #[derive(Clone, Copy, PartialEq, Eq, Default)]
-    enum Block {
-        #[default]
-        None,
-        WaitAll,
-        Barrier,
-        Done,
-    }
-
-    #[derive(Clone, Default)]
-    struct Rank {
-        pc: usize,
-        clock: SimTime,
-        block: Block,
-        pending_recvs: Vec<(u32, u32)>,
-        stats: RankStats,
-        blocked_since: SimTime,
-        barrier_entered: Option<SimTime>,
-    }
-
-    pub fn run(
-        topology: &Topology,
-        net: &NetworkConfig,
-        programs: Vec<Vec<Op>>,
-    ) -> Result<WorldResult, MpiError> {
-        let r = programs.len();
-        let mut ranks = vec![Rank::default(); r];
-        let mut mailboxes: Vec<HashMap<(u32, u32), VecDeque<SimTime>>> = vec![HashMap::new(); r];
-        let mut queue: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
-        let mut events: HashMap<u64, (u32, u32, u32)> = HashMap::new(); // seq -> (dst, src, tag)
-        let mut seq = 0u64;
-        let mut runnable: VecDeque<usize> = (0..r).collect();
-        loop {
-            // Run each runnable rank until it blocks or finishes.
-            while let Some(ri) = runnable.pop_front() {
-                let rank = &mut ranks[ri];
-                while rank.block == Block::None {
-                    let Some(&op) = programs[ri].get(rank.pc) else {
-                        rank.block = Block::Done;
-                        rank.stats.finish_ns = rank.clock;
-                        break;
-                    };
-                    rank.pc += 1;
-                    match op {
-                        Op::Compute(dur) => rank.clock += dur,
-                        Op::Isend { dst, tag, bytes } => {
-                            rank.clock += net.dispatch_ns(bytes);
-                            rank.stats.sent += 1;
-                            let local = topology.same_node(ri, dst as usize);
-                            let arrive = rank.clock + net.transfer_ns(bytes, local);
-                            events.insert(seq, (dst, ri as u32, tag));
-                            queue.push(Reverse((arrive, seq)));
-                            seq += 1;
-                        }
-                        Op::Irecv { src, tag } => {
-                            match mailboxes[ri]
-                                .get_mut(&(src, tag))
-                                .and_then(|q| q.pop_front())
-                            {
-                                Some(arrival) => {
-                                    rank.stats.received += 1;
-                                    rank.clock = rank.clock.max(arrival + net.recv_overhead_ns);
-                                }
-                                None => rank.pending_recvs.push((src, tag)),
-                            }
-                        }
-                        Op::WaitAll if !rank.pending_recvs.is_empty() => {
-                            rank.block = Block::WaitAll;
-                            rank.blocked_since = rank.clock;
-                        }
-                        Op::WaitAll => {}
-                        Op::Barrier => {
-                            rank.block = Block::Barrier;
-                            rank.barrier_entered = Some(rank.clock);
-                        }
-                    }
-                }
-            }
-            if ranks.iter().all(|rank| rank.block == Block::Barrier) {
-                let last = ranks
-                    .iter()
-                    .filter_map(|rank| rank.barrier_entered)
-                    .max()
-                    .unwrap();
-                let release = last + tree_depth(r) as u64 * net.fabric.latency_ns;
-                for (ri, rank) in ranks.iter_mut().enumerate() {
-                    rank.stats.barrier_ns += release - rank.barrier_entered.take().unwrap();
-                    rank.clock = release;
-                    rank.block = Block::None;
-                    runnable.push_back(ri);
-                }
-                continue;
-            }
-            let Some(Reverse((time, id))) = queue.pop() else {
-                break;
-            };
-            let (dst, src, tag) = events.remove(&id).expect("event");
-            let rank = &mut ranks[dst as usize];
-            if let Some(pos) = rank.pending_recvs.iter().position(|&p| p == (src, tag)) {
-                rank.pending_recvs.swap_remove(pos);
-                rank.stats.received += 1;
-                rank.clock = rank.clock.max(time + net.recv_overhead_ns);
-                if rank.block == Block::WaitAll && rank.pending_recvs.is_empty() {
-                    rank.stats.wait_ns += rank.clock - rank.blocked_since;
-                    rank.block = Block::None;
-                    runnable.push_back(dst as usize);
-                }
-            } else {
-                mailboxes[dst as usize]
-                    .entry((src, tag))
-                    .or_default()
-                    .push_back(time);
-            }
-        }
-
-        let stuck: Vec<u32> = (0..r as u32)
-            .filter(|&ri| matches!(ranks[ri as usize].block, Block::None | Block::WaitAll))
-            .collect();
-        if !stuck.is_empty() {
-            return Err(MpiError::Deadlock { stuck_ranks: stuck });
-        }
-        if ranks.iter().any(|rank| rank.block == Block::Barrier) {
-            return Err(MpiError::BarrierMismatch);
-        }
-        let stats: Vec<RankStats> = ranks.iter().map(|rank| rank.stats).collect();
-        let makespan_ns = stats.iter().map(|s| s.finish_ns).max().unwrap_or(0);
-        Ok(WorldResult {
-            ranks: stats,
-            makespan_ns,
-        })
     }
 }
 
@@ -517,65 +363,13 @@ fn pools() -> &'static [WorkerPool] {
     POOLS.get_or_init(|| [1, 2, 3, 8].map(WorkerPool::new).into())
 }
 
-/// Splitmix-style step for deriving trace parameters from a proptest salt.
+/// Splitmix-style step for deriving adapt tags and costs from a proptest salt.
 fn next(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-/// A random deadlock-free trace of two rounds. Each message of a round gets
-/// one `Isend` and one matching `Irecv` (self-sends and duplicate tags
-/// allowed). A rank posts about half its receives, computes a random skew,
-/// sends, then posts the rest one short compute apart — so messages park in
-/// the unexpected-message table and later receives must find them there —
-/// and closes the round with a `WaitAll` and, if `barrier`, a `Barrier`: the
-/// second round's sends follow a barrier release, or without one may
-/// overtake a slow receiver's first round.
-fn random_trace(nranks: usize, nmsgs: usize, barrier: bool, rng: &mut u64) -> Vec<Vec<Op>> {
-    let mut programs: Vec<Vec<Op>> = vec![Vec::new(); nranks];
-    for _round in 0..2 {
-        let msgs: Vec<(u32, u32, u32, u64, bool)> = (0..nmsgs)
-            .map(|_| {
-                let src = (next(rng) % nranks as u64) as u32;
-                let dst = (next(rng) % nranks as u64) as u32;
-                let tag = (next(rng) % 4) as u32;
-                (
-                    src,
-                    dst,
-                    tag,
-                    1 + next(rng) % 65_536,
-                    next(rng).is_multiple_of(2),
-                )
-            })
-            .collect();
-        for &(src, dst, tag, _, late) in &msgs {
-            if !late {
-                programs[dst as usize].push(Op::Irecv { src, tag });
-            }
-        }
-        for prog in &mut programs {
-            prog.push(Op::Compute(next(rng) % 500_000));
-        }
-        for &(src, dst, tag, bytes, _) in &msgs {
-            programs[src as usize].push(Op::Isend { dst, tag, bytes });
-        }
-        for &(src, dst, tag, _, late) in &msgs {
-            if late {
-                programs[dst as usize].push(Op::Compute(next(rng) % 20_000));
-                programs[dst as usize].push(Op::Irecv { src, tag });
-            }
-        }
-        for prog in &mut programs {
-            prog.push(Op::WaitAll);
-            if barrier {
-                prog.push(Op::Barrier);
-            }
-        }
-    }
-    programs
 }
 
 proptest! {
@@ -602,31 +396,6 @@ proptest! {
         prop_assert!(built.check_symmetry().is_ok());
         for pool in pools() {
             prop_assert_eq!(&mesh.neighbor_graph_on(pool), &built, "lanes = {}", pool.threads());
-        }
-    }
-
-    /// The pooled heap engine replays random deadlock-free traces to
-    /// bit-identical results of the oracle — and replays a second trace on
-    /// the same warm world just as exactly, so no pooled state (heap, sent
-    /// payloads, mailbox cells, rank records) leaks from one run into the
-    /// next.
-    #[test]
-    fn mpi_world_matches_heap_oracle_on_random_traces(
-        nranks in 1usize..9,
-        nmsgs in 0usize..48,
-        salt: u64,
-        barrier: bool,
-    ) {
-        let mut rng = salt;
-        let topology = Topology::paper(nranks);
-        let network = NetworkConfig::tuned();
-        let mut world = MpiWorld::new(topology, network);
-        for run in 0..2 {
-            let programs = random_trace(nranks, nmsgs, barrier, &mut rng);
-            let fast = world.run(programs.clone()).expect("engine completes");
-            let oracle = mpi_oracle::run(&topology, &network, programs).expect("oracle completes");
-            prop_assert_eq!(fast.makespan_ns, oracle.makespan_ns, "run {}", run);
-            prop_assert_eq!(fast.ranks, oracle.ranks, "run {}", run);
         }
     }
 

@@ -325,8 +325,7 @@ impl ResidentGraph {
     /// store *global* neighbor ids in the same per-row order as the flat
     /// graph, and shards tile the SFC index space contiguously, so both
     /// variants visit identical `(block, neighbor)` pairs in identical
-    /// order — the float accumulation of the epoch fill is bit-for-bit the
-    /// same.
+    /// order.
     pub(crate) fn for_each_row(&self, mut f: impl FnMut(BlockId, &[Neighbor])) {
         match self {
             ResidentGraph::Flat(g) => {
@@ -343,6 +342,16 @@ impl ResidentGraph {
                     }
                 }
             }
+        }
+    }
+
+    /// Block `b`'s row; a sharded graph resolves it through the owning
+    /// shard, identical to the flat graph's.
+    #[inline]
+    pub(crate) fn neighbors(&self, b: u32) -> &[Neighbor] {
+        match self {
+            ResidentGraph::Flat(g) => g.neighbors(BlockId(b)),
+            ResidentGraph::Sharded(sm) => sm.neighbors(BlockId(b)),
         }
     }
 
@@ -366,9 +375,9 @@ pub(crate) struct CommEpoch {
     pub(crate) memcpy_ns: Vec<f64>,
     /// Ranks that send to each rank (for the arrival/wait model), as one
     /// flat array of per-rank segments: rank `d`'s segment is
-    /// `senders[sender_off[d]..sender_off[d + 1]]`, of which the first
-    /// `sender_len[d]` entries are live — sorted and distinct once the fill
-    /// is done ([`CommEpoch::senders_of`]). `sender_off` has `r + 1` entries.
+    /// `senders[sender_off[d]..sender_off[d + 1]]`, of which the last
+    /// `sender_len[d]` entries are live — distinct and in no particular
+    /// order ([`CommEpoch::senders_of`]). `sender_off` has `r + 1` entries.
     pub(crate) senders: Vec<u32>,
     pub(crate) sender_off: Vec<u32>,
     pub(crate) sender_len: Vec<u32>,
@@ -384,9 +393,10 @@ pub(crate) struct CommEpoch {
     pub(crate) blocks_per_rank: Vec<u32>,
     /// Message counts by class and per-link remote bytes.
     pub(crate) counts: par::EpochCounts,
-    /// Fill scratch: same-node messages arriving per rank (shm fan-in), and
-    /// the per-task integer counters merged into `counts`.
-    pub(crate) shm_in: Vec<usize>,
+    /// Fill scratch: one row of `r` per task, `stamp[s] == d` once the
+    /// task has listed `s` among rank `d`'s senders; and the per-task
+    /// integer counters merged into `counts`.
+    pub(crate) stamp: Vec<usize>,
     pub(crate) partials: Vec<par::EpochCounts>,
     /// Per-rank worst-outgoing-link congestion stall (ns/round): the sender
     /// blocks for credit returns, so it lands in the rank's ready time.
@@ -397,16 +407,18 @@ pub(crate) struct CommEpoch {
 }
 
 impl CommEpoch {
-    /// The ranks that send to `rank`, ascending.
+    /// The distinct ranks that send to `rank`, unordered.
     #[inline]
     pub(crate) fn senders_of(&self, rank: usize) -> &[u32] {
-        &self.senders[self.sender_off[rank] as usize..][..self.sender_len[rank] as usize]
+        let end = self.sender_off[rank + 1] as usize;
+        &self.senders[end - self.sender_len[rank] as usize..end]
     }
 
-    /// Clear the per-rank aggregates and size them for `r` ranks, keeping
-    /// every buffer's capacity (epochs are refilled in place). The fill
-    /// sizes `senders` and overwrites `node_of` and `counts`.
-    pub(crate) fn reset(&mut self, r: usize) {
+    /// Clear the per-rank aggregates and size them for `r` ranks filled by
+    /// `tasks` tasks, keeping every buffer's capacity (epochs are refilled
+    /// in place). The fill sizes `senders` and overwrites `node_of` and
+    /// `counts`.
+    pub(crate) fn reset(&mut self, r: usize, tasks: usize) {
         for v in [
             &mut self.dispatch_ns,
             &mut self.service_ns,
@@ -421,8 +433,8 @@ impl CommEpoch {
         }
         self.blocks_per_rank.clear();
         self.blocks_per_rank.resize(r, 0);
-        self.shm_in.clear();
-        self.shm_in.resize(r, 0);
+        self.stamp.clear();
+        self.stamp.resize(r * tasks, usize::MAX);
         self.sender_off.clear();
         self.sender_off.resize(r + 1, 0);
         self.sender_len.clear();

@@ -235,7 +235,7 @@ impl MicroSim {
                     out.intra_msgs += 1;
                     // Intra-rank ghost exchange: a memcpy at shared-memory
                     // bandwidth, no MPI involvement.
-                    let d = (m.bytes as f64 / net.shm.bytes_per_ns) as u64;
+                    let d = net.memcpy_ns(m.bytes);
                     t += d;
                     out.comm_ns[rank] += d;
                     continue;
@@ -450,6 +450,25 @@ mod tests {
         assert_eq!(res.intra_msgs, 1);
         assert_eq!(res.local_msgs, 2);
         assert_eq!(res.remote_msgs, 1);
+    }
+
+    #[test]
+    fn intra_rank_copy_is_priced_in_whole_nanoseconds() {
+        // 1 001 B at the shm path's 10 B/ns: a 100 ns memcpy, the same
+        // truncated price `MacroSim`'s epoch fill charges.
+        let mut sim = MicroSim::new(Topology::paper(1), quiet_net(), 1);
+        let res = sim.run_round(&RoundSpec {
+            num_ranks: 1,
+            compute_ns: vec![0],
+            messages: vec![Message {
+                src: 0,
+                dst: 0,
+                bytes: 1001,
+            }],
+            order: TaskOrder::SendsFirst,
+        });
+        assert_eq!(res.intra_msgs, 1);
+        assert_eq!(res.comm_ns, vec![100]);
     }
 
     #[test]

@@ -253,6 +253,14 @@ impl NetworkConfig {
             .saturating_add((bytes as f64 / self.fabric.bytes_per_ns) as u64)
     }
 
+    /// Intra-rank copy of one message: a memcpy at shared-memory bandwidth,
+    /// no MPI involvement. Whole nanoseconds like every per-message term;
+    /// the `f64 -> u64` cast saturates on degenerate payloads.
+    #[inline]
+    pub fn memcpy_ns(&self, bytes: u64) -> u64 {
+        (bytes as f64 / self.shm.bytes_per_ns) as u64
+    }
+
     /// Receiver-side service time for one message.
     #[inline]
     pub fn service_ns(&self, bytes: u64, local: bool) -> u64 {
@@ -323,6 +331,21 @@ mod tests {
             n.shm_contention_ns(n.shm_queue_size + 3),
             3 * n.queue_overflow_penalty_ns
         );
+    }
+
+    #[test]
+    fn memcpy_truncates_to_whole_nanoseconds_and_saturates() {
+        let n = NetworkConfig::tuned();
+        assert_eq!(n.memcpy_ns(1001), 100);
+        assert_eq!(n.memcpy_ns(20_480), 2_048);
+        let crawl = NetworkConfig {
+            shm: PathParams {
+                latency_ns: 400,
+                bytes_per_ns: 1.0e-6,
+            },
+            ..n
+        };
+        assert_eq!(crawl.memcpy_ns(u64::MAX), u64::MAX);
     }
 
     #[test]

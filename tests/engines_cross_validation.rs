@@ -17,10 +17,11 @@ use amr_tools::sim::{
 use amr_tools::workloads::exchange::build_round_messages;
 use amr_tools::workloads::random_refined_mesh;
 
-fn quiet() -> NetworkConfig {
+/// `network` with ACK loss off, so a round's classes are all it draws.
+fn quiet(network: NetworkConfig) -> NetworkConfig {
     NetworkConfig {
         ack_loss_prob: 0.0,
-        ..NetworkConfig::tuned()
+        ..network
     }
 }
 
@@ -51,13 +52,14 @@ fn graph_classes(mesh: &AmrMesh, placement: &Placement, topo: &Topology) -> ([u6
 
 /// One quiet `MicroSim` round of `placement`'s boundary exchange.
 fn micro_round(
+    network: NetworkConfig,
     mesh: &AmrMesh,
     placement: &Placement,
     compute_ns: Vec<u64>,
     order: TaskOrder,
 ) -> RoundResult {
     let ranks = placement.num_ranks();
-    MicroSim::new(Topology::paper(ranks), quiet(), 1).run_round(&RoundSpec {
+    MicroSim::new(Topology::paper(ranks), quiet(network), 1).run_round(&RoundSpec {
         num_ranks: ranks,
         compute_ns,
         messages: build_round_messages(mesh, placement),
@@ -92,14 +94,16 @@ impl Workload for Static<'_> {
 }
 
 /// `MacroSim`'s message totals over a static `steps`-step run of `mesh`
-/// under `policy` with `SimConfig::tuned`, telemetry off.
+/// under `policy` with `SimConfig::tuned` on `network`, telemetry off.
 fn macro_classes(
+    network: NetworkConfig,
     mesh: &AmrMesh,
     policy: &dyn PlacementPolicy,
     ranks: usize,
     steps: u64,
 ) -> [u64; 3] {
     let mut cfg = SimConfig::tuned(ranks);
+    cfg.network = network;
     cfg.telemetry_sampling = 1_000_000;
     let mut workload = Static {
         mesh,
@@ -114,27 +118,40 @@ fn macro_classes(
 fn macrosim_and_microsim_agree_on_message_classes() {
     // Four static steps of three exchanges each: MacroSim's totals are 12 ×
     // one MicroSim round's classes, plus, on a refined mesh, the flux
-    // corrections MacroSim sends beside the boundary messages.
+    // corrections MacroSim sends beside the boundary messages. On the
+    // credit fabric too, where both engines also count bytes per node link.
     let (steps, exchanges) = (4, 3);
     assert_eq!(SimConfig::tuned(1).exchanges_per_step, exchanges);
     let uniform = AmrMesh::new(MeshConfig::from_cells(Dim::D3, (128, 128, 64), 1));
     for (mesh, ranks) in [(uniform, 48), (random_refined_mesh(64, 1.6, 3), 64)] {
         let placement = Baseline.place(&vec![1.0; mesh.num_blocks()], ranks);
-        let micro = micro_round(&mesh, &placement, vec![0; ranks], TaskOrder::SendsFirst);
         let (relations, flux) = graph_classes(&mesh, &placement, &Topology::paper(ranks));
-        assert_eq!(micro_classes(&micro), relations);
-
         let scale = steps * exchanges as u64;
         let want = [
             scale * relations[0],
             scale * (relations[1] + flux[0]),
             scale * (relations[2] + flux[1]),
         ];
-        assert_eq!(
-            macro_classes(&mesh, &Baseline, ranks, steps),
-            want,
-            "{ranks} ranks"
-        );
+        for network in [NetworkConfig::tuned(), NetworkConfig::congested()] {
+            let fabric = if network.congestion_enabled() {
+                "credit"
+            } else {
+                "credit-free"
+            };
+            let micro = micro_round(
+                network,
+                &mesh,
+                &placement,
+                vec![0; ranks],
+                TaskOrder::SendsFirst,
+            );
+            assert_eq!(micro_classes(&micro), relations, "{ranks} ranks, {fabric}");
+            assert_eq!(
+                macro_classes(network, &mesh, &Baseline, ranks, steps),
+                want,
+                "{ranks} ranks, {fabric}"
+            );
+        }
     }
 }
 
@@ -144,8 +161,15 @@ fn microsim_ranks_sends_first_ahead_of_compute_first_on_a_mesh_round() {
     let mesh = random_refined_mesh(ranks, 1.6, 7);
     let placement = Cplx::new(50).place(&vec![1.0; mesh.num_blocks()], ranks);
     let compute: Vec<u64> = (0..ranks as u64).map(|r| 200_000 + r * 31_000).collect();
-    let sf = micro_round(&mesh, &placement, compute.clone(), TaskOrder::SendsFirst);
-    let cf = micro_round(&mesh, &placement, compute, TaskOrder::ComputeFirst);
+    let tuned = NetworkConfig::tuned();
+    let sf = micro_round(
+        tuned,
+        &mesh,
+        &placement,
+        compute.clone(),
+        TaskOrder::SendsFirst,
+    );
+    let cf = micro_round(tuned, &mesh, &placement, compute, TaskOrder::ComputeFirst);
     assert!(sf.round_latency_ns <= cf.round_latency_ns);
     assert!(sf.wait_ns.iter().sum::<u64>() <= cf.wait_ns.iter().sum::<u64>());
 }
@@ -163,6 +187,7 @@ fn engines_agree_on_locality_monotonicity() {
         let placement = policy.place(&vec![1.0; mesh.num_blocks()], ranks);
         let (relations, flux) = graph_classes(&mesh, &placement, &topo);
         let micro = micro_classes(&micro_round(
+            NetworkConfig::tuned(),
             &mesh,
             &placement,
             vec![0; ranks],
@@ -173,7 +198,7 @@ fn engines_agree_on_locality_monotonicity() {
         assert!(mpi >= prev, "x={x}: MPI-visible messages fell");
         prev = mpi;
 
-        let step = macro_classes(&mesh, &policy, ranks, 1).map(|c| c / 3);
+        let step = macro_classes(NetworkConfig::tuned(), &mesh, &policy, ranks, 1).map(|c| c / 3);
         assert_eq!(
             step,
             [relations[0], relations[1] + flux[0], relations[2] + flux[1]],

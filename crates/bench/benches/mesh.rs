@@ -54,15 +54,20 @@ fn bench_refinement(c: &mut Criterion) {
     group.finish();
 }
 
+/// A fresh serial build (`neighbor_graph()` would time the mesh handing
+/// back the graph it keeps after the first iteration).
 fn bench_neighbor_graph(c: &mut Criterion) {
     let mut group = c.benchmark_group("neighbor_graph");
+    let serial = WorkerPool::new(1);
     for roots in [4u32, 8] {
         let mesh = refined_mesh(roots);
         group.throughput(Throughput::Elements(mesh.num_blocks() as u64));
         group.bench_with_input(
             BenchmarkId::from_parameter(mesh.num_blocks()),
             &mesh,
-            |b, mesh| b.iter(|| std::hint::black_box(mesh.neighbor_graph().total_relations())),
+            |b, mesh| {
+                b.iter(|| std::hint::black_box(mesh.neighbor_graph_on(&serial).total_relations()))
+            },
         );
     }
     group.finish();
@@ -70,9 +75,9 @@ fn bench_neighbor_graph(c: &mut Criterion) {
 
 /// One mid-run remesh of the Table-I 512-rank Sedov blast: repairing the
 /// pre-adapt graph through the adapt's delta against building the post-adapt
-/// graph from scratch, per row of the new graph. (The patch consumes its
-/// input, so a clone of the pre-adapt graph — a ~0.4 MB copy — sits inside
-/// its timed loop.)
+/// graph from scratch, per row of the new graph. (Each patch starts from a
+/// clone of the pre-adapt graph, which shares its arrays, so every patch
+/// writes fresh output arrays instead of swapping with its scratch.)
 fn bench_graph_patch(c: &mut Criterion) {
     let mut w = SedovScenario::for_ranks(512, 200).workload();
     let mut before = w.mesh().neighbor_graph();
@@ -98,15 +103,16 @@ fn bench_graph_patch(c: &mut Criterion) {
         })
     });
     group.bench_function("build", |b| {
-        b.iter(|| std::hint::black_box(mesh.neighbor_graph().total_relations()))
+        b.iter(|| std::hint::black_box(mesh.build_neighbor_graph().total_relations()))
     });
     group.finish();
 }
 
 /// The full build per row, beside `graph_patch`'s per-row repair: the
 /// repo benchmark's `static_scale` mesh (16384 ranks, 28 884 blocks) serial
-/// and on the global pool, and one sweep over 96 service-sized shapes (the
-/// cold-shape builds of `service_mix`), which never leave the serial path.
+/// and on the global pool, and one serial sweep over 96 service-sized shapes
+/// (the cold-shape builds of `service_mix`, which never leave the serial
+/// path).
 fn bench_graph_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("graph_build");
     let mesh = random_refined_mesh(16384, 1.6, 0x5EED);
@@ -124,7 +130,9 @@ fn bench_graph_build(c: &mut Criterion) {
     group.throughput(Throughput::Elements(rows as u64));
     group.bench_function("shapes_96", |b| {
         b.iter(|| {
-            let relations = shapes.iter().map(|m| m.neighbor_graph().total_relations());
+            let relations = shapes
+                .iter()
+                .map(|m| m.neighbor_graph_on(&serial).total_relations());
             std::hint::black_box(relations.sum::<usize>())
         })
     });

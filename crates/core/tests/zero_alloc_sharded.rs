@@ -10,8 +10,10 @@
 //!    staging (inherited and probed rows alike — a warm probe of a created
 //!    block's row allocates nothing) and every halo table are pooled and
 //!    rebuilt in place, and
-//! 3. a serial `AmrMesh::neighbor_graph` allocates its two output arrays and
-//!    one row scratch, nothing per row and no copy of the mesh's index.
+//! 3. a serial `AmrMesh::build_neighbor_graph` allocates its two output
+//!    arrays, one row scratch and the shared CSR's header, nothing per row
+//!    and no copy of the mesh's index — and `AmrMesh::neighbor_graph`,
+//!    once the mesh keeps its graph, allocates nothing.
 //!
 //! This file must stay a single-test binary: the counting allocator is
 //! process-global, so a concurrently running sibling test would pollute the
@@ -174,12 +176,22 @@ fn steady_state_sharded_rebalance_and_refresh_are_allocation_free() {
     let mut min_delta = u64::MAX;
     for _ in 0..3 {
         let before = alloc_count();
-        let graph = mesh.neighbor_graph();
+        let graph = mesh.build_neighbor_graph();
         min_delta = min_delta.min(alloc_count() - before);
         assert_eq!(graph.num_blocks(), 218);
     }
     assert!(
-        min_delta <= 3,
-        "a serial graph build allocated {min_delta} times (offsets, entries, row scratch = 3)"
+        min_delta <= 4,
+        "a serial graph build allocated {min_delta} times \
+         (offsets, entries, row scratch, shared header = 4)"
     );
+    mesh.neighbor_graph();
+    let before = alloc_count();
+    let kept = mesh.neighbor_graph();
+    assert_eq!(
+        alloc_count() - before,
+        0,
+        "handing out the kept graph allocated"
+    );
+    assert_eq!(kept.num_blocks(), 218);
 }

@@ -29,7 +29,9 @@ use crate::octant::Octant;
 use crate::pool::WorkerPool;
 use crate::sfc::sfc_key;
 use crate::tree::{Coverage, Octree, NORM_LEVEL};
+use crate::MeshTopology;
 use amr_telemetry::trace::{Counter as TraceCounter, TraceHandle, TracePhase};
+use std::sync::OnceLock;
 
 /// Static configuration of an AMR mesh.
 #[derive(Debug, Clone)]
@@ -188,7 +190,12 @@ impl RefinementDelta {
 /// assert_eq!(mesh.num_blocks(), 64 + 7); // one block split into 8
 /// mesh.check_invariants().unwrap();
 /// ```
-#[derive(Debug, Clone)]
+///
+/// The mesh keeps the neighbor graph of its current snapshot once one is
+/// built ([`AmrMesh::neighbor_graph`]) and drops it when an adapt changes
+/// the mesh; a clone carries the snapshot and that graph, never the adapt's
+/// scratch.
+#[derive(Debug)]
 pub struct AmrMesh {
     config: MeshConfig,
     tree: Octree,
@@ -203,12 +210,11 @@ pub struct AmrMesh {
     root_runs: Vec<u32>,
     /// Last adapt's changeset (pooled; see [`AmrMesh::last_delta`]).
     delta: RefinementDelta,
-    // Pooled scratch so steady-state adapts allocate nothing.
-    tags_scratch: Vec<(MeshBlock, RefineTag)>,
-    coarsen_scratch: Vec<(Octant, u32)>,
-    blocks_spare: Vec<MeshBlock>,
-    keys_spare: Vec<u64>,
-    leaves_scratch: Vec<Octant>,
+    /// The neighbor graph of this snapshot, once built or installed: shared
+    /// with every graph handed out, dropped by an adapt that changes the
+    /// mesh.
+    graph: OnceLock<NeighborGraph>,
+    scratch: AdaptScratch,
     /// Optional trace handle: when set, adapts record `remesh`/`splice_index`
     /// spans and graph repairs record `graph_patch` spans (plus counters).
     /// `None` — the default — leaves every path untouched.
@@ -263,11 +269,8 @@ impl AmrMesh {
             keys: Vec::new(),
             root_runs: Vec::new(),
             delta: RefinementDelta::default(),
-            tags_scratch: Vec::new(),
-            coarsen_scratch: Vec::new(),
-            blocks_spare: Vec::new(),
-            keys_spare: Vec::new(),
-            leaves_scratch: Vec::new(),
+            graph: OnceLock::new(),
+            scratch: AdaptScratch::default(),
             trace: None,
         }
     }
@@ -375,18 +378,53 @@ impl AmrMesh {
             .map(|b| b.id)
     }
 
-    /// Build the neighbor graph for the current mesh snapshot from the
-    /// mesh's own maintained index (no octant copy, no key recomputed) — on
-    /// the global pool once the mesh is large enough for that to pay.
+    /// The neighbor graph of the current mesh snapshot. The first call
+    /// builds it ([`AmrMesh::build_neighbor_graph`]) and the mesh keeps it
+    /// until an adapt changes the mesh; every later call, and every clone of
+    /// the mesh, shares that one CSR — an `Arc` bump, no copy, no build.
     pub fn neighbor_graph(&self) -> NeighborGraph {
+        self.graph.get_or_init(|| self.build_graph(None)).clone()
+    }
+
+    /// The graph the mesh keeps for its current snapshot, if
+    /// [`AmrMesh::neighbor_graph`] or [`AmrMesh::install_topology`] has put
+    /// one there. Never builds.
+    #[inline]
+    pub fn kept_neighbor_graph(&self) -> Option<&NeighborGraph> {
+        self.graph.get()
+    }
+
+    /// Build the neighbor graph afresh from the mesh's own maintained index
+    /// (no octant copy, no key recomputed) — on the global pool once the
+    /// mesh is large enough for that to pay — and do not keep it: for a
+    /// consumer that must not extend the mesh's footprint.
+    pub fn build_neighbor_graph(&self) -> NeighborGraph {
         self.build_graph(None)
     }
 
-    /// [`AmrMesh::neighbor_graph`] on a pool of the caller's choosing,
+    /// [`AmrMesh::build_neighbor_graph`] on a pool of the caller's choosing,
     /// whatever the mesh's size; a one-thread pool is the serial build. The
-    /// graph is the same bit for bit on any pool.
+    /// graph is the same bit for bit on any pool, and it is not kept.
     pub fn neighbor_graph_on(&self, pool: &WorkerPool) -> NeighborGraph {
         self.build_graph(Some(pool))
+    }
+
+    /// Keep a parked topology as this snapshot's graph — only if it
+    /// [is this mesh's](MeshTopology::is_for). The one way a graph built
+    /// elsewhere enters a mesh. Returns whether it was installed.
+    pub fn install_topology(&mut self, topology: MeshTopology) -> bool {
+        if !topology.is_for(self) {
+            return false;
+        }
+        self.graph = OnceLock::from(topology.into_graph());
+        true
+    }
+
+    /// The kept graph parked with what identifies this snapshot, if the mesh
+    /// keeps one (see [`MeshTopology`]).
+    pub fn into_topology(mut self) -> Option<MeshTopology> {
+        let graph = self.graph.take()?;
+        Some(MeshTopology::new(&self.tree, self.keys, graph))
     }
 
     fn build_graph(&self, pool: Option<&WorkerPool>) -> NeighborGraph {
@@ -402,9 +440,10 @@ impl AmrMesh {
     /// with the mesh after the most recent [`AmrMesh::adapt`]: surviving
     /// blocks inherit their rows through the delta's fate table, only blocks
     /// the adapt created are probed. Falls back to
-    /// a full [`AmrMesh::neighbor_graph`] build when the stored delta cannot
-    /// vouch for `graph` (identity delta, stale delta, or a block-count
-    /// mismatch). Returns `true` iff the incremental patch path ran.
+    /// the kept graph, or a fresh build that is not kept, when the stored
+    /// delta cannot vouch for `graph` (identity delta, stale delta, or a
+    /// block-count mismatch). Returns `true` iff the incremental patch path
+    /// ran.
     pub fn patch_neighbor_graph(
         &self,
         graph: &mut NeighborGraph,
@@ -420,7 +459,10 @@ impl AmrMesh {
             self.count_patch_rows(rows);
             true
         } else {
-            *graph = self.neighbor_graph(); // counts itself as a full build
+            *graph = match self.kept_neighbor_graph() {
+                Some(kept) => kept.clone(),
+                None => self.build_neighbor_graph(), // counts itself
+            };
             if let Some(t) = &self.trace {
                 // Distinct from GraphFullBuilds so callers can tell "the
                 // patch entry point gave up" apart from intentional builds.
@@ -445,8 +487,9 @@ impl AmrMesh {
     /// and balance to permit the merge. Block IDs are re-assigned in SFC
     /// order by splicing the changed spans into the sorted block array —
     /// O(changed blocks), not O(mesh) — and the returned changeset records
-    /// every pre-adapt block's fate. A no-op adapt (nothing refined or
-    /// coarsened) leaves the index untouched and allocates nothing.
+    /// every pre-adapt block's fate. An adapt that changes the mesh drops the
+    /// kept neighbor graph; a no-op adapt (nothing refined or coarsened)
+    /// leaves the index and the kept graph untouched and allocates nothing.
     pub fn adapt<F>(&mut self, tag: F) -> &RefinementDelta
     where
         F: Fn(&MeshBlock) -> RefineTag,
@@ -456,7 +499,7 @@ impl AmrMesh {
         let trace = self.trace.clone();
         let _span = trace.as_ref().map(|t| t.span(TracePhase::Remesh));
         let blocks_before = self.blocks.len();
-        let mut tags = std::mem::take(&mut self.tags_scratch);
+        let mut tags = std::mem::take(&mut self.scratch.tags);
         tags.clear();
         tags.extend(self.blocks.iter().map(|b| (*b, tag(b))));
 
@@ -472,7 +515,7 @@ impl AmrMesh {
         // of `2^d` Coarsen tags (siblings are consecutive on the curve; any
         // interloper between two siblings is a descendant of a refined
         // sibling, which already disqualifies the family). Count run lengths.
-        let mut cands = std::mem::take(&mut self.coarsen_scratch);
+        let mut cands = std::mem::take(&mut self.scratch.coarsen);
         cands.clear();
         for (b, t) in &tags {
             if *t == RefineTag::Coarsen {
@@ -494,9 +537,9 @@ impl AmrMesh {
             }
         }
         cands.clear();
-        self.coarsen_scratch = cands;
+        self.scratch.coarsen = cands;
         tags.clear();
-        self.tags_scratch = tags;
+        self.scratch.tags = tags;
 
         self.delta.refined = refined;
         self.delta.coarsened = coarsened;
@@ -508,6 +551,7 @@ impl AmrMesh {
         } else {
             let _splice = trace.as_ref().map(|t| t.span(TracePhase::SpliceIndex));
             self.splice_index();
+            self.graph = OnceLock::new();
         }
         self.delta.blocks_after = self.blocks.len();
         if let Some(t) = &trace {
@@ -529,22 +573,22 @@ impl AmrMesh {
     /// child. Children are consecutive on the SFC, so the output stays
     /// sorted without re-sorting, and the walk doubles as the fate recorder.
     fn splice_index(&mut self) {
-        std::mem::swap(&mut self.blocks, &mut self.blocks_spare);
-        std::mem::swap(&mut self.keys, &mut self.keys_spare);
-        // `blocks_spare`/`keys_spare` now hold the pre-adapt index; the new
-        // index builds into the (cleared) pooled arrays.
+        std::mem::swap(&mut self.blocks, &mut self.scratch.blocks);
+        std::mem::swap(&mut self.keys, &mut self.scratch.keys);
+        // The scratch arrays now hold the pre-adapt index; the new index
+        // builds into the (cleared) pooled arrays.
         self.blocks.clear();
         self.keys.clear();
         self.delta.remap.clear();
         let domain = &self.config.domain;
         let roots = self.tree.roots();
         let dim = self.config.dim;
-        let mut within = std::mem::take(&mut self.leaves_scratch);
-        for (i, b) in self.blocks_spare.iter().enumerate() {
+        let mut within = std::mem::take(&mut self.scratch.leaves);
+        for (i, b) in self.scratch.blocks.iter().enumerate() {
             if self.tree.is_leaf(&b.octant) {
                 let id = BlockId(self.blocks.len() as u32);
                 self.delta.remap.push(BlockFate::Same(id));
-                self.keys.push(self.keys_spare[i]);
+                self.keys.push(self.scratch.keys[i]);
                 self.blocks.push(MeshBlock {
                     id,
                     octant: b.octant,
@@ -595,7 +639,7 @@ impl AmrMesh {
                 }
             }
         }
-        self.leaves_scratch = within;
+        self.scratch.leaves = within;
         debug_assert_eq!(self.blocks.len(), self.tree.num_leaves());
         debug_assert!(self.keys.windows(2).all(|w| w[0] < w[1]));
         fill_root_runs(&self.keys, dim, &mut self.root_runs);
@@ -660,6 +704,36 @@ impl AmrMesh {
         }
         Ok(())
     }
+}
+
+impl Clone for AmrMesh {
+    /// The snapshot (tree, index, last delta), its kept graph (shared, not
+    /// copied) and the trace handle — not the adapt's scratch, which after an
+    /// adapt holds the whole pre-adapt index.
+    fn clone(&self) -> AmrMesh {
+        AmrMesh {
+            config: self.config.clone(),
+            tree: self.tree.clone(),
+            blocks: self.blocks.clone(),
+            keys: self.keys.clone(),
+            root_runs: self.root_runs.clone(),
+            delta: self.delta.clone(),
+            graph: self.graph.clone(),
+            scratch: AdaptScratch::default(),
+            trace: self.trace.clone(),
+        }
+    }
+}
+
+/// Pooled scratch so steady-state adapts allocate nothing.
+#[derive(Debug, Default)]
+struct AdaptScratch {
+    tags: Vec<(MeshBlock, RefineTag)>,
+    coarsen: Vec<(Octant, u32)>,
+    /// The pre-adapt index while an adapt splices the new one.
+    blocks: Vec<MeshBlock>,
+    keys: Vec<u64>,
+    leaves: Vec<Octant>,
 }
 
 #[cfg(test)]
@@ -797,6 +871,45 @@ mod tests {
         let full = AmrMesh::from_parts(m.config().clone(), m.tree().clone()).unwrap();
         assert_eq!(m.blocks(), full.blocks());
         assert_eq!(m.sfc_keys(), full.sfc_keys());
+    }
+
+    /// A clone carries the snapshot and the kept graph, not the adapt's
+    /// scratch — which after an adapt holds the whole pre-adapt index — and
+    /// adapts exactly as the original does.
+    #[test]
+    fn clone_carries_the_snapshot_not_the_scratch() {
+        let refine_x0 = |b: &MeshBlock| {
+            if b.octant.x == 0 {
+                RefineTag::Refine
+            } else {
+                RefineTag::Keep
+            }
+        };
+        let mut m = AmrMesh::new(cfg(2, 2));
+        m.adapt(refine_x0);
+        assert!(m.scratch.blocks.capacity() >= 8 && m.scratch.keys.capacity() >= 8);
+        let kept = m.neighbor_graph();
+        let mut c = m.clone();
+        assert_eq!(c.scratch.blocks.capacity() + c.scratch.keys.capacity(), 0);
+        assert_eq!(c.kept_neighbor_graph(), Some(&kept));
+        assert_eq!(c.last_delta(), m.last_delta());
+        let coarsen_half = |b: &MeshBlock| {
+            if b.level() == 1 && b.octant.y < 2 {
+                RefineTag::Coarsen
+            } else if b.level() == 0 {
+                RefineTag::Refine
+            } else {
+                RefineTag::Keep
+            }
+        };
+        m.adapt(coarsen_half);
+        c.adapt(coarsen_half);
+        assert_eq!(c.blocks(), m.blocks());
+        assert_eq!(c.sfc_keys(), m.sfc_keys());
+        assert_eq!(c.last_delta(), m.last_delta());
+        assert!(c.kept_neighbor_graph().is_none() && m.kept_neighbor_graph().is_none());
+        assert_eq!(c.neighbor_graph(), m.neighbor_graph());
+        assert_eq!(m.neighbor_graph(), m.neighbor_graph_on(&WorkerPool::new(1)));
     }
 
     #[test]

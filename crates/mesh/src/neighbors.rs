@@ -33,6 +33,7 @@ use crate::pool::{task_range, WorkerPool};
 use crate::sfc::{sfc_key, sfc_key_part};
 use crate::tree::{Octree, NORM_LEVEL};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Classification of a shared boundary surface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -94,8 +95,21 @@ const PARALLEL_BUILD_MIN_LEAVES: usize = 2048;
 /// the block with `BlockId(i)` are `entries[offsets[i]..offsets[i+1]]`,
 /// sorted by neighbor block id. Relations are symmetric as sets of block
 /// pairs (kinds match; level deltas are negated).
+///
+/// The arrays are shared and copy-on-write: a clone is an `Arc` bump, so the
+/// graph an [`AmrMesh`] keeps for its snapshot
+/// ([`AmrMesh::neighbor_graph`]) is handed to every consumer without a copy.
+/// A repair ([`AmrMesh::patch_neighbor_graph`]) rewrites the arrays in place
+/// when this value is their only holder and builds new ones otherwise, so a
+/// consumer's patch never changes another holder's graph.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct NeighborGraph {
+    csr: Arc<Csr>,
+}
+
+/// The CSR arrays one or more [`NeighborGraph`]s share.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct Csr {
     /// Row boundaries; `offsets.len() == num_blocks + 1` (empty graph: `[0]`
     /// or empty).
     pub(crate) offsets: Vec<u32>,
@@ -289,28 +303,42 @@ impl NeighborGraph {
         let mut entries = Vec::with_capacity(n * Direction::all(index.dim).len());
         let mut row = Vec::with_capacity(MAX_ROW);
         emit_rows(tree, index, 0..n, &mut row, &mut offsets, &mut entries);
-        NeighborGraph { offsets, entries }
+        NeighborGraph::from_arrays(offsets, entries)
+    }
+
+    /// A graph that is the only holder of `offsets` and `entries`.
+    fn from_arrays(offsets: Vec<u32>, entries: Vec<Neighbor>) -> NeighborGraph {
+        NeighborGraph {
+            csr: Arc::new(Csr { offsets, entries }),
+        }
+    }
+
+    /// The arrays, for writing: copied first if another graph shares them.
+    pub(crate) fn csr_mut(&mut self) -> &mut Csr {
+        Arc::make_mut(&mut self.csr)
     }
 
     /// Number of blocks in the graph.
     #[inline]
     pub fn num_blocks(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
+        self.csr.offsets.len().saturating_sub(1)
     }
 
     /// Neighbors of a block, sorted by neighbor block id.
     #[inline]
     pub fn neighbors(&self, b: BlockId) -> &[Neighbor] {
         let i = b.index();
-        &self.entries[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+        let csr = &*self.csr;
+        &csr.entries[csr.offsets[i] as usize..csr.offsets[i + 1] as usize]
     }
 
     /// Iterate over `(block, neighbors)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (BlockId, &[Neighbor])> {
-        self.offsets.windows(2).enumerate().map(|(i, w)| {
+        let csr = &*self.csr;
+        csr.offsets.windows(2).enumerate().map(|(i, w)| {
             (
                 BlockId(i as u32),
-                &self.entries[w[0] as usize..w[1] as usize],
+                &csr.entries[w[0] as usize..w[1] as usize],
             )
         })
     }
@@ -319,7 +347,7 @@ impl NeighborGraph {
     /// round, before placement-dependent local/remote classification).
     #[inline]
     pub fn total_relations(&self) -> usize {
-        self.entries.len()
+        self.csr.entries.len()
     }
 
     /// Index into the flat relation space (`0..total_relations()`) where
@@ -331,7 +359,7 @@ impl NeighborGraph {
     /// `i == num_blocks()` is allowed and returns `total_relations()`.
     #[inline]
     pub fn row_start(&self, i: usize) -> usize {
-        self.offsets[i] as usize
+        self.csr.offsets[i] as usize
     }
 
     /// Verify symmetry: if `a` lists `b`, then `b` lists `a` with the same
@@ -418,25 +446,41 @@ impl NeighborGraph {
         }
         debug_assert_eq!(rows.inherited + rows.probed, blocks.len());
 
-        // Swap the staging arrays in; the displaced arrays become the next
-        // patch's staging storage.
-        std::mem::swap(&mut self.offsets, &mut scratch.offsets);
-        std::mem::swap(&mut self.entries, &mut scratch.entries);
+        // Sole holder: swap the staging arrays in, and the displaced arrays
+        // become the next patch's staging storage. Shared (with the mesh's
+        // kept graph, say): the staging arrays become a new CSR of this
+        // graph's own and the other holders keep the old one.
+        match Arc::get_mut(&mut self.csr) {
+            Some(csr) => {
+                std::mem::swap(&mut csr.offsets, &mut scratch.offsets);
+                std::mem::swap(&mut csr.entries, &mut scratch.entries);
+            }
+            None => {
+                let offsets = std::mem::take(&mut scratch.offsets);
+                let entries = std::mem::take(&mut scratch.entries);
+                *self = NeighborGraph::from_arrays(offsets, entries);
+            }
+        }
         rows
     }
 }
 
-/// The neighbor graph of one mesh snapshot, kept by a caller that outlives
-/// its consumers (a service session across `Simulate` requests, an LRU entry
-/// across sessions) so the CSR is built once per snapshot, not once per
-/// consumer — together with what identifies that snapshot *exactly*: the
-/// dimensionality, root grid and boundary semantics of the mesh's tree plus a
-/// copy of its SFC key array. Leaves tile the domain, so the ascending keys and
-/// the root grid determine every leaf's level, hence the whole graph; a
-/// 64-bit digest of the keys would not (it can collide, and it does not see
-/// `periodic`).
+/// The neighbor graph of one mesh snapshot, parked by a caller that outlives
+/// the mesh (the service's LRU entry, across sessions) so the CSR is built
+/// once per snapshot, not once per tenant — together with what identifies
+/// that snapshot *exactly*: the dimensionality, root grid and boundary
+/// semantics of the mesh's tree plus its SFC key array. Leaves tile the
+/// domain, so the ascending keys and the root grid determine every leaf's
+/// level, hence the whole graph; a 64-bit digest of the keys would not (it
+/// can collide, and it does not see `periodic`).
 ///
-/// The kept graph is exact-size: a build reserves one entry per direction
+/// Only a mesh makes one, from the graph it keeps
+/// ([`AmrMesh::into_topology`]), and a mesh takes one back only if
+/// [`MeshTopology::is_for`] says it is its own
+/// ([`AmrMesh::install_topology`]): no other way into a mesh's kept graph
+/// exists.
+///
+/// The parked graph is exact-size: a build reserves one entry per direction
 /// per leaf (26 in 3-D) and a CSR fills 58 % of that on the service's
 /// 16-rank shapes, 90 % on a 16384-rank mesh; a long-lived value must not pin
 /// the rest.
@@ -450,19 +494,18 @@ pub struct MeshTopology {
 }
 
 impl MeshTopology {
-    /// Keep `graph` as the topology of `mesh`'s current snapshot. The caller
-    /// vouches that it is (built by [`AmrMesh::neighbor_graph`] or patched
-    /// up to this snapshot); [`MeshTopology::is_for`] vouches from then on.
-    pub fn new(mesh: &AmrMesh, mut graph: NeighborGraph) -> MeshTopology {
-        debug_assert_eq!(graph.num_blocks(), mesh.num_blocks());
-        graph.offsets.shrink_to_fit();
-        graph.entries.shrink_to_fit();
-        let tree = mesh.tree();
+    /// Park `graph`, the graph of the snapshot `tree` and `keys` describe,
+    /// shrunk to exact size.
+    pub(crate) fn new(tree: &Octree, keys: Vec<u64>, mut graph: NeighborGraph) -> MeshTopology {
+        debug_assert_eq!(graph.num_blocks(), keys.len());
+        let csr = graph.csr_mut();
+        csr.offsets.shrink_to_fit();
+        csr.entries.shrink_to_fit();
         MeshTopology {
             dim: tree.dim(),
             roots: tree.roots(),
             periodic: tree.periodic(),
-            keys: mesh.sfc_keys().to_vec(),
+            keys,
             graph,
         }
     }
@@ -477,15 +520,15 @@ impl MeshTopology {
             && self.keys == mesh.sfc_keys()
     }
 
-    /// The kept graph.
+    /// The parked graph.
     #[inline]
     pub fn graph(&self) -> &NeighborGraph {
         &self.graph
     }
 
-    /// Give the graph up (to a consumer that may patch it).
+    /// Give the graph up (to the mesh it [is for](MeshTopology::is_for)).
     #[inline]
-    pub fn into_graph(self) -> NeighborGraph {
+    pub(crate) fn into_graph(self) -> NeighborGraph {
         self.graph
     }
 }
@@ -686,7 +729,7 @@ fn build_spans<B: AsRef<Octant> + Sync>(
         entries.extend_from_slice(&part.entries);
         offsets.extend(part.offsets[1..].iter().map(|o| base + o));
     }
-    NeighborGraph { offsets, entries }
+    NeighborGraph::from_arrays(offsets, entries)
 }
 
 /// How two distinct leaves of one forest touch: the `(kind, level_delta)` of

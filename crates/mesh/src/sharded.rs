@@ -275,6 +275,7 @@ impl ShardedMesh {
     /// bridge to the oracle: `flatten_into` of a fresh/refreshed
     /// `ShardedMesh` must equal [`AmrMesh::neighbor_graph`] exactly.
     pub fn flatten_into(&self, g: &mut NeighborGraph) {
+        let g = g.csr_mut();
         g.offsets.clear();
         g.offsets.push(0);
         g.entries.clear();

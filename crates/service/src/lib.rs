@@ -24,8 +24,9 @@
 //!   zero allocation) instead of cold. The same entry carries the
 //!   snapshot's [`MeshTopology`] when the session simulated it, so a
 //!   returning `Simulate` starts from the kept CSR instead of rebuilding it
-//!   (the topology identifies its snapshot exactly and is re-checked where
-//!   it is used; the fingerprint only finds the entry).
+//!   (the topology identifies its snapshot exactly and the new session's
+//!   mesh installs it only if it is its own; the fingerprint only finds the
+//!   entry).
 //! * **Telemetry queries.** A session's last simulated epoch keeps its
 //!   [`EventTable`]; [`Request::Query`] runs the `amr-telemetry` query
 //!   engine over it and returns a flat
@@ -207,15 +208,15 @@ pub struct ServiceStats {
     pub warm_hits: u64,
     /// Session opens that built a cold engine.
     pub cold_misses: u64,
-    /// `Simulate` runs that started from a kept [`MeshTopology`] — the
-    /// session's own from an earlier `Simulate` of the same snapshot, or the
-    /// one its LRU entry carried — and built no CSR. Counted where the run
-    /// resolves its graph, folded in at the end of each `drain`.
+    /// `Simulate` runs whose mesh already kept its graph — built by an
+    /// earlier `Simulate` of the same snapshot, or installed from the
+    /// [`MeshTopology`] its LRU entry carried — and built no CSR. Counted per
+    /// session, folded in at the end of each `drain`.
     pub topology_hits: u64,
-    /// `Simulate` runs that built their CSR: first sight of a snapshot, an
-    /// `Adapt` since the last run, or a kept topology that was not exactly
-    /// this mesh's. `topology_hits + topology_builds` is the number of
-    /// `Simulate` requests answered [`Response::Simulated`].
+    /// `Simulate` runs that built their mesh's graph: first sight of a
+    /// snapshot, an `Adapt` since the last run, or a parked topology that was
+    /// not exactly this mesh's. `topology_hits + topology_builds` is the
+    /// number of `Simulate` requests answered [`Response::Simulated`].
     pub topology_builds: u64,
     /// `drain` calls that dispatched at least one session.
     pub batches: u64,
@@ -273,9 +274,10 @@ impl Workload for EpochWorkload<'_> {
     }
 }
 
-/// One hosted session: a mesh epoch, its costs, a (possibly warm) engine,
-/// a lazily built simulator, the epoch's kept topology, the last epoch's
-/// telemetry, and the FIFO request queue with its response/latency logs.
+/// One hosted session: a mesh epoch (keeping its neighbor graph once
+/// simulated), its costs, a (possibly warm) engine, a lazily built
+/// simulator, the last epoch's telemetry, and the FIFO request queue with
+/// its response/latency logs.
 struct Session {
     mesh: AmrMesh,
     costs: Vec<f64>,
@@ -284,12 +286,6 @@ struct Session {
     sim_config: SimConfig,
     engine: PlacementEngine,
     sim: Option<MacroSim>,
-    /// The slot lent to every `Simulate` ([`MacroSim::try_run_lent`]): the
-    /// CSR of the snapshot last simulated (or checked out of the LRU),
-    /// dropped by an `Adapt` that changes the mesh. The simulator re-checks
-    /// it against the mesh before use, so a stale one costs a build, never
-    /// a wrong answer.
-    topology: Option<MeshTopology>,
     /// This drain's [`ServiceStats::topology_hits`] / `topology_builds`
     /// (sessions run on pool workers; `drain` folds and clears them).
     topology_hits: u64,
@@ -329,7 +325,6 @@ impl Session {
                 if changed {
                     session_costs(self.mesh.num_blocks(), &mut self.costs);
                     self.fingerprint = MeshFingerprint::of_mesh(&self.mesh, self.num_ranks);
-                    self.topology = None;
                 }
                 Response::Adapted {
                     blocks: self.mesh.num_blocks(),
@@ -369,19 +364,26 @@ impl Session {
                     }
                 }
                 let sim = self.sim.as_mut().expect("just constructed");
+                // The session keeps its snapshot's graph for a flat run:
+                // built here on first sight (an `Adapt` that changes the
+                // mesh drops it), shared with the run, parked beside the
+                // engine at close. A sharded run builds its shards instead.
+                let kept = self.mesh.kept_neighbor_graph().is_some();
+                if self.sim_config.num_shards == 0 {
+                    self.mesh.neighbor_graph();
+                }
                 let mut workload = EpochWorkload {
                     mesh: &self.mesh,
                     costs: &self.costs,
                     steps,
                 };
-                match sim.try_run_lent(
+                match sim.try_run(
                     &mut workload,
                     self.policy.as_ref(),
                     RebalanceTrigger::OnMeshChange,
-                    &mut self.topology,
                 ) {
                     Ok(report) => {
-                        if report.topology_reused {
+                        if kept && report.topology_reused {
                             self.topology_hits += 1;
                         } else {
                             self.topology_builds += 1;
@@ -500,18 +502,23 @@ impl Service {
     /// the (mesh, ranks) fingerprint: a hit hands the parked engine — its
     /// placement still primed — to the new session, so its first
     /// `Rebalance` runs the warm, allocation-free path, and the topology
-    /// parked beside it, so its first `Simulate` builds no CSR.
-    pub fn open_session(&mut self, mesh: AmrMesh, spec: SessionSpec) -> SessionId {
+    /// parked beside it — installed only if it is exactly this mesh's
+    /// ([`AmrMesh::install_topology`]) — so its first `Simulate` builds no
+    /// CSR.
+    pub fn open_session(&mut self, mut mesh: AmrMesh, spec: SessionSpec) -> SessionId {
         let fp = MeshFingerprint::of_mesh(&mesh, spec.num_ranks);
-        let (engine, topology, placed_fp) = match self.cache.checkout(fp) {
+        let (engine, placed_fp) = match self.cache.checkout(fp) {
             Some(WarmEntry { engine, topology }) => {
                 debug_assert_eq!(engine.fingerprint(), Some(fp));
                 self.stats.warm_hits += 1;
-                (engine, topology, Some(fp))
+                if let Some(topology) = topology {
+                    mesh.install_topology(topology);
+                }
+                (engine, Some(fp))
             }
             None => {
                 self.stats.cold_misses += 1;
-                (PlacementEngine::new(), None, None)
+                (PlacementEngine::new(), None)
             }
         };
         let mut costs = Vec::new();
@@ -524,7 +531,6 @@ impl Service {
             sim_config: spec.sim,
             engine,
             sim: None,
-            topology,
             topology_hits: 0,
             topology_builds: 0,
             telemetry: None,
@@ -549,11 +555,11 @@ impl Service {
 
     /// Close a session. If its engine holds a primed placement, the engine
     /// is stamped with the fingerprint that placement solves and parked in
-    /// the LRU for the next same-shaped tenant — with the session's
-    /// topology in the same entry when it describes that snapshot (the mesh
-    /// has not moved on since the placement). Returns `false`, parking
-    /// nothing, for an id that is not an open session of this service
-    /// (foreign, or already closed).
+    /// the LRU for the next same-shaped tenant — with the graph the session's
+    /// mesh keeps, as a [`MeshTopology`], in the same entry when it describes
+    /// that snapshot (the mesh has not moved on since the placement).
+    /// Returns `false`, parking nothing, for an id that is not an open
+    /// session of this service (foreign, or already closed).
     pub fn close_session(&mut self, id: SessionId) -> bool {
         let Some(session) = self.slots.get_mut(id.0).and_then(Option::take) else {
             return false;
@@ -562,9 +568,11 @@ impl Service {
         if let (Some(fp), true) = (session.placed_fp, session.engine.placement().is_some()) {
             let mut engine = session.engine;
             engine.set_fingerprint(Some(fp));
-            let topology = session
-                .topology
-                .filter(|t| fp == session.fingerprint && t.is_for(&session.mesh));
+            let topology = if fp == session.fingerprint {
+                session.mesh.into_topology()
+            } else {
+                None
+            };
             self.cache.park(fp, WarmEntry { engine, topology });
         }
         true

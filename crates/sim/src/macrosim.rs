@@ -39,8 +39,8 @@ use amr_core::policies::PlacementPolicy;
 use amr_core::trigger::{RebalanceTrigger, TriggerContext};
 use amr_mesh::pool::{WorkerPool, MAX_POOL_THREADS};
 use amr_mesh::{
-    AmrMesh, BlockId, BlockSpec, Dim, MeshTopology, Neighbor, NeighborGraph, PatchScratch,
-    RefinementDelta, ShardedMesh,
+    AmrMesh, BlockId, BlockSpec, Dim, Neighbor, NeighborGraph, PatchScratch, RefinementDelta,
+    ShardedMesh,
 };
 use amr_telemetry::anomaly::{OnlineDetectorConfig, OnlineThrottleDetector};
 use amr_telemetry::trace::{
@@ -290,8 +290,8 @@ pub struct RunReport {
     pub halo_exchange_ns: f64,
     /// Halo (ghost) blocks of the final epoch, summed over shards.
     pub final_halo_blocks: u64,
-    /// Did the run start from a topology its caller lent
-    /// ([`MacroSim::try_run_lent`]) instead of building the CSR itself?
+    /// Did the run start from the graph its mesh keeps
+    /// ([`AmrMesh::kept_neighbor_graph`]) instead of building the CSR itself?
     pub topology_reused: bool,
     /// Collected telemetry, in canonical `(step, rank, phase, block)` order.
     /// A pure function of virtual time except for the `duration_ns` of its
@@ -611,41 +611,7 @@ impl MacroSim {
         policy: &dyn PlacementPolicy,
         trigger: RebalanceTrigger,
     ) -> Result<RunReport, String> {
-        self.run_steps(workload, policy, trigger, None)
-    }
-
-    /// [`MacroSim::try_run`] for a caller that outlives its runs and keeps
-    /// the mesh topology between them. The run *takes* the topology out of
-    /// `slot` when it is exactly the starting mesh's
-    /// ([`MeshTopology::is_for`]) and the run is flat (`num_shards == 0`);
-    /// anything else — an empty slot, another shape, another `periodic`, a
-    /// sharded run — is dropped and the CSR is built as in `try_run`. On
-    /// `Ok` the slot holds the run's graph, patched through every remesh and
-    /// re-keyed to the workload's final mesh (nothing after a sharded run);
-    /// on `Err` it is empty. The report is bit-identical to `try_run`'s
-    /// except for [`RunReport::topology_reused`]. A simulator nobody lends
-    /// to keeps nothing after a run: retention is the caller's.
-    pub fn try_run_lent(
-        &mut self,
-        workload: &mut dyn Workload,
-        policy: &dyn PlacementPolicy,
-        trigger: RebalanceTrigger,
-        slot: &mut Option<MeshTopology>,
-    ) -> Result<RunReport, String> {
-        self.run_steps(workload, policy, trigger, Some(slot))
-    }
-
-    /// The one run body behind [`MacroSim::try_run`] (`slot` absent) and
-    /// [`MacroSim::try_run_lent`].
-    fn run_steps(
-        &mut self,
-        workload: &mut dyn Workload,
-        policy: &dyn PlacementPolicy,
-        trigger: RebalanceTrigger,
-        mut slot: Option<&mut Option<MeshTopology>>,
-    ) -> Result<RunReport, String> {
-        let lent = slot.as_deref_mut().and_then(Option::take);
-        let mut run = self.begin_run(workload.mesh(), policy, workload.total_steps(), lent)?;
+        let mut run = self.begin_run(workload.mesh(), policy, workload.total_steps())?;
         for step in 0..run.report.steps {
             run.collector.begin_step(step as u32);
             if let Some(t) = &self.trace {
@@ -668,18 +634,21 @@ impl MacroSim {
             self.account(&mut run, workload.mesh().num_blocks(), completion_ns);
             self.respond_to_faults(&mut run);
         }
-        Ok(self.finish_run(run, workload.mesh(), slot))
+        Ok(self.finish_run(run, workload.mesh()))
     }
 
     /// Start a run: clean feedback plane, fault loop armed per config,
-    /// initial placement, resident topology (`lent`'s graph when it is this
-    /// mesh's, built otherwise), armed ledger, first epoch.
+    /// initial placement, resident topology, armed ledger, first epoch.
+    ///
+    /// A flat run shares the graph its mesh keeps, when the mesh keeps one,
+    /// and otherwise builds its own and leaves the mesh without one: whether
+    /// a CSR outlives the run is the mesh owner's choice, never the
+    /// simulator's. Either way the run patches only its own copy.
     fn begin_run(
         &mut self,
         mesh: &AmrMesh,
         policy: &dyn PlacementPolicy,
         steps: u64,
-        lent: Option<MeshTopology>,
     ) -> Result<Run, String> {
         let cfg = &self.config;
         let r = cfg.topology.num_ranks;
@@ -702,12 +671,12 @@ impl MacroSim {
             .map_err(|e| format!("initial placement failed: {e}"))?;
         let mut topology_reused = false;
         let graph = if cfg.num_shards == 0 {
-            ResidentGraph::Flat(match lent.filter(|t| t.is_for(mesh)) {
-                Some(t) => {
+            ResidentGraph::Flat(match mesh.kept_neighbor_graph() {
+                Some(kept) => {
                     topology_reused = true;
-                    t.into_graph()
+                    kept.clone()
                 }
-                None => mesh.neighbor_graph(),
+                None => mesh.build_neighbor_graph(),
             })
         } else {
             // Shard rows are pure functions of (tree, range), so how the
@@ -1233,15 +1202,8 @@ impl MacroSim {
         }
     }
 
-    /// Close a run: end-of-run trace counters, the resident graph handed to
-    /// a lending caller's `slot` keyed to the final `mesh`, then the
-    /// finished report.
-    fn finish_run(
-        &self,
-        run: Run,
-        mesh: &AmrMesh,
-        slot: Option<&mut Option<MeshTopology>>,
-    ) -> RunReport {
+    /// Close a run: end-of-run trace counters, then the finished report.
+    fn finish_run(&self, run: Run, mesh: &AmrMesh) -> RunReport {
         let mut report = run.report;
         if let Some(t) = &self.trace {
             t.incr(TraceCounter::NodesPruned, report.nodes_pruned);
@@ -1259,11 +1221,6 @@ impl MacroSim {
             report.final_halo_blocks = sm.total_halo_blocks() as u64;
         }
         report.telemetry = run.collector.finish();
-        if let Some(slot) = slot {
-            if let ResidentGraph::Flat(graph) = run.graph {
-                *slot = Some(MeshTopology::new(mesh, graph));
-            }
-        }
         report
     }
 }
@@ -1334,7 +1291,7 @@ mod tests {
         assert_eq!(reserved_rows(u64::MAX, 1, 1 << 24, usize::MAX), 1 << 20);
         assert_eq!(reserved_rows(u64::MAX, u32::MAX, 1, 0), 1 << 20);
         let w = StaticWorkload::new(2, u64::MAX, 0.0);
-        let run = MacroSim::new(small_config(8)).begin_run(w.mesh(), &Baseline, u64::MAX, None);
+        let run = MacroSim::new(small_config(8)).begin_run(w.mesh(), &Baseline, u64::MAX);
         assert!(run.is_ok_and(|run| run.collector.is_empty()));
     }
 
@@ -1572,12 +1529,14 @@ mod tests {
         }
     }
 
-    /// A lent topology is taken only when it is exactly the run's starting
-    /// mesh's and the run is flat; another shape's, the non-periodic twin's
-    /// (equal key arrays!) or any topology on a sharded run is ignored, and
-    /// either way the report is the unlent run's bit for bit.
+    /// A flat run takes the graph its mesh keeps; a mesh that keeps none —
+    /// a fresh one, or another shape or the non-periodic twin's periodic
+    /// sibling (equal key arrays!), which refuse the kept one's topology —
+    /// builds privately and is left keeping none, and a sharded run never
+    /// takes one. Either way the report is the fresh run's bit for bit.
     #[test]
-    fn lent_topology_is_taken_only_for_its_own_snapshot() {
+    fn kept_graph_is_taken_only_for_its_own_snapshot() {
+        use amr_mesh::pool::WorkerPool;
         let trig = RebalanceTrigger::OnMeshChange;
         let on = |mesh: &AmrMesh| {
             let costs = (0..mesh.num_blocks())
@@ -1595,71 +1554,119 @@ mod tests {
             assert_eq!(a.messages, b.messages);
             assert_eq!(a.telemetry, b.telemetry);
         };
+        let serial = WorkerPool::new(1);
         let config = MeshConfig::from_cells(Dim::D3, (64, 64, 64), 2);
         let plain = AmrMesh::new(config.clone());
         let periodic = AmrMesh::new(config.with_periodic());
         let other = AmrMesh::new(MeshConfig::from_cells(Dim::D3, (32, 32, 32), 2));
         assert_eq!(plain.sfc_keys(), periodic.sfc_keys());
         let cfg = small_config(16);
-        let unlent = |mesh: &AmrMesh, cfg: &SimConfig| {
-            let rep = MacroSim::new(cfg.clone()).try_run(&mut on(mesh), &Lpt, trig);
-            rep.expect("unlent run")
+        // A run over a clone of `mesh`; the clone is handed back to show
+        // what the mesh keeps after the run.
+        let run = |mesh: &AmrMesh, cfg: &SimConfig| {
+            let mut w = on(mesh);
+            let rep = MacroSim::new(cfg.clone()).try_run(&mut w, &Lpt, trig);
+            (rep.expect("run"), w.mesh)
         };
-        let lent = |mesh: &AmrMesh, cfg: &SimConfig, slot: &mut Option<MeshTopology>| {
-            let rep = MacroSim::new(cfg.clone()).try_run_lent(&mut on(mesh), &Lpt, trig, slot);
-            rep.expect("lent run")
-        };
-        let base = unlent(&plain, &cfg);
+        let (base, after) = run(&plain, &cfg);
         assert!(!base.topology_reused);
+        assert!(
+            after.kept_neighbor_graph().is_none(),
+            "the run kept its build"
+        );
         assert_ne!(
             base.messages,
-            unlent(&periodic, &cfg).messages,
+            run(&periodic, &cfg).0.messages,
             "the wrap adds relations, or this test cannot bite"
         );
 
-        // Empty slot: built, then kept; the same snapshot takes it back.
-        let mut slot = None;
-        let first = lent(&plain, &cfg, &mut slot);
-        assert!(!first.topology_reused);
-        same(&first, &base);
-        let kept = slot.clone().expect("a lending caller gets the graph back");
-        assert!(kept.is_for(&plain) && !kept.is_for(&periodic) && !kept.is_for(&other));
-        assert_eq!(kept.graph(), &plain.neighbor_graph());
-        let again = lent(&plain, &cfg, &mut slot);
+        // Kept: the same snapshot takes it, and it is the fresh build.
+        let built = plain.neighbor_graph();
+        assert_eq!(built, plain.neighbor_graph_on(&serial));
+        let (again, after) = run(&plain, &cfg);
         assert!(again.topology_reused);
         same(&again, &base);
-        assert_eq!(slot.as_ref(), Some(&kept));
+        assert_eq!(after.kept_neighbor_graph(), Some(&built));
+        let kept = plain.clone().into_topology().expect("a kept graph parks");
+        assert!(kept.is_for(&plain) && !kept.is_for(&periodic) && !kept.is_for(&other));
+        assert_eq!(kept.graph(), &built);
 
-        // Not this mesh's: ignored, and replaced by the run's own.
-        for mesh in [&periodic, &other] {
-            let mut slot = Some(kept.clone());
-            let rep = lent(mesh, &cfg, &mut slot);
+        // Installed on a fresh mesh of the same snapshot: taken.
+        let mut fresh = AmrMesh::new(plain.config().clone());
+        assert!(fresh.install_topology(kept.clone()));
+        let (rep, _) = run(&fresh, &cfg);
+        assert!(rep.topology_reused);
+        same(&rep, &base);
+
+        // Not this mesh's: refused, and the run builds its own.
+        for original in [&periodic, &other] {
+            let mut mesh = original.clone();
+            assert!(!mesh.install_topology(kept.clone()));
+            assert!(mesh.kept_neighbor_graph().is_none());
+            let (rep, after) = run(&mesh, &cfg);
             assert!(!rep.topology_reused);
-            same(&rep, &unlent(mesh, &cfg));
-            let now = slot.expect("re-keyed to the run's mesh");
-            assert!(now.is_for(mesh));
-            assert_eq!(now.graph(), &mesh.neighbor_graph());
+            same(&rep, &run(original, &cfg).0);
+            assert!(after.kept_neighbor_graph().is_none());
         }
 
         // A sharded run neither takes nor leaves one.
         let mut sharded = cfg.clone();
         sharded.num_shards = 1;
-        let mut slot = Some(kept.clone());
-        let rep = lent(&plain, &sharded, &mut slot);
-        assert!(!rep.topology_reused && slot.is_none());
-        same(&rep, &unlent(&plain, &sharded));
+        let (rep, after) = run(&plain, &sharded);
+        assert!(!rep.topology_reused);
+        assert_eq!(after.kept_neighbor_graph(), Some(&built));
+        let bare = AmrMesh::new(plain.config().clone());
+        same(&rep, &run(&bare, &sharded).0);
 
-        // A run that remeshes hands back the patched graph, keyed to the
-        // final mesh.
+        // A run that remeshes patches its own copy: the adapt drops the
+        // mesh's kept graph, and a clone still holding it sees it unchanged.
         let mut w = RefiningWorkload::new(6, 3);
-        let mut slot = Some(MeshTopology::new(w.mesh(), w.mesh().neighbor_graph()));
+        w.mesh.neighbor_graph();
+        let start = w.mesh.clone();
         let rep = MacroSim::new(small_config(8))
-            .try_run_lent(&mut w, &Baseline, trig, &mut slot)
+            .try_run(&mut w, &Baseline, trig)
             .expect("refining run");
         assert!(rep.topology_reused && rep.mesh_change_steps == 1);
-        let now = slot.expect("handed back");
-        assert!(now.is_for(w.mesh()));
-        assert_eq!(now.graph(), &w.mesh().neighbor_graph());
+        assert!(w.mesh().kept_neighbor_graph().is_none());
+        assert_eq!(
+            start.kept_neighbor_graph(),
+            Some(&start.neighbor_graph_on(&serial))
+        );
+    }
+
+    /// The set-up's build is the run's: on a mesh whose graph was already
+    /// built, a traced run builds none and says so; on a fresh mesh it
+    /// builds once and the mesh keeps nothing. Virtual time, messages and
+    /// telemetry cannot tell the two apart.
+    #[test]
+    fn run_reads_the_graph_its_mesh_already_built() {
+        use amr_telemetry::trace::Counter as TC;
+        let traced_run = |keep: bool| {
+            let mut w = StaticWorkload::new(4, 5, 0.5);
+            if keep {
+                w.mesh.neighbor_graph();
+            }
+            let handle = TraceHandle::new(256);
+            w.mesh.set_trace(Some(handle.clone()));
+            let mut sim = MacroSim::new(small_config(16));
+            sim.set_trace(Some(handle.clone()));
+            let rep = sim.run(&mut w, &Lpt, RebalanceTrigger::OnMeshChange);
+            let builds = || handle.metrics().counter(TC::GraphFullBuilds);
+            let in_run = builds();
+            // Asking the mesh afterwards builds only if it keeps nothing.
+            w.mesh.neighbor_graph();
+            (rep, in_run, builds() == in_run)
+        };
+        let (kept, kept_builds, kept_after) = traced_run(true);
+        assert_eq!(kept_builds, 0, "the run rebuilt the graph its mesh keeps");
+        assert!(kept.topology_reused && kept_after);
+        let (fresh, fresh_builds, fresh_after) = traced_run(false);
+        assert_eq!(fresh_builds, 1);
+        assert!(!fresh.topology_reused && !fresh_after);
+        assert_eq!(kept.total_ns.to_bits(), fresh.total_ns.to_bits());
+        assert_eq!(kept.phases, fresh.phases);
+        assert_eq!(kept.messages, fresh.messages);
+        assert_eq!(kept.telemetry, fresh.telemetry);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Small, allocation-conscious helpers: the analytics loop of §IV repeatedly
 //! computes means, variances, percentiles and correlations over per-rank and
 //! per-step slices, so these operate on plain `&[f64]` without copying when
-//! possible (percentiles sort a scratch buffer the caller can reuse).
+//! possible (a percentile selects in one copy of its input).
 
 /// Arithmetic mean; 0.0 for empty input.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -57,14 +57,29 @@ pub fn min(xs: &[f64]) -> f64 {
     }
 }
 
-/// `q`-quantile (0 ≤ q ≤ 1) with linear interpolation, sorting a copy.
+/// `q`-quantile (0 ≤ q ≤ 1) with linear interpolation, selecting in a copy:
+/// the two order statistics [`percentile_sorted`] would read are found in
+/// O(n) — the lower one by selection, the next as the least element of the
+/// partition above it — instead of sorting the whole copy.
+///
+/// # Panics
+/// If `xs` holds a NaN and more than one element.
 pub fn percentile(xs: &[f64], q: f64) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
+    let cmp = |a: &f64, b: &f64| a.partial_cmp(b).expect("no NaNs in telemetry");
     let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs in telemetry"));
-    percentile_sorted(&v, q)
+    let pos = q.clamp(0.0, 1.0) * (v.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    let (_, &mut at_lo, above) = v.select_nth_unstable_by(lo, cmp);
+    if lo == hi {
+        return at_lo;
+    }
+    let at_hi = above.iter().copied().min_by(cmp).expect("hi is in bounds");
+    let frac = pos - lo as f64;
+    at_lo * (1.0 - frac) + at_hi * frac
 }
 
 /// `q`-quantile of an already-sorted slice.
@@ -204,6 +219,64 @@ mod tests {
         assert!((percentile(&xs, 1.0) - 4.0).abs() < 1e-12);
         assert!((percentile(&xs, 0.5) - 2.5).abs() < 1e-12);
         assert!((median(&[5.0, 1.0, 3.0]) - 3.0).abs() < 1e-12);
+    }
+
+    /// Selection reads the order statistics a sort would: bit for bit, on
+    /// random inputs of odd and even length with and without duplicates.
+    #[test]
+    fn percentile_selects_what_a_sort_reads() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for n in 1..=64usize {
+            for dups in [false, true] {
+                let xs: Vec<f64> = (0..n)
+                    .map(|_| match dups {
+                        true => (next() % 5) as f64,
+                        false => (next() >> 11) as f64 / (1u64 << 53) as f64 * 1.0e6,
+                    })
+                    .collect();
+                let mut sorted = xs.clone();
+                sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                for q in [0.0, 0.25, 0.5, 0.95, 1.0] {
+                    assert_eq!(
+                        percentile(&xs, q).to_bits(),
+                        percentile_sorted(&sorted, q).to_bits(),
+                        "n = {n}, duplicates = {dups}, q = {q}"
+                    );
+                }
+                assert_eq!(
+                    median(&xs).to_bits(),
+                    percentile_sorted(&sorted, 0.5).to_bits()
+                );
+            }
+        }
+    }
+
+    /// As the sort did: a NaN first, middle or last among two or more
+    /// values panics, by name, at the ends and the median.
+    #[test]
+    fn percentile_rejects_nan_wherever_it_sits() {
+        for n in [2usize, 5, 12] {
+            for at in [0, n / 2, n - 1] {
+                let mut xs: Vec<f64> = (0..n).map(|i| ((i * 7) % n) as f64).collect();
+                xs[at] = f64::NAN;
+                for q in [0.0, 0.5, 1.0] {
+                    let err = std::panic::catch_unwind(|| percentile(&xs, q))
+                        .expect_err("a NaN must not be ranked");
+                    let msg = err.downcast_ref::<String>().map(String::as_str);
+                    assert!(
+                        msg.is_some_and(|m| m.contains("no NaNs in telemetry")),
+                        "n = {n}, NaN at {at}, q = {q}: {msg:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

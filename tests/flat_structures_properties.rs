@@ -40,6 +40,15 @@
 //!    2D/3D sequence, bounded and periodic, each must equal what it was
 //!    when driven by origins — `mod origin_oracle` below, the deleted
 //!    converter and consumers — bit for bit.
+//!
+//! PR "the mesh owns its neighbour graph" made `AmrMesh::neighbor_graph`
+//! keep the graph of the current snapshot, shared copy-on-write:
+//!
+//! 6. After every adapt of a random sequence the kept graph equals a fresh
+//!    serial build; a no-op adapt keeps it (no build is counted); adapting
+//!    a clone gives the original's blocks, keys, delta and graph and never
+//!    changes the original's kept graph; and patching a graph that shares a
+//!    kept CSR leaves that CSR as it was.
 
 use amr_tools::mesh::{
     Aabb, AmrMesh, BlockSpec, Dim, MeshConfig, Neighbor, NeighborGraph, Octant, PatchScratch,
@@ -48,6 +57,7 @@ use amr_tools::mesh::{
 use amr_tools::placement::policies::{Baseline, Lpt};
 use amr_tools::placement::{PlacementEngine, TelemetryCostModel};
 use amr_tools::sim::ExchangeByteLedger;
+use amr_tools::telemetry::trace::{Counter, TraceHandle};
 use proptest::prelude::*;
 
 /// The original neighbor-graph builder, kept as the oracle the CSR builders
@@ -419,6 +429,55 @@ proptest! {
             let full = mesh.neighbor_graph();
             prop_assert_eq!(&graph, &full);
             prop_assert!(graph.check_symmetry().is_ok());
+        }
+    }
+
+    /// The graph a mesh keeps is always its current snapshot's, and nobody
+    /// else's adapt or patch reaches it.
+    #[test]
+    fn kept_graph_tracks_every_snapshot_on_random_sequences(
+        dim_3d: bool,
+        periodic: bool,
+        roots in (1u32..4, 1u32..4, 1u32..4),
+        steps in 1usize..9,
+        salt in 0u64..1000,
+    ) {
+        let serial = &pools()[0];
+        let handle = TraceHandle::new(64);
+        let builds = || handle.metrics().counter(Counter::GraphFullBuilds);
+        let mut mesh = repair_mesh(dim_3d, roots, periodic);
+        mesh.set_trace(Some(handle.clone()));
+        let mut graph = mesh.neighbor_graph();
+        let mut scratch = PatchScratch::default();
+        for step in 0..steps {
+            let key = salt.wrapping_add(step as u64);
+            // `before` keeps the pre-adapt graph that `graph` shares.
+            let before = mesh.clone();
+            let mut twin = mesh.clone();
+            hash_adapt(&mut mesh, key);
+            hash_adapt(&mut twin, key);
+            prop_assert_eq!(twin.blocks(), mesh.blocks());
+            prop_assert_eq!(twin.sfc_keys(), mesh.sfc_keys());
+            prop_assert_eq!(twin.last_delta(), mesh.last_delta());
+            mesh.patch_neighbor_graph(&mut graph, &mut scratch);
+            let kept = before.kept_neighbor_graph().expect("a clone carries the kept graph");
+            prop_assert_eq!(kept, &before.neighbor_graph_on(serial));
+
+            let now = mesh.neighbor_graph();
+            prop_assert_eq!(&now, &mesh.neighbor_graph_on(serial));
+            prop_assert_eq!(&graph, &now);
+            prop_assert_eq!(&twin.neighbor_graph(), &now);
+
+            let built = builds();
+            prop_assert!(mesh.adapt(|_| RefineTag::Keep).is_identity());
+            prop_assert_eq!(mesh.kept_neighbor_graph(), Some(&now));
+            mesh.neighbor_graph();
+            prop_assert_eq!(builds(), built, "a no-op adapt dropped the kept graph");
+
+            hash_adapt(&mut twin, !key);
+            prop_assert_eq!(mesh.kept_neighbor_graph(), Some(&now));
+            prop_assert_eq!(builds(), built);
+            graph = now;
         }
     }
 

@@ -162,7 +162,8 @@ fn cold_fill_and_remesh_refill_keep_their_allocation_trace() {
 }
 
 /// A cold run's set-up, 155 blocks on 32 ranks: the cost model (`a1240`),
-/// the initial placement, the CSR build (its entries are `a32240`), the
+/// the initial placement, the CSR build (its entries are `a32240`, the
+/// shared CSR's header `a64` follows the row scratch `a448`), the
 /// run's per-rank vectors, then the first fill — `CommEpoch::reset`'s seven
 /// `f64` rows and `blocks_per_rank` (`a256` ×7 `a128`), the sender stamp
 /// (one row of 32 `usize`s a fill task, spliced in by the test), `sender_off`
@@ -171,7 +172,7 @@ fn cold_fill_and_remesh_refill_keep_their_allocation_trace() {
 /// and last the telemetry collector's seven columns.
 const SETUP_TO_STAMP: &str = "\
     a1240 a620 a1248 a224 a224 a112 a256 a256 a128 a32 r64 a32 a32 r64 r128 r256 r512 r1024 \
-    a600 a256 a624 a32240 a448 a6 a64 \
+    a600 a256 a624 a32240 a448 a64 a6 a64 \
     a256 a256 a256 a256 a256 a256 a256 a256 \
     a256 a256 a256 a256 a256 a256 a256 a128";
 const SETUP_FROM_STAMP: &str = "\

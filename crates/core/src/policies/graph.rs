@@ -83,7 +83,8 @@ impl PlacementPolicy for GreedyEdgeCut {
         if n == 0 {
             return Ok(ctx.finish(out));
         }
-        // Use a caller-provided graph when available; build one otherwise.
+        // Use a caller-provided graph when available, else the mesh's own
+        // (built and kept on first use).
         // The greedy itself allocates (gain tables, seed order) — edge-cut is
         // a comparison policy, not on the steady-state rebalance path.
         let built;

@@ -255,8 +255,8 @@ impl Multilevel {
         let n = costs.len();
 
         // Resolve the graph: prefer the caller's (the engine's cached epoch
-        // graph), else build from the mesh. A policy without either input
-        // cannot see connectivity at all.
+        // graph), else the mesh's own (built and kept on first use). A
+        // policy without either input cannot see connectivity at all.
         let built;
         let graph = match (ctx.graph(), ctx.mesh()) {
             (Some(g), _) => g,

@@ -1,9 +1,10 @@
-//! The hierarchical trajectory at a rank count the flat data path has no
-//! business at (default 2^20 ranks, ~1.7M blocks): mesh build → streamed
-//! per-node CSR (one `ShardGraph` resident at a time, one shard per 16-rank
-//! node) → two-stage `Hierarchical` placement, cold then warm → a short
-//! macro-simulated trajectory on the sharded topology, at 1 thread and at
-//! `--threads`, whose virtual time must agree bit for bit.
+//! The hierarchical trajectory at scale (default 2^20 ranks, ~1.7M blocks):
+//! mesh build → the mesh's neighbor graph, kept → two-stage `Hierarchical`
+//! placement, cold then warm → a short macro-simulated trajectory over that
+//! kept graph, flat and sharded (one shard per 16-rank node, at most 256),
+//! each at 1 thread and at `--threads`. The four legs' virtual phases and
+//! message counts must agree bit for bit; the walls show what sharding
+//! costs.
 //!
 //! `cargo run -p amr-bench --release --bin scale_hier -- [--ranks 1048576] [--steps 4] [--threads 4]`
 
@@ -11,7 +12,7 @@ use amr_bench::{fmt_s, render_table, Args};
 use amr_core::engine::PlacementEngine;
 use amr_core::policies::Hierarchical;
 use amr_core::trigger::RebalanceTrigger;
-use amr_mesh::{build_shard, plan_shard_bounds, AmrMesh, ShardGraph};
+use amr_mesh::AmrMesh;
 use amr_sim::{MacroSim, SimConfig, Workload, WorkloadStep};
 use amr_workloads::{large_refined_mesh, random_refined_mesh};
 use std::time::Instant;
@@ -65,16 +66,10 @@ fn main() {
     let blocks = mesh.num_blocks();
     row("mesh build", ns, format!("{blocks} blocks"));
 
-    let ((relations, halo), ns) = timed(|| {
-        let bounds = plan_shard_bounds(&mesh, nodes);
-        let mut g = ShardGraph::default();
-        (0..nodes).fold((0, 0), |(rel, halo), s| {
-            build_shard(&mesh, &bounds, s, &mut g);
-            (rel + g.total_relations(), halo + g.halo().len())
-        })
-    });
-    let detail = format!("{nodes} shards, {relations} relations, {halo} halo blocks");
-    row("streamed per-node CSR", ns, detail);
+    // Kept by the mesh: every trajectory leg below shares it.
+    let (graph, ns) = timed(|| mesh.neighbor_graph());
+    let detail = format!("{} relations", graph.total_relations());
+    row("neighbor graph", ns, detail);
 
     // ~6 blocks per stage-1 unit: enough resolution for the cut refinement
     // to balance nodes without drowning stage 1 in degenerate shards.
@@ -87,32 +82,57 @@ fn main() {
     place();
     row("hierarchical place, warm", place(), String::new());
 
-    // Resident shards coarser than per-node keep the epoch walk
-    // cache-friendly without changing any virtual number.
-    let trajectory = |threads: usize| {
+    // One shard per node, at most 256; no virtual phase depends on the
+    // count.
+    let shards = nodes.min(256);
+    let trajectory = |num_shards: usize, threads: usize| {
         let mut cfg = SimConfig::tuned(ranks);
         cfg.telemetry_sampling = 1_000_000;
-        cfg.num_shards = nodes.min(256);
+        cfg.num_shards = num_shards;
         cfg.threads = threads;
         let (mesh, costs) = (&mesh, &costs[..]);
         let mut w = StaticWorkload { mesh, costs, steps };
         let mut sim = MacroSim::new(cfg);
         timed(|| sim.run(&mut w, &policy, RebalanceTrigger::OnMeshChange))
     };
-    let (serial, ns) = trajectory(1);
-    let virt = format!("virtual {} s", fmt_s(serial.total_ns));
-    row(&format!("{steps} steps, 1 thread"), ns, virt);
+    let mut thread_counts = vec![1];
     if threads > 1 {
-        // The static trajectory never rebalances mid-run, so even total
-        // virtual time is wall-clock-free and must match bit for bit.
-        let (pooled, tns) = trajectory(threads);
-        assert_eq!(
-            pooled.total_ns.to_bits(),
-            serial.total_ns.to_bits(),
-            "trajectory at {threads} threads diverged from serial"
-        );
-        let detail = format!("{:.2}x, virtual time bit-identical", ns / tns);
-        row(&format!("{steps} steps, {threads} threads"), tns, detail);
+        thread_counts.push(threads);
+    }
+    // The reference every leg must match, run untimed first: the process's
+    // first trajectory pays its cold start, which would land on one leg.
+    let (base, _) = trajectory(0, 1);
+    for t in thread_counts {
+        let mut flat_ns = 0.0;
+        for num_shards in [0, shards] {
+            let leg = if num_shards == 0 { "flat" } else { "sharded" };
+            let (rep, ns) = trajectory(num_shards, t);
+            assert!(rep.topology_reused, "the {leg} leg rebuilt the kept graph");
+            // The static trajectory never rebalances mid-run, so even total
+            // virtual time is wall-clock-free and must match bit for bit.
+            let (p, q) = (&rep.phases, &base.phases);
+            for (name, a, b) in [
+                ("compute", p.compute_ns, q.compute_ns),
+                ("comm", p.comm_ns, q.comm_ns),
+                ("sync", p.sync_ns, q.sync_ns),
+                ("total", rep.total_ns, base.total_ns),
+            ] {
+                let what = format!("{name} of the {leg} leg at {t} threads");
+                assert_eq!(a.to_bits(), b.to_bits(), "{what} diverged from flat serial");
+            }
+            assert_eq!(rep.messages, base.messages, "{leg} leg at {t} threads");
+            let detail = if num_shards == 0 {
+                flat_ns = ns;
+                format!("virtual {} s, bit-identical", fmt_s(rep.total_ns))
+            } else {
+                let halo = rep.final_halo_blocks;
+                format!(
+                    "{num_shards} shards, {halo} halo blocks, {:.2}x flat",
+                    ns / flat_ns
+                )
+            };
+            row(&format!("{steps} steps, {leg}, {t} thread(s)"), ns, detail);
+        }
     }
 
     println!("== Hierarchical trajectory: {ranks} ranks, {nodes} nodes (host wall-clock) ==\n");

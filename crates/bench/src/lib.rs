@@ -30,8 +30,8 @@
 //! | `ablation_blend`       | the naive CDP/LPT blend dead end (§V-D)      |
 //!
 //! One scale experiment nothing else covers: `scale_hier`, the 2^20-rank
-//! hierarchical trajectory (streamed per-node CSR, two-stage placement,
-//! sharded macrosim at 1 and N threads).
+//! hierarchical trajectory (the mesh's kept graph, two-stage placement, flat
+//! and sharded macrosim at 1 and N threads).
 //!
 //! Criterion benches (`benches/`) cover placement-policy throughput, mesh
 //! operations, telemetry ingest/query/codec/pushdown and simulator rounds.

@@ -365,13 +365,6 @@ impl<'a> PlacementCtx<'a> {
         self
     }
 
-    /// Attach the changeset of the newest mesh adaptation, enabling
-    /// migration accounting across block-count changes.
-    pub fn with_delta(mut self, delta: &'a RefinementDelta) -> Self {
-        self.delta = Some(delta);
-        self
-    }
-
     /// Attach reusable scratch buffers.
     pub fn with_scratch(mut self, scratch: &'a Scratch) -> Self {
         self.scratch = Some(scratch);
@@ -427,7 +420,8 @@ impl<'a> PlacementCtx<'a> {
         self.prev
     }
 
-    /// The adapt changeset, if attached.
+    /// The newest adapt's changeset, attached by the engine's warm
+    /// rebalance when its fates tile the previous and the current blocks.
     pub fn delta(&self) -> Option<&'a RefinementDelta> {
         self.delta
     }

@@ -4,12 +4,12 @@
 //!    [`Hierarchical`] policy at the same problem size perform no heap
 //!    allocation — stage-1 shard aggregation/cuts and the per-node stage-2
 //!    LPT heaps all live in policy-owned pools, and
-//! 2. a warm `ShardedMesh::refresh`, and a warm
-//!    `AmrMesh::patch_neighbor_graph` of a flat graph beside it, across an
-//!    oscillating refine/coarsen cycle perform no heap allocation — CSR
-//!    staging (inherited and probed rows alike — a warm probe of a created
-//!    block's row allocates nothing) and every halo table are pooled and
-//!    rebuilt in place, and
+//! 2. a warm `AmrMesh::patch_neighbor_graph`, and a `ShardedMesh::recount`
+//!    of the patched graph after it, across an oscillating refine/coarsen
+//!    cycle perform no heap allocation — CSR staging (inherited and probed
+//!    rows alike — a warm probe of a created block's row allocates nothing),
+//!    the shard windows, the halo counts and the stamp row are pooled and
+//!    refilled in place, and
 //! 3. a serial `AmrMesh::build_neighbor_graph` allocates its two output
 //!    arrays, one row scratch and the shared CSR's header, nothing per row
 //!    and no copy of the mesh's index — and `AmrMesh::neighbor_graph`,
@@ -21,9 +21,7 @@
 
 use amr_core::engine::PlacementEngine;
 use amr_core::policies::Hierarchical;
-use amr_mesh::{
-    AmrMesh, Dim, MeshConfig, NeighborGraph, PatchScratch, RefineTag, ShardedMesh, WorkerPool,
-};
+use amr_mesh::{AmrMesh, Dim, MeshConfig, NeighborGraph, PatchScratch, RefineTag, ShardedMesh};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -57,7 +55,7 @@ fn alloc_count() -> u64 {
 }
 
 #[test]
-fn steady_state_sharded_rebalance_and_refresh_are_allocation_free() {
+fn steady_state_sharded_rebalance_and_recount_are_allocation_free() {
     // ---- Hierarchical placement steady state ------------------------------
     // 8 shards of 20 blocks onto 16 nodes of 4 ranks; rotate costs each
     // round so shard costs (and hence stage-1 cuts) keep moving, exercising
@@ -91,17 +89,16 @@ fn steady_state_sharded_rebalance_and_refresh_are_allocation_free() {
         "steady-state hierarchical rebalance allocated {min_delta} times"
     );
 
-    // ---- Graph repair steady state (sharded and flat) ----------------------
+    // ---- Graph repair and shard recount steady state -----------------------
     // Oscillate the mesh between its 8-root shape and every other root
     // refined (4 survivors + 32 children): every cycle produces two real
-    // deltas with inherited *and* probed rows, so every `refresh` runs the
-    // incremental per-shard splice+patch path — including the halo-table
-    // rebuild — and every `patch_neighbor_graph` the flat one, against
-    // staging buffers that have already seen both shapes.
+    // deltas with inherited *and* probed rows, so every
+    // `patch_neighbor_graph` runs the incremental path and every `recount`
+    // moves the windows and re-stamps the halos, against buffers that have
+    // already seen both shapes.
     let mut mesh = AmrMesh::new(MeshConfig::from_cells(Dim::D3, (32, 32, 32), 2));
-    let pool = WorkerPool::new(1);
-    let mut sharded = ShardedMesh::new(&mesh, 4, &pool);
     let mut flat = (mesh.neighbor_graph(), PatchScratch::default());
+    let mut sharded = ShardedMesh::new(&mesh, 4, &flat.0);
     let cycle = |mesh: &mut AmrMesh,
                  sharded: &mut ShardedMesh,
                  (graph, scratch): &mut (NeighborGraph, PatchScratch),
@@ -117,10 +114,10 @@ fn steady_state_sharded_rebalance_and_refresh_are_allocation_free() {
         });
         let before = alloc_count();
         assert!(
-            sharded.refresh(mesh, &pool),
+            mesh.patch_neighbor_graph(graph, scratch),
             "refine delta must patch, not rebuild"
         );
-        assert!(mesh.patch_neighbor_graph(graph, scratch));
+        sharded.recount(mesh, graph);
         spent += alloc_count() - before;
         mesh.adapt(|b| {
             if b.level() > 0 {
@@ -131,10 +128,10 @@ fn steady_state_sharded_rebalance_and_refresh_are_allocation_free() {
         });
         let before = alloc_count();
         assert!(
-            sharded.refresh(mesh, &pool),
+            mesh.patch_neighbor_graph(graph, scratch),
             "coarsen delta must patch, not rebuild"
         );
-        assert!(mesh.patch_neighbor_graph(graph, scratch));
+        sharded.recount(mesh, graph);
         spent += alloc_count() - before;
         if measure {
             spent
@@ -152,14 +149,18 @@ fn steady_state_sharded_rebalance_and_refresh_are_allocation_free() {
     }
     assert_eq!(
         min_delta, 0,
-        "steady-state graph repair (sharded + flat) allocated {min_delta} times"
+        "steady-state graph patch + shard recount allocated {min_delta} times"
     );
     assert_eq!(
         mesh.num_blocks(),
         blocks_at_rest,
         "cycle must be shape-stable"
     );
-    assert_eq!(sharded.num_blocks(), blocks_at_rest);
+    assert_eq!(
+        *sharded.shard_starts().last().unwrap() as usize,
+        blocks_at_rest
+    );
+    assert!(sharded.total_halo_blocks() > 0);
 
     // ---- Serial full build --------------------------------------------------
     // 8 roots, all refined (64), then 22 of the children (+ 7 each): a

@@ -42,5 +42,5 @@ pub use neighbors::{MeshTopology, Neighbor, NeighborGraph, NeighborKind, PatchSc
 pub use octant::{Direction, Octant, MAX_LEVEL};
 pub use pool::{task_range, Disjoint, WorkerPool, MAX_POOL_THREADS};
 pub use sfc::sfc_key;
-pub use sharded::{build_shard, plan_shard_bounds, ShardGraph, ShardedMesh};
+pub use sharded::ShardedMesh;
 pub use tree::Octree;

@@ -22,9 +22,7 @@
 
 use crate::block::{BlockId, BlockSpec, MeshBlock};
 use crate::geom::{Aabb, Dim};
-use crate::neighbors::{
-    fill_root_runs, root_shift, BlockIndex, NeighborGraph, PatchRows, PatchScratch,
-};
+use crate::neighbors::{fill_root_runs, root_shift, BlockIndex, NeighborGraph, PatchScratch};
 use crate::octant::Octant;
 use crate::pool::WorkerPool;
 use crate::sfc::sfc_key;
@@ -205,8 +203,7 @@ pub struct AmrMesh {
     keys: Vec<u64>,
     /// Per-root runs of `keys` (`neighbors::fill_root_runs`), refreshed with
     /// the index: cover classification searches one root's run, not the
-    /// whole array. Kept here, not rebuilt per graph repair — a streamed
-    /// per-shard build would otherwise pay O(blocks) per shard.
+    /// whole array. Kept here, not rebuilt per graph repair.
     root_runs: Vec<u32>,
     /// Last adapt's changeset (pooled; see [`AmrMesh::last_delta`]).
     delta: RefinementDelta,
@@ -314,7 +311,7 @@ impl AmrMesh {
     }
 
     /// The maintained cover index (blocks, keys, per-root runs) that graph
-    /// repairs and shard builds classify candidate cells against.
+    /// repairs classify candidate cells against.
     #[inline]
     pub(crate) fn cover_index(&self) -> BlockIndex<'_> {
         BlockIndex {
@@ -453,10 +450,12 @@ impl AmrMesh {
         let d = &self.delta;
         if d.maps(graph.num_blocks(), self.blocks.len()) {
             let rows = graph.patch(&self.tree, &self.cover_index(), d, scratch);
+            // Row counts by origin, once per repair (not per row).
             if let Some(t) = &self.trace {
                 t.incr(TraceCounter::GraphPatches, 1);
+                t.incr(TraceCounter::GraphRowsInherited, rows.inherited as u64);
+                t.incr(TraceCounter::GraphRowsProbed, rows.probed as u64);
             }
-            self.count_patch_rows(rows);
             true
         } else {
             *graph = match self.kept_neighbor_graph() {
@@ -469,14 +468,6 @@ impl AmrMesh {
                 t.incr(TraceCounter::GraphPatchFallbacks, 1);
             }
             false
-        }
-    }
-
-    /// Publish one graph repair's row counts (once per repair, not per row).
-    pub(crate) fn count_patch_rows(&self, rows: PatchRows) {
-        if let Some(t) = &self.trace {
-            t.incr(TraceCounter::GraphRowsInherited, rows.inherited as u64);
-            t.incr(TraceCounter::GraphRowsProbed, rows.probed as u64);
         }
     }
 
@@ -930,8 +921,6 @@ mod tests {
         assert_eq!(handle.metrics().counter(TC::GraphRowsProbed), 8);
         let mut scratch = PatchScratch::default();
         // A live delta patches incrementally: no fallback recorded.
-        let pool = crate::WorkerPool::new(1);
-        let mut sharded = crate::ShardedMesh::new(&m, 3, &pool);
         m.adapt(|b| {
             if b.id.index() == 0 {
                 RefineTag::Refine
@@ -943,13 +932,9 @@ mod tests {
         assert_eq!(handle.metrics().counter(TC::GraphPatches), 1);
         assert_eq!(handle.metrics().counter(TC::GraphPatchFallbacks), 0);
         // Rows by origin, once per repair: the 8 children were probed, the
-        // 7 surviving roots inherited — by the flat patch and, on the same
-        // delta, by the per-shard refresh.
+        // 7 surviving roots inherited.
         assert_eq!(handle.metrics().counter(TC::GraphRowsProbed), 8 + 8);
         assert_eq!(handle.metrics().counter(TC::GraphRowsInherited), 7);
-        assert!(sharded.refresh(&m, &pool));
-        assert_eq!(handle.metrics().counter(TC::GraphRowsProbed), 8 + 16);
-        assert_eq!(handle.metrics().counter(TC::GraphRowsInherited), 14);
         // A restored mesh has no delta: the entry point must degrade to a
         // full rebuild — and say so, distinctly from intentional builds.
         m = AmrMesh::from_parts(m.config().clone(), m.tree().clone()).unwrap();
@@ -957,7 +942,7 @@ mod tests {
         assert!(!m.patch_neighbor_graph(&mut graph, &mut scratch));
         assert_eq!(handle.metrics().counter(TC::GraphPatchFallbacks), 1);
         assert_eq!(handle.metrics().counter(TC::GraphFullBuilds), 2);
-        assert_eq!(handle.metrics().counter(TC::GraphRowsProbed), 8 + 16 + 15);
+        assert_eq!(handle.metrics().counter(TC::GraphRowsProbed), 8 + 8 + 15);
         // The traced builds are the untraced mesh's, bit for bit.
         let mut plain = m.clone();
         plain.set_trace(None);

@@ -168,8 +168,8 @@ pub(crate) struct CoverIndex<'a, B> {
     pub(crate) dim: Dim,
 }
 
-/// The mesh's own cover index — the view graph builds, repairs and shard
-/// builds classify against.
+/// The mesh's own cover index — the view graph builds and repairs classify
+/// against.
 pub(crate) type BlockIndex<'a> = CoverIndex<'a, MeshBlock>;
 
 impl AsRef<Octant> for Octant {
@@ -235,10 +235,9 @@ impl<B: AsRef<Octant>> CoverIndex<'_, B> {
     }
 }
 
-/// Pooled staging for a graph repair (`AmrMesh::patch_neighbor_graph`, and
-/// per shard `ShardedMesh::refresh`): the new CSR arrays are emitted here and
-/// swapped with the graph's own, so after the first call both sides run
-/// allocation-free at steady state.
+/// Pooled staging for a graph repair (`AmrMesh::patch_neighbor_graph`): the
+/// new CSR arrays are emitted here and swapped with the graph's own, so after
+/// the first call both sides run allocation-free at steady state.
 #[derive(Debug, Clone, Default)]
 pub struct PatchScratch {
     pub(crate) offsets: Vec<u32>,
@@ -360,6 +359,14 @@ impl NeighborGraph {
     #[inline]
     pub fn row_start(&self, i: usize) -> usize {
         self.csr.offsets[i] as usize
+    }
+
+    /// The packed entries of rows `span`: one contiguous piece of the flat
+    /// relation space.
+    #[inline]
+    pub(crate) fn rows(&self, span: Range<usize>) -> &[Neighbor] {
+        let csr = &*self.csr;
+        &csr.entries[csr.offsets[span.start] as usize..csr.offsets[span.end] as usize]
     }
 
     /// Verify symmetry: if `a` lists `b`, then `b` lists `a` with the same
@@ -593,10 +600,10 @@ pub(crate) fn neighbor_key(parts: &[[u64; 3]; 3], dir: Direction) -> Option<u64>
 /// Probe the rows of blocks `span` and append them to the CSR arrays
 /// `offsets` / `entries` (each row's end offset is pushed, relative to the
 /// start of `entries`; `row` is scratch). The one row loop: the serial and
-/// pool builds, the shard builds and the repair of created blocks all emit
-/// through it. A row probes all directions, then sorts by block id and keeps
-/// the first entry per block — directions are enumerated faces-first, so
-/// ties resolve to the lowest codimension (largest message).
+/// pool builds and the repair of created blocks all emit through it. A row
+/// probes all directions, then sorts by block id and keeps the first entry
+/// per block — directions are enumerated faces-first, so ties resolve to the
+/// lowest codimension (largest message).
 pub(crate) fn emit_rows<B: AsRef<Octant>>(
     tree: &Octree,
     index: &CoverIndex<'_, B>,
@@ -799,7 +806,7 @@ pub(crate) fn contact(tree: &Octree, a: &Octant, b: &Octant) -> Option<(Neighbor
 }
 
 impl PatchScratch {
-    /// Empty the staging arrays for the next graph (or shard).
+    /// Empty the staging arrays for the next graph.
     pub(crate) fn begin(&mut self) {
         self.offsets.clear();
         self.offsets.push(0);
@@ -823,10 +830,9 @@ impl PatchScratch {
     }
 
     /// Stage a surviving block's post-adapt row: its pre-adapt row walked
-    /// once through the fate table — the one survivor routine of the flat
-    /// patch and the per-shard refresh. `leaf` is the survivor's (unchanged)
-    /// octant, `blocks` the post-adapt block array; `old_row` and the
-    /// emitted entries hold global ids.
+    /// once through the fate table — the patch's one survivor routine.
+    /// `leaf` is the survivor's (unchanged) octant, `blocks` the post-adapt
+    /// block array; `old_row` and the emitted entries hold global ids.
     ///
     /// * An entry whose target is `Same(nb)` is renumbered and kept verbatim
     ///   — neither octant changed, so neither did `kind` or `level_delta`.

@@ -1,10 +1,10 @@
 //! Persistent worker pool for deterministic in-process parallelism.
 //!
-//! Every parallel phase in the workspace (CSR builds, shard refreshes,
-//! macrosim rank loops, hierarchical stage-2 placement) dispatches through
-//! [`WorkerPool`]. The pool keeps `threads - 1` parked OS threads alive for
-//! its whole lifetime so steady-state dispatch allocates nothing and pays no
-//! thread-spawn cost; the calling thread always participates as worker 0.
+//! Every parallel phase in the workspace (CSR builds, macrosim rank loops,
+//! hierarchical stage-2 placement) dispatches through [`WorkerPool`]. The
+//! pool keeps `threads - 1` parked OS threads alive for its whole lifetime
+//! so steady-state dispatch allocates nothing and pays no thread-spawn cost;
+//! the calling thread always participates as worker 0.
 //!
 //! Determinism contract: the pool intentionally exposes *only* fork-join
 //! task-index parallelism. Tasks are pulled from an atomic counter, so the

@@ -364,14 +364,11 @@ impl Session {
                     }
                 }
                 let sim = self.sim.as_mut().expect("just constructed");
-                // The session keeps its snapshot's graph for a flat run:
-                // built here on first sight (an `Adapt` that changes the
-                // mesh drops it), shared with the run, parked beside the
-                // engine at close. A sharded run builds its shards instead.
+                // The session keeps its snapshot's graph: built here on
+                // first sight (an `Adapt` that changes the mesh drops it),
+                // shared with the run, parked beside the engine at close.
                 let kept = self.mesh.kept_neighbor_graph().is_some();
-                if self.sim_config.num_shards == 0 {
-                    self.mesh.neighbor_graph();
-                }
+                self.mesh.neighbor_graph();
                 let mut workload = EpochWorkload {
                     mesh: &self.mesh,
                     costs: &self.costs,

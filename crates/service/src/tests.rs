@@ -221,12 +221,13 @@ fn query_before_simulate_fails_without_killing_the_session() {
 #[test]
 fn invalid_sim_config_fails_the_request_not_the_process() {
     type Edit = fn(&mut SimConfig);
-    let cases: [(&str, Edit); 3] = [
+    let cases: [(&str, Edit); 4] = [
         ("bytes_per_ns", |c| c.network.fabric.bytes_per_ns = 0.0),
-        // Both once passed validation and then panicked the whole drain
-        // inside the run's constructors.
+        // All three once passed validation and then panicked the whole
+        // drain inside the run's constructors.
         ("cost_alpha", |c| c.cost_alpha = 0.0),
         ("telemetry_sampling", |c| c.telemetry_sampling = 0),
+        ("num_shards", |c| c.num_shards = usize::MAX),
     ];
     for (field, edit) in cases {
         let mut svc = Service::new(ServiceConfig::default());

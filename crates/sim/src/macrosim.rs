@@ -39,8 +39,7 @@ use amr_core::policies::PlacementPolicy;
 use amr_core::trigger::{RebalanceTrigger, TriggerContext};
 use amr_mesh::pool::{WorkerPool, MAX_POOL_THREADS};
 use amr_mesh::{
-    AmrMesh, BlockId, BlockSpec, Dim, Neighbor, NeighborGraph, PatchScratch, RefinementDelta,
-    ShardedMesh,
+    AmrMesh, BlockSpec, Dim, NeighborGraph, PatchScratch, RefinementDelta, ShardedMesh,
 };
 use amr_telemetry::anomaly::{OnlineDetectorConfig, OnlineThrottleDetector};
 use amr_telemetry::trace::{
@@ -140,31 +139,32 @@ pub struct SimConfig {
     /// counterintuitive locality tension the paper points out.
     pub overlap_efficiency: f64,
     /// Number of SFC shards the mesh topology is partitioned into
-    /// (hierarchical-scale runs). `0` (the default) keeps the flat path: one
-    /// resident global [`NeighborGraph`], incrementally patched. Any value
-    /// ≥ 1 switches the run to a [`ShardedMesh`] — per-shard CSR graphs with
-    /// halo tables, refreshed per shard on mesh change — and charges a
+    /// (hierarchical-scale runs), at most `topology.num_ranks`. `0` (the
+    /// default) keeps the flat path. Any value ≥ 1 lays a [`ShardedMesh`]
+    /// over the run's one [`NeighborGraph`] — each shard a row range of it
+    /// plus a halo count, recounted on mesh change — and charges a
     /// ghost-metadata exchange between shards on mesh-change steps. With
     /// `num_shards == 1` the halo is empty, the charge is exactly zero, and
-    /// virtual time is bit-identical to the flat path (the shard rows keep
-    /// global block ids, so every float accumulates in the same order).
+    /// virtual time is bit-identical to the flat path (every run fills its
+    /// epochs from the same graph, so every float accumulates in the same
+    /// order).
     pub num_shards: usize,
     /// Accumulate per-relation observed exchange bytes in an
     /// [`ExchangeByteLedger`](crate::ledger::ExchangeByteLedger) and feed
     /// them to the placement policy as measured edge weights
     /// ([`PlacementCtx::edge_weights`](amr_core::engine::PlacementCtx)) —
     /// the closed observe→partition loop that lets the multilevel family
-    /// optimize real traffic instead of the static model (§VIII). Flat-path
-    /// only (`num_shards == 0`): the ledger is entry-parallel to the
-    /// resident global [`NeighborGraph`]. Policies that ignore edge weights
-    /// see bit-identical virtual time with this on or off.
+    /// optimize real traffic instead of the static model (§VIII). The ledger
+    /// is entry-parallel to the run's one [`NeighborGraph`], which sharded
+    /// runs hold too. Policies that ignore edge weights see bit-identical
+    /// virtual time with this on or off.
     pub observe_exchange_bytes: bool,
     /// OS threads the in-process simulator may use, from `1` (the default)
     /// to [`MAX_POOL_THREADS`]. Every rank-range phase — epoch fill, compute
-    /// scatter, the fused ready/finish pass, ledger flushes and (sharded
-    /// runs) shard rebuilds — is one kernel in `crate::par` run on a
-    /// simulator-owned worker pool of exactly this many threads; at `1` the
-    /// pool spawns nothing and runs each kernel's single task inline. The
+    /// scatter, the fused ready/finish pass and ledger flushes — is one
+    /// kernel in `crate::par` run on a simulator-owned worker pool of
+    /// exactly this many threads; at `1` the pool spawns nothing and runs
+    /// each kernel's single task inline. The
     /// slot-ownership rule of `crate::par` keeps virtual time **bitwise
     /// identical** at any value. The pool is sized by this field, not the
     /// host's core count, so multi-task schedules are genuinely exercised
@@ -225,12 +225,11 @@ impl SimConfig {
                 self.threads
             ));
         }
-        if self.observe_exchange_bytes && self.num_shards > 0 {
-            return Err(
-                "observe_exchange_bytes requires the flat path (num_shards == 0): \
-                 the ledger is entry-parallel to the resident global graph"
-                    .to_string(),
-            );
+        if self.num_shards > self.topology.num_ranks {
+            return Err(format!(
+                "num_shards must be at most topology.num_ranks = {} (got {}; 0 keeps the flat path)",
+                self.topology.num_ranks, self.num_shards
+            ));
         }
         if !(self.cost_alpha > 0.0 && self.cost_alpha <= 1.0) {
             return Err(format!(
@@ -306,60 +305,6 @@ impl RunReport {
     /// Did every placement computation meet the budget?
     pub fn placement_within_budget(&self, budget_ns: u64) -> bool {
         self.placement_wall_max_ns <= budget_ns
-    }
-}
-
-/// The neighbor topology a run keeps resident, and the source every epoch
-/// is filled from: one flat global [`NeighborGraph`], or a [`ShardedMesh`]
-/// of per-shard CSR graphs with halo tables (sharded runs never materialize
-/// the global CSR). It depends only on the mesh, not the placement: cached
-/// across epochs and repaired only when the mesh changes (placement-only
-/// rebalances — e.g. a periodic trigger — refill the epoch from it).
-pub(crate) enum ResidentGraph {
-    Flat(NeighborGraph),
-    Sharded(ShardedMesh),
-}
-
-impl ResidentGraph {
-    /// Visit every block's neighbor row in global SFC order. Shard rows
-    /// store *global* neighbor ids in the same per-row order as the flat
-    /// graph, and shards tile the SFC index space contiguously, so both
-    /// variants visit identical `(block, neighbor)` pairs in identical
-    /// order.
-    pub(crate) fn for_each_row(&self, mut f: impl FnMut(BlockId, &[Neighbor])) {
-        match self {
-            ResidentGraph::Flat(g) => {
-                for (block, nbs) in g.iter() {
-                    f(block, nbs);
-                }
-            }
-            ResidentGraph::Sharded(sm) => {
-                for s in 0..sm.num_shards() {
-                    let shard = sm.shard(s);
-                    let base = shard.range().start;
-                    for local in 0..shard.num_blocks() {
-                        f(BlockId((base + local) as u32), shard.neighbors_local(local));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Block `b`'s row; a sharded graph resolves it through the owning
-    /// shard, identical to the flat graph's.
-    #[inline]
-    pub(crate) fn neighbors(&self, b: u32) -> &[Neighbor] {
-        match self {
-            ResidentGraph::Flat(g) => g.neighbors(BlockId(b)),
-            ResidentGraph::Sharded(sm) => sm.neighbors(BlockId(b)),
-        }
-    }
-
-    fn flat(&self) -> Option<&NeighborGraph> {
-        match self {
-            ResidentGraph::Flat(g) => Some(g),
-            ResidentGraph::Sharded(_) => None,
-        }
     }
 }
 
@@ -480,7 +425,12 @@ struct Run {
     dim: Dim,
     /// Bytes of one block's state (migration payload).
     block_bytes: u64,
-    graph: ResidentGraph,
+    /// The neighbor topology every epoch is filled from. It depends only on
+    /// the mesh, not the placement: patched only when the mesh changes
+    /// (placement-only rebalances refill the epoch from it).
+    graph: NeighborGraph,
+    /// Sharded runs: the shard plan over `graph`, recounted on mesh change.
+    shards: Option<ShardedMesh>,
     epoch: CommEpoch,
     redist: Redist,
     // Scratch reused across steps and rebalances.
@@ -640,10 +590,11 @@ impl MacroSim {
     /// Start a run: clean feedback plane, fault loop armed per config,
     /// initial placement, resident topology, armed ledger, first epoch.
     ///
-    /// A flat run shares the graph its mesh keeps, when the mesh keeps one,
-    /// and otherwise builds its own and leaves the mesh without one: whether
-    /// a CSR outlives the run is the mesh owner's choice, never the
-    /// simulator's. Either way the run patches only its own copy.
+    /// The run shares the graph its mesh keeps, when the mesh keeps one, and
+    /// otherwise builds its own and leaves the mesh without one: whether a
+    /// CSR outlives the run is the mesh owner's choice, never the
+    /// simulator's. Either way the run patches only its own copy. A sharded
+    /// run lays its shard plan over that same graph.
     fn begin_run(
         &mut self,
         mesh: &AmrMesh,
@@ -669,23 +620,12 @@ impl MacroSim {
         self.engine
             .rebalance_with(policy, costs, r, Some(mesh), None)
             .map_err(|e| format!("initial placement failed: {e}"))?;
-        let mut topology_reused = false;
-        let graph = if cfg.num_shards == 0 {
-            ResidentGraph::Flat(match mesh.kept_neighbor_graph() {
-                Some(kept) => {
-                    topology_reused = true;
-                    kept.clone()
-                }
-                None => mesh.build_neighbor_graph(),
-            })
-        } else {
-            // Shard rows are pure functions of (tree, range), so how the
-            // builds spread over the pool does not change their contents.
-            ResidentGraph::Sharded(ShardedMesh::new(mesh, cfg.num_shards, &self.pool))
-        };
-        if let Some(g) = graph.flat().filter(|_| cfg.observe_exchange_bytes) {
-            // validate() already rejected the sharded combination.
-            self.ledger.begin_run(g);
+        let kept = mesh.kept_neighbor_graph();
+        let topology_reused = kept.is_some();
+        let graph = kept.map_or_else(|| mesh.build_neighbor_graph(), NeighborGraph::clone);
+        let shards = (cfg.num_shards > 0).then(|| ShardedMesh::new(mesh, cfg.num_shards, &graph));
+        if cfg.observe_exchange_bytes {
+            self.ledger.begin_run(&graph);
         }
         if let Some(t) = &self.trace {
             t.set(TraceGauge::Ranks, r as f64);
@@ -713,6 +653,7 @@ impl MacroSim {
             dim,
             block_bytes: spec.cells(dim) * spec.num_vars as u64 * spec.bytes_per_value as u64,
             graph,
+            shards,
             epoch: CommEpoch::default(),
             redist: Redist::default(),
             uniform,
@@ -744,61 +685,43 @@ impl MacroSim {
     fn remesh(&mut self, run: &mut Run, mesh: &AmrMesh, delta: Option<&RefinementDelta>) {
         let cfg = &self.config;
         run.report.mesh_change_steps += 1;
-        match &mut run.graph {
-            ResidentGraph::Flat(g) => {
-                let observe = cfg.observe_exchange_bytes;
-                // The remesh invalidates the ledger's relation space: flush
-                // pending observations against the dying graph and stage
-                // its layout before the patch rewrites it...
-                if observe {
-                    self.ledger.prepare_remesh(&self.pool, g, run.spec, run.dim);
-                }
-                // Incremental repair: only CSR rows touching changed octants
-                // are rebuilt (falls back to a full build when the
-                // workload's last delta doesn't describe this graph's mesh).
-                mesh.patch_neighbor_graph(g, &mut self.patch_scratch);
-                // ...then carry bytes for relations whose endpoints both
-                // survived (`BlockFate::Same`); the rest start at zero.
-                if observe {
-                    self.ledger.apply_remesh(delta, g);
-                }
-            }
-            ResidentGraph::Sharded(sm) => {
-                // Per-shard splice of the same delta; a stale delta degrades
-                // to a full per-shard rebuild on the pool (still streaming,
-                // never a global CSR) and is reported like the flat path's
-                // fallback.
-                let patched = {
-                    let _span = self.trace.as_ref().map(|t| t.span(TracePhase::GraphPatch));
-                    sm.refresh(mesh, &self.pool)
-                };
-                if let Some(t) = &self.trace {
-                    if patched {
-                        t.incr(TraceCounter::GraphPatches, 1);
-                    } else {
-                        t.incr(TraceCounter::GraphFullBuilds, 1);
-                        t.incr(TraceCounter::GraphPatchFallbacks, 1);
-                    }
-                }
-                // Remeshing republishes ghost-block metadata across every
-                // shard boundary before the next exchange epoch can run:
-                // each shard ships (key, level, owner) records for its halo
-                // over the fabric. The slowest shard gates the step (the
-                // refresh precedes redistribution). Exactly zero when the
-                // halo is empty — i.e. always at one shard — so the flat
-                // path's arithmetic is untouched.
-                let mut worst_ns = 0.0f64;
-                for s in 0..sm.num_shards() {
-                    let halo = sm.shard(s).halo().len() as f64;
-                    if halo > 0.0 {
-                        let ns = cfg.network.fabric.latency_ns as f64
-                            + halo * GHOST_META_BYTES / cfg.network.fabric.bytes_per_ns;
-                        worst_ns = worst_ns.max(ns);
-                    }
-                }
-                run.report.halo_exchange_ns += worst_ns;
-                run.redist.per_rank_ns += worst_ns;
-            }
+        let observe = cfg.observe_exchange_bytes;
+        // The remesh invalidates the ledger's relation space: flush pending
+        // observations against the dying graph and stage its layout before
+        // the patch rewrites it...
+        if observe {
+            self.ledger
+                .prepare_remesh(&self.pool, &run.graph, run.spec, run.dim);
+        }
+        // Incremental repair: only CSR rows touching changed octants are
+        // rebuilt (falls back to a full build when the workload's last delta
+        // doesn't describe this graph's mesh).
+        mesh.patch_neighbor_graph(&mut run.graph, &mut self.patch_scratch);
+        // ...then carry bytes for relations whose endpoints both survived
+        // (`BlockFate::Same`); the rest start at zero.
+        if observe {
+            self.ledger.apply_remesh(delta, &run.graph);
+        }
+        if let Some(shards) = &mut run.shards {
+            shards.recount(mesh, &run.graph);
+            // Remeshing republishes ghost-block metadata across every shard
+            // boundary before the next exchange epoch can run: each shard
+            // ships (key, level, owner) records for its halo over the
+            // fabric. The slowest shard gates the step (the republish
+            // precedes redistribution). Exactly zero when the halo is empty
+            // — i.e. always at one shard — so the flat path's arithmetic is
+            // untouched.
+            let fabric = &cfg.network.fabric;
+            let worst_ns = shards
+                .halos()
+                .iter()
+                .filter(|&&halo| halo > 0)
+                .map(|&halo| {
+                    fabric.latency_ns as f64 + halo as f64 * GHOST_META_BYTES / fabric.bytes_per_ns
+                })
+                .fold(0.0f64, f64::max);
+            run.report.halo_exchange_ns += worst_ns;
+            run.redist.per_rank_ns += worst_ns;
         }
         if let Some(delta) = delta {
             // Warm remap: children inherit the parent's estimate, merges
@@ -857,18 +780,24 @@ impl MacroSim {
         // per-relation bytes to the policy alongside the cached graph.
         // Weight-blind policies ignore both, so this leaves their virtual
         // time bit-identical (pinned by test).
-        let flat = run.graph.flat();
-        let edge_weights = match flat.filter(|_| cfg.observe_exchange_bytes) {
-            Some(g) => {
-                self.ledger.flush(&self.pool, g, run.spec, run.dim);
-                self.ledger.has_observations().then(|| self.ledger.bytes())
-            }
-            None => None,
+        let edge_weights = if cfg.observe_exchange_bytes {
+            self.ledger.flush(&self.pool, &run.graph, run.spec, run.dim);
+            self.ledger.has_observations().then(|| self.ledger.bytes())
+        } else {
+            None
         };
         let t0 = Instant::now();
         let report = self
             .engine
-            .rebalance_weighted(policy, costs, r, Some(mesh), delta, flat, edge_weights)
+            .rebalance_weighted(
+                policy,
+                costs,
+                r,
+                Some(mesh),
+                delta,
+                Some(&run.graph),
+                edge_weights,
+            )
             .map_err(|e| format!("rebalance at step {step} failed: {e}"))?;
         let wall = t0.elapsed().as_nanos() as u64;
         run.report.placement_wall_total_ns += wall;
@@ -1217,8 +1146,8 @@ impl MacroSim {
             }
         }
         report.final_blocks = mesh.num_blocks();
-        if let ResidentGraph::Sharded(sm) = &run.graph {
-            report.final_halo_blocks = sm.total_halo_blocks() as u64;
+        if let Some(shards) = &run.shards {
+            report.final_halo_blocks = shards.total_halo_blocks() as u64;
         }
         report.telemetry = run.collector.finish();
         report
@@ -1529,11 +1458,11 @@ mod tests {
         }
     }
 
-    /// A flat run takes the graph its mesh keeps; a mesh that keeps none —
-    /// a fresh one, or another shape or the non-periodic twin's periodic
-    /// sibling (equal key arrays!), which refuse the kept one's topology —
-    /// builds privately and is left keeping none, and a sharded run never
-    /// takes one. Either way the report is the fresh run's bit for bit.
+    /// A run takes the graph its mesh keeps, sharded or not; a mesh that
+    /// keeps none — a fresh one, or another shape or the non-periodic twin's
+    /// periodic sibling (equal key arrays!), which refuse the kept one's
+    /// topology — builds privately and is left keeping none. Either way the
+    /// report is the fresh run's bit for bit.
     #[test]
     fn kept_graph_is_taken_only_for_its_own_snapshot() {
         use amr_mesh::pool::WorkerPool;
@@ -1609,14 +1538,17 @@ mod tests {
             assert!(after.kept_neighbor_graph().is_none());
         }
 
-        // A sharded run neither takes nor leaves one.
+        // A sharded run reads the same graph: it takes the kept one, or
+        // builds its own and leaves none, and is the flat run bit for bit.
         let mut sharded = cfg.clone();
-        sharded.num_shards = 1;
+        sharded.num_shards = 3;
         let (rep, after) = run(&plain, &sharded);
-        assert!(!rep.topology_reused);
+        assert!(rep.topology_reused);
         assert_eq!(after.kept_neighbor_graph(), Some(&built));
-        let bare = AmrMesh::new(plain.config().clone());
-        same(&rep, &run(&bare, &sharded).0);
+        same(&rep, &base);
+        let (rep, after) = run(&AmrMesh::new(plain.config().clone()), &sharded);
+        assert!(!rep.topology_reused && after.kept_neighbor_graph().is_none());
+        same(&rep, &base);
 
         // A run that remeshes patches its own copy: the adapt drops the
         // mesh's kept graph, and a clone still holding it sees it unchanged.
@@ -1641,14 +1573,16 @@ mod tests {
     #[test]
     fn run_reads_the_graph_its_mesh_already_built() {
         use amr_telemetry::trace::Counter as TC;
-        let traced_run = |keep: bool| {
+        let traced_run = |keep: bool, num_shards: usize| {
             let mut w = StaticWorkload::new(4, 5, 0.5);
             if keep {
                 w.mesh.neighbor_graph();
             }
             let handle = TraceHandle::new(256);
             w.mesh.set_trace(Some(handle.clone()));
-            let mut sim = MacroSim::new(small_config(16));
+            let mut cfg = small_config(16);
+            cfg.num_shards = num_shards;
+            let mut sim = MacroSim::new(cfg);
             sim.set_trace(Some(handle.clone()));
             let rep = sim.run(&mut w, &Lpt, RebalanceTrigger::OnMeshChange);
             let builds = || handle.metrics().counter(TC::GraphFullBuilds);
@@ -1657,16 +1591,20 @@ mod tests {
             w.mesh.neighbor_graph();
             (rep, in_run, builds() == in_run)
         };
-        let (kept, kept_builds, kept_after) = traced_run(true);
-        assert_eq!(kept_builds, 0, "the run rebuilt the graph its mesh keeps");
-        assert!(kept.topology_reused && kept_after);
-        let (fresh, fresh_builds, fresh_after) = traced_run(false);
-        assert_eq!(fresh_builds, 1);
-        assert!(!fresh.topology_reused && !fresh_after);
-        assert_eq!(kept.total_ns.to_bits(), fresh.total_ns.to_bits());
-        assert_eq!(kept.phases, fresh.phases);
-        assert_eq!(kept.messages, fresh.messages);
-        assert_eq!(kept.telemetry, fresh.telemetry);
+        // A sharded run shares the kept graph too: its shards are row
+        // ranges of that one graph, never a second build.
+        for num_shards in [0, 4] {
+            let (kept, kept_builds, kept_after) = traced_run(true, num_shards);
+            assert_eq!(kept_builds, 0, "the run rebuilt the graph its mesh keeps");
+            assert!(kept.topology_reused && kept_after);
+            let (fresh, fresh_builds, fresh_after) = traced_run(false, num_shards);
+            assert_eq!(fresh_builds, 1);
+            assert!(!fresh.topology_reused && !fresh_after);
+            assert_eq!(kept.total_ns.to_bits(), fresh.total_ns.to_bits());
+            assert_eq!(kept.phases, fresh.phases);
+            assert_eq!(kept.messages, fresh.messages);
+            assert_eq!(kept.telemetry, fresh.telemetry);
+        }
     }
 
     #[test]
@@ -1923,12 +1861,12 @@ mod knob_tests {
     }
 
     /// The determinism proof at unit scale: every rank-range kernel — epoch
-    /// fill, compute scatter, exchange finish times, shard rebuilds —
-    /// follows the slot-ownership rule, so any multi-task schedule
-    /// reproduces the inline single-task schedule's virtual time **bit for
-    /// bit** (ragged 3-way splits and more threads than ranks included),
-    /// through a mesh adaptation carried by its fate table, a throttle episode
-    /// with NIC degradation, and both graph paths (flat and sharded). The
+    /// fill, compute scatter, exchange finish times — follows the
+    /// slot-ownership rule, so any multi-task schedule reproduces the inline
+    /// single-task schedule's virtual time **bit for bit** (ragged 3-way
+    /// splits and more threads than ranks included), through a mesh
+    /// adaptation carried by its fate table, a throttle episode with NIC
+    /// degradation, and flat and sharded runs alike. The
     /// single-task bits themselves are pinned by
     /// `tests/golden_virtual_time.rs`. Virtual phases and counters are
     /// compared; `total_ns`/`redist_ns` are excluded because redistribution
@@ -2085,11 +2023,23 @@ mod knob_tests {
                 },
                 "telemetry_sampling",
             ),
+            (
+                {
+                    // Once overflowed `num_shards + 1` planning the shards.
+                    let mut c = cfg16();
+                    c.num_shards = usize::MAX;
+                    c
+                },
+                "num_shards",
+            ),
         ];
         for (cfg, needle) in cases {
             let err = cfg.validate().unwrap_err();
             assert!(err.contains(needle), "{err} does not mention {needle}");
         }
+        let mut at_bound = cfg16();
+        at_bound.num_shards = at_bound.topology.num_ranks;
+        assert!(at_bound.validate().is_ok());
     }
 
     /// An *enabled but never exhausted* credit window adds exactly-0.0

@@ -32,12 +32,12 @@
 //! `Cell`; shared mutable state crosses the dispatch boundary only through
 //! [`Disjoint`](amr_mesh::pool::Disjoint) range ownership.
 
-use crate::macrosim::{CommEpoch, ResidentGraph, SimConfig};
+use crate::macrosim::{CommEpoch, SimConfig};
 use crate::network::NetworkConfig;
 use crate::topology::Topology;
 use amr_core::Placement;
 use amr_mesh::pool::{task_range, Disjoint, WorkerPool};
-use amr_mesh::{BlockSpec, Dim, NeighborKind};
+use amr_mesh::{BlockId, BlockSpec, Dim, NeighborGraph, NeighborKind};
 use amr_telemetry::{TracePhase, WorkerLane};
 use std::ops::Range;
 
@@ -110,7 +110,7 @@ pub(crate) struct EpochFill<'a> {
     pub dim: Dim,
     pub placement: &'a Placement,
     /// Cached neighbor topology of the mesh.
-    pub graph: &'a ResidentGraph,
+    pub graph: &'a NeighborGraph,
 }
 
 impl EpochFill<'_> {
@@ -168,11 +168,11 @@ impl EpochFill<'_> {
         // Sender segments: rank `d`'s is `sender_off[d]..sender_off[d + 1]`,
         // Σ deg(b) over its blocks wide — at least its relations to other
         // ranks, hence at least its distinct senders.
-        graph.for_each_row(|block, nbs| {
+        for (block, nbs) in graph.iter() {
             let rank = placement.rank_of(block.index()) as usize;
             e.blocks_per_rank[rank] += 1;
             e.sender_off[rank + 1] += nbs.len() as u32;
-        });
+        }
         for rank in 0..r {
             e.sender_off[rank + 1] += e.sender_off[rank];
         }
@@ -180,13 +180,13 @@ impl EpochFill<'_> {
         // The head of each segment lists the rank's blocks that have a
         // neighbor, ascending; `sender_len` counts them until the walk
         // replaces it with the sender count.
-        graph.for_each_row(|block, nbs| {
+        for (block, nbs) in graph.iter() {
             if !nbs.is_empty() {
                 let rank = placement.rank_of(block.index()) as usize;
                 e.senders[(e.sender_off[rank] + e.sender_len[rank]) as usize] = block.0;
                 e.sender_len[rank] += 1;
             }
-        });
+        }
         e.partials.resize_with(t_n, EpochCounts::default);
         for p in e.partials.iter_mut() {
             p.reset(if congestion { nodes * nodes } else { 0 });
@@ -249,7 +249,7 @@ impl EpochFill<'_> {
                 stamp[d] = d;
                 while listed > 0 {
                     listed -= 1;
-                    for n in graph.neighbors(seg[listed]) {
+                    for n in graph.neighbors(BlockId(seg[listed])) {
                         let s = placement.rank_of(n.block.index()) as usize;
                         let local = node_of[s] == node;
                         let class = (s != d) as usize * (1 + local as usize);
@@ -575,11 +575,11 @@ mod row_major_oracle {
         e.node_of.clear();
         e.node_of
             .extend((0..r).map(|rank| topology.node_of(rank) as u32));
-        graph.for_each_row(|block, nbs| {
+        for (block, nbs) in graph.iter() {
             let rank = placement.rank_of(block.index()) as usize;
             e.blocks_per_rank[rank] += 1;
             e.sender_off[rank + 1] += nbs.len() as u32;
-        });
+        }
         for rank in 0..r {
             e.sender_off[rank + 1] += e.sender_off[rank];
         }
@@ -606,7 +606,7 @@ mod row_major_oracle {
                 &mut shm_in[lo..hi],
             );
 
-            graph.for_each_row(|block, nbs| {
+            for (block, nbs) in graph.iter() {
                 let src = placement.rank_of(block.index()) as usize;
                 let src_owned = owns(src);
                 let src_node = node_of[src];
@@ -656,7 +656,7 @@ mod row_major_oracle {
                         }
                     }
                 }
-            });
+            }
             for (k, (svc, len)) in service.iter_mut().zip(sender_len).enumerate() {
                 *svc += network.shm_contention_ns(shm[k]) as f64;
                 let seg = &mut senders[off[lo + k] as usize - seg_lo..][..*len as usize];
@@ -686,7 +686,7 @@ mod row_major_oracle {
 mod tests {
     use super::*;
     use amr_core::policies::{Baseline, Lpt, PlacementPolicy};
-    use amr_mesh::{Aabb, AmrMesh, MeshConfig, RefineTag, ShardedMesh};
+    use amr_mesh::{Aabb, AmrMesh, MeshConfig, RefineTag};
     use proptest::prelude::*;
 
     /// A 2-D or 3-D mesh of 1-4 roots an axis, bounded or periodic, refined
@@ -744,8 +744,7 @@ mod tests {
     proptest! {
         /// The rank-major fill equals the row-major oracle bit for bit on
         /// every field, and on its senders as sets, over random refined
-        /// meshes flat and sharded, three placements, three network stacks
-        /// and 1-3 threads.
+        /// meshes, three placements, three network stacks and 1-3 threads.
         #[test]
         fn rank_major_fill_matches_row_major_oracle(
             dim_3d: bool,
@@ -763,12 +762,7 @@ mod tests {
                 Placement::new((0..n).map(|b| (b * 7 % ranks) as u32).collect(), ranks),
                 Lpt.place(&costs, ranks),
             ];
-            let one = WorkerPool::new(1);
-            let graphs = [
-                ResidentGraph::Flat(mesh.neighbor_graph()),
-                ResidentGraph::Sharded(ShardedMesh::new(&mesh, 1, &one)),
-                ResidentGraph::Sharded(ShardedMesh::new(&mesh, 3, &one)),
-            ];
+            let graph = mesh.neighbor_graph();
             let topology = Topology::new(ranks, per_node);
             let networks = [
                 NetworkConfig::tuned(),
@@ -777,10 +771,9 @@ mod tests {
             ];
             for threads in 1..=3 {
                 let pool = WorkerPool::new(threads);
-                for (graph, placement, network) in graphs
+                for (placement, network) in placements
                     .iter()
-                    .flat_map(|g| placements.iter().map(move |p| (g, p)))
-                    .flat_map(|(g, p)| networks.iter().map(move |w| (g, p, w)))
+                    .flat_map(|p| networks.iter().map(move |w| (p, w)))
                 {
                     let fill = EpochFill {
                         pool: &pool,
@@ -789,7 +782,7 @@ mod tests {
                         spec: mesh.config().spec,
                         dim: mesh.config().dim,
                         placement,
-                        graph,
+                        graph: &graph,
                     };
                     let (mut got, mut want) = (CommEpoch::default(), CommEpoch::default());
                     fill.run(&mut got, None);
@@ -827,7 +820,7 @@ mod tests {
             0 => RefineTag::Refine,
             _ => RefineTag::Keep,
         });
-        let graph = ResidentGraph::Flat(mesh.neighbor_graph());
+        let graph = mesh.neighbor_graph();
         let network = NetworkConfig::tuned();
         assert_eq!(network.memcpy_ns(1001), 100);
         let placement = Placement::new(vec![0; mesh.num_blocks()], 1);
@@ -842,14 +835,14 @@ mod tests {
         };
         let mut e = CommEpoch::default();
         fill.run(&mut e, None);
-        let relations = mesh.neighbor_graph().total_relations() as u64;
+        let relations = graph.total_relations() as u64;
         let mut fine_to_coarse = 0u64;
-        graph.for_each_row(|_, nbs| {
+        for (_, nbs) in graph.iter() {
             fine_to_coarse += nbs
                 .iter()
                 .filter(|n| n.kind == NeighborKind::Face && n.level_delta == -1)
                 .count() as u64;
-        });
+        }
         assert!(fine_to_coarse > 0);
         assert_eq!(e.counts.intra, relations);
         assert_eq!(e.memcpy_ns[0], 100.0 * relations as f64);

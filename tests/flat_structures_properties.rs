@@ -24,12 +24,15 @@
 //!    (`AmrMesh::from_parts`) builds from scratch, after every adapt.
 //!
 //! PR "shard the mesh" split the global CSR into per-shard graphs with halo
-//! tables, refreshed per shard from the same delta:
+//! tables; a later change made a shard a row range of the one graph plus a
+//! halo count:
 //!
-//! 4. A `ShardedMesh` maintained purely by `refresh` across a random adapt
-//!    sequence must flatten to the from-scratch global graph after every
-//!    step, for any shard count — and its halo tables must index exactly
-//!    the out-of-shard neighbor ids.
+//! 4. A `ShardedMesh` plan recounted over the patched graph after every
+//!    adapt of a random sequence must give each shard the window and the
+//!    halo count of the per-shard rule it replaced — `mod halo_oracle`
+//!    below: key bounds planned once, windows by binary search, the halo a
+//!    sort + dedup of the out-of-window ids of a fresh serial build's rows —
+//!    for 1-8 shards and for more shards than blocks.
 //!
 //! PR "the fate table is the only remap" deleted the per-new-block
 //! `CostOrigin` vector every workload derived from each adapt:
@@ -127,6 +130,46 @@ mod oracle {
         let mut out = Vec::new();
         collect(tree, cell, dir, &mut out);
         out
+    }
+}
+
+/// The per-shard rule the shard plan replaced, kept as its oracle: the key
+/// bounds planned once over the first snapshot, each window found by binary
+/// search over the current keys, and each halo the sorted, deduplicated
+/// out-of-window ids the window's rows reference.
+mod halo_oracle {
+    use amr_tools::mesh::{BlockId, NeighborGraph};
+
+    /// Bound `s` is the key of the block at `s·n/S`; the ends are open.
+    pub fn plan_bounds(keys: &[u64], num_shards: usize) -> Vec<u64> {
+        let n = keys.len();
+        let mut bounds = vec![0u64];
+        for s in 1..num_shards {
+            bounds.push(keys.get(s * n / num_shards).copied().unwrap_or(u64::MAX));
+        }
+        bounds.push(u64::MAX);
+        bounds
+    }
+
+    /// Each bound's first block: shard `s` owns `starts[s]..starts[s + 1]`.
+    pub fn windows(keys: &[u64], bounds: &[u64]) -> Vec<u32> {
+        bounds
+            .iter()
+            .map(|&b| keys.partition_point(|&k| k < b) as u32)
+            .collect()
+    }
+
+    /// The out-of-window ids the rows of `lo..hi` reference, sorted and
+    /// deduplicated.
+    pub fn rebuild_halo(graph: &NeighborGraph, lo: u32, hi: u32) -> Vec<u32> {
+        let mut halo: Vec<u32> = (lo..hi)
+            .flat_map(|b| graph.neighbors(BlockId(b)))
+            .map(|n| n.block.0)
+            .filter(|&g| g < lo || g >= hi)
+            .collect();
+        halo.sort_unstable();
+        halo.dedup();
+        halo
     }
 }
 
@@ -481,45 +524,44 @@ proptest! {
         }
     }
 
-    /// A sharded mesh maintained purely by per-shard splice+patch
-    /// (`ShardedMesh::refresh`) across a random 2D/3D adapt sequence equals
-    /// the from-scratch global build after every step: concatenating the
-    /// shard-local CSR rows reproduces the global graph exactly, and every
-    /// halo table holds precisely the sorted out-of-shard ids its shard's
-    /// rows reference.
+    /// A shard plan recounted over the patched graph after every adapt of a
+    /// random 2D/3D sequence gives every shard the window and halo count of
+    /// `halo_oracle` over a fresh serial build, at 1-8 shards and at more
+    /// shards than the first snapshot has blocks.
     #[test]
-    fn sharded_refresh_matches_global_rebuild_on_random_sequences(
+    fn shard_halos_match_rebuild_halo_oracle_on_random_sequences(
         dim_3d: bool,
         periodic: bool,
         roots in (1u32..4, 1u32..4, 1u32..4),
         steps in 1usize..9,
         salt in 0u64..1000,
-        num_shards in 1usize..7,
     ) {
         let mut mesh = repair_mesh(dim_3d, roots, periodic);
-        let pool = WorkerPool::new(1);
-        let mut sharded = ShardedMesh::new(&mesh, num_shards, &pool);
-        let mut flat = NeighborGraph::default();
+        let mut graph = mesh.neighbor_graph();
+        let mut scratch = PatchScratch::default();
+        let counts = (1..=8).chain([2 * mesh.num_blocks() + 1]);
+        let mut plans: Vec<(ShardedMesh, Vec<u64>)> = counts
+            .map(|s| {
+                let bounds = halo_oracle::plan_bounds(mesh.sfc_keys(), s);
+                (ShardedMesh::new(&mesh, s, &graph), bounds)
+            })
+            .collect();
+        let serial = WorkerPool::new(1);
         for step in 0..steps {
             hash_adapt(&mut mesh, salt.wrapping_add(step as u64));
-            sharded.refresh(&mesh, &pool);
-            let oracle = mesh.neighbor_graph();
-            sharded.flatten_into(&mut flat);
-            prop_assert_eq!(&flat, &oracle);
-            // Halo tables: sorted, deduplicated, and exactly the
-            // out-of-window ids referenced by the shard's rows.
-            for s in 0..sharded.num_shards() {
-                let shard = sharded.shard(s);
-                let range = shard.range();
-                prop_assert!(shard.halo().windows(2).all(|w| w[0] < w[1]));
-                let mut referenced: Vec<u32> = (0..shard.num_blocks())
-                    .flat_map(|local| shard.neighbors_local(local))
-                    .map(|n| n.block.index() as u32)
-                    .filter(|&g| (g as usize) < range.start || (g as usize) >= range.end)
-                    .collect();
-                referenced.sort_unstable();
-                referenced.dedup();
-                prop_assert_eq!(shard.halo(), &referenced[..]);
+            mesh.patch_neighbor_graph(&mut graph, &mut scratch);
+            let fresh = mesh.neighbor_graph_on(&serial);
+            for (plan, bounds) in &mut plans {
+                plan.recount(&mesh, &graph);
+                let starts = halo_oracle::windows(mesh.sfc_keys(), bounds);
+                prop_assert_eq!(plan.shard_starts(), &starts[..]);
+                prop_assert_eq!(plan.halos().len(), bounds.len() - 1);
+                for (s, w) in starts.windows(2).enumerate() {
+                    let halo = halo_oracle::rebuild_halo(&fresh, w[0], w[1]);
+                    prop_assert_eq!(plan.halos()[s] as usize, halo.len(), "shard {}", s);
+                }
+                let total: usize = plan.halos().iter().map(|&h| h as usize).sum();
+                prop_assert_eq!(plan.total_halo_blocks(), total);
             }
         }
     }

@@ -269,7 +269,7 @@ fn sharded_run(ranks: usize, steps: u64, seed: u64, num_shards: usize) -> RunRep
 /// threads (1 = every kernel's single task, run inline), `num_shards` SFC
 /// shards, a random 2D/3D mesh, and a fault timeline. Everything the
 /// rank-range kernels touch — epoch fill, compute scatter, exchange finish
-/// times, shard rebuilds — is exercised in one run.
+/// times — and the shard recount are exercised in one run.
 #[allow(clippy::too_many_arguments)]
 fn parallel_run(
     ranks: usize,
@@ -544,8 +544,10 @@ proptest! {
 /// Sedov run with the exchange-byte ledger dialed in: `observe` arms the
 /// ledger, `policy_ml` picks the multilevel partitioner (which consumes the
 /// observed weights) vs LPT (which ignores them), `threads` sizes the
-/// simulator pool. A periodic trigger guarantees repartitions that consume
-/// mid-run observations even on steps where the mesh holds still.
+/// simulator pool, `num_shards` lays a shard plan over the graph (0 = flat).
+/// A periodic trigger guarantees repartitions that consume mid-run
+/// observations even on steps where the mesh holds still.
+#[allow(clippy::too_many_arguments)]
 fn ledger_run(
     ranks: usize,
     steps: u64,
@@ -553,6 +555,7 @@ fn ledger_run(
     threads: usize,
     observe: bool,
     policy_ml: bool,
+    num_shards: usize,
 ) -> RunReport {
     use amr_tools::mesh::{Dim, MeshConfig};
     use amr_tools::placement::policies::{Lpt, Multilevel};
@@ -565,6 +568,7 @@ fn ledger_run(
     cfg.telemetry_sampling = 4;
     cfg.observe_exchange_bytes = observe;
     cfg.threads = threads;
+    cfg.num_shards = num_shards;
     let mut sim = MacroSim::new(cfg);
     if policy_ml {
         let ml = Multilevel::default();
@@ -583,8 +587,8 @@ proptest! {
         seed in 0u64..300,
         steps in 8u64..14,
     ) {
-        let off = ledger_run(16, steps, seed, 1, false, false);
-        let on = ledger_run(16, steps, seed, 1, true, false);
+        let off = ledger_run(16, steps, seed, 1, false, false, 0);
+        let on = ledger_run(16, steps, seed, 1, true, false, 0);
         // Compare the deterministic virtual phases (total_ns folds in the
         // *host* wall-clock of placement computation, which no two runs
         // share — same exclusion as the sharded bit-identity test above).
@@ -605,9 +609,9 @@ proptest! {
         seed in 0u64..300,
         steps in 8u64..14,
     ) {
-        let serial = ledger_run(16, steps, seed, 1, true, true);
+        let serial = ledger_run(16, steps, seed, 1, true, true, 0);
         for threads in [2usize, 3, 4] {
-            let rep = ledger_run(16, steps, seed, threads, true, true);
+            let rep = ledger_run(16, steps, seed, threads, true, true, 0);
             prop_assert_eq!(serial.phases.compute_ns.to_bits(), rep.phases.compute_ns.to_bits(),
                 "threads = {}", threads);
             prop_assert_eq!(serial.phases.comm_ns.to_bits(), rep.phases.comm_ns.to_bits());
@@ -616,5 +620,33 @@ proptest! {
             prop_assert_eq!(serial.blocks_migrated, rep.blocks_migrated);
             prop_assert_eq!(serial.lb_invocations, rep.lb_invocations);
         }
+    }
+
+    /// A sharded run holds the one graph the ledger is entry-parallel to, so
+    /// the ledger rides along: under LPT, arming it leaves phases, messages
+    /// and the halo fields bit-identical; under the multilevel partitioner
+    /// that reads its weights, the sharded run is the flat run bit for bit.
+    #[test]
+    fn ledger_on_sharded_runs_is_bitwise_flat(
+        seed in 0u64..300,
+        steps in 8u64..14,
+        shards in 2usize..=8,
+    ) {
+        let off = ledger_run(16, steps, seed, 1, false, false, shards);
+        let on = ledger_run(16, steps, seed, 1, true, false, shards);
+        prop_assert_eq!(off.phases.compute_ns.to_bits(), on.phases.compute_ns.to_bits());
+        prop_assert_eq!(off.phases.comm_ns.to_bits(), on.phases.comm_ns.to_bits());
+        prop_assert_eq!(off.phases.sync_ns.to_bits(), on.phases.sync_ns.to_bits());
+        prop_assert_eq!(&off.messages, &on.messages);
+        prop_assert_eq!(off.halo_exchange_ns.to_bits(), on.halo_exchange_ns.to_bits());
+        prop_assert_eq!(off.final_halo_blocks, on.final_halo_blocks);
+
+        let flat = ledger_run(16, steps, seed, 1, true, true, 0);
+        let sharded = ledger_run(16, steps, seed, 1, true, true, shards);
+        prop_assert_eq!(flat.phases.compute_ns.to_bits(), sharded.phases.compute_ns.to_bits());
+        prop_assert_eq!(flat.phases.comm_ns.to_bits(), sharded.phases.comm_ns.to_bits());
+        prop_assert_eq!(flat.phases.sync_ns.to_bits(), sharded.phases.sync_ns.to_bits());
+        prop_assert_eq!(&flat.messages, &sharded.messages);
+        prop_assert_eq!(sharded.num_shards, shards);
     }
 }

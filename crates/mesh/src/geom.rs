@@ -32,15 +32,6 @@ impl Dim {
     pub fn children_per_octant(self) -> usize {
         1 << self.rank()
     }
-
-    /// Maximum number of same-or-coarser neighbors: `3^d - 1`.
-    #[inline]
-    pub fn max_directions(self) -> usize {
-        match self {
-            Dim::D2 => 8,
-            Dim::D3 => 26,
-        }
-    }
 }
 
 /// A point in physical coordinates. The `z` component is 0 in 2D.
@@ -172,8 +163,6 @@ mod tests {
         assert_eq!(Dim::D3.rank(), 3);
         assert_eq!(Dim::D2.children_per_octant(), 4);
         assert_eq!(Dim::D3.children_per_octant(), 8);
-        assert_eq!(Dim::D2.max_directions(), 8);
-        assert_eq!(Dim::D3.max_directions(), 26);
     }
 
     #[test]

@@ -99,9 +99,10 @@ const PARALLEL_BUILD_MIN_LEAVES: usize = 2048;
 /// The arrays are shared and copy-on-write: a clone is an `Arc` bump, so the
 /// graph an [`AmrMesh`] keeps for its snapshot
 /// ([`AmrMesh::neighbor_graph`]) is handed to every consumer without a copy.
-/// A repair ([`AmrMesh::patch_neighbor_graph`]) rewrites the arrays in place
-/// when this value is their only holder and builds new ones otherwise, so a
-/// consumer's patch never changes another holder's graph.
+/// A repair — the mesh's own on every adapt ([`AmrMesh::adapt`]), or a
+/// caller's ([`AmrMesh::patch_neighbor_graph`]) — rewrites the arrays in
+/// place when this value is their only holder and builds new ones
+/// otherwise, so a patch never changes another holder's graph.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct NeighborGraph {
     csr: Arc<Csr>,
@@ -235,9 +236,10 @@ impl<B: AsRef<Octant>> CoverIndex<'_, B> {
     }
 }
 
-/// Pooled staging for a graph repair (`AmrMesh::patch_neighbor_graph`): the
-/// new CSR arrays are emitted here and swapped with the graph's own, so after
-/// the first call both sides run allocation-free at steady state.
+/// Pooled staging for a graph repair (an adapt's, or
+/// `AmrMesh::patch_neighbor_graph`'s): the new CSR arrays are emitted here
+/// and swapped with the graph's own, so after the first call both sides run
+/// allocation-free at steady state.
 #[derive(Debug, Clone, Default)]
 pub struct PatchScratch {
     pub(crate) offsets: Vec<u32>,

@@ -144,19 +144,6 @@ impl Octant {
         }
     }
 
-    /// Which child of its parent this octant is (0..2^d), in canonical
-    /// z-major order. Root returns 0.
-    #[inline]
-    pub fn child_index(&self, dim: Dim) -> usize {
-        let cx = (self.x & 1) as usize;
-        let cy = (self.y & 1) as usize;
-        let cz = (self.z & 1) as usize;
-        match dim {
-            Dim::D2 => cx | (cy << 1),
-            Dim::D3 => cx | (cy << 1) | (cz << 2),
-        }
-    }
-
     /// The `2^d` children in canonical (Morton) order.
     pub fn children(&self, dim: Dim) -> Vec<Octant> {
         debug_assert!(self.level < MAX_LEVEL);
@@ -181,25 +168,6 @@ impl Octant {
                 out
             }
         }
-    }
-
-    /// The ancestor of this octant at `level` (must be ≤ self.level).
-    #[inline]
-    pub fn ancestor_at(&self, level: u8) -> Octant {
-        debug_assert!(level <= self.level);
-        let shift = self.level - level;
-        Octant {
-            level,
-            x: self.x >> shift,
-            y: self.y >> shift,
-            z: self.z >> shift,
-        }
-    }
-
-    /// Is `other` an ancestor of (or equal to) this octant?
-    #[inline]
-    pub fn is_ancestor_or_self(&self, other: &Octant) -> bool {
-        other.level <= self.level && self.ancestor_at(other.level) == *other
     }
 
     /// The same-level lattice neighbor in direction `dir`, if it lies within
@@ -330,21 +298,10 @@ mod tests {
             let parent = Octant::new(3, 5, 2, if dim == Dim::D3 { 7 } else { 0 });
             let children = parent.children(dim);
             assert_eq!(children.len(), dim.children_per_octant());
-            for (i, c) in children.iter().enumerate() {
+            for c in &children {
                 assert_eq!(c.parent(), Some(parent));
-                assert_eq!(c.child_index(dim), i);
             }
         }
-    }
-
-    #[test]
-    fn ancestor_checks() {
-        let deep = Octant::new(5, 21, 13, 8);
-        let anc = deep.ancestor_at(2);
-        assert_eq!(anc, Octant::new(2, 2, 1, 1));
-        assert!(deep.is_ancestor_or_self(&anc));
-        assert!(deep.is_ancestor_or_self(&deep));
-        assert!(!anc.is_ancestor_or_self(&deep));
     }
 
     #[test]

@@ -26,8 +26,6 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 struct Job {
     data: *const (),
     call: unsafe fn(*const (), usize),
-    /// Workers with index >= `cap` sit this job out (thread-count cap).
-    cap: usize,
 }
 
 // SAFETY: `data` is only dereferenced by the monomorphized `call` trampoline,
@@ -201,20 +199,8 @@ impl WorkerPool {
     /// pool runs one job at a time and the nested dispatch would deadlock);
     /// dispatches from different threads queue.
     pub fn run_with<S: Send, F: Fn(usize, &mut S) + Sync>(&self, states: &mut [S], f: F) {
-        self.run_with_capped(usize::MAX, states, f);
-    }
-
-    /// Like [`run_with`](Self::run_with) but uses at most `cap` threads
-    /// (including the caller), so a wide shared pool can serve a phase that
-    /// was configured for fewer threads.
-    pub fn run_with_capped<S: Send, F: Fn(usize, &mut S) + Sync>(
-        &self,
-        cap: usize,
-        states: &mut [S],
-        f: F,
-    ) {
         let tasks = states.len();
-        if tasks <= 1 || cap <= 1 || self.handles.is_empty() {
+        if tasks <= 1 || self.handles.is_empty() {
             for (i, state) in states.iter_mut().enumerate() {
                 f(i, state);
             }
@@ -231,7 +217,6 @@ impl WorkerPool {
         self.dispatch(Job {
             data: (&ctx as *const Ctx<'_, S, F>).cast(),
             call: trampoline::<S, F>,
-            cap,
         });
         if panicked.load(Ordering::SeqCst) {
             panic!("worker pool task panicked");
@@ -289,11 +274,6 @@ impl WorkerPool {
 
     /// Run `f(i)` for every `i in 0..tasks` with no per-task state.
     pub fn run<F: Fn(usize) + Sync>(&self, tasks: usize, f: F) {
-        self.run_capped(usize::MAX, tasks, f);
-    }
-
-    /// Like [`run`](Self::run) with a thread cap (see `run_with_capped`).
-    pub fn run_capped<F: Fn(usize) + Sync>(&self, cap: usize, tasks: usize, f: F) {
         // Zero-sized states: `states.add(i)` never materializes storage.
         let mut states = [(); 0];
         let tasks_arr: &mut [()] = if tasks == 0 {
@@ -303,7 +283,7 @@ impl WorkerPool {
             // `make_unit_slice`.
             unsafe { make_unit_slice(tasks) }
         };
-        self.run_with_capped(cap, tasks_arr, |i, _unit| f(i));
+        self.run_with(tasks_arr, |i, _unit| f(i));
     }
 
     /// Post `job`, help run it, and wait for all workers to check back in.
@@ -322,7 +302,7 @@ impl WorkerPool {
             shared.work_cv.notify_all();
         }
         // The caller is worker 0 and always participates.
-        // SAFETY: `job.data` points at the `Ctx` on `run_with_capped`'s
+        // SAFETY: `job.data` points at the `Ctx` on `run_with`'s
         // stack, whose type `job.call` was monomorphized for; that frame is
         // blocked in this function until the job is over.
         unsafe { (job.call)(job.data, 0) };
@@ -380,11 +360,9 @@ fn worker_loop(shared: &Shared, index: usize) {
                 st = shared.work_cv.wait(st).unwrap();
             }
         };
-        if index < job.cap {
-            // SAFETY: the dispatching caller keeps the job context alive
-            // until `active` drains back to zero below.
-            unsafe { (job.call)(job.data, index) };
-        }
+        // SAFETY: the dispatching caller keeps the job context alive until
+        // `active` drains back to zero below.
+        unsafe { (job.call)(job.data, index) };
         let mut st = shared.state.lock().unwrap();
         st.active -= 1;
         if st.active == 0 {
@@ -585,22 +563,6 @@ mod tests {
                 });
             }
         });
-    }
-
-    #[test]
-    fn capped_dispatch_limits_participants() {
-        use std::collections::HashSet;
-        use std::sync::Mutex;
-        let pool = WorkerPool::new(8);
-        let seen = Mutex::new(HashSet::new());
-        // 256 slow-ish tasks with cap 2: only worker 0 (caller) and worker 1
-        // may claim tasks. We can't observe worker indices directly, so we
-        // record thread ids and assert at most 2 distinct ones.
-        pool.run_capped(2, 256, |_i| {
-            seen.lock().unwrap().insert(std::thread::current().id());
-            std::thread::yield_now();
-        });
-        assert!(seen.lock().unwrap().len() <= 2);
     }
 
     #[test]

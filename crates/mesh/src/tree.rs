@@ -262,7 +262,7 @@ impl Octree {
     }
 
     /// Is the cell's coordinate within the lattice at its level?
-    pub fn in_lattice(&self, cell: &Octant) -> bool {
+    fn in_lattice(&self, cell: &Octant) -> bool {
         let n = 1u64 << cell.level;
         let within =
             (cell.x as u64) < self.roots.0 as u64 * n && (cell.y as u64) < self.roots.1 as u64 * n;

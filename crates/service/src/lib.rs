@@ -209,14 +209,16 @@ pub struct ServiceStats {
     /// Session opens that built a cold engine.
     pub cold_misses: u64,
     /// `Simulate` runs whose mesh already kept its graph — built by an
-    /// earlier `Simulate` of the same snapshot, or installed from the
-    /// [`MeshTopology`] its LRU entry carried — and built no CSR. Counted per
-    /// session, folded in at the end of each `drain`.
+    /// earlier `Simulate` of the session and patched by every `Adapt` since,
+    /// or installed from the [`MeshTopology`] its LRU entry carried — and
+    /// built no CSR. Counted per session, folded in at the end of each
+    /// `drain`.
     pub topology_hits: u64,
-    /// `Simulate` runs that built their mesh's graph: first sight of a
-    /// snapshot, an `Adapt` since the last run, or a parked topology that was
-    /// not exactly this mesh's. `topology_hits + topology_builds` is the
-    /// number of `Simulate` requests answered [`Response::Simulated`].
+    /// `Simulate` runs that built their mesh's graph: the session's mesh
+    /// kept none — opened cold, adapted before its first run, or handed a
+    /// parked topology that was not exactly this mesh's. `topology_hits +
+    /// topology_builds` is the number of `Simulate` requests answered
+    /// [`Response::Simulated`].
     pub topology_builds: u64,
     /// `drain` calls that dispatched at least one session.
     pub batches: u64,
@@ -365,8 +367,8 @@ impl Session {
                 }
                 let sim = self.sim.as_mut().expect("just constructed");
                 // The session keeps its snapshot's graph: built here on
-                // first sight (an `Adapt` that changes the mesh drops it),
-                // shared with the run, parked beside the engine at close.
+                // first sight, patched by every `Adapt` that changes the
+                // mesh, read by the run, parked beside the engine at close.
                 let kept = self.mesh.kept_neighbor_graph().is_some();
                 self.mesh.neighbor_graph();
                 let mut workload = EpochWorkload {
@@ -380,7 +382,7 @@ impl Session {
                     RebalanceTrigger::OnMeshChange,
                 ) {
                     Ok(report) => {
-                        if kept && report.topology_reused {
+                        if kept {
                             self.topology_hits += 1;
                         } else {
                             self.topology_builds += 1;

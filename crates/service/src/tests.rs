@@ -63,9 +63,9 @@ fn foreign_session_ids_read_as_closed() {
 }
 
 /// `Simulate` resolves its graph from the session's kept topology: built
-/// on first sight of a snapshot and after an `Adapt` that changed it, taken
-/// otherwise — within a session and, through the LRU entry the engine parks
-/// in, across a close and a reopen of the same shape.
+/// on first sight of a snapshot, patched by an `Adapt` that changed it,
+/// taken otherwise — within a session and, through the LRU entry the engine
+/// parks in, across a close and a reopen of the same shape.
 #[test]
 fn simulate_builds_a_snapshots_topology_once() {
     let mut svc = Service::new(ServiceConfig::default());
@@ -89,7 +89,7 @@ fn simulate_builds_a_snapshots_topology_once() {
         svc.responses(id)[3],
         Response::Adapted { changed: true, .. }
     ));
-    assert_eq!(counts(&svc), (2, 2), "build, hit, adapt, build, hit");
+    assert_eq!(counts(&svc), (3, 1), "build, hit, adapt patches, hit, hit");
     // The engine placed the pre-adapt epoch, the topology describes the
     // adapted one: the entry parks without it.
     svc.close_session(id);
@@ -99,7 +99,7 @@ fn simulate_builds_a_snapshots_topology_once() {
     svc.submit(id, simulate.clone());
     svc.submit(id, Request::Rebalance);
     svc.drain();
-    assert_eq!(counts(&svc), (2, 3), "warm engine, no topology beside it");
+    assert_eq!(counts(&svc), (3, 2), "warm engine, no topology beside it");
     // Placed and simulated the same snapshot: both park in one entry.
     svc.close_session(id);
     assert_eq!(svc.cache_len(), 1);
@@ -107,7 +107,7 @@ fn simulate_builds_a_snapshots_topology_once() {
     let id = svc.open_session(m, spec(8));
     svc.submit(id, simulate.clone());
     svc.drain();
-    assert_eq!(counts(&svc), (3, 3), "reopened shape builds no CSR");
+    assert_eq!(counts(&svc), (4, 2), "reopened shape builds no CSR");
     let s = svc.stats();
     println!(
         "topology: {} hits / {} builds over {} Simulate requests",

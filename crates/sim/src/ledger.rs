@@ -6,8 +6,8 @@
 //! communication. The placement side of the fix is
 //! [`CutWeights::Observed`](amr_core::policies::CutWeights): partition on
 //! what was measured, not what was modeled. This module is the measuring
-//! instrument: an [`ExchangeByteLedger`] rides along with the macro-sim's
-//! flat [`NeighborGraph`] and accumulates, per *directed relation*, the
+//! instrument: an [`ExchangeByteLedger`] keeps a copy of the run's
+//! [`NeighborGraph`] layout and accumulates, per *directed relation*, the
 //! bytes the simulated run actually pushed across it — ghost exchanges every
 //! round, flux corrections once per step on fine→coarse faces.
 //!
@@ -17,23 +17,30 @@
 //!   ([`note_step`](ExchangeByteLedger::note_step)); the O(relations)
 //!   materialization ([`flush`](ExchangeByteLedger::flush)) runs only when a
 //!   consumer needs the numbers — before a rebalance or a remesh.
+//! - **Self-contained.** The ledger keeps the layout of the graph it
+//!   accounts for — row offsets and the relations themselves — copied at
+//!   [`begin_run`](ExchangeByteLedger::begin_run) and at every
+//!   [`apply_remesh`](ExchangeByteLedger::apply_remesh), so a flush reads
+//!   no graph and the mesh is free to patch its own before the simulator
+//!   sees the step.
 //! - **Delta-aware across remeshes.** A remesh invalidates the relation
 //!   space, but most relations survive (both endpoints
 //!   [`BlockFate::Same`]). [`prepare_remesh`](ExchangeByteLedger::prepare_remesh)
-//!   flushes against the dying graph and stages its layout;
+//!   flushes against the dying layout and stages it;
 //!   [`apply_remesh`](ExchangeByteLedger::apply_remesh) carries bytes onto
 //!   the patched graph for surviving relations and zeros the rest, so
 //!   observations persist through AMR instead of resetting every adapt.
 //! - **Deterministic, and invisible to virtual time.** The ledger only
 //!   *reads* simulation state — flushing on the simulator's pool uses the
-//!   same contiguous-ownership rule as `crate::par` (each task owns a block
-//!   range, hence a disjoint CSR entry range), and the per-task byte totals
-//!   are `u64` (associative), merged in task order. A run with the ledger on
+//!   same contiguous-ownership rule as `crate::par` (each task owns a
+//!   contiguous relation range), and the per-task byte totals are saturating
+//!   `u64` sums of non-negative terms (grouping-independent), merged in task
+//!   order. A run with the ledger on
 //!   is bitwise identical in virtual time to the same run with it off until
 //!   a policy actually consumes the weights (pinned by tests).
 
 use amr_mesh::pool::{task_range, Disjoint, WorkerPool};
-use amr_mesh::{BlockFate, BlockId, BlockSpec, Dim, NeighborGraph, NeighborKind, RefinementDelta};
+use amr_mesh::{BlockFate, BlockSpec, Dim, Neighbor, NeighborGraph, NeighborKind, RefinementDelta};
 
 /// [`ExchangeByteLedger::apply_remesh`]'s mark for a block the remesh
 /// created (no surviving old block).
@@ -49,10 +56,14 @@ pub struct ExchangeByteLedger {
     pending_rounds: u64,
     /// Steps noted since the last flush (flux correction is once per step).
     pending_steps: u64,
-    /// Staged layout of the pre-remesh graph: CSR offsets, neighbor block
-    /// ids, and flushed bytes — consumed by [`apply_remesh`](Self::apply_remesh).
+    /// Layout of the graph `bytes` is parallel to: its CSR offsets and
+    /// entries.
+    offsets: Vec<u32>,
+    entries: Vec<Neighbor>,
+    /// Staged layout of the pre-remesh graph and its flushed bytes —
+    /// consumed by [`apply_remesh`](Self::apply_remesh).
     old_offsets: Vec<u32>,
-    old_neighbor: Vec<u32>,
+    old_entries: Vec<Neighbor>,
     old_bytes: Vec<u64>,
     staged: bool,
     /// New block → its old id if it survived the remesh, else [`CREATED`]
@@ -67,10 +78,11 @@ pub struct ExchangeByteLedger {
 }
 
 impl ExchangeByteLedger {
-    /// Re-arm the ledger for a run over `graph`: one zeroed slot per
-    /// directed relation, pendings cleared. Buffer capacity survives across
-    /// runs.
+    /// Re-arm the ledger for a run over `graph`: its layout copied, one
+    /// zeroed slot per directed relation, pendings cleared. Buffer capacity
+    /// survives across runs.
     pub fn begin_run(&mut self, graph: &NeighborGraph) {
+        self.copy_layout(graph);
         self.bytes.clear();
         self.bytes.resize(graph.total_relations(), 0);
         self.pending_rounds = 0;
@@ -79,6 +91,15 @@ impl ExchangeByteLedger {
         self.flushes = 0;
         self.remaps = 0;
         self.observed_total = 0;
+    }
+
+    /// Replace the kept layout with `graph`'s.
+    fn copy_layout(&mut self, graph: &NeighborGraph) {
+        let rows = 0..=graph.num_blocks();
+        self.offsets.clear();
+        self.offsets.extend(rows.map(|i| graph.row_start(i) as u32));
+        self.entries.clear();
+        self.entries.extend(graph.iter().flat_map(|(_, nbs)| nbs));
     }
 
     /// Note one simulated step carrying `exchanges` ghost rounds. O(1).
@@ -93,37 +114,31 @@ impl ExchangeByteLedger {
     /// relations additionally gain `steps · message_bytes(1)/4` of flux
     /// correction — exactly the per-relation charges the epoch fill models.
     ///
-    /// Runs on `pool`: tasks own contiguous *block* ranges, hence
-    /// pairwise-disjoint CSR entry ranges (`row_start(lo)..row_start(hi)`),
-    /// so each byte slot has exactly one writer; the per-task `u64` totals
-    /// are associative and merge in task order. The same bytes at any
-    /// thread count.
-    pub fn flush(&mut self, pool: &WorkerPool, graph: &NeighborGraph, spec: BlockSpec, dim: Dim) {
+    /// Runs on `pool`: tasks own contiguous relation ranges, so each byte
+    /// slot has exactly one writer; the per-task totals are saturating sums
+    /// of non-negative terms, the same however the relations are grouped,
+    /// and merge in task order. The same bytes at any thread count.
+    pub fn flush(&mut self, pool: &WorkerPool, spec: BlockSpec, dim: Dim) {
         if self.pending_rounds == 0 && self.pending_steps == 0 {
             return;
         }
-        debug_assert_eq!(self.bytes.len(), graph.total_relations());
+        debug_assert_eq!(self.bytes.len(), self.entries.len());
         let (rounds, steps) = (self.pending_rounds, self.pending_steps);
-        let n = graph.num_blocks();
+        let n = self.entries.len();
         let t_n = pool.tasks_for(n);
         self.partials.clear();
         self.partials.resize(t_n, 0);
         let out = Disjoint::new(&mut self.bytes);
+        let entries = &self.entries;
         pool.run_with(&mut self.partials, |t, total| {
-            let blocks = task_range(t, t_n, n);
-            let (elo, ehi) = (graph.row_start(blocks.start), graph.row_start(blocks.end));
-            // SAFETY: `task_range` tiles `0..n`, so block ranges are pairwise
-            // disjoint and contiguous, and the CSR entry ranges they map to
-            // are as well.
-            let out = unsafe { out.slice(elo, ehi) };
-            let mut slots = out.iter_mut();
-            for b in blocks {
-                for nb in graph.neighbors(BlockId(b as u32)) {
-                    let add = relation_bytes(spec, dim, nb.kind, nb.level_delta, rounds, steps);
-                    let slot = slots.next().expect("one slot per relation");
-                    *slot = slot.saturating_add(add);
-                    *total = total.saturating_add(add);
-                }
+            let span = task_range(t, t_n, n);
+            // SAFETY: `task_range` tiles `0..n`, so the tasks' relation
+            // ranges are pairwise disjoint.
+            let out = unsafe { out.slice(span.start, span.end) };
+            for (slot, nb) in out.iter_mut().zip(&entries[span]) {
+                let add = relation_bytes(spec, dim, nb.kind, nb.level_delta, rounds, steps);
+                *slot = slot.saturating_add(add);
+                *total = total.saturating_add(add);
             }
         });
         self.pending_rounds = 0;
@@ -135,34 +150,20 @@ impl ExchangeByteLedger {
             .fold(self.observed_total, |a, &p| a.saturating_add(p));
     }
 
-    /// Stage for a remesh: flush everything pending against the *current*
-    /// (about-to-be-patched) graph, then capture its layout so
+    /// Stage for a remesh: flush everything pending against the kept
+    /// (pre-remesh) layout, then stage that layout and its bytes so
     /// [`apply_remesh`](Self::apply_remesh) can carry surviving relations'
-    /// bytes across. Call before `patch_neighbor_graph`.
-    pub fn prepare_remesh(
-        &mut self,
-        pool: &WorkerPool,
-        graph: &NeighborGraph,
-        spec: BlockSpec,
-        dim: Dim,
-    ) {
-        self.flush(pool, graph, spec, dim);
-        let n = graph.num_blocks();
-        self.old_offsets.clear();
-        self.old_offsets.push(0);
-        self.old_neighbor.clear();
-        for (_, nbs) in graph.iter() {
-            for nb in nbs {
-                self.old_neighbor.push(nb.block.index() as u32);
-            }
-            self.old_offsets.push(self.old_neighbor.len() as u32);
-        }
-        debug_assert_eq!(self.old_offsets.len(), n + 1);
+    /// bytes across.
+    pub fn prepare_remesh(&mut self, pool: &WorkerPool, spec: BlockSpec, dim: Dim) {
+        self.flush(pool, spec, dim);
+        std::mem::swap(&mut self.old_offsets, &mut self.offsets);
+        std::mem::swap(&mut self.old_entries, &mut self.entries);
         std::mem::swap(&mut self.old_bytes, &mut self.bytes);
         self.staged = true;
     }
 
-    /// Rebuild the byte vector for the patched graph. A relation `a → b`
+    /// Keep the patched graph's layout and rebuild the byte vector for it. A
+    /// relation `a → b`
     /// keeps its observation iff both endpoints are [`BlockFate::Same`]
     /// survivors of `delta` and the old graph had the relation (binary
     /// search on the old sorted row); everything else — split children,
@@ -172,6 +173,7 @@ impl ExchangeByteLedger {
     pub fn apply_remesh(&mut self, delta: Option<&RefinementDelta>, graph: &NeighborGraph) {
         debug_assert!(self.staged, "prepare_remesh must precede apply_remesh");
         self.staged = false;
+        self.copy_layout(graph);
         self.bytes.clear();
         self.bytes.resize(graph.total_relations(), 0);
         let old_blocks = self.old_offsets.len().saturating_sub(1);
@@ -198,7 +200,8 @@ impl ExchangeByteLedger {
                 if sa != CREATED && sb != CREATED {
                     let sa = sa as usize;
                     let row = self.old_offsets[sa] as usize..self.old_offsets[sa + 1] as usize;
-                    if let Ok(pos) = self.old_neighbor[row.clone()].binary_search(&sb) {
+                    let old_row = &self.old_entries[row.clone()];
+                    if let Ok(pos) = old_row.binary_search_by_key(&sb, |m| m.block.0) {
                         let b = self.old_bytes[row.start + pos];
                         self.bytes[entry] = b;
                         carried = carried.saturating_add(b);
@@ -263,7 +266,7 @@ fn relation_bytes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amr_mesh::{AmrMesh, MeshConfig};
+    use amr_mesh::{AmrMesh, BlockId, MeshConfig};
 
     fn mesh() -> AmrMesh {
         AmrMesh::new(MeshConfig::from_cells(Dim::D3, (64, 64, 64), 1))
@@ -304,7 +307,7 @@ mod tests {
         led.begin_run(&g);
         led.note_step(3);
         led.note_step(3);
-        led.flush(&pool, &g, spec, dim);
+        led.flush(&pool, spec, dim);
         assert!(led.has_observations());
         let mut entry = 0usize;
         for (_, nbs) in g.iter() {
@@ -325,12 +328,12 @@ mod tests {
         let mut serial = ExchangeByteLedger::default();
         serial.begin_run(&g);
         serial.note_step(3);
-        serial.flush(&WorkerPool::new(1), &g, spec, dim);
+        serial.flush(&WorkerPool::new(1), spec, dim);
         for threads in [2usize, 3, 4] {
             let mut par = ExchangeByteLedger::default();
             par.begin_run(&g);
             par.note_step(3);
-            par.flush(&WorkerPool::new(threads), &g, spec, dim);
+            par.flush(&WorkerPool::new(threads), spec, dim);
             assert_eq!(serial.bytes(), par.bytes(), "threads = {threads}");
             assert_eq!(serial.observed_total(), par.observed_total());
         }
@@ -344,12 +347,12 @@ mod tests {
         let pool = WorkerPool::new(1);
         let mut led = ExchangeByteLedger::default();
         led.begin_run(&g);
-        led.flush(&pool, &g, spec, dim); // nothing pending: no flush recorded
+        led.flush(&pool, spec, dim); // nothing pending: no flush recorded
         assert_eq!(led.flushes(), 0);
         led.note_step(1);
-        led.flush(&pool, &g, spec, dim);
+        led.flush(&pool, spec, dim);
         let snapshot: Vec<u64> = led.bytes().to_vec();
-        led.flush(&pool, &g, spec, dim); // still nothing new pending
+        led.flush(&pool, spec, dim); // still nothing new pending
         assert_eq!(led.bytes(), &snapshot[..]);
         assert_eq!(led.flushes(), 1);
     }
@@ -363,7 +366,7 @@ mod tests {
         let mut led = ExchangeByteLedger::default();
         led.begin_run(&g);
         led.note_step(3);
-        led.prepare_remesh(&pool, &g, spec, dim);
+        led.prepare_remesh(&pool, spec, dim);
         let before: Vec<u64> = led.old_bytes.clone();
         led.apply_remesh(Some(&delta_replacing(g.num_blocks(), None)), &g);
         assert_eq!(led.bytes(), &before[..], "identity remap must be lossless");
@@ -379,13 +382,13 @@ mod tests {
         let mut led = ExchangeByteLedger::default();
         led.begin_run(&g);
         led.note_step(1);
-        led.prepare_remesh(&pool, &g, spec, dim);
+        led.prepare_remesh(&pool, spec, dim);
         led.apply_remesh(None, &g);
         assert!(!led.has_observations());
         assert!(led.bytes().iter().all(|&b| b == 0));
         // A delta describing another mesh is no delta.
         led.note_step(1);
-        led.prepare_remesh(&pool, &g, spec, dim);
+        led.prepare_remesh(&pool, spec, dim);
         led.apply_remesh(Some(&delta_replacing(g.num_blocks() - 1, None)), &g);
         assert!(!led.has_observations());
         assert_eq!(led.remaps(), 0);
@@ -400,7 +403,7 @@ mod tests {
         let mut led = ExchangeByteLedger::default();
         led.begin_run(&g);
         led.note_step(2);
-        led.prepare_remesh(&pool, &g, spec, dim);
+        led.prepare_remesh(&pool, spec, dim);
         // Pretend block 0 was replaced: everything touching it resets.
         led.apply_remesh(Some(&delta_replacing(g.num_blocks(), Some(0))), &g);
         let mut entry = 0usize;

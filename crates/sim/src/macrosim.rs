@@ -38,9 +38,7 @@ use amr_core::engine::PlacementEngine;
 use amr_core::policies::PlacementPolicy;
 use amr_core::trigger::{RebalanceTrigger, TriggerContext};
 use amr_mesh::pool::{WorkerPool, MAX_POOL_THREADS};
-use amr_mesh::{
-    AmrMesh, BlockSpec, Dim, NeighborGraph, PatchScratch, RefinementDelta, ShardedMesh,
-};
+use amr_mesh::{AmrMesh, BlockSpec, Dim, NeighborGraph, RefinementDelta, ShardedMesh};
 use amr_telemetry::anomaly::{OnlineDetectorConfig, OnlineThrottleDetector};
 use amr_telemetry::trace::{
     Counter as TraceCounter, Gauge as TraceGauge, Metrics, TraceHandle, TracePhase,
@@ -74,9 +72,11 @@ pub struct WorkloadStep {
 /// `block_compute_ns()` describe the state for step `step`, and if the mesh
 /// changed, `mesh().last_delta()` describes this step's change — its fate
 /// table carries cost estimates, the warm placement and observed exchange
-/// bytes across the adapt. A delta that does not map the previous step's
+/// bytes across the adapt. A delta that does not start from the snapshot
+/// the run last saw ([`RefinementDelta::from_snapshot`]) or does not map its
 /// blocks onto the current mesh ([`RefinementDelta::maps`]) is ignored: the
-/// run continues without ancestry.
+/// run continues without ancestry. The run never holds the graph the mesh
+/// keeps across `advance`: the adapt patches it in place.
 pub trait Workload {
     /// The current mesh snapshot.
     fn mesh(&self) -> &AmrMesh;
@@ -289,9 +289,6 @@ pub struct RunReport {
     pub halo_exchange_ns: f64,
     /// Halo (ghost) blocks of the final epoch, summed over shards.
     pub final_halo_blocks: u64,
-    /// Did the run start from the graph its mesh keeps
-    /// ([`AmrMesh::kept_neighbor_graph`]) instead of building the CSR itself?
-    pub topology_reused: bool,
     /// Collected telemetry, in canonical `(step, rank, phase, block)` order.
     /// A pure function of virtual time except for the `duration_ns` of its
     /// `Redistribution` rows: those carry the *host* wall clock the
@@ -399,9 +396,8 @@ struct Redist {
 }
 
 /// Everything one run carries from step to step: the report being
-/// accumulated, the closed fault loop's state, the cost model and resident
-/// topology, and every scratch vector the phases of [`MacroSim::try_run`]
-/// reuse.
+/// accumulated, the closed fault loop's state, the cost model, and every
+/// scratch vector the phases of [`MacroSim::try_run`] reuse.
 struct Run {
     report: RunReport,
     collector: Collector,
@@ -425,11 +421,13 @@ struct Run {
     dim: Dim,
     /// Bytes of one block's state (migration payload).
     block_bytes: u64,
-    /// The neighbor topology every epoch is filled from. It depends only on
-    /// the mesh, not the placement: patched only when the mesh changes
-    /// (placement-only rebalances refill the epoch from it).
-    graph: NeighborGraph,
-    /// Sharded runs: the shard plan over `graph`, recounted on mesh change.
+    /// [`AmrMesh::snapshot_id`] of the mesh the run's state describes: the
+    /// only snapshot whose adapt's delta the run trusts.
+    snapshot: u64,
+    /// The graph the run built for a mesh that kept none, read until the
+    /// first remesh; `None` once the run reads the mesh's ([`run_graph`]).
+    own_graph: Option<NeighborGraph>,
+    /// Sharded runs: the shard plan, recounted on mesh change.
     shards: Option<ShardedMesh>,
     epoch: CommEpoch,
     redist: Redist,
@@ -456,9 +454,6 @@ pub struct MacroSim {
     /// double-buffered placements make the steady-state rebalance loop
     /// allocation-free for the sequential policies.
     engine: PlacementEngine,
-    /// Staging buffers for incremental neighbor-graph repair on mesh change
-    /// (reused across adapts and runs).
-    patch_scratch: PatchScratch,
     /// Optional trace handle shared with the engine (and, by callers, the
     /// mesh): per-step virtual spans plus pipeline counters/gauges.
     trace: Option<TraceHandle>,
@@ -502,7 +497,6 @@ impl MacroSim {
         Ok(MacroSim {
             rng: StdRng::seed_from_u64(config.seed),
             engine: PlacementEngine::new(),
-            patch_scratch: PatchScratch::default(),
             trace: None,
             pool: WorkerPool::new(config.threads),
             ledger: crate::ledger::ExchangeByteLedger::default(),
@@ -570,10 +564,13 @@ impl MacroSim {
             }
             let ws = workload.advance(step);
             let mesh = workload.mesh();
-            // This step's adapt, if its fate table relates the run's blocks
-            // to the new mesh's; one answer for every consumer below.
-            let delta = Some(mesh.last_delta())
-                .filter(|d| ws.mesh_changed && d.maps(run.cost_model.len(), mesh.num_blocks()));
+            // This step's adapt, if it started from the run's snapshot and
+            // maps its blocks; one answer for every consumer below.
+            let delta = Some(mesh.last_delta()).filter(|d| {
+                ws.mesh_changed
+                    && d.from_snapshot == run.snapshot
+                    && d.maps(run.cost_model.len(), mesh.num_blocks())
+            });
             if ws.mesh_changed {
                 self.remesh(&mut run, mesh, delta);
             }
@@ -588,13 +585,13 @@ impl MacroSim {
     }
 
     /// Start a run: clean feedback plane, fault loop armed per config,
-    /// initial placement, resident topology, armed ledger, first epoch.
+    /// initial placement, the graph, armed ledger, first epoch.
     ///
-    /// The run shares the graph its mesh keeps, when the mesh keeps one, and
-    /// otherwise builds its own and leaves the mesh without one: whether a
-    /// CSR outlives the run is the mesh owner's choice, never the
-    /// simulator's. Either way the run patches only its own copy. A sharded
-    /// run lays its shard plan over that same graph.
+    /// The run reads the graph its mesh keeps. For a mesh that keeps none it
+    /// builds one of its own and leaves the mesh as it was; the first remesh
+    /// drops it and makes the mesh build and keep the new snapshot's, which
+    /// every later adapt patches. A sharded run lays its shard plan over the
+    /// same graph.
     fn begin_run(
         &mut self,
         mesh: &AmrMesh,
@@ -620,12 +617,14 @@ impl MacroSim {
         self.engine
             .rebalance_with(policy, costs, r, Some(mesh), None)
             .map_err(|e| format!("initial placement failed: {e}"))?;
-        let kept = mesh.kept_neighbor_graph();
-        let topology_reused = kept.is_some();
-        let graph = kept.map_or_else(|| mesh.build_neighbor_graph(), NeighborGraph::clone);
-        let shards = (cfg.num_shards > 0).then(|| ShardedMesh::new(mesh, cfg.num_shards, &graph));
+        let own_graph = mesh
+            .kept_neighbor_graph()
+            .is_none()
+            .then(|| mesh.build_neighbor_graph());
+        let graph = run_graph(&own_graph, mesh);
+        let shards = (cfg.num_shards > 0).then(|| ShardedMesh::new(mesh, cfg.num_shards, graph));
         if cfg.observe_exchange_bytes {
-            self.ledger.begin_run(&graph);
+            self.ledger.begin_run(graph);
         }
         if let Some(t) = &self.trace {
             t.set(TraceGauge::Ranks, r as f64);
@@ -637,7 +636,6 @@ impl MacroSim {
                 initial_blocks,
                 final_blocks: initial_blocks,
                 num_shards: cfg.num_shards,
-                topology_reused,
                 ..RunReport::default()
             },
             collector,
@@ -652,7 +650,8 @@ impl MacroSim {
             spec,
             dim,
             block_bytes: spec.cells(dim) * spec.num_vars as u64 * spec.bytes_per_value as u64,
-            graph,
+            snapshot: mesh.snapshot_id(),
+            own_graph: None,
             shards,
             epoch: CommEpoch::default(),
             redist: Redist::default(),
@@ -667,7 +666,8 @@ impl MacroSim {
             arrivals: Vec::with_capacity(r),
             coll_wait: Vec::with_capacity(r),
         };
-        self.fill_epoch(&mut run);
+        self.fill_epoch(&mut run, graph);
+        run.own_graph = own_graph;
         // Room for the sampled steps' rows, so ingest grows no column
         // mid-run on a static mesh. Reserved last: ahead of the topology
         // build it displaces that build's transient buffers and the peak
@@ -678,32 +678,28 @@ impl MacroSim {
         Ok(run)
     }
 
-    /// Remesh phase: repair the resident topology for the adapted mesh
-    /// (carrying the ledger's observations across), charge the inter-shard
-    /// halo republish, and remap the cost model through `delta` (without
-    /// one, estimates restart).
+    /// Remesh phase: move the run onto the adapted mesh's graph (carrying
+    /// the ledger's observations across), charge the inter-shard halo
+    /// republish, and remap the cost model through `delta` (without one,
+    /// estimates restart).
     fn remesh(&mut self, run: &mut Run, mesh: &AmrMesh, delta: Option<&RefinementDelta>) {
         let cfg = &self.config;
         run.report.mesh_change_steps += 1;
-        let observe = cfg.observe_exchange_bytes;
+        run.snapshot = mesh.snapshot_id();
+        // The adapt patched the graph the mesh keeps; a mesh that keeps none
+        // builds one here and keeps it, for its later adapts to patch.
+        run.own_graph = None;
+        let graph = kept_graph(mesh);
         // The remesh invalidates the ledger's relation space: flush pending
-        // observations against the dying graph and stage its layout before
-        // the patch rewrites it...
-        if observe {
-            self.ledger
-                .prepare_remesh(&self.pool, &run.graph, run.spec, run.dim);
-        }
-        // Incremental repair: only CSR rows touching changed octants are
-        // rebuilt (falls back to a full build when the workload's last delta
-        // doesn't describe this graph's mesh).
-        mesh.patch_neighbor_graph(&mut run.graph, &mut self.patch_scratch);
-        // ...then carry bytes for relations whose endpoints both survived
-        // (`BlockFate::Same`); the rest start at zero.
-        if observe {
-            self.ledger.apply_remesh(delta, &run.graph);
+        // observations against its copy of the old layout, then carry bytes
+        // for relations whose endpoints both survived (`BlockFate::Same`);
+        // the rest start at zero.
+        if cfg.observe_exchange_bytes {
+            self.ledger.prepare_remesh(&self.pool, run.spec, run.dim);
+            self.ledger.apply_remesh(delta, graph);
         }
         if let Some(shards) = &mut run.shards {
-            shards.recount(mesh, &run.graph);
+            shards.recount(mesh, graph);
             // Remeshing republishes ghost-block metadata across every shard
             // boundary before the next exchange epoch can run: each shard
             // ships (key, level, owner) records for its halo over the
@@ -780,8 +776,10 @@ impl MacroSim {
         // per-relation bytes to the policy alongside the cached graph.
         // Weight-blind policies ignore both, so this leaves their virtual
         // time bit-identical (pinned by test).
+        let own_graph = run.own_graph.take();
+        let graph = run_graph(&own_graph, mesh);
         let edge_weights = if cfg.observe_exchange_bytes {
-            self.ledger.flush(&self.pool, &run.graph, run.spec, run.dim);
+            self.ledger.flush(&self.pool, run.spec, run.dim);
             self.ledger.has_observations().then(|| self.ledger.bytes())
         } else {
             None
@@ -795,7 +793,7 @@ impl MacroSim {
                 r,
                 Some(mesh),
                 delta,
-                Some(&run.graph),
+                Some(graph),
                 edge_weights,
             )
             .map_err(|e| format!("rebalance at step {step} failed: {e}"))?;
@@ -826,14 +824,15 @@ impl MacroSim {
         run.report.blocks_migrated += run.redist.moved;
         run.redist.bytes = run.redist.moved * run.block_bytes;
         run.redist.per_rank_ns += wall as f64 + migration_ns;
-        self.fill_epoch(run);
+        self.fill_epoch(run, graph);
+        run.own_graph = own_graph;
         Ok(())
     }
 
-    /// Refill `run.epoch` for the engine's current placement over the
-    /// resident topology. A traced simulator hands each fill task a worker
-    /// lane for its host-track span — at every thread count, one included.
-    fn fill_epoch(&self, run: &mut Run) {
+    /// Refill `run.epoch` for the engine's current placement over `graph`,
+    /// the mesh's. A traced simulator hands each fill task a worker lane for
+    /// its host-track span — at every thread count, one included.
+    fn fill_epoch(&self, run: &mut Run, graph: &NeighborGraph) {
         let fill = par::EpochFill {
             pool: &self.pool,
             topology: &self.config.topology,
@@ -844,7 +843,7 @@ impl MacroSim {
                 .engine
                 .placement()
                 .expect("a placement precedes every fill"),
-            graph: &run.graph,
+            graph,
         };
         match &self.trace {
             Some(t) => {
@@ -1181,6 +1180,21 @@ fn mean_msgs_per_rank(msgs: u64, ranks: usize) -> u32 {
     u32::try_from(msgs / ranks as u64).unwrap_or(u32::MAX)
 }
 
+/// The neighbor graph `mesh` keeps, built and kept first if it keeps none.
+/// A clone held across `advance` would make the adapt's patch copy it.
+fn kept_graph(mesh: &AmrMesh) -> &NeighborGraph {
+    mesh.neighbor_graph();
+    mesh.kept_neighbor_graph()
+        .expect("the mesh keeps its graph")
+}
+
+/// The graph a run reads: its own, while it holds one, else the mesh's. A
+/// static run leaves a mesh that kept no graph without one: held to the end
+/// of `fault_diagnose`'s rounds, two such graphs cost 25 % (DESIGN §17).
+fn run_graph<'a>(own: &'a Option<NeighborGraph>, mesh: &'a AmrMesh) -> &'a NeighborGraph {
+    own.as_ref().unwrap_or_else(|| kept_graph(mesh))
+}
+
 /// The cost vector handed to the policy: the model's measured (EWMA) costs,
 /// or — the production default the paper's §V-A3 change (1) replaces — "every
 /// block costs 1", staged in `uniform`.
@@ -1458,14 +1472,15 @@ mod tests {
         }
     }
 
-    /// A run takes the graph its mesh keeps, sharded or not; a mesh that
-    /// keeps none — a fresh one, or another shape or the non-periodic twin's
-    /// periodic sibling (equal key arrays!), which refuse the kept one's
-    /// topology — builds privately and is left keeping none. Either way the
-    /// report is the fresh run's bit for bit.
+    /// A run reads the graph its mesh keeps, sharded or not; over a mesh
+    /// that keeps none — a fresh one, or another shape or the non-periodic
+    /// twin's periodic sibling (equal key arrays!), which refuse the kept
+    /// one's topology — a static run builds its own once and leaves the mesh
+    /// keeping none. Either way the report is the fresh run's bit for bit.
     #[test]
     fn kept_graph_is_taken_only_for_its_own_snapshot() {
         use amr_mesh::pool::WorkerPool;
+        use amr_telemetry::trace::Counter as TC;
         let trig = RebalanceTrigger::OnMeshChange;
         let on = |mesh: &AmrMesh| {
             let costs = (0..mesh.num_blocks())
@@ -1490,18 +1505,22 @@ mod tests {
         let other = AmrMesh::new(MeshConfig::from_cells(Dim::D3, (32, 32, 32), 2));
         assert_eq!(plain.sfc_keys(), periodic.sfc_keys());
         let cfg = small_config(16);
-        // A run over a clone of `mesh`; the clone is handed back to show
-        // what the mesh keeps after the run.
+        // A run over a traced clone of `mesh`: the report, the clone — to
+        // show what the mesh keeps after the run — and the graphs it built.
         let run = |mesh: &AmrMesh, cfg: &SimConfig| {
             let mut w = on(mesh);
+            let handle = TraceHandle::new(64);
+            w.mesh.set_trace(Some(handle.clone()));
             let rep = MacroSim::new(cfg.clone()).try_run(&mut w, &Lpt, trig);
-            (rep.expect("run"), w.mesh)
+            let builds = handle.metrics().counter(TC::GraphFullBuilds);
+            (rep.expect("run"), w.mesh, builds)
         };
-        let (base, after) = run(&plain, &cfg);
-        assert!(!base.topology_reused);
+        let built = plain.neighbor_graph_on(&serial);
+        let (base, after, builds) = run(&plain, &cfg);
+        assert_eq!(builds, 1);
         assert!(
             after.kept_neighbor_graph().is_none(),
-            "the run kept its build"
+            "a static run kept its build"
         );
         assert_ne!(
             base.messages,
@@ -1510,10 +1529,9 @@ mod tests {
         );
 
         // Kept: the same snapshot takes it, and it is the fresh build.
-        let built = plain.neighbor_graph();
-        assert_eq!(built, plain.neighbor_graph_on(&serial));
-        let (again, after) = run(&plain, &cfg);
-        assert!(again.topology_reused);
+        assert_eq!(plain.neighbor_graph(), built);
+        let (again, after, builds) = run(&plain, &cfg);
+        assert_eq!(builds, 0, "the run rebuilt the graph its mesh keeps");
         same(&again, &base);
         assert_eq!(after.kept_neighbor_graph(), Some(&built));
         let kept = plain.clone().into_topology().expect("a kept graph parks");
@@ -1523,53 +1541,77 @@ mod tests {
         // Installed on a fresh mesh of the same snapshot: taken.
         let mut fresh = AmrMesh::new(plain.config().clone());
         assert!(fresh.install_topology(kept.clone()));
-        let (rep, _) = run(&fresh, &cfg);
-        assert!(rep.topology_reused);
+        let (rep, _, builds) = run(&fresh, &cfg);
+        assert_eq!(builds, 0);
         same(&rep, &base);
 
-        // Not this mesh's: refused, and the run builds its own.
+        // Not this mesh's: refused, and the run builds the mesh's own.
         for original in [&periodic, &other] {
             let mut mesh = original.clone();
             assert!(!mesh.install_topology(kept.clone()));
             assert!(mesh.kept_neighbor_graph().is_none());
-            let (rep, after) = run(&mesh, &cfg);
-            assert!(!rep.topology_reused);
+            let (rep, after, builds) = run(&mesh, &cfg);
+            assert_eq!(builds, 1);
             same(&rep, &run(original, &cfg).0);
             assert!(after.kept_neighbor_graph().is_none());
         }
 
         // A sharded run reads the same graph: it takes the kept one, or
-        // builds its own and leaves none, and is the flat run bit for bit.
+        // builds it, and is the flat run bit for bit.
         let mut sharded = cfg.clone();
         sharded.num_shards = 3;
-        let (rep, after) = run(&plain, &sharded);
-        assert!(rep.topology_reused);
+        let (rep, after, builds) = run(&plain, &sharded);
+        assert_eq!(builds, 0);
         assert_eq!(after.kept_neighbor_graph(), Some(&built));
         same(&rep, &base);
-        let (rep, after) = run(&AmrMesh::new(plain.config().clone()), &sharded);
-        assert!(!rep.topology_reused && after.kept_neighbor_graph().is_none());
+        let (rep, after, builds) = run(&AmrMesh::new(plain.config().clone()), &sharded);
+        assert_eq!(builds, 1);
+        assert!(after.kept_neighbor_graph().is_none());
         same(&rep, &base);
 
-        // A run that remeshes patches its own copy: the adapt drops the
-        // mesh's kept graph, and a clone still holding it sees it unchanged.
+        // A run that remeshes reads the graph its mesh's adapt patched: no
+        // second build, and the mesh keeps the new snapshot's graph, while a
+        // clone still holding the old one sees it unchanged.
         let mut w = RefiningWorkload::new(6, 3);
+        let handle = TraceHandle::new(64);
+        w.mesh.set_trace(Some(handle.clone()));
         w.mesh.neighbor_graph();
         let start = w.mesh.clone();
         let rep = MacroSim::new(small_config(8))
             .try_run(&mut w, &Baseline, trig)
             .expect("refining run");
-        assert!(rep.topology_reused && rep.mesh_change_steps == 1);
-        assert!(w.mesh().kept_neighbor_graph().is_none());
+        assert_eq!(rep.mesh_change_steps, 1);
+        assert_eq!(handle.metrics().counter(TC::GraphFullBuilds), 1);
+        assert_eq!(handle.metrics().counter(TC::GraphPatches), 1);
+        w.mesh.set_trace(None);
+        let now = w.mesh().neighbor_graph_on(&serial);
+        assert_eq!(w.mesh().kept_neighbor_graph(), Some(&now));
         assert_eq!(
             start.kept_neighbor_graph(),
             Some(&start.neighbor_graph_on(&serial))
         );
+
+        // Over a mesh that keeps none, the first remesh makes the mesh build
+        // and keep the new snapshot's graph; the run's own build goes.
+        let mut w = RefiningWorkload::new(6, 3);
+        let handle = TraceHandle::new(64);
+        w.mesh.set_trace(Some(handle.clone()));
+        let fresh = MacroSim::new(small_config(8))
+            .try_run(&mut w, &Baseline, trig)
+            .expect("refining run");
+        assert_eq!(handle.metrics().counter(TC::GraphFullBuilds), 2);
+        assert_eq!(handle.metrics().counter(TC::GraphPatches), 0);
+        w.mesh.set_trace(None);
+        assert_eq!(w.mesh().kept_neighbor_graph(), Some(&now));
+        let virt = |r: &RunReport| [r.phases.compute_ns, r.phases.comm_ns, r.phases.sync_ns];
+        assert_eq!(virt(&fresh).map(f64::to_bits), virt(&rep).map(f64::to_bits));
+        assert_eq!(fresh.messages, rep.messages);
     }
 
     /// The set-up's build is the run's: on a mesh whose graph was already
-    /// built, a traced run builds none and says so; on a fresh mesh it
-    /// builds once and the mesh keeps nothing. Virtual time, messages and
-    /// telemetry cannot tell the two apart.
+    /// built, a traced run builds none; on a fresh mesh it builds once and
+    /// the mesh keeps nothing. Virtual time, messages and telemetry cannot
+    /// tell the two apart.
     #[test]
     fn run_reads_the_graph_its_mesh_already_built() {
         use amr_telemetry::trace::Counter as TC;
@@ -1596,15 +1638,111 @@ mod tests {
         for num_shards in [0, 4] {
             let (kept, kept_builds, kept_after) = traced_run(true, num_shards);
             assert_eq!(kept_builds, 0, "the run rebuilt the graph its mesh keeps");
-            assert!(kept.topology_reused && kept_after);
+            assert!(kept_after);
             let (fresh, fresh_builds, fresh_after) = traced_run(false, num_shards);
             assert_eq!(fresh_builds, 1);
-            assert!(!fresh.topology_reused && !fresh_after);
+            assert!(!fresh_after, "a static run left its build in the mesh");
             assert_eq!(kept.total_ns.to_bits(), fresh.total_ns.to_bits());
             assert_eq!(kept.phases, fresh.phases);
             assert_eq!(kept.messages, fresh.messages);
             assert_eq!(kept.telemetry, fresh.telemetry);
         }
+    }
+
+    /// A 2-D mesh of 4×4 roots, all refined once (64 blocks), that adapts
+    /// twice in one `advance`: A refines block 0 and coarsens the last
+    /// family (64 → 64 blocks), then B refines one block (64 → 67). B's
+    /// delta maps 64 blocks onto 67, but not the run's 64: it starts from
+    /// A's snapshot. With `restore`, the mesh is then rebuilt from its tree
+    /// ([`AmrMesh::from_parts`]), which keeps no delta and no graph.
+    struct TwoAdapts {
+        mesh: AmrMesh,
+        costs: Vec<f64>,
+        restore: bool,
+    }
+
+    impl TwoAdapts {
+        const AT: u64 = 2;
+
+        fn new(restore: bool) -> TwoAdapts {
+            let mut mesh = AmrMesh::new(MeshConfig::from_cells(Dim::D2, (64, 64, 16), 2));
+            mesh.adapt(|_| RefineTag::Refine);
+            assert_eq!(mesh.num_blocks(), 64);
+            let mut w = TwoAdapts {
+                mesh,
+                costs: Vec::new(),
+                restore,
+            };
+            w.fill_costs();
+            w
+        }
+
+        fn fill_costs(&mut self) {
+            let n = self.mesh.num_blocks();
+            self.costs = (0..n)
+                .map(|i| 1.0e6 * (1.0 + 0.37 * (i % 13) as f64))
+                .collect();
+        }
+    }
+
+    impl Workload for TwoAdapts {
+        fn mesh(&self) -> &AmrMesh {
+            &self.mesh
+        }
+        fn advance(&mut self, step: u64) -> WorkloadStep {
+            if step != Self::AT {
+                return WorkloadStep::default();
+            }
+            let last = self.mesh.num_blocks() - 4;
+            self.mesh.adapt(|b| match b.id.index() {
+                0 => RefineTag::Refine,
+                i if i >= last => RefineTag::Coarsen,
+                _ => RefineTag::Keep,
+            });
+            assert_eq!(self.mesh.num_blocks(), 64);
+            self.mesh.adapt(|b| match b.id.index() {
+                30 => RefineTag::Refine,
+                _ => RefineTag::Keep,
+            });
+            assert_eq!(self.mesh.num_blocks(), 67);
+            assert!(self.mesh.last_delta().maps(64, 67));
+            if self.restore {
+                let (config, tree) = (self.mesh.config().clone(), self.mesh.tree().clone());
+                self.mesh = AmrMesh::from_parts(config, tree).expect("restore");
+            }
+            self.fill_costs();
+            WorkloadStep { mesh_changed: true }
+        }
+        fn block_compute_ns(&self) -> &[f64] {
+            &self.costs
+        }
+        fn total_steps(&self) -> u64 {
+            6
+        }
+    }
+
+    /// A delta whose block counts match the run's but which starts from a
+    /// snapshot the run never saw carries no ancestry: the run goes on as
+    /// it does over a restored mesh — graph, cost model, placement and
+    /// migration bit for bit.
+    #[test]
+    fn a_second_adapt_in_one_advance_is_not_trusted_on_counts() {
+        let run = |restore: bool| {
+            let mut w = TwoAdapts::new(restore);
+            let mut cfg = small_config(8);
+            cfg.observe_exchange_bytes = true;
+            let rep = MacroSim::new(cfg).run(&mut w, &Lpt, RebalanceTrigger::OnMeshChange);
+            assert_eq!(rep.final_blocks, 67);
+            rep
+        };
+        let (twice, restored) = (run(false), run(true));
+        let virt = |r: &RunReport| [r.phases.compute_ns, r.phases.comm_ns, r.phases.sync_ns];
+        assert_eq!(
+            virt(&twice).map(f64::to_bits),
+            virt(&restored).map(f64::to_bits)
+        );
+        assert_eq!(twice.messages, restored.messages);
+        assert_eq!(twice.blocks_migrated, restored.blocks_migrated);
     }
 
     #[test]

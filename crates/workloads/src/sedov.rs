@@ -588,9 +588,10 @@ mod tests {
         }
     }
 
-    /// Over a traced Table-I run the graph repairs probe exactly the blocks
-    /// the adapts created — no surviving block is probed — and tracing the
-    /// mesh and the simulator moves no bit of the result.
+    /// Over a traced Table-I run whose mesh keeps its graph, the graph
+    /// repairs probe exactly the blocks the adapts created — no surviving
+    /// block is probed — and tracing the mesh and the simulator moves no bit
+    /// of the result.
     #[test]
     fn traced_run_probes_only_created_blocks_and_matches_untraced() {
         use amr_core::policies::Cplx;
@@ -600,6 +601,7 @@ mod tests {
         let run = |trace: Option<TraceHandle>| {
             let mut inner = crate::scenarios::SedovScenario::for_ranks(512, 200).workload();
             inner.set_trace(trace.clone());
+            inner.mesh().neighbor_graph();
             let mut w = CountCreated {
                 inner,
                 created: 0,
@@ -626,8 +628,8 @@ mod tests {
         assert_eq!(m.counter(Counter::GraphPatches), traced.mesh_change_steps);
         assert_eq!(m.counter(Counter::GraphPatchFallbacks), 0);
         assert!(created > 0);
-        // Probed: the rows of `begin_run`'s one full build, then only the
-        // blocks each adapt created.
+        // Probed: the rows of the one full build before the run, then only
+        // the blocks each adapt created.
         assert_eq!(m.counter(Counter::GraphFullBuilds), 1);
         let initial = traced.initial_blocks as u64;
         assert_eq!(m.counter(Counter::GraphRowsProbed), initial + created);

@@ -16,7 +16,7 @@
 //!
 //! 2. `AmrMesh::patch_neighbor_graph` (surviving rows inherited through the
 //!    `RefinementDelta`'s fate table, created blocks probed) must equal a
-//!    fresh `AmrMesh::neighbor_graph` build after every adapt of a random
+//!    fresh `AmrMesh::neighbor_graph_on` build after every adapt of a random
 //!    2D/3D refinement sequence — three levels deep, bounded and periodic,
 //!    on root grids down to one root on an axis.
 //! 3. The incrementally spliced block index (sorted blocks + SFC keys) must
@@ -469,14 +469,16 @@ proptest! {
         for step in 0..steps {
             hash_adapt(&mut mesh, salt.wrapping_add(step as u64));
             mesh.patch_neighbor_graph(&mut graph, &mut scratch);
-            let full = mesh.neighbor_graph();
+            let full = mesh.neighbor_graph_on(&pools()[0]);
             prop_assert_eq!(&graph, &full);
             prop_assert!(graph.check_symmetry().is_ok());
         }
     }
 
-    /// The graph a mesh keeps is always its current snapshot's, and nobody
-    /// else's adapt or patch reaches it.
+    /// The graph a mesh keeps is always its current snapshot's: every adapt
+    /// that changes the mesh patches it into a fresh serial build's equal
+    /// without a full build, and nobody else's adapt or patch reaches it. A
+    /// mesh that keeps no graph patches nothing.
     #[test]
     fn kept_graph_tracks_every_snapshot_on_random_sequences(
         dim_3d: bool,
@@ -489,6 +491,9 @@ proptest! {
         let handle = TraceHandle::new(64);
         let builds = || handle.metrics().counter(Counter::GraphFullBuilds);
         let mut mesh = repair_mesh(dim_3d, roots, periodic);
+        let bare_handle = TraceHandle::new(64);
+        let mut bare = mesh.clone();
+        bare.set_trace(Some(bare_handle.clone()));
         mesh.set_trace(Some(handle.clone()));
         let mut graph = mesh.neighbor_graph();
         let mut scratch = PatchScratch::default();
@@ -497,17 +502,24 @@ proptest! {
             // `before` keeps the pre-adapt graph that `graph` shares.
             let before = mesh.clone();
             let mut twin = mesh.clone();
+            let built = builds();
             hash_adapt(&mut mesh, key);
+            prop_assert_eq!(builds(), built, "an adapt built the graph");
+            let patched = mesh.kept_neighbor_graph().expect("an adapt keeps the graph").clone();
+            prop_assert_eq!(&patched, &mesh.neighbor_graph_on(serial));
             hash_adapt(&mut twin, key);
             prop_assert_eq!(twin.blocks(), mesh.blocks());
             prop_assert_eq!(twin.sfc_keys(), mesh.sfc_keys());
             prop_assert_eq!(twin.last_delta(), mesh.last_delta());
+            hash_adapt(&mut bare, key);
+            prop_assert_eq!(bare.sfc_keys(), mesh.sfc_keys());
+            prop_assert!(bare.kept_neighbor_graph().is_none());
             mesh.patch_neighbor_graph(&mut graph, &mut scratch);
             let kept = before.kept_neighbor_graph().expect("a clone carries the kept graph");
             prop_assert_eq!(kept, &before.neighbor_graph_on(serial));
 
             let now = mesh.neighbor_graph();
-            prop_assert_eq!(&now, &mesh.neighbor_graph_on(serial));
+            prop_assert_eq!(&now, &patched);
             prop_assert_eq!(&graph, &now);
             prop_assert_eq!(&twin.neighbor_graph(), &now);
 
@@ -522,6 +534,9 @@ proptest! {
             prop_assert_eq!(builds(), built);
             graph = now;
         }
+        let bare_metrics = bare_handle.metrics();
+        prop_assert_eq!(bare_metrics.counter(Counter::GraphPatches), 0);
+        prop_assert_eq!(bare_metrics.counter(Counter::GraphFullBuilds), 0);
     }
 
     /// A shard plan recounted over the patched graph after every adapt of a
@@ -614,7 +629,7 @@ proptest! {
         for step in 0..steps {
             let key = salt.wrapping_add(step as u64);
             ledger.note_step(2);
-            ledger.flush(&pool, &graph, spec, dim);
+            ledger.flush(&pool, spec, dim);
             let (old_graph, old_bytes) = (graph.clone(), ledger.bytes().to_vec());
             let old_costs = model.costs().to_vec();
             let old_order = warm_order(&engine);
@@ -625,7 +640,7 @@ proptest! {
                 continue;
             }
             let origins = origin_oracle::origins_from_delta(delta);
-            ledger.prepare_remesh(&pool, &graph, spec, dim);
+            ledger.prepare_remesh(&pool, spec, dim);
             mesh.patch_neighbor_graph(&mut graph, &mut patch);
 
             model.remap_in_place(delta, &mut spare);

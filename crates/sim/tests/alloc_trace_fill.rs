@@ -179,10 +179,15 @@ const SETUP_FROM_STAMP: &str = "\
     a132 a128 a128 a8872 a224 \
     a516 a516 a516 a129 a1032 a516 a1032";
 
-/// The step after the adapt that refines block 0 (155 → 162 blocks): the CSR
-/// patch, the cost model's remap, the warm re-placement, then the refill —
-/// whose one allocation is the sender segments' regrowth (`r17744`) — and
-/// the compute phase's per-block record (`r2480`).
+/// The step after the adapt that refines block 0 (155 → 162 blocks). The
+/// probe's mesh kept no graph, so its adapt patched none and the run, whose
+/// own graph is now stale, makes the mesh build and keep the new one: its
+/// offsets (`a652`), entries at 26 a leaf (`a33696`), the row scratch
+/// (`a448`) and the shared CSR's header (`a64`), the entries shrunk to the
+/// 2 298 relations they hold (`r18384`). Then the cost model's remap, the
+/// warm re-placement, the refill — whose one allocation is the sender
+/// segments' regrowth (`r17744`) — and the compute phase's per-block record
+/// (`r2480`).
 const REMESH: &str = "\
-    a16 r652 a32 r64 a56 r128 r120 r240 r256 r480 r960 r1920 r3840 r7680 r15360 r30720 \
+    a652 a33696 a448 a64 r18384 \
     a1296 a648 r2496 r1200 a128 a128 r17744 r2480";

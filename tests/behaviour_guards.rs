@@ -1,13 +1,13 @@
-//! Behavioural guards on *virtual* step time: the Fig. 7a locality inversion,
-//! the multilevel-vs-CPLX trade-off and the fault-response ordering, each
-//! asserted in both directions. Every comparison is on `compute_ns + comm_ns +
+//! Behavioural guards on *virtual* step time: Fig. 6's headline, the Fig. 7a
+//! locality inversion, the multilevel-vs-CPLX trade-off and the
+//! fault-response ordering, each asserted in both directions. Every comparison is on `compute_ns + comm_ns +
 //! sync_ns` ([`virt`]); `redist_ns` and `total_ns` fold in *host* placement
 //! wall time, so they never appear in an inequality here.
 
 use amr_tools::mesh::AmrMesh;
 use amr_tools::placement::engine::{PlacementCtx, PlacementError, PlacementReport};
 use amr_tools::placement::policies::{
-    weighted_edge_cut, Cplx, CutWeights, GreedyEdgeCut, Lpt, Multilevel, PlacementPolicy,
+    weighted_edge_cut, Baseline, Cplx, CutWeights, GreedyEdgeCut, Lpt, Multilevel, PlacementPolicy,
 };
 use amr_tools::placement::trigger::RebalanceTrigger;
 use amr_tools::placement::Placement;
@@ -16,7 +16,7 @@ use amr_tools::sim::{
     CollectiveSelect, FaultEpisode, FaultResponse, FaultTimeline, MacroSim, RunReport, SimConfig,
     Workload, WorkloadStep,
 };
-use amr_tools::workloads::random_refined_mesh;
+use amr_tools::workloads::{random_refined_mesh, SedovScenario};
 
 /// Static mesh with a caller-chosen cost vector: each guard dials its own
 /// compute/communication ratio.
@@ -65,6 +65,51 @@ fn simulate(
 ) -> RunReport {
     cfg.telemetry_sampling = 1_000_000;
     MacroSim::new(cfg).run(&mut StaticWorkload { mesh, costs, steps }, policy, trigger)
+}
+
+/// Fig. 6's headline on Table I's two smallest scales at step scale 200:
+/// every CPLX with X ≥ 25 beats the baseline, the CPL50 gain and the
+/// baseline's sync share both grow with scale, and the best X's gain sits in
+/// a band around the paper's "15.3–21.6 % total-runtime reduction" (§VI-B).
+/// Gains and shares are on `compute + comm + sync`; the paper's quote also
+/// counts rebalancing, which here is host wall clock.
+#[test]
+fn fig6_cplx_beats_baseline_and_gains_grow_with_scale() {
+    /// The best X's gain, in %, at each scale: the paper's 15.3–21.6 %
+    /// widened by about 3.5 points each way for the reduced step counts.
+    const BEST_GAIN_BAND: (f64, f64) = (12.0, 25.0);
+    let headline = |ranks: usize| {
+        let run = |policy: &dyn PlacementPolicy| {
+            let mut cfg = SimConfig::tuned(ranks);
+            cfg.seed = 1 ^ ranks as u64;
+            cfg.telemetry_sampling = 1_000_000;
+            let mut workload = SedovScenario::for_ranks(ranks, 200).workload();
+            let rep = MacroSim::new(cfg).run(&mut workload, policy, RebalanceTrigger::OnMeshChange);
+            (virt(&rep), rep.phases.sync_ns / virt(&rep))
+        };
+        let (base, sync_share) = run(&Baseline);
+        let gains = [25, 50, 75, 100].map(|x| (x, 1.0 - run(&Cplx::new(x)).0 / base));
+        for (x, gain) in gains {
+            assert!(gain > 0.0, "{ranks} ranks: CPL{x} gain {gain} !> 0");
+        }
+        let best = gains.iter().map(|g| 100.0 * g.1).fold(f64::MIN, f64::max);
+        let (lo, hi) = BEST_GAIN_BAND;
+        assert!(
+            (lo..=hi).contains(&best),
+            "{ranks} ranks: best gain {best:.1} % outside {lo}–{hi} %"
+        );
+        (gains[1].1, sync_share)
+    };
+    let (cpl50_512, sync_512) = headline(512);
+    let (cpl50_1024, sync_1024) = headline(1024);
+    assert!(
+        cpl50_512 < cpl50_1024,
+        "CPL50 gain {cpl50_512} !< {cpl50_1024}"
+    );
+    assert!(
+        sync_512 < sync_1024,
+        "baseline sync share {sync_512} !< {sync_1024}"
+    );
 }
 
 /// Deliberate anti-locality: blocks dealt round-robin in a fixed shuffled

@@ -420,7 +420,9 @@ impl AmrMesh {
         if !topology.is_for(self) {
             return false;
         }
-        self.graph = OnceLock::from(topology.into_graph());
+        let mut graph = topology.into_graph();
+        graph.stamp(self.snapshot);
+        self.graph = OnceLock::from(graph);
         true
     }
 
@@ -432,7 +434,8 @@ impl AmrMesh {
     }
 
     fn build_graph(&self, pool: Option<&WorkerPool>) -> NeighborGraph {
-        let graph = NeighborGraph::build_indexed(&self.tree, &self.cover_index(), pool);
+        let mut graph = NeighborGraph::build_indexed(&self.tree, &self.cover_index(), pool);
+        graph.stamp(self.snapshot);
         if let Some(t) = &self.trace {
             t.incr(TraceCounter::GraphFullBuilds, 1);
             t.incr(TraceCounter::GraphRowsProbed, self.blocks.len() as u64);
@@ -443,11 +446,14 @@ impl AmrMesh {
     /// Bring `graph` up to date with the mesh after the most recent
     /// [`AmrMesh::adapt`] (which has patched the kept graph this way):
     /// surviving blocks inherit their rows through the delta's fate table,
-    /// only blocks the adapt created are probed. The caller vouches that
-    /// `graph` is the graph of the snapshot that adapt started from; only
-    /// block counts are checked ([`RefinementDelta::maps`]). When they do not
-    /// match, `graph` becomes the kept graph, or a fresh build that is not
-    /// kept. Returns `true` iff the incremental patch path ran.
+    /// only blocks the adapt created are probed. The patch runs only on a
+    /// graph of the snapshot that adapt started from
+    /// ([`NeighborGraph::snapshot_id`] equal to the delta's
+    /// [`from_snapshot`](RefinementDelta::from_snapshot)) whose block count
+    /// the delta [maps](RefinementDelta::maps). Any other graph — of another
+    /// snapshot, of none, or after a no-op adapt — becomes the kept graph, or
+    /// a fresh build that is not kept. Returns `true` iff the incremental
+    /// patch path ran.
     pub fn patch_neighbor_graph(
         &self,
         graph: &mut NeighborGraph,
@@ -455,8 +461,9 @@ impl AmrMesh {
     ) -> bool {
         let _span = self.trace.as_ref().map(|t| t.span(TracePhase::GraphPatch));
         let d = &self.delta;
-        if d.maps(graph.num_blocks(), self.blocks.len()) {
+        if graph.snapshot_id() == d.from_snapshot && d.maps(graph.num_blocks(), self.blocks.len()) {
             let rows = graph.patch(&self.tree, &self.cover_index(), d, scratch);
+            graph.stamp(self.snapshot);
             // Row counts by origin, once per repair (not per row).
             if let Some(t) = &self.trace {
                 t.incr(TraceCounter::GraphPatches, 1);
@@ -1135,6 +1142,109 @@ mod tests {
             assert_eq!(m.kept_neighbor_graph(), Some(&g));
             g.check_symmetry().unwrap();
         }
+    }
+
+    /// A graph of another snapshot whose block count the delta maps is
+    /// refused, not patched: 4×4 roots refined once (64 blocks), adapt A
+    /// keeps 64 (one block refined, the last family coarsened), adapt B goes
+    /// 64 → 67. The graph from before A becomes a fresh build.
+    #[test]
+    fn patch_refuses_a_graph_of_another_snapshot() {
+        let mut m = AmrMesh::new(MeshConfig::from_cells(Dim::D2, (64, 64, 16), 2));
+        m.adapt(|_| RefineTag::Refine);
+        assert_eq!(m.num_blocks(), 64);
+        let before_a = m.neighbor_graph_on(&WorkerPool::new(1));
+        assert_eq!(before_a.snapshot_id(), m.snapshot_id());
+        let last = m.num_blocks() - 4;
+        m.adapt(|b| match b.id.index() {
+            0 => RefineTag::Refine,
+            i if i >= last => RefineTag::Coarsen,
+            _ => RefineTag::Keep,
+        });
+        assert_eq!(m.num_blocks(), 64);
+        m.adapt(|b| match b.id.index() {
+            30 => RefineTag::Refine,
+            _ => RefineTag::Keep,
+        });
+        assert_eq!(m.num_blocks(), 67);
+        assert!(m.last_delta().maps(before_a.num_blocks(), 67));
+        let mut g = before_a;
+        assert!(!m.patch_neighbor_graph(&mut g, &mut PatchScratch::default()));
+        assert_eq!(g, m.neighbor_graph_on(&WorkerPool::new(1)));
+        assert_eq!(g.snapshot_id(), m.snapshot_id());
+        g.check_symmetry().unwrap();
+        // A graph built from a leaf slice names no snapshot, and is refused too.
+        let mut unnamed = NeighborGraph::build(m.tree(), &m.tree().leaves_sorted());
+        assert_eq!(unnamed.snapshot_id(), 0);
+        assert!(!m.patch_neighbor_graph(&mut unnamed, &mut PatchScratch::default()));
+    }
+
+    /// The repo benchmark's probe: clone a mesh that keeps its graph, adapt
+    /// the clone, then patch a clone of the pre-adapt graph. The graph is of
+    /// the snapshot the adapt started from, so the patch runs, and it
+    /// re-stamps the graph with the clone's new snapshot.
+    #[test]
+    fn patch_of_a_pre_adapt_graph_clone_runs() {
+        let mut m = AmrMesh::new(cfg(2, 2));
+        m.adapt(|b| {
+            if b.octant.x == 0 {
+                RefineTag::Refine
+            } else {
+                RefineTag::Keep
+            }
+        });
+        let graph = m.neighbor_graph();
+        let mut c = m.clone();
+        let mut g = graph.clone();
+        c.adapt(|b| {
+            if b.level() < 2 && b.octant.y == 0 {
+                RefineTag::Refine
+            } else {
+                RefineTag::Keep
+            }
+        });
+        assert!(c.last_delta().changed());
+        assert!(c.patch_neighbor_graph(&mut g, &mut PatchScratch::default()));
+        assert_eq!(g, c.neighbor_graph_on(&WorkerPool::new(1)));
+        assert_eq!(g.snapshot_id(), c.snapshot_id());
+        assert_eq!(
+            c.kept_neighbor_graph().map(|k| k.snapshot_id()),
+            Some(c.snapshot_id())
+        );
+        assert_eq!(graph.snapshot_id(), m.snapshot_id());
+    }
+
+    /// A parked topology installed on another mesh of the same shape is
+    /// stamped with that mesh's snapshot, so the mesh's next adapt patches
+    /// it.
+    #[test]
+    fn install_topology_stamps_the_mesh_snapshot() {
+        let m = AmrMesh::new(cfg(2, 2));
+        m.neighbor_graph();
+        let topology = m.clone().into_topology().expect("a kept graph parks");
+        let mut fresh = AmrMesh::new(cfg(2, 2));
+        assert_ne!(fresh.snapshot_id(), m.snapshot_id());
+        assert!(fresh.install_topology(topology));
+        let installed = fresh.kept_neighbor_graph().map(NeighborGraph::snapshot_id);
+        assert_eq!(installed, Some(fresh.snapshot_id()));
+        let handle = TraceHandle::new(64);
+        fresh.set_trace(Some(handle.clone()));
+        fresh.adapt(|b| {
+            if b.octant.x == 0 {
+                RefineTag::Refine
+            } else {
+                RefineTag::Keep
+            }
+        });
+        assert_eq!(handle.metrics().counter(TraceCounter::GraphPatches), 1);
+        assert_eq!(
+            handle.metrics().counter(TraceCounter::GraphPatchFallbacks),
+            0
+        );
+        assert_eq!(
+            fresh.kept_neighbor_graph(),
+            Some(&fresh.neighbor_graph_on(&WorkerPool::new(1)))
+        );
     }
 
     #[test]

@@ -1184,15 +1184,20 @@ fn mean_msgs_per_rank(msgs: u64, ranks: usize) -> u32 {
 /// A clone held across `advance` would make the adapt's patch copy it.
 fn kept_graph(mesh: &AmrMesh) -> &NeighborGraph {
     mesh.neighbor_graph();
-    mesh.kept_neighbor_graph()
-        .expect("the mesh keeps its graph")
+    let graph = mesh
+        .kept_neighbor_graph()
+        .expect("the mesh keeps its graph");
+    debug_assert_eq!(graph.snapshot_id(), mesh.snapshot_id());
+    graph
 }
 
 /// The graph a run reads: its own, while it holds one, else the mesh's. A
 /// static run leaves a mesh that kept no graph without one: held to the end
 /// of `fault_diagnose`'s rounds, two such graphs cost 25 % (DESIGN §17).
 fn run_graph<'a>(own: &'a Option<NeighborGraph>, mesh: &'a AmrMesh) -> &'a NeighborGraph {
-    own.as_ref().unwrap_or_else(|| kept_graph(mesh))
+    let graph = own.as_ref().unwrap_or_else(|| kept_graph(mesh));
+    debug_assert_eq!(graph.snapshot_id(), mesh.snapshot_id());
+    graph
 }
 
 /// The cost vector handed to the policy: the model's measured (EWMA) costs,

@@ -209,12 +209,12 @@ fn throttled_static_run_matches_golden_bits() {
 #[test]
 fn sedov_sampled_run_matches_golden_bits() {
     let want = Bits {
-        rows: 19_464,
-        encoded: 0x138d546157a3eee0,
-        stragglers: 0x3c366dcc75a3a64c,
-        fractions: 0xaabeda6f1cf7ebd4,
-        by_step: 0xcaf7df54f798efc5,
-        per_rank_secs: 0x529747537ac4fc0c,
+        rows: 19_476,
+        encoded: 0x9d820e85cecd3734,
+        stragglers: 0x9e515e8661774012,
+        fractions: 0x858e14bb540538bf,
+        by_step: 0xb261c50ee5036a19,
+        per_rank_secs: 0x60049029ce23a44b,
     };
     let got = sedov_sampled();
     assert_eq!(got, want, "sedov_sampled diverged: got {got:#x?}");
